@@ -27,17 +27,13 @@ from .electrostatics import (
 )
 from .moment_matrix import (
     TriangularParityMatrix,
-    alpha_coefficients,
     beta_entry,
     build_b,
     build_d,
     build_f,
     build_g,
     d_diagonal,
-    f_diagonal,
     f_entry_closed_form,
-    f_entry_recurrence,
-    f_second_superdiagonal,
     g_entry,
 )
 from .rational import Rational, format_rational, parse_rational
@@ -53,7 +49,6 @@ __all__ = [
     "PotentialSpec",
     "Rational",
     "TriangularParityMatrix",
-    "alpha_coefficients",
     "axial_force",
     "beta_entry",
     "build_b",
@@ -64,10 +59,7 @@ __all__ = [
     "charge_legendre_moments",
     "d_diagonal",
     "dipole_moment",
-    "f_diagonal",
     "f_entry_closed_form",
-    "f_entry_recurrence",
-    "f_second_superdiagonal",
     "format_rational",
     "g_entry",
     "induced_axis_potential",

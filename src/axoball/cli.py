@@ -17,6 +17,7 @@ finds a tolerance breach.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,10 +30,8 @@ from . import oracle
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
     PotentialSpec,
-    axial_force,
     build_report,
     induced_axis_potential,
-    multipole_moment,
     solve_charge_density,
 )
 from .moment_matrix import build_b, build_d, build_f, build_g
@@ -174,34 +173,48 @@ def _profile_arrays(density, samples, span):
     }
 
 
-def run_verification(spec, density, moments):
-    """Oracle cross-checks; returns (report block, all passed)."""
+@contextlib.contextmanager
+def _float_range(quantity):
+    """The float oracle cannot check what floats cannot hold: an overflow,
+    or an underflow to a zero divisor, inside one check is bad input for
+    --verify, reported by quantity."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise ProblemError(
+            f"--verify: floats leave their range checking the {quantity}"
+        ) from None
+
+
+def run_verification(report):
+    """Oracle cross-checks of a solved report; returns (report block, all
+    passed).  The exact side of every check is read from the report."""
+    density = report.density
     checks = {}
     eps = density.epsilon0
-    r = float(density.radius)
-
-    if spec.degree <= 10:
-        try:
-            sol = oracle.collocation_solve(spec)
-            scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
-            deviation = max(
-                abs(float(exact) - got) / scale
-                for exact, got in zip(density.coeffs_c, sol.coeffs)
-            )
-            checks["collocation"] = {
-                "max_coeff_deviation": deviation,
-                "residual_norm": sol.residual_norm,
-                "condition_estimate": sol.condition_estimate,
-                "tolerance": 1e-8,
-                "passed": deviation <= 1e-8,
-            }
-        except oracle.CollocationError as exc:
-            checks["collocation"] = {"error": str(exc), "passed": False}
-    else:
-        # monomial collocation degrades past degree ~12; not a failure
-        checks["collocation"] = {"skipped": "degree above 10", "passed": True}
-
-    residual = oracle.equation_residual(density)
+    with _float_range("charge density"):
+        r = float(density.radius)
+        if density.degree <= 10:
+            try:
+                sol = oracle.collocation_solve(density.spec)
+                scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
+                deviation = max(
+                    abs(float(exact) - got) / scale
+                    for exact, got in zip(density.coeffs_c, sol.coeffs)
+                )
+                checks["collocation"] = {
+                    "max_coeff_deviation": deviation,
+                    "residual_norm": sol.residual_norm,
+                    "condition_estimate": sol.condition_estimate,
+                    "tolerance": 1e-8,
+                    "passed": deviation <= 1e-8,
+                }
+            except oracle.CollocationError as exc:
+                checks["collocation"] = {"error": str(exc), "passed": False}
+        else:
+            # monomial collocation degrades past degree ~12; not a failure
+            checks["collocation"] = {"skipped": "degree above 10", "passed": True}
+        residual = oracle.equation_residual(density)
     checks["equation_residual"] = {
         "value": residual,
         "tolerance": 1e-9,
@@ -211,13 +224,14 @@ def run_verification(spec, density, moments):
     # moment quadrature vs exact, relative to the cancellation-free
     # magnitude of the integral (the roundoff scale of the quadrature)
     worst = 0.0
-    for m in moments:
-        exact = float(multipole_moment(density, m))
-        brute = oracle.brute_force_moment(density, m)
-        magnitude = 8.0 * sum(
-            abs(float(c)) * r ** (m + j) / (m + j)
-            for j, c in enumerate(density.coeffs_c, start=1)
-        )
+    for m, moment in report.multipoles.items():
+        with _float_range(f"order-{m} multipole moment"):
+            exact = float(moment)
+            brute = oracle.brute_force_moment(density, m)
+            magnitude = 8.0 * sum(
+                abs(float(c)) * r ** (m + j) / (m + j)
+                for j, c in enumerate(density.coeffs_c, start=1)
+            )
         scale = math.pi * eps * magnitude
         deviation = abs(brute - exact) / scale if scale else abs(brute - exact)
         worst = max(worst, deviation)
@@ -227,12 +241,13 @@ def run_verification(spec, density, moments):
         "passed": worst <= 1e-10,
     }
 
-    exact_force = float(axial_force(spec))
-    brute_force = oracle.brute_force_force(density)
-    rule = oracle.gauss_legendre(max(density.degree + 2, 8))
-    magnitude = math.pi / eps * r * rule.integrate(
-        lambda eta: abs(r * eta) * density.sigma(r * eta) ** 2
-    )
+    with _float_range("force"):
+        exact_force = float(report.force_F)
+        brute_force = oracle.brute_force_force(density)
+        rule = oracle.gauss_legendre(max(density.degree + 2, 8))
+        magnitude = math.pi / eps * r * rule.integrate(
+            lambda eta: abs(r * eta) * density.sigma(r * eta) ** 2
+        )
     force_dev = (
         abs(brute_force - exact_force) / magnitude
         if magnitude
@@ -244,6 +259,7 @@ def run_verification(spec, density, moments):
         "passed": force_dev <= 1e-10,
     }
 
+    # floats the same moments as equation_residual, so cannot overflow here
     u_in = induced_axis_potential(density, r * (1.0 - 1e-8))
     u_out = induced_axis_potential(density, r * (1.0 + 1e-8))
     gap = abs(u_out - u_in)
@@ -283,8 +299,8 @@ def _emit(text, out_path):
 def cmd_solve(args):
     prob = load_problem(args.problem)
     spec = prob.spec
-    density = solve_charge_density(spec)
     report = build_report(spec, prob.moments)
+    density = report.density
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -312,7 +328,7 @@ def cmd_solve(args):
 
     code = 0
     if args.verify:
-        block, passed = run_verification(spec, density, prob.moments)
+        block, passed = run_verification(report)
         doc["verification"] = block
         if not passed:
             code = 3

@@ -27,6 +27,9 @@ for the moments, (pi/eps0) int z sigma^2 dz for the force on the surface),
 and the two results are required to match identically.  A mismatch raises
 ConsistencyError and indicates a bug, never bad input.
 
+Every quantity takes the density ``solve_charge_density`` returns: its
+closed form reads the b the density was solved from, its integrated path c.
+
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.
 """
@@ -67,10 +70,15 @@ class ExactPhysical:
         return self.to_float()
 
     def as_dict(self):
+        try:
+            value = self.to_float()
+        except OverflowError:
+            value = math.inf
+        # beyond float range the float is null; the exact coeff still holds
         return {
             "coeff": format_rational(self.coeff),
             "unit_factor": self.UNIT_FACTOR,
-            "float": self.to_float(),
+            "float": value if math.isfinite(value) else None,
         }
 
 
@@ -120,25 +128,24 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class ChargeDensity:
-    """Induced surface density sigma(z) = (2 eps0 / r) sum_j c_j z^(j-1)."""
+    """A solved problem: the spec and the coefficients c of its induced
+    density sigma(z) = (2 eps0 / r) sum_j c_j z^(j-1).  Built only by
+    ``solve_charge_density``; radius, permittivity and b come from spec."""
 
-    radius: Fraction
+    spec: PotentialSpec
     coeffs_c: tuple
-    epsilon0: float = VACUUM_PERMITTIVITY
 
-    def __post_init__(self):
-        radius = parse_rational(self.radius)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        coeffs = tuple(parse_rational(c) for c in self.coeffs_c)
-        if not coeffs:
-            raise ValueError("coeffs_c must not be empty")
-        eps = float(self.epsilon0)
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValueError("epsilon0 must be positive and finite")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "coeffs_c", coeffs)
-        object.__setattr__(self, "epsilon0", eps)
+    @property
+    def radius(self):
+        return self.spec.radius
+
+    @property
+    def epsilon0(self):
+        return self.spec.epsilon0
+
+    @property
+    def coeffs_b(self):
+        return self.spec.coeffs_b
 
     @property
     def degree(self):
@@ -158,8 +165,9 @@ class ChargeDensity:
 
 @dataclass(frozen=True)
 class BallReport:
-    """Charge, dipole, requested multipoles and force for one problem."""
+    """A solved density with its charge, dipole, multipoles and force."""
 
+    density: ChargeDensity
     charge_Q: ExactPhysical
     dipole_D: ExactPhysical
     multipoles: dict
@@ -182,7 +190,7 @@ def solve_charge_density(spec):
         for j in range(i, n1 + 1, 2):
             acc += r ** (j - i) * g_entry(i, j) * b[j - 1]
         coeffs.append(acc)
-    return ChargeDensity(r, tuple(coeffs), spec.epsilon0)
+    return ChargeDensity(spec, tuple(coeffs))
 
 
 def reconstruct_potential(density):
@@ -207,24 +215,13 @@ def reconstruct_potential(density):
 def charge_legendre_moments(density):
     """Legendre projections of the dimensionless density.
 
-    m_k = sum_j F_kj c_j r^(j-1) = integral of (r/(2 eps0)) sigma(r eta)
-    P_{k-1}(eta) d eta; identically equal to r^(k-1) b_k.  These drive the
-    axis potential of the induced charge.
+    m_k = integral of (r/(2 eps0)) sigma(r eta) P_{k-1}(eta) d eta
+    = sum_j F_kj c_j r^(j-1), which is identically r^(k-1) b_k (the F c
+    sum is ``reconstruct_potential``).  These drive the axis potential of
+    the induced charge.
     """
     r = density.radius
-    c = density.coeffs_c
-    n1 = len(c)
-    out = []
-    for k in range(1, n1 + 1):
-        acc = Fraction(0)
-        for j in range(k, n1 + 1, 2):
-            acc += f_entry_closed_form(k, j) * c[j - 1] * r ** (j - 1)
-        out.append(acc)
-    return out
-
-
-def _coeffs_b(density):
-    return reconstruct_potential(density).coeffs_b
+    return [r**k * b for k, b in enumerate(density.coeffs_b)]
 
 
 def total_charge(density):
@@ -238,7 +235,7 @@ def total_charge(density):
     integrated = 8 * sum(
         c[j - 1] * r**j / j for j in range(1, len(c) + 1, 2)
     )
-    closed = 4 * r * _coeffs_b(density)[0]
+    closed = 4 * r * density.coeffs_b[0]
     if integrated != closed:
         raise ConsistencyError(
             f"charge paths disagree: integrated {integrated}, closed {closed}"
@@ -253,7 +250,7 @@ def dipole_moment(density):
     integrated = 8 * sum(
         c[j - 1] * r ** (j + 1) / (j + 1) for j in range(2, len(c) + 1, 2)
     )
-    b = _coeffs_b(density)
+    b = density.coeffs_b
     closed = 4 * r**3 * b[1] if len(b) > 1 else Fraction(0)
     if integrated != closed:
         raise ConsistencyError(
@@ -279,7 +276,7 @@ def multipole_moment(density, m):
         for j in range(1, len(c) + 1)
         if (m + j) % 2
     )
-    b = _coeffs_b(density)
+    b = density.coeffs_b
     delta = 1 if m % 2 == 0 else 2
     acc = Fraction(0)
     for i in range(delta, m + 2, 2):
@@ -295,7 +292,7 @@ def multipole_moment(density, m):
     return ExactPhysical(closed, density.epsilon0)
 
 
-def axial_force(spec):
+def axial_force(density):
     """Net force on the ball along the axis.
 
     The electric pressure sigma^2 / (2 eps0) acts along the outward normal;
@@ -304,9 +301,8 @@ def axial_force(spec):
     values point along +z (increasing s).  Both paths are exact and must
     agree.
     """
-    density = solve_charge_density(spec)
-    r = spec.radius
-    b = spec.coeffs_b
+    r = density.radius
+    b = density.coeffs_b
     c = density.coeffs_c
     closed = 4 * sum(
         i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b))
@@ -324,7 +320,7 @@ def axial_force(spec):
         raise ConsistencyError(
             f"force paths disagree: integrated {integrated}, closed {closed}"
         )
-    return ExactPhysical(closed, spec.epsilon0)
+    return ExactPhysical(closed, density.epsilon0)
 
 
 def induced_axis_potential(density, s):
@@ -360,14 +356,15 @@ def induced_axis_potential(density, s):
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):
-    """Solve the problem and collect charge, dipole, multipoles, force."""
+    """Solve once; collect the density, charge, dipole, multipoles, force."""
     density = solve_charge_density(spec)
     table = {}
     for m in moments:
         table[m] = multipole_moment(density, m)
     return BallReport(
+        density=density,
         charge_Q=total_charge(density),
         dipole_D=dipole_moment(density),
         multipoles=table,
-        force_F=axial_force(spec),
+        force_F=axial_force(density),
     )

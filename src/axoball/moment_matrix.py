@@ -234,14 +234,6 @@ class TriangularParityMatrix:
             for j in range(i, self.order + 1, 2)
         )
 
-    def is_diagonal(self):
-        return all(v == 0 for (i, j), v in self._data.items() if i != j)
-
-    def dump(self):
-        """Debug dump: one row per line, entries as "p/q" separated by
-        single spaces."""
-        return "\n".join(" ".join(str(v) for v in self.row(i)) for i in range(1, self.order + 1))
-
     def __eq__(self, other):
         if not isinstance(other, TriangularParityMatrix):
             return NotImplemented
@@ -252,9 +244,6 @@ class TriangularParityMatrix:
             self._data.get(k, Fraction(0)) == other._data.get(k, Fraction(0))
             for k in keys
         )
-
-    def __hash__(self):
-        return hash((self.order, tuple(sorted(self._data.items()))))
 
     def __repr__(self):
         return f"<TriangularParityMatrix order={self.order}>"

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import axoball
 from axoball import (
     PotentialSpec,
     build_report,
@@ -353,10 +355,73 @@ def test_load_problem_deduplicates_moments(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child imports axoball from wherever this process found it
+    src = os.path.dirname(os.path.dirname(axoball.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "axoball.cli", "matrix", "--order", "2", "--which", "F"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "2 0\n0 2/3\n"
+
+
+def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch):
+    import axoball.cli as cli_mod
+    import axoball.electrostatics as es_mod
+
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(es_mod, "solve_charge_density")
+    count(cli_mod, "solve_charge_density")
+    count(es_mod, "reconstruct_potential")
+    count(es_mod, "f_entry_closed_form")
+    body = dict(BASIC, profile={"samples": 11, "span": "3"})
+    path = write_problem(tmp_path, body)
+
+    code, _, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+    assert calls.get("solve_charge_density") == 1
+    assert calls.get("reconstruct_potential", 0) == 0
+
+    calls.clear()
+    code, _, _ = run_cli(capsys, "profile", path)
+    assert code == 0
+    assert calls.get("solve_charge_density") == 1
+    assert calls.get("f_entry_closed_form", 0) == 0
+
+
+HUGE = {"radius": "1e200", "coeffs_b": ["1", "2", "3"]}
+
+
+def test_out_of_range_floats_render_null(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, HUGE))
+    assert code == 0
+    doc = json.loads(out)
+    # D = 4 pi eps0 r^3 b2 is far beyond float range; Q = 4 pi eps0 r b1 is not
+    assert doc["dipole"]["float"] is None
+    assert Fraction(doc["dipole"]["coeff"]) == 8 * Fraction(10) ** 600
+    assert doc["charge"]["float"] == pytest.approx(
+        4e200 * math.pi * VACUUM_PERMITTIVITY, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("radius", ["1e200", "1e-200"])
+def test_verify_out_of_float_range_exits_2(tmp_path, capsys, radius):
+    # 1e-200: r^2 underflows to 0, a zero divisor in the collocation check
+    path = write_problem(tmp_path, dict(HUGE, radius=radius))
+    code, out, err = run_cli(capsys, "solve", path, "--verify")
+    assert code == 2
+    assert out == ""
+    assert "floats leave their range checking the charge density" in err

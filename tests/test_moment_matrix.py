@@ -123,7 +123,9 @@ def test_matrix_identities_order_20():
     assert f.multiply(g).is_identity()
     assert g.multiply(f).is_identity()
     assert f.multiply(b) == d
-    assert d.is_diagonal()
+    assert all(
+        v == 0 for i, row in enumerate(d.rows()) for j, v in enumerate(row) if i != j
+    )
 
 
 def test_zero_pattern_is_structural():
@@ -154,8 +156,12 @@ def test_small_matrices_match_examples():
     assert build_f(3).row(1) == [2, 0, Fraction(2, 3)]
 
 
-def test_dump_format():
-    assert build_f(3).dump() == "2 0 2/3\n0 2/3 0\n0 0 4/15"
+def test_order_3_rows():
+    assert build_f(3).rows() == [
+        [2, 0, Fraction(2, 3)],
+        [0, Fraction(2, 3), 0],
+        [0, 0, Fraction(4, 15)],
+    ]
 
 
 def test_identity_matrix():

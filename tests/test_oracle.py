@@ -218,7 +218,7 @@ def test_brute_force_matches_exact(rng):
         spec = random_spec(rng, max_degree=5, max_radius=2, epsilon0=1.0)
         density = solve_charge_density(spec)
         brute = brute_force_force(density)
-        exact = float(axial_force(spec))
+        exact = float(axial_force(density))
         rule = gauss_legendre(16)
         r = float(spec.radius)
         scale = math.pi * r * rule.integrate(
