@@ -26,7 +26,6 @@ from .electrostatics import (
     total_charge,
 )
 from .moment_matrix import (
-    TriangularParityMatrix,
     beta_entry,
     build_b,
     build_d,
@@ -36,7 +35,7 @@ from .moment_matrix import (
     f_entry_closed_form,
     g_entry,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -47,8 +46,6 @@ __all__ = [
     "ConsistencyError",
     "ExactPhysical",
     "PotentialSpec",
-    "Rational",
-    "TriangularParityMatrix",
     "axial_force",
     "beta_entry",
     "build_b",

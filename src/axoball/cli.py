@@ -165,25 +165,35 @@ def _profile_arrays(density, samples, span):
     r = density.radius
     zs = [-r + 2 * r * Fraction(k, samples - 1) for k in range(samples)]
     ss = [-span * r + 2 * span * r * Fraction(k, samples - 1) for k in range(samples)]
-    return {
-        "z": [float(z) for z in zs],
-        "sigma": [density.sigma(float(z)) for z in zs],
-        "s": [float(s) for s in ss],
-        "u": [induced_axis_potential(density, float(s)) for s in ss],
-    }
+    with _float_range("sampling the profile"):
+        return {
+            "z": [float(z) for z in zs],
+            "sigma": [density.sigma(float(z)) for z in zs],
+            "s": [float(s) for s in ss],
+            "u": [induced_axis_potential(density, float(s)) for s in ss],
+        }
 
 
 @contextlib.contextmanager
-def _float_range(quantity):
-    """The float oracle cannot check what floats cannot hold: an overflow,
-    or an underflow to a zero divisor, inside one check is bad input for
-    --verify, reported by quantity."""
+def _float_range(task):
+    """Floats cannot hold every exact value: an overflow, or an underflow
+    to a zero divisor, inside a float stage (an oracle check, the profile)
+    is bad input, reported by the task that hit it."""
     try:
         yield
     except (OverflowError, ZeroDivisionError):
-        raise ProblemError(
-            f"--verify: floats leave their range checking the {quantity}"
-        ) from None
+        raise ProblemError(f"floats leave their range {task}") from None
+
+
+@contextlib.contextmanager
+def _printable(quantity):
+    """Python turns no integer longer than its int_max_str_digits limit
+    (4300 digits by default) into text; an exact value that long is bad
+    input, reported by quantity.  The limit itself is left alone."""
+    try:
+        yield
+    except ValueError:
+        raise ProblemError(f"the {quantity} has too many digits to print") from None
 
 
 def run_verification(report):
@@ -192,7 +202,7 @@ def run_verification(report):
     density = report.density
     checks = {}
     eps = density.epsilon0
-    with _float_range("charge density"):
+    with _float_range("checking the charge density"):
         r = float(density.radius)
         if density.degree <= 10:
             try:
@@ -225,9 +235,14 @@ def run_verification(report):
     # magnitude of the integral (the roundoff scale of the quadrature)
     worst = 0.0
     for m, moment in report.multipoles.items():
-        with _float_range(f"order-{m} multipole moment"):
+        with _float_range(f"checking the order-{m} multipole moment"):
             exact = float(moment)
-            brute = oracle.brute_force_moment(density, m)
+            try:
+                brute = oracle.brute_force_moment(density, m)
+            except ValueError as exc:  # the oracle names the orders it checks
+                raise ProblemError(
+                    f"--verify cannot check the order-{m} multipole moment: {exc}"
+                ) from None
             magnitude = 8.0 * sum(
                 abs(float(c)) * r ** (m + j) / (m + j)
                 for j, c in enumerate(density.coeffs_c, start=1)
@@ -241,7 +256,7 @@ def run_verification(report):
         "passed": worst <= 1e-10,
     }
 
-    with _float_range("force"):
+    with _float_range("checking the force"):
         exact_force = float(report.force_F)
         brute_force = oracle.brute_force_force(density)
         rule = oracle.gauss_legendre(max(density.degree + 2, 8))
@@ -302,26 +317,34 @@ def cmd_solve(args):
     report = build_report(spec, prob.moments)
     density = report.density
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "input": {
-            "radius": format_rational(spec.radius),
-            "epsilon0": spec.epsilon0,
-            "given": prob.given,
-            "coeffs_b": [format_rational(b) for b in spec.coeffs_b],
-            "moments": prob.moments,
-        },
-        "charge_density": {
+    with _printable("echoed input"):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "input": {
+                "radius": format_rational(spec.radius),
+                "epsilon0": spec.epsilon0,
+                "given": prob.given,
+                "coeffs_b": [format_rational(b) for b in spec.coeffs_b],
+                "moments": prob.moments,
+            },
+        }
+        if prob.phi0_echo is not None:
+            doc["input"]["phi0_coeffs"] = [format_rational(a) for a in prob.phi0_echo]
+    with _printable("charge density"):
+        doc["charge_density"] = {
             "prefactor": "2*eps0/r",
             "coeffs_c": [format_rational(c) for c in density.coeffs_c],
-        },
-        "charge": report.charge_Q.as_dict(),
-        "dipole": report.dipole_D.as_dict(),
-        "multipoles": {str(m): ep.as_dict() for m, ep in report.multipoles.items()},
-        "force": report.force_F.as_dict(),
-    }
-    if prob.phi0_echo is not None:
-        doc["input"]["phi0_coeffs"] = [format_rational(a) for a in prob.phi0_echo]
+        }
+    with _printable("charge"):
+        doc["charge"] = report.charge_Q.as_dict()
+    with _printable("dipole"):
+        doc["dipole"] = report.dipole_D.as_dict()
+    doc["multipoles"] = {}
+    for m, ep in report.multipoles.items():
+        with _printable(f"order-{m} multipole moment"):
+            doc["multipoles"][str(m)] = ep.as_dict()
+    with _printable("force"):
+        doc["force"] = report.force_F.as_dict()
     if prob.profile is not None:
         samples, span = prob.profile
         doc["profile"] = _profile_arrays(density, samples, span)
@@ -349,11 +372,9 @@ _MATRIX_BUILDERS = {
 def cmd_matrix(args):
     if args.order < 1 or args.order > 200:
         raise ProblemError("--order must lie in 1..200")
-    matrix = _MATRIX_BUILDERS[args.which](args.order)
+    rows = _MATRIX_BUILDERS[args.which](args.order)
     if args.which == "D":
-        rows = [matrix.diagonal()]  # diagonal matrix prints as one row
-    else:
-        rows = matrix.rows()
+        rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -9,14 +9,15 @@ monomials makes F upper triangular, and the parity of the Legendre
 polynomials zeroes every entry with i + j odd.  Three companion matrices
 share that rarefied triangle:
 
-  * B, the change of basis writing each monomial in Legendre polynomials
-    (entries ``beta_entry``),
+  * B, whose column i holds the monomial coefficients of P_{i-1}
+    (entries ``beta_entry``), so that F B pairs P_{i-1} with P_{j-1},
   * D = F B, diagonal with D_ii = 2/(2i - 1),
   * G = F^{-1} = B D^{-1}, with an explicit entry formula (``g_entry``).
 
 All quantities are Fractions; there is no floating point in this module.
-The public API is 1-based to match the usual F_11, G_13, ... convention;
-storage is 0-based internally and keeps only the structural triangle.
+Entry functions are 1-based to match the usual F_11, G_13, ... convention.
+The builders return plain dense rows, ``list[list[Fraction]]``, so entry
+(i, j) sits at ``rows[i - 1][j - 1]``.
 
 Entries are always *built* from the closed forms, which are total and
 order-independent; the row recurrence and the diagonal/superdiagonal
@@ -87,8 +88,7 @@ def f_second_superdiagonal(i):
 
 
 def beta_entry(k, i):
-    """Coefficient of P_{k-1} in the Legendre expansion of the monomial
-    eta**(i-1):
+    """Coefficient of eta**(k-1) in the Legendre polynomial P_{i-1}:
 
         beta_ki = (-1)**((i-k)/2) (i+k-2)!
                   / (2**(i-1) (k-1)! ((i-k)/2)! ((i+k)/2 - 1)!)
@@ -161,92 +161,34 @@ def alpha_coefficients(m, count=None):
     ]
 
 
-class TriangularParityMatrix:
-    """Square exact matrix storing only entries with i <= j and i + j even.
+def _triangle(order, entry):
+    """Dense rows of the order x order matrix with 1-based entries
+    ``entry(i, j)`` on the parity triangle (i <= j, i + j even) and zeros
+    elsewhere; ``entry`` is never called on a structural zero."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    zero = Fraction(0)
+    return [
+        [
+            entry(i, j) if i <= j and (i + j) % 2 == 0 else zero
+            for j in range(1, order + 1)
+        ]
+        for i in range(1, order + 1)
+    ]
 
-    The zero pattern is structural: forbidden positions are never stored,
-    and ``entry`` materializes Fraction(0) for them, so the triangularity
-    and parity invariants cannot be violated.  Instances are immutable
-    after construction and safe to share across threads.
 
-    Build instances through ``build_f``, ``build_b``, ``build_g``,
-    ``build_d`` or ``identity``; the constructor is internal.
-    """
-
-    __slots__ = ("order", "_data")
-
-    def __init__(self, order, data):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self._data = data
-
-    @classmethod
-    def from_entry_fn(cls, order, fn):
-        data = {}
-        for i in range(1, order + 1):
-            for j in range(i, order + 1, 2):
-                data[(i, j)] = fn(i, j)
-        return cls(order, data)
-
-    @classmethod
-    def identity(cls, order):
-        return cls(order, {(i, i): Fraction(1) for i in range(1, order + 1)})
-
-    def entry(self, i, j):
-        """Entry at 1-based (i, j); Fraction(0) on the structural zeros."""
-        if not (1 <= i <= self.order and 1 <= j <= self.order):
-            raise IndexError(f"index ({i}, {j}) outside order {self.order}")
-        return self._data.get((i, j), Fraction(0))
-
-    def row(self, i):
-        return [self.entry(i, j) for j in range(1, self.order + 1)]
-
-    def rows(self):
-        """Dense list-of-lists copy including the structural zeros."""
-        return [self.row(i) for i in range(1, self.order + 1)]
-
-    def diagonal(self):
-        return [self.entry(i, i) for i in range(1, self.order + 1)]
-
-    def multiply(self, other):
-        """Exact product; the triangle-with-parity structure is closed
-        under multiplication, so the result is the same kind of matrix."""
-        if self.order != other.order:
-            raise ValueError("orders differ")
-        n = self.order
-        data = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1, 2):
-                acc = Fraction(0)
-                for k in range(i, j + 1, 2):
-                    a = self._data.get((i, k))
-                    b = other._data.get((k, j))
-                    if a and b:
-                        acc += a * b
-                data[(i, j)] = acc
-        return TriangularParityMatrix(n, data)
-
-    def is_identity(self):
-        return all(
-            self.entry(i, j) == (1 if i == j else 0)
-            for i in range(1, self.order + 1)
-            for j in range(i, self.order + 1, 2)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TriangularParityMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        keys = set(self._data) | set(other._data)
-        return all(
-            self._data.get(k, Fraction(0)) == other._data.get(k, Fraction(0))
-            for k in keys
-        )
-
-    def __repr__(self):
-        return f"<TriangularParityMatrix order={self.order}>"
+def multiply(a, b):
+    """Exact product of two square row matrices of the same order."""
+    if len(a) != len(b):
+        raise ValueError("orders differ")
+    columns = list(zip(*b))
+    return [
+        [
+            sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+            for col in columns
+        ]
+        for row in a
+    ]
 
 
 def build_f(order, verify=False):
@@ -256,30 +198,29 @@ def build_f(order, verify=False):
     row recurrence and the factorial formulas for the diagonal and second
     superdiagonal, and construction fails if any pair disagrees.
     """
-    mat = TriangularParityMatrix.from_entry_fn(order, f_entry_closed_form)
+    rows = _triangle(order, f_entry_closed_form)
     if verify:
         for i in range(1, order + 1):
             for j in range(i, order + 1, 2):
-                val = mat.entry(i, j)
+                val = rows[i - 1][j - 1]
                 if i >= 3 and val != f_entry_recurrence(i, j):
                     raise ArithmeticError(f"recurrence mismatch at ({i}, {j})")
                 if i == j and val != f_diagonal(i):
                     raise ArithmeticError(f"diagonal mismatch at ({i}, {i})")
                 if j - i == 2 and val != f_second_superdiagonal(j):
                     raise ArithmeticError(f"superdiagonal mismatch at ({i}, {j})")
-    return mat
+    return rows
 
 
 def build_b(order):
-    """The Legendre change-of-basis matrix B (columns expand monomials)."""
-    return TriangularParityMatrix.from_entry_fn(order, beta_entry)
+    """The Legendre basis matrix B: column i holds the monomial
+    coefficients of P_{i-1}."""
+    return _triangle(order, beta_entry)
 
 
 def build_d(order):
     """The diagonal matrix D = F B with D_ii = 2/(2i - 1)."""
-    return TriangularParityMatrix(
-        order, {(i, i): d_diagonal(i) for i in range(1, order + 1)}
-    )
+    return _triangle(order, lambda i, j: d_diagonal(i) if i == j else Fraction(0))
 
 
 def build_g(order, verify=False):
@@ -290,14 +231,13 @@ def build_g(order, verify=False):
     the full products F G and G F are also formed and checked against the
     identity (cubic in the order, so left to verification contexts).
     """
-    mat = TriangularParityMatrix.from_entry_fn(order, g_entry)
-    via_b = TriangularParityMatrix.from_entry_fn(
-        order, lambda i, j: beta_entry(i, j) / d_diagonal(j)
-    )
-    if mat != via_b:
+    rows = _triangle(order, g_entry)
+    via_b = _triangle(order, lambda i, j: beta_entry(i, j) / d_diagonal(j))
+    if rows != via_b:
         raise ArithmeticError("inverse entry formula disagrees with B D^-1")
     if verify:
         f = build_f(order)
-        if not f.multiply(mat).is_identity() or not mat.multiply(f).is_identity():
+        eye = [[int(i == j) for j in range(order)] for i in range(order)]
+        if multiply(f, rows) != eye or multiply(rows, f) != eye:
             raise ArithmeticError("F G or G F is not the identity")
-    return mat
+    return rows

@@ -11,8 +11,6 @@ floats.
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(value):
     """Convert ``value`` into an exact Fraction.

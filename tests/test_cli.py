@@ -425,3 +425,37 @@ def test_verify_out_of_float_range_exits_2(tmp_path, capsys, radius):
     assert code == 2
     assert out == ""
     assert "floats leave their range checking the charge density" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_profile_out_of_float_range_exits_2(tmp_path, capsys, command):
+    path = write_problem(tmp_path, dict(HUGE, profile={"samples": 3}))
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert "floats leave their range sampling the profile" in err
+
+
+def test_verify_moment_order_beyond_oracle_exits_2(tmp_path, capsys):
+    body = {"radius": "1", "coeffs_b": ["1", "2"], "moments": [41]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body), "--verify")
+    assert code == 2
+    assert out == ""
+    assert "order-41 multipole moment" in err
+    assert "0..40" in err
+    # without --verify the exact layer serves that order
+    assert run_cli(capsys, "solve", write_problem(tmp_path, body))[0] == 0
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python prints integers of any length",
+)
+def test_value_too_long_to_print_exits_2(tmp_path, capsys):
+    # r^21 = 10^8400 digits: past Python's int-to-str limit, which stays set
+    body = {"radius": "1e400", "coeffs_b": ["1"], "moments": [20]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert "order-20 multipole moment has too many digits to print" in err
+    assert sys.get_int_max_str_digits() > 0

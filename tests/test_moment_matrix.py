@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axoball import moment_matrix
 from axoball.moment_matrix import (
-    TriangularParityMatrix,
     alpha_coefficients,
     beta_entry,
     build_b,
@@ -19,6 +19,7 @@ from axoball.moment_matrix import (
     f_entry_recurrence,
     f_second_superdiagonal,
     g_entry,
+    multiply,
 )
 from axoball.oracle import moment_quadrature
 
@@ -120,44 +121,44 @@ def test_matrix_identities_order_20():
     g = build_g(20, verify=True)
     b = build_b(20)
     d = build_d(20)
-    assert f.multiply(g).is_identity()
-    assert g.multiply(f).is_identity()
-    assert f.multiply(b) == d
-    assert all(
-        v == 0 for i, row in enumerate(d.rows()) for j, v in enumerate(row) if i != j
-    )
+    eye = [[int(i == j) for j in range(20)] for i in range(20)]
+    assert multiply(f, g) == eye
+    assert multiply(g, f) == eye
+    assert multiply(f, b) == d
+    assert all(v == 0 for i, row in enumerate(d) for j, v in enumerate(row) if i != j)
 
 
-def test_zero_pattern_is_structural():
+def test_zero_pattern_is_structural(monkeypatch):
+    # the entry function only runs on the parity triangle
+    called = []
+
+    def entry(i, j):
+        called.append((i, j))
+        return f_entry_closed_form(i, j)
+
+    monkeypatch.setattr(moment_matrix, "f_entry_closed_form", entry)
     f = build_f(8)
     for i in range(1, 9):
         for j in range(1, 9):
             if i > j or (i + j) % 2:
-                assert f.entry(i, j) == 0
-                assert (i, j) not in f._data
-
-
-def test_entry_bounds_checked():
-    f = build_f(3)
-    with pytest.raises(IndexError):
-        f.entry(0, 1)
-    with pytest.raises(IndexError):
-        f.entry(1, 4)
+                assert f[i - 1][j - 1] == 0
+                assert (i, j) not in called
+    assert len(called) == len(set(called)) == 20
 
 
 def test_multiply_requires_same_order():
     with pytest.raises(ValueError):
-        build_f(3).multiply(build_f(4))
+        multiply(build_f(3), build_f(4))
 
 
 def test_small_matrices_match_examples():
-    assert build_f(2).rows() == [[2, 0], [0, Fraction(2, 3)]]
-    assert build_g(2).rows() == [[Fraction(1, 2), 0], [0, Fraction(3, 2)]]
-    assert build_f(3).row(1) == [2, 0, Fraction(2, 3)]
+    assert build_f(2) == [[2, 0], [0, Fraction(2, 3)]]
+    assert build_g(2) == [[Fraction(1, 2), 0], [0, Fraction(3, 2)]]
+    assert build_f(3)[0] == [2, 0, Fraction(2, 3)]
 
 
 def test_order_3_rows():
-    assert build_f(3).rows() == [
+    assert build_f(3) == [
         [2, 0, Fraction(2, 3)],
         [0, Fraction(2, 3), 0],
         [0, 0, Fraction(4, 15)],
@@ -165,11 +166,32 @@ def test_order_3_rows():
 
 
 def test_identity_matrix():
-    eye = TriangularParityMatrix.identity(4)
-    assert eye.is_identity()
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
     f = build_f(4)
-    assert f.multiply(eye) == f
-    assert eye.multiply(f) == f
+    assert multiply(f, eye) == f
+    assert multiply(eye, f) == f
+
+
+@pytest.mark.parametrize(
+    "name, at, builder, verify, message",
+    [
+        ("g_entry", (1, 3), build_g, False, "disagrees with B D"),
+        ("f_entry_recurrence", (3, 5), build_f, True, "recurrence"),
+        ("f_diagonal", (4,), build_f, True, "diagonal"),
+        ("f_second_superdiagonal", (5,), build_f, True, "superdiagonal"),
+        ("f_entry_closed_form", (2, 4), build_g, True, "identity"),
+    ],
+)
+def test_checks_catch_a_corrupted_entry(
+    monkeypatch, name, at, builder, verify, message
+):
+    # one wrong entry on one side of a cross-check must make the build fail
+    right = getattr(moment_matrix, name)
+    monkeypatch.setattr(
+        moment_matrix, name, lambda *args: right(*args) + (args == at)
+    )
+    with pytest.raises(ArithmeticError, match=message):
+        builder(6, verify=verify)
 
 
 def test_alpha_small_orders():
