@@ -21,12 +21,9 @@ import contextlib
 import csv
 import io
 import json
-import math
-import os
 import sys
 from fractions import Fraction
 
-from . import oracle
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
     PotentialSpec,
@@ -35,11 +32,10 @@ from .electrostatics import (
     solve_charge_density,
 )
 from .moment_matrix import build_b, build_d, build_f, build_g
+from .oracle import OutOfRangeError, check_report
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
-
-ENV_EPS0 = "AXOBALL_EPS0"
 
 
 class ProblemError(Exception):
@@ -111,11 +107,9 @@ def load_problem(path):
         for idx, value in enumerate(raw_coeffs)
     ]
 
-    # permittivity for float rendering: file beats env beats vacuum default
+    # the permittivity enters only the float rendering
     if "epsilon0" in data:
         epsilon0 = float(_parse_field(data["epsilon0"], "epsilon0"))
-    elif os.environ.get(ENV_EPS0):
-        epsilon0 = float(_parse_field(os.environ[ENV_EPS0], ENV_EPS0))
     else:
         epsilon0 = VACUUM_PERMITTIVITY
 
@@ -165,24 +159,16 @@ def _profile_arrays(density, samples, span):
     r = density.radius
     zs = [-r + 2 * r * Fraction(k, samples - 1) for k in range(samples)]
     ss = [-span * r + 2 * span * r * Fraction(k, samples - 1) for k in range(samples)]
-    with _float_range("sampling the profile"):
-        return {
-            "z": [float(z) for z in zs],
-            "sigma": [density.sigma(float(z)) for z in zs],
-            "s": [float(s) for s in ss],
-            "u": [induced_axis_potential(density, float(s)) for s in ss],
-        }
-
-
-@contextlib.contextmanager
-def _float_range(task):
-    """Floats cannot hold every exact value: an overflow, or an underflow
-    to a zero divisor, inside a float stage (an oracle check, the profile)
-    is bad input, reported by the task that hit it."""
     try:
-        yield
-    except (OverflowError, ZeroDivisionError):
-        raise ProblemError(f"floats leave their range {task}") from None
+        with OutOfRangeError.guard("sampling the profile"):
+            return {
+                "z": [float(z) for z in zs],
+                "sigma": [density.sigma(float(z)) for z in zs],
+                "s": [float(s) for s in ss],
+                "u": [induced_axis_potential(density, float(s)) for s in ss],
+            }
+    except OutOfRangeError as exc:
+        raise ProblemError(str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -197,108 +183,12 @@ def _printable(quantity):
 
 
 def run_verification(report):
-    """Oracle cross-checks of a solved report; returns (report block, all
-    passed).  The exact side of every check is read from the report."""
-    density = report.density
-    checks = {}
-    eps = density.epsilon0
-    with _float_range("checking the charge density"):
-        r = float(density.radius)
-        if density.degree <= 10:
-            try:
-                sol = oracle.collocation_solve(density.spec)
-                scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
-                deviation = max(
-                    abs(float(exact) - got) / scale
-                    for exact, got in zip(density.coeffs_c, sol.coeffs)
-                )
-                checks["collocation"] = {
-                    "max_coeff_deviation": deviation,
-                    "residual_norm": sol.residual_norm,
-                    "condition_estimate": sol.condition_estimate,
-                    "tolerance": 1e-8,
-                    "passed": deviation <= 1e-8,
-                }
-            except oracle.CollocationError as exc:
-                checks["collocation"] = {"error": str(exc), "passed": False}
-        else:
-            # monomial collocation degrades past degree ~12; not a failure
-            checks["collocation"] = {"skipped": "degree above 10", "passed": True}
-        residual = oracle.equation_residual(density)
-    checks["equation_residual"] = {
-        "value": residual,
-        "tolerance": 1e-9,
-        "passed": residual <= 1e-9,
-    }
-
-    # moment quadrature vs exact, relative to the cancellation-free
-    # magnitude of the integral (the roundoff scale of the quadrature)
-    worst = 0.0
-    for m, moment in report.multipoles.items():
-        with _float_range(f"checking the order-{m} multipole moment"):
-            exact = float(moment)
-            try:
-                brute = oracle.brute_force_moment(density, m)
-            except ValueError as exc:  # the oracle names the orders it checks
-                raise ProblemError(
-                    f"--verify cannot check the order-{m} multipole moment: {exc}"
-                ) from None
-            magnitude = 8.0 * sum(
-                abs(float(c)) * r ** (m + j) / (m + j)
-                for j, c in enumerate(density.coeffs_c, start=1)
-            )
-        scale = math.pi * eps * magnitude
-        deviation = abs(brute - exact) / scale if scale else abs(brute - exact)
-        worst = max(worst, deviation)
-    checks["moments"] = {
-        "max_relative_deviation": worst,
-        "tolerance": 1e-10,
-        "passed": worst <= 1e-10,
-    }
-
-    with _float_range("checking the force"):
-        exact_force = float(report.force_F)
-        brute_force = oracle.brute_force_force(density)
-        rule = oracle.gauss_legendre(max(density.degree + 2, 8))
-        magnitude = math.pi / eps * r * rule.integrate(
-            lambda eta: abs(r * eta) * density.sigma(r * eta) ** 2
-        )
-    force_dev = (
-        abs(brute_force - exact_force) / magnitude
-        if magnitude
-        else abs(brute_force - exact_force)
-    )
-    checks["force"] = {
-        "relative_deviation": force_dev,
-        "tolerance": 1e-10,
-        "passed": force_dev <= 1e-10,
-    }
-
-    # floats the same moments as equation_residual, so cannot overflow here
-    u_in = induced_axis_potential(density, r * (1.0 - 1e-8))
-    u_out = induced_axis_potential(density, r * (1.0 + 1e-8))
-    gap = abs(u_out - u_in)
-    limit = 1e-6 * max(1.0, abs(u_in), abs(u_out))
-    checks["continuity"] = {
-        "gap": gap,
-        "tolerance": limit,
-        "passed": gap <= limit,
-    }
-
-    passed = all(entry["passed"] for entry in checks.values())
-    deviations = [
-        checks["moments"]["max_relative_deviation"],
-        checks["force"]["relative_deviation"],
-        checks["equation_residual"]["value"],
-    ]
-    if "max_coeff_deviation" in checks["collocation"]:
-        deviations.append(checks["collocation"]["max_coeff_deviation"])
-    block = {
-        "passed": passed,
-        "max_relative_deviation": max(deviations),
-        "checks": checks,
-    }
-    return block, passed
+    """The oracle's verification block for a solved report; a check the
+    oracle cannot run on this input is bad input."""
+    try:
+        return check_report(report)
+    except OutOfRangeError as exc:
+        raise ProblemError(str(exc)) from None
 
 
 def _emit(text, out_path):
@@ -351,9 +241,8 @@ def cmd_solve(args):
 
     code = 0
     if args.verify:
-        block, passed = run_verification(report)
-        doc["verification"] = block
-        if not passed:
+        doc["verification"] = run_verification(report)
+        if not doc["verification"]["passed"]:
             code = 3
     _emit(json.dumps(doc, indent=2), args.out)
     if code:
@@ -396,16 +285,9 @@ def cmd_profile(args):
     arrays = _profile_arrays(density, samples, span)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["z", "sigma", "s", "u"])
+    writer.writerow(list(arrays))
     for k in range(samples):
-        writer.writerow(
-            [
-                format(arrays["z"][k], ".17g"),
-                format(arrays["sigma"][k], ".17g"),
-                format(arrays["s"][k], ".17g"),
-                format(arrays["u"][k], ".17g"),
-            ]
-        )
+        writer.writerow([format(column[k], ".17g") for column in arrays.values()])
     _emit(buffer.getvalue(), args.out)
     return 0
 

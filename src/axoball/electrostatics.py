@@ -224,39 +224,40 @@ def charge_legendre_moments(density):
     return [r**k * b for k, b in enumerate(density.coeffs_b)]
 
 
+def _integrated_moment(density, m):
+    """2 pi r int z^m sigma dz over [-r, r], in units of pi eps0, by exact
+    polynomial integration of sigma's coefficients c:
+    8 sum over j with m + j odd of c_j r^(m+j) / (m+j)."""
+    r = density.radius
+    c = density.coeffs_c
+    return 8 * sum(
+        c[j - 1] * r ** (m + j) / (m + j) for j in range(1 + m % 2, len(c) + 1, 2)
+    )
+
+
+def _agreed(label, integrated, closed, density):
+    """The closed form as an ExactPhysical, once both exact paths agree."""
+    if integrated != closed:
+        raise ConsistencyError(
+            f"{label} paths disagree: integrated {integrated}, closed {closed}"
+        )
+    return ExactPhysical(closed, density.epsilon0)
+
+
 def total_charge(density):
     """Total induced charge Q = 2 pi r int sigma dz = 4 pi eps0 r b_1.
 
     Both sides are computed exactly and must agree.
     """
-    r = density.radius
-    c = density.coeffs_c
-    # 2 pi r * (2 eps0 / r) * sum_j c_j int z^(j-1) dz over [-r, r]
-    integrated = 8 * sum(
-        c[j - 1] * r**j / j for j in range(1, len(c) + 1, 2)
-    )
-    closed = 4 * r * density.coeffs_b[0]
-    if integrated != closed:
-        raise ConsistencyError(
-            f"charge paths disagree: integrated {integrated}, closed {closed}"
-        )
-    return ExactPhysical(closed, density.epsilon0)
+    closed = 4 * density.radius * density.coeffs_b[0]
+    return _agreed("charge", _integrated_moment(density, 0), closed, density)
 
 
 def dipole_moment(density):
     """Dipole moment D = 2 pi r int z sigma dz = 4 pi eps0 r^3 b_2."""
-    r = density.radius
-    c = density.coeffs_c
-    integrated = 8 * sum(
-        c[j - 1] * r ** (j + 1) / (j + 1) for j in range(2, len(c) + 1, 2)
-    )
     b = density.coeffs_b
-    closed = 4 * r**3 * b[1] if len(b) > 1 else Fraction(0)
-    if integrated != closed:
-        raise ConsistencyError(
-            f"dipole paths disagree: integrated {integrated}, closed {closed}"
-        )
-    return ExactPhysical(closed, density.epsilon0)
+    closed = 4 * density.radius**3 * b[1] if len(b) > 1 else Fraction(0)
+    return _agreed("dipole", _integrated_moment(density, 1), closed, density)
 
 
 def multipole_moment(density, m):
@@ -270,12 +271,6 @@ def multipole_moment(density, m):
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError("moment order must be a non-negative integer")
     r = density.radius
-    c = density.coeffs_c
-    integrated = 8 * sum(
-        c[j - 1] * r ** (m + j) / (m + j)
-        for j in range(1, len(c) + 1)
-        if (m + j) % 2
-    )
     b = density.coeffs_b
     delta = 1 if m % 2 == 0 else 2
     acc = Fraction(0)
@@ -284,12 +279,7 @@ def multipole_moment(density, m):
             break
         acc += (2 * i - 1) * r ** (i - 1) * f_entry_closed_form(i, m + 1) * b[i - 1]
     closed = 2 * r ** (m + 1) * acc
-    if integrated != closed:
-        raise ConsistencyError(
-            f"order-{m} moment paths disagree: "
-            f"integrated {integrated}, closed {closed}"
-        )
-    return ExactPhysical(closed, density.epsilon0)
+    return _agreed(f"order-{m} moment", _integrated_moment(density, m), closed, density)
 
 
 def axial_force(density):
@@ -304,10 +294,9 @@ def axial_force(density):
     r = density.radius
     b = density.coeffs_b
     c = density.coeffs_c
-    closed = 4 * sum(
-        i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b))
+    closed = Fraction(
+        4 * sum(i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b)))
     )
-    closed = Fraction(closed)
     # square of the density polynomial, 0-based: q[d] multiplies z^d
     q = [Fraction(0)] * (2 * len(c) - 1)
     for a, ca in enumerate(c):
@@ -316,11 +305,7 @@ def axial_force(density):
     integrated = 8 * sum(
         q[d] * r**d / (d + 2) for d in range(1, len(q), 2)
     )
-    if integrated != closed:
-        raise ConsistencyError(
-            f"force paths disagree: integrated {integrated}, closed {closed}"
-        )
-    return ExactPhysical(closed, density.epsilon0)
+    return _agreed("force", integrated, closed, density)
 
 
 def induced_axis_potential(density, s):

@@ -9,8 +9,9 @@ integral equation
 
     int_{-1}^{1} s(eta) / sqrt(xi^2 + 1 - 2 xi eta) d eta = rhs(xi),
 
-and brute-force quadrature versions of the multipole moments, the force
-and the axis potential.
+brute-force quadrature versions of the multipole moments, the force
+and the axis potential, and ``check_report``, which runs all of these
+against a solved report and returns a JSON-ready verification block.
 
 The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 (1 - |xi|)^2 > 0, asserted before every evaluation.  Near |xi| -> 1 it
@@ -18,11 +19,17 @@ develops a boundary layer at eta = sign(xi), which the adaptive panel
 subdivision in ``axis_kernel_integral`` resolves.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .electrostatics import charge_legendre_moments, induced_axis_potential
+
+# the monomial collocation basis turns ill-conditioned beyond degree ~12
+COLLOCATION_MAX_DEGREE = 10
 
 
 class CollocationError(RuntimeError):
@@ -32,6 +39,23 @@ class CollocationError(RuntimeError):
     (or an under-resolved solve) and is a test failure, not a state the
     caller recovers from.
     """
+
+
+class OutOfRangeError(ValueError):
+    """A check the oracle cannot run on this input: its floats leave their
+    range, or the input asks for a moment order past 0..40.  This is bad
+    input, not a bug: the exact results still hold."""
+
+    @classmethod
+    @contextlib.contextmanager
+    def guard(cls, task):
+        """Floats cannot hold every exact value: an overflow, or an
+        underflow to a zero divisor, inside a float stage is reported by
+        the task that hit it."""
+        try:
+            yield
+        except (OverflowError, ZeroDivisionError):
+            raise cls(f"floats leave their range {task}") from None
 
 
 @dataclass(frozen=True)
@@ -195,8 +219,8 @@ def collocation_solve(spec, n_points=32, residual_tol=1e-9):
     at ``n_points`` Chebyshev points and solving in the least-squares sense
     yields gamma_j = c_j r^(j-1).  Raises CollocationError when the
     residual stays above ``residual_tol`` (relative to the right side).
-    The monomial basis turns ill-conditioned beyond degree ~12; keep the
-    degree at or below 10, where coefficients are good to ~1e-8.
+    Keep the degree at or below COLLOCATION_MAX_DEGREE, where the monomial
+    basis still gives coefficients good to ~1e-8.
     """
     b = [float(x) for x in spec.coeffs_b]
     r = float(spec.radius)
@@ -232,8 +256,6 @@ def equation_residual(density, n_points=32):
     the potential it was solved from (recovered through the Legendre charge
     moments), at Chebyshev collocation points.
     """
-    from .electrostatics import charge_legendre_moments
-
     r = float(density.radius)
     gammas = [float(c) * r**j for j, c in enumerate(density.coeffs_c)]
     moments = [float(m) for m in charge_legendre_moments(density)]
@@ -253,18 +275,26 @@ def brute_force_moment(density, m):
     """2 pi r int z^m sigma(z) dz by quadrature, treating sigma as a black
     box; SI float."""
     if m < 0 or m > 40:
-        raise ValueError("moment order must be in 0..40")
+        raise OutOfRangeError(
+            f"cannot check the order-{m} multipole moment: orders 0..40 only"
+        )
     r = float(density.radius)
     rule = gauss_legendre(max((m + density.degree) // 2 + 2, 8))
     total = rule.integrate(lambda eta: (r * eta) ** m * density.sigma(r * eta))
     return 2.0 * math.pi * r * r * total
 
 
+def _force_rule(density):
+    # exact for the force integrand z sigma^2, of degree 2 * degree + 1
+    return gauss_legendre(max(density.degree + 2, 8))
+
+
 def brute_force_force(density):
     """(pi / eps0) int z sigma^2 dz by quadrature; SI float."""
     r = float(density.radius)
-    rule = gauss_legendre(max(density.degree + 2, 8))
-    total = rule.integrate(lambda eta: (r * eta) * density.sigma(r * eta) ** 2)
+    total = _force_rule(density).integrate(
+        lambda eta: (r * eta) * density.sigma(r * eta) ** 2
+    )
     return math.pi / density.epsilon0 * r * total
 
 
@@ -282,3 +312,94 @@ def brute_force_axis_potential(density, s):
         float(c) * r**j * axis_kernel_integral(j + 1, xi)
         for j, c in enumerate(density.coeffs_c)
     )
+
+
+def _check(measure, value, tolerance, **diagnostics):
+    """One check's block: the measured value, diagnostics, the verdict."""
+    passed = value <= tolerance
+    return {measure: value, **diagnostics, "tolerance": tolerance, "passed": passed}
+
+
+def _collocation_check(density):
+    if density.degree > COLLOCATION_MAX_DEGREE:
+        # past the basis's reach this is no failure
+        return {"skipped": f"degree above {COLLOCATION_MAX_DEGREE}", "passed": True}
+    try:
+        sol = collocation_solve(density.spec)
+    except CollocationError as exc:
+        return {"error": str(exc), "passed": False}
+    scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
+    deviation = max(
+        abs(float(exact) - got) / scale
+        for exact, got in zip(density.coeffs_c, sol.coeffs)
+    )
+    return _check(
+        "max_coeff_deviation",
+        deviation,
+        1e-8,
+        residual_norm=sol.residual_norm,
+        condition_estimate=sol.condition_estimate,
+    )
+
+
+def check_report(report):
+    """Float cross-checks of a solved ``BallReport``; the exact side of
+    every check is read from the report.
+
+    Returns the JSON-ready verification block: ``passed``, the largest
+    relative deviation, and one block per check (collocation, equation
+    residual, multipole moments, force, continuity of the axis potential
+    across the surface).  Raises OutOfRangeError when a check cannot run
+    on this input.
+    """
+    density = report.density
+    checks = {}
+    eps = density.epsilon0
+    with OutOfRangeError.guard("checking the charge density"):
+        r = float(density.radius)
+        checks["collocation"] = _collocation_check(density)
+        checks["equation_residual"] = _check(
+            "value", equation_residual(density), 1e-9
+        )
+
+    # moment quadrature vs exact, relative to the cancellation-free
+    # magnitude of the integral (the roundoff scale of the quadrature)
+    worst = 0.0
+    for m, moment in report.multipoles.items():
+        with OutOfRangeError.guard(f"checking the order-{m} multipole moment"):
+            exact = float(moment)
+            brute = brute_force_moment(density, m)
+            magnitude = 8.0 * sum(
+                abs(float(c)) * r ** (m + j) / (m + j)
+                for j, c in enumerate(density.coeffs_c, start=1)
+            )
+        scale = math.pi * eps * magnitude
+        deviation = abs(brute - exact) / scale if scale else abs(brute - exact)
+        worst = max(worst, deviation)
+    checks["moments"] = _check("max_relative_deviation", worst, 1e-10)
+
+    with OutOfRangeError.guard("checking the force"):
+        exact_force = float(report.force_F)
+        brute_force = brute_force_force(density)
+        magnitude = math.pi / eps * r * _force_rule(density).integrate(
+            lambda eta: abs(r * eta) * density.sigma(r * eta) ** 2
+        )
+    gap = abs(brute_force - exact_force)
+    force_dev = gap / magnitude if magnitude else gap
+    checks["force"] = _check("relative_deviation", force_dev, 1e-10)
+
+    # floats the same moments as equation_residual, so cannot overflow here
+    u_in = induced_axis_potential(density, r * (1.0 - 1e-8))
+    u_out = induced_axis_potential(density, r * (1.0 + 1e-8))
+    checks["continuity"] = _check(
+        "gap", abs(u_out - u_in), 1e-6 * max(1.0, abs(u_in), abs(u_out))
+    )
+
+    deviations = [worst, force_dev, checks["equation_residual"]["value"]]
+    if "max_coeff_deviation" in checks["collocation"]:
+        deviations.append(checks["collocation"]["max_coeff_deviation"])
+    return {
+        "passed": all(entry["passed"] for entry in checks.values()),
+        "max_relative_deviation": max(deviations),
+        "checks": checks,
+    }

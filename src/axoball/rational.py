@@ -9,6 +9,7 @@ converts exactly through power-of-ten denominators, never through binary
 floats.
 """
 
+import sys
 from fractions import Fraction
 
 
@@ -20,8 +21,9 @@ def parse_rational(value):
     has already lost its decimal identity, so callers must keep decimals as
     text up to this point.
 
-    Raises ValueError with a readable message on malformed input or a zero
-    denominator.
+    Raises ValueError with a readable message on malformed input, a zero
+    denominator, or more digits than Python turns into an integer (its
+    int_max_str_digits limit, 4300 by default, which is left alone).
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational number, got a boolean")
@@ -39,9 +41,16 @@ def parse_rational(value):
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        reason = "zero denominator in"
     except ValueError:
-        raise ValueError(f"not a rational number: {value!r}") from None
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and sum(ch.isdigit() for ch in text) > limit:
+            reason = f"more than {limit} digits (Python's int-to-str limit) in"
+        else:
+            reason = "not a rational number:"
+    # a huge input is echoed only by its first 40 characters
+    shown = value if len(value) <= 40 else value[:40] + "..."
+    raise ValueError(f"{reason} {shown!r}")
 
 
 def format_rational(q):

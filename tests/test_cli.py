@@ -135,26 +135,7 @@ def test_verify_breach_exits_3(tmp_path, capsys, monkeypatch):
     assert "verification failed" in err
 
 
-def test_env_var_sets_rendering_permittivity(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AXOBALL_EPS0", "1")
-    path = write_problem(tmp_path, {"radius": "1", "coeffs_b": ["1"]})
-    _, out, _ = run_cli(capsys, "solve", path)
-    doc = json.loads(out)
-    assert doc["input"]["epsilon0"] == 1.0
-    assert doc["charge"]["float"] == pytest.approx(4 * math.pi, rel=1e-15)
-
-
-def test_file_epsilon0_beats_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AXOBALL_EPS0", "1")
-    path = write_problem(
-        tmp_path, {"radius": "1", "coeffs_b": ["1"], "epsilon0": "2"}
-    )
-    _, out, _ = run_cli(capsys, "solve", path)
-    assert json.loads(out)["input"]["epsilon0"] == 2.0
-
-
-def test_default_epsilon0_is_vacuum(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("AXOBALL_EPS0", raising=False)
+def test_default_epsilon0_is_vacuum(tmp_path, capsys):
     path = write_problem(tmp_path, {"radius": "1", "coeffs_b": ["1"]})
     _, out, _ = run_cli(capsys, "solve", path)
     assert json.loads(out)["input"]["epsilon0"] == VACUUM_PERMITTIVITY
@@ -459,3 +440,30 @@ def test_value_too_long_to_print_exits_2(tmp_path, capsys):
     assert out == ""
     assert "order-20 multipole moment has too many digits to print" in err
     assert sys.get_int_max_str_digits() > 0
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python reads integers of any length",
+)
+def test_number_past_the_digit_limit_exits_2_briefly(tmp_path, capsys):
+    body = {"radius": "1" * 5000, "coeffs_b": ["1"]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert "field 'radius'" in err and "digits" in err
+    assert "not a rational number" not in err
+    assert len(err.encode()) < 200
+
+
+def test_a_bug_inside_a_check_is_no_input_error(tmp_path, capsys, monkeypatch):
+    # only OutOfRangeError means bad input; anything else surfaces as a bug
+    import axoball.oracle as oracle_mod
+    from axoball import ConsistencyError
+
+    def broken(density):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(oracle_mod, "brute_force_force", broken)
+    with pytest.raises(ConsistencyError, match="injected"):
+        main(["solve", write_problem(tmp_path, BASIC), "--verify"])

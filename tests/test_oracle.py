@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from axoball import PotentialSpec, solve_charge_density
+from axoball import PotentialSpec, build_report, solve_charge_density
 from axoball.electrostatics import axial_force, multipole_moment
 from axoball.moment_matrix import f_entry_closed_form
 from axoball.oracle import (
     CollocationError,
+    OutOfRangeError,
     axis_kernel_integral,
     brute_force_axis_potential,
     brute_force_force,
     brute_force_moment,
     chebyshev_points,
+    check_report,
     collocation_solve,
     equation_residual,
     gauss_legendre,
@@ -241,3 +243,54 @@ def test_brute_axis_potential_rejects_surface_points():
     density = solve_charge_density(PotentialSpec(1, (1,)))
     with pytest.raises(ValueError):
         brute_force_axis_potential(density, 1.0)
+
+
+CHECK_KEYS = {
+    "collocation": [
+        "max_coeff_deviation",
+        "residual_norm",
+        "condition_estimate",
+        "tolerance",
+        "passed",
+    ],
+    "equation_residual": ["value", "tolerance", "passed"],
+    "moments": ["max_relative_deviation", "tolerance", "passed"],
+    "force": ["relative_deviation", "tolerance", "passed"],
+    "continuity": ["gap", "tolerance", "passed"],
+}
+
+
+def test_check_report_passes_a_good_degree_3_report():
+    report = build_report(PotentialSpec("3/2", ("1", "-2/3", "1/2", "2")))
+    block = check_report(report)
+    assert list(block) == ["passed", "max_relative_deviation", "checks"]
+    assert block["passed"] is True
+    checks = block["checks"]
+    assert {name: list(entry) for name, entry in checks.items()} == CHECK_KEYS
+    for entry in checks.values():
+        measured = next(iter(entry.values()))
+        assert entry["passed"] is True and measured <= entry["tolerance"]
+    assert [checks[name]["tolerance"] for name in CHECK_KEYS][:4] == [
+        1e-8,
+        1e-9,
+        1e-10,
+        1e-10,
+    ]
+    assert block["max_relative_deviation"] == max(
+        checks["collocation"]["max_coeff_deviation"],
+        checks["equation_residual"]["value"],
+        checks["moments"]["max_relative_deviation"],
+        checks["force"]["relative_deviation"],
+    )
+
+
+def test_check_report_cannot_check_floats_out_of_range():
+    report = build_report(PotentialSpec("1e200", (1, 2, 3)))
+    with pytest.raises(OutOfRangeError, match="floats leave their range"):
+        check_report(report)
+
+
+def test_check_report_cannot_check_moment_order_41():
+    report = build_report(PotentialSpec(1, (1, 2)), moments=(0, 41))
+    with pytest.raises(OutOfRangeError, match="order-41 multipole moment.*0..40"):
+        check_report(report)
