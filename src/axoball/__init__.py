@@ -32,6 +32,7 @@ from .moment_matrix import (
     build_f,
     build_g,
     d_diagonal,
+    f_entry,
     f_entry_closed_form,
     g_entry,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "charge_legendre_moments",
     "d_diagonal",
     "dipole_moment",
+    "f_entry",
     "f_entry_closed_form",
     "format_rational",
     "g_entry",

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -108,10 +109,16 @@ def load_problem(path):
     ]
 
     # the permittivity enters only the float rendering
+    epsilon0 = VACUUM_PERMITTIVITY
     if "epsilon0" in data:
-        epsilon0 = float(_parse_field(data["epsilon0"], "epsilon0"))
-    else:
-        epsilon0 = VACUUM_PERMITTIVITY
+        try:
+            epsilon0 = float(_parse_field(data["epsilon0"], "epsilon0"))
+        except OverflowError:
+            epsilon0 = math.inf
+        if not 0 < epsilon0 < math.inf:
+            raise ProblemError(
+                "field 'epsilon0': must be positive and within float range"
+            )
 
     try:
         if kind == "coeffs_b":
@@ -154,18 +161,22 @@ def _profile_arrays(density, samples, span):
     """Sample sigma over [-r, r] and the axis potential over span*[-r, r].
 
     Sample points are exact rationals floated at the end, so the endpoints
-    land exactly on +-r and +-span*r.
+    land exactly on +-r and +-span*r; distinct points must stay distinct.
     """
     r = density.radius
     zs = [-r + 2 * r * Fraction(k, samples - 1) for k in range(samples)]
     ss = [-span * r + 2 * span * r * Fraction(k, samples - 1) for k in range(samples)]
     try:
         with OutOfRangeError.guard("sampling the profile"):
+            z = [float(z) for z in zs]
+            s = [float(s) for s in ss]
+            if len(set(z)) < samples or len(set(s)) < samples:
+                raise FloatingPointError("distinct sample points float to one value")
             return {
-                "z": [float(z) for z in zs],
-                "sigma": [density.sigma(float(z)) for z in zs],
-                "s": [float(s) for s in ss],
-                "u": [induced_axis_potential(density, float(s)) for s in ss],
+                "z": z,
+                "sigma": [density.sigma(v) for v in z],
+                "s": s,
+                "u": [induced_axis_potential(density, v) for v in s],
             }
     except OutOfRangeError as exc:
         raise ProblemError(str(exc)) from None

@@ -30,6 +30,11 @@ ConsistencyError and indicates a bug, never bad input.
 Every quantity takes the density ``solve_charge_density`` returns: its
 closed form reads the b the density was solved from, its integrated path c.
 
+The quadratic exact loops (solving for c, squaring sigma for the force)
+run on plain ints over a common denominator and build one reduced
+Fraction per output value; the integrated paths do the same through the
+private ``_numerators`` and ``_integral``, which no closed form uses.
+
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.
 """
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .moment_matrix import f_entry_closed_form, g_entry
+from .moment_matrix import f_entry, f_entry_closed_form, g_numerator
 from .rational import format_rational, parse_rational
 
 # CODATA 2018 vacuum permittivity, F/m; rendering only, never exact math
@@ -179,17 +184,22 @@ def solve_charge_density(spec):
 
     c_i = sum_j r^(j-i) G_ij b_j.  The system behind this is triangular
     with nonzero diagonal, so it is always solvable and the solution is
-    exact.
+    exact.  With r = p/s, b_j = B_j / L over the least common denominator
+    L of b, and the integers 2^j G_ij, each c_i is one integer sum over
+    the denominator 2^n s^(n-i) L, n = len(b).
     """
-    r = spec.radius
-    b = spec.coeffs_b
-    n1 = len(b)
+    p, s = spec.radius.numerator, spec.radius.denominator
+    big_b, lcd = _numerators(spec.coeffs_b)
+    n1 = len(big_b)
+    # b_j's factor over the common denominator, all but the power of p
+    weight = [(2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)]
     coeffs = []
     for i in range(1, n1 + 1):
-        acc = Fraction(0)
-        for j in range(i, n1 + 1, 2):
-            acc += r ** (j - i) * g_entry(i, j) * b[j - 1]
-        coeffs.append(acc)
+        acc = sum(
+            p ** (j - i) * g_numerator(i, j) * weight[j - 1]
+            for j in range(i, n1 + 1, 2)
+        )
+        coeffs.append(Fraction(acc, 2**n1 * s ** (n1 - i) * lcd))
     return ChargeDensity(spec, tuple(coeffs))
 
 
@@ -224,15 +234,37 @@ def charge_legendre_moments(density):
     return [r**k * b for k, b in enumerate(density.coeffs_b)]
 
 
+def _numerators(values):
+    """Integer numerators of exact values over their least common
+    denominator, and that denominator."""
+    lcd = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcd // v.denominator) for v in values], lcd
+
+
+def _integral(a, r, m):
+    """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d]: the sum over
+    d with d + m even of 2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is
+    summed in integers over s^top M (top the largest e, M the lcm of the
+    e) and reduced once."""
+    p, s = r.numerator, r.denominator
+    degrees = range(m % 2, len(a), 2)
+    if not degrees:
+        return Fraction(0)
+    top = degrees[-1] + m + 1
+    lcm_e = math.lcm(*(d + m + 1 for d in degrees))
+    acc = 0
+    for d in degrees:
+        e = d + m + 1
+        acc += a[d] * p**e * s ** (top - e) * (lcm_e // e)
+    return Fraction(2 * acc, s**top * lcm_e)
+
+
 def _integrated_moment(density, m):
     """2 pi r int z^m sigma dz over [-r, r], in units of pi eps0, by exact
     polynomial integration of sigma's coefficients c:
     8 sum over j with m + j odd of c_j r^(m+j) / (m+j)."""
-    r = density.radius
-    c = density.coeffs_c
-    return 8 * sum(
-        c[j - 1] * r ** (m + j) / (m + j) for j in range(1 + m % 2, len(c) + 1, 2)
-    )
+    numerators, lcd = _numerators(density.coeffs_c)
+    return 4 * _integral(numerators, density.radius, m) / lcd
 
 
 def _agreed(label, integrated, closed, density):
@@ -277,7 +309,7 @@ def multipole_moment(density, m):
     for i in range(delta, m + 2, 2):
         if i > len(b):
             break
-        acc += (2 * i - 1) * r ** (i - 1) * f_entry_closed_form(i, m + 1) * b[i - 1]
+        acc += (2 * i - 1) * r ** (i - 1) * f_entry(i, m + 1) * b[i - 1]
     closed = 2 * r ** (m + 1) * acc
     return _agreed(f"order-{m} moment", _integrated_moment(density, m), closed, density)
 
@@ -293,18 +325,17 @@ def axial_force(density):
     """
     r = density.radius
     b = density.coeffs_b
-    c = density.coeffs_c
     closed = Fraction(
         4 * sum(i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b)))
     )
-    # square of the density polynomial, 0-based: q[d] multiplies z^d
-    q = [Fraction(0)] * (2 * len(c) - 1)
-    for a, ca in enumerate(c):
-        for e, ce in enumerate(c):
-            q[a + e] += ca * ce
-    integrated = 8 * sum(
-        q[d] * r**d / (d + 2) for d in range(1, len(q), 2)
-    )
+    # (c_1 + c_2 z + ...)^2 = sum_d q[d] z^d / lcd^2; int z^(d+1) dz reads
+    # odd d only, so only the pairs with a + e odd are multiplied
+    numerators, lcd = _numerators(density.coeffs_c)
+    q = [0] * (2 * len(numerators) - 1)
+    for a, na in enumerate(numerators):
+        for e in range(1 - a % 2, len(numerators), 2):
+            q[a + e] += na * numerators[e]
+    integrated = 4 * _integral(q, r, 1) / (r * r * lcd * lcd)
     return _agreed("force", integrated, closed, density)
 
 

@@ -14,23 +14,48 @@ share that rarefied triangle:
   * D = F B, diagonal with D_ii = 2/(2i - 1),
   * G = F^{-1} = B D^{-1}, with an explicit entry formula (``g_entry``).
 
-All quantities are Fractions; there is no floating point in this module.
-Entry functions are 1-based to match the usual F_11, G_13, ... convention.
-The builders return plain dense rows, ``list[list[Fraction]]``, so entry
-(i, j) sits at ``rows[i - 1][j - 1]``.
+All quantities are Fractions or ints; there is no floating point in this
+module.  Entry functions are 1-based to match the usual F_11, G_13, ...
+convention.  The builders return plain dense rows, ``list[list[Fraction]]``,
+so entry (i, j) sits at ``rows[i - 1][j - 1]``.
 
-Entries are always *built* from the closed forms, which are total and
-order-independent; the row recurrence and the diagonal/superdiagonal
-factorial formulas are independent verification paths, not construction
-paths.
+Construction and verification use different entries:
+
+  * construction: F from the single-product moment ``f_entry``, G from
+    the integer ``g_numerator`` = 2**j G_ij (``g_entry`` divides it by
+    2**j; ``solve_charge_density`` sums it in integers);
+  * verification: the Rodrigues alternating sum ``f_entry_closed_form``,
+    the row recurrence and the diagonal/superdiagonal factorial formulas
+    for F, and B D^{-1} for G.
+
+Every construction entry is total and order-independent.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+
+
+def f_entry(i, j):
+    """Moment F_ij as one product (Gradshteyn & Ryzhik 7.126):
+
+        F_ij = 2**i (j-1)! ((i+j-2)/2)! / (((j-i)/2)! (i+j-1)!)
+
+    for i <= j with i + j even; structurally zero otherwise.  This is the
+    entry F is built from.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("indices are 1-based")
+    if i > j or (i + j) % 2:
+        return Fraction(0)
+    return Fraction(
+        2**i * factorial(j - 1) * factorial((i + j) // 2 - 1),
+        factorial((j - i) // 2) * factorial(i + j - 1),
+    )
 
 
 def f_entry_closed_form(i, j):
-    """Moment F_ij as a finite alternating sum.
+    """Moment F_ij as a finite alternating sum; a verification path for
+    ``f_entry``.
 
     The sum comes from expanding P_{i-1} through the Rodrigues formula and
     integrating each monomial.  Total over all i, j >= 1: structural zeros
@@ -118,27 +143,30 @@ def d_diagonal(i):
     return Fraction(2, 2 * i - 1)
 
 
+def g_numerator(i, j):
+    """The integer 2**j G_ij = (-1)**k (2j-1) C(2m, m) C(m, k), with
+    k = (j-i)/2 and m = (i+j)/2 - 1, for i <= j with i + j even; zero
+    otherwise.  Indices are 1-based and not checked."""
+    if i > j or (i + j) % 2:
+        return 0
+    k = (j - i) // 2
+    m = (i + j) // 2 - 1
+    value = (2 * j - 1) * comb(2 * m, m) * comb(m, k)
+    return -value if k % 2 else value
+
+
 def g_entry(i, j):
     """Entry of the inverse matrix G = F^{-1}:
 
         G_ij = (-1)**((j-i)/2) (2j-1)(j+i-2)!
-               / (2**j (i-1)! ((j-i)/2)! ((j+i)/2 - 1)!)
+               / (2**j (i-1)! ((j-i)/2)! ((j+i)/2 - 1)!),
 
-    for i <= j with i + j even; structurally zero otherwise.
+    that is ``g_numerator(i, j) / 2**j``, for i <= j with i + j even;
+    structurally zero otherwise.
     """
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
-    if i > j or (i + j) % 2:
-        return Fraction(0)
-    sign = -1 if ((j - i) // 2) % 2 else 1
-    num = sign * (2 * j - 1) * factorial(j + i - 2)
-    den = (
-        2**j
-        * factorial(i - 1)
-        * factorial((j - i) // 2)
-        * factorial((j + i) // 2 - 1)
-    )
-    return Fraction(num, den)
+    return Fraction(g_numerator(i, j), 2**j)
 
 
 def alpha_coefficients(m, count=None):
@@ -192,17 +220,20 @@ def multiply(a, b):
 
 
 def build_f(order, verify=False):
-    """The moment matrix F of the given order, from the closed form.
+    """The moment matrix F of the given order, from ``f_entry``.
 
     With ``verify=True`` every entry is additionally recomputed through the
-    row recurrence and the factorial formulas for the diagonal and second
-    superdiagonal, and construction fails if any pair disagrees.
+    alternating sum, the row recurrence and the factorial formulas for the
+    diagonal and second superdiagonal, and construction fails if any pair
+    disagrees.
     """
-    rows = _triangle(order, f_entry_closed_form)
+    rows = _triangle(order, f_entry)
     if verify:
         for i in range(1, order + 1):
             for j in range(i, order + 1, 2):
                 val = rows[i - 1][j - 1]
+                if val != f_entry_closed_form(i, j):
+                    raise ArithmeticError(f"alternating sum mismatch at ({i}, {j})")
                 if i >= 3 and val != f_entry_recurrence(i, j):
                     raise ArithmeticError(f"recurrence mismatch at ({i}, {j})")
                 if i == j and val != f_diagonal(i):

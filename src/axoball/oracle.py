@@ -49,12 +49,13 @@ class OutOfRangeError(ValueError):
     @classmethod
     @contextlib.contextmanager
     def guard(cls, task):
-        """Floats cannot hold every exact value: an overflow, or an
-        underflow to a zero divisor, inside a float stage is reported by
+        """Floats cannot hold every exact value: an overflow, an underflow
+        to a zero divisor, or an underflow that merges distinct values
+        (raised as FloatingPointError) inside a float stage is reported by
         the task that hit it."""
         try:
             yield
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, FloatingPointError):
             raise cls(f"floats leave their range {task}") from None
 
 

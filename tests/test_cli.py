@@ -417,6 +417,30 @@ def test_profile_out_of_float_range_exits_2(tmp_path, capsys, command):
     assert "floats leave their range sampling the profile" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_profile_points_merging_in_floats_exit_2(tmp_path, capsys, command):
+    # every s = k * 1e-400 floats to 0: a constant, degenerate u column
+    body = {
+        "radius": "1",
+        "coeffs_b": ["1", "2"],
+        "profile": {"samples": 5, "span": "1e-400"},
+    }
+    code, out, err = run_cli(capsys, command, write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert "floats leave their range sampling the profile" in err
+
+
+@pytest.mark.parametrize("value", ["1e400", "1e-400"])
+def test_epsilon0_out_of_float_range_exits_2(tmp_path, capsys, value):
+    body = {"radius": "1", "coeffs_b": ["1"], "epsilon0": value}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert "field 'epsilon0'" in err
+    assert "Traceback" not in err
+
+
 def test_verify_moment_order_beyond_oracle_exits_2(tmp_path, capsys):
     body = {"radius": "1", "coeffs_b": ["1", "2"], "moments": [41]}
     code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body), "--verify")

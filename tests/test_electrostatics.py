@@ -21,6 +21,7 @@ from axoball import (
     solve_charge_density,
     total_charge,
 )
+from axoball.moment_matrix import g_entry
 from axoball.oracle import brute_force_axis_potential
 from conftest import random_coeffs, random_radius, random_spec
 
@@ -333,3 +334,49 @@ def test_dual_paths_never_disagree(r, data, m):
     dipole_moment(density)
     multipole_moment(density, m)
     axial_force(density)
+
+
+# the exact kernels sum in integers; they must equal the plain Fraction sums
+kernel_radii = st.fractions(
+    min_value=Fraction(1, 12), max_value=12, max_denominator=12
+).filter(lambda f: f.denominator > 1)
+kernel_coeffs = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def kernel_specs(draw, max_degree):
+    degree = draw(st.integers(min_value=0, max_value=max_degree))
+    coeffs = draw(st.lists(kernel_coeffs, min_size=degree + 1, max_size=degree + 1))
+    return PotentialSpec(draw(kernel_radii), tuple(coeffs), epsilon0=1.0)
+
+
+@given(spec=kernel_specs(max_degree=80))
+@settings(max_examples=25, deadline=None)
+def test_solve_equals_the_fraction_sum(spec):
+    r, b = spec.radius, spec.coeffs_b
+    expected = tuple(
+        sum(
+            (r ** (j - i) * g_entry(i, j) * b[j - 1] for j in range(i, len(b) + 1, 2)),
+            Fraction(0),
+        )
+        for i in range(1, len(b) + 1)
+    )
+    assert solve_charge_density(spec).coeffs_c == expected
+
+
+@given(spec=kernel_specs(max_degree=30))
+@settings(max_examples=25, deadline=None)
+def test_integrated_paths_equal_the_fraction_sums(spec):
+    density = solve_charge_density(spec)
+    r, c = density.radius, density.coeffs_c
+    # the force from the plain Fraction square of the density polynomial
+    q = [Fraction(0)] * (2 * len(c) - 1)
+    for a, ca in enumerate(c):
+        for e, ce in enumerate(c):
+            q[a + e] += ca * ce
+    force = 8 * sum((q[d] * r**d / (d + 2) for d in range(1, len(q), 2)), Fraction(0))
+    assert axial_force(density).coeff == force
+    for m in range(5):
+        odd = range(1 + m % 2, len(c) + 1, 2)
+        moment = 8 * sum((c[j - 1] * r ** (m + j) / (m + j) for j in odd), Fraction(0))
+        assert multipole_moment(density, m).coeff == moment

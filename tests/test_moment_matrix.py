@@ -15,6 +15,7 @@ from axoball.moment_matrix import (
     build_g,
     d_diagonal,
     f_diagonal,
+    f_entry,
     f_entry_closed_form,
     f_entry_recurrence,
     f_second_superdiagonal,
@@ -62,6 +63,12 @@ def test_index_validation():
         f_second_superdiagonal(2)
     with pytest.raises(ValueError):
         alpha_coefficients(-1)
+
+
+def test_construction_entry_equals_alternating_sum_to_order_80():
+    for i in range(1, 81):
+        for j in range(1, 81):
+            assert f_entry(i, j) == f_entry_closed_form(i, j)
 
 
 def test_recurrence_example():
@@ -134,9 +141,9 @@ def test_zero_pattern_is_structural(monkeypatch):
 
     def entry(i, j):
         called.append((i, j))
-        return f_entry_closed_form(i, j)
+        return f_entry(i, j)
 
-    monkeypatch.setattr(moment_matrix, "f_entry_closed_form", entry)
+    monkeypatch.setattr(moment_matrix, "f_entry", entry)
     f = build_f(8)
     for i in range(1, 9):
         for j in range(1, 9):
@@ -179,7 +186,9 @@ def test_identity_matrix():
         ("f_entry_recurrence", (3, 5), build_f, True, "recurrence"),
         ("f_diagonal", (4,), build_f, True, "diagonal"),
         ("f_second_superdiagonal", (5,), build_f, True, "superdiagonal"),
-        ("f_entry_closed_form", (2, 4), build_g, True, "identity"),
+        ("f_entry", (2, 4), build_g, True, "identity"),
+        ("f_entry", (3, 5), build_f, True, r"alternating sum mismatch at \(3, 5\)"),
+        ("f_entry_closed_form", (2, 4), build_f, True, "alternating sum"),
     ],
 )
 def test_checks_catch_a_corrupted_entry(
