@@ -148,6 +148,8 @@ def load_problem(path):
         samples = block.get("samples")
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
             raise ProblemError("field 'profile.samples': must be an integer >= 2")
+        if samples > 100001:
+            raise ProblemError("field 'profile.samples': must be at most 100001")
         span = _parse_field(block.get("span", 2), "profile.span")
         if span <= 0:
             raise ProblemError("field 'profile.span': must be positive")
@@ -160,23 +162,24 @@ def load_problem(path):
 def _profile_arrays(density, samples, span):
     """Sample sigma over [-r, r] and the axis potential over span*[-r, r].
 
-    Sample points are exact rationals floated at the end, so the endpoints
-    land exactly on +-r and +-span*r; distinct points must stay distinct.
+    Point k of m + 1 is the integer quotient r (2k - m) / m, floated by
+    one correctly rounded true division, so the endpoints land exactly on
+    +-r and +-span*r; distinct points must stay distinct.
     """
-    r = density.radius
-    zs = [-r + 2 * r * Fraction(k, samples - 1) for k in range(samples)]
-    ss = [-span * r + 2 * span * r * Fraction(k, samples - 1) for k in range(samples)]
+    p, q = density.radius.numerator, density.radius.denominator
+    ps, qs = p * span.numerator, q * span.denominator
+    m = samples - 1
     try:
         with OutOfRangeError.guard("sampling the profile"):
-            z = [float(z) for z in zs]
-            s = [float(s) for s in ss]
+            z = [p * (2 * k - m) / (q * m) for k in range(samples)]
+            s = [ps * (2 * k - m) / (qs * m) for k in range(samples)]
             if len(set(z)) < samples or len(set(s)) < samples:
                 raise FloatingPointError("distinct sample points float to one value")
             return {
                 "z": z,
-                "sigma": [density.sigma(v) for v in z],
+                "sigma": density.sigma(z),
                 "s": s,
-                "u": [induced_axis_potential(density, v) for v in s],
+                "u": induced_axis_potential(density, s),
             }
     except OutOfRangeError as exc:
         raise ProblemError(str(exc)) from None

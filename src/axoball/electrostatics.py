@@ -36,7 +36,10 @@ Fraction per output value; the integrated paths do the same through the
 private ``_numerators`` and ``_integral``, which no closed form uses.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
-numeric permittivity enters only when rendering floats.
+numeric permittivity enters only when rendering floats.  The two float
+samplers, ``ChargeDensity.sigma`` and ``induced_axis_potential``, take a
+sequence of axial coordinates and return a list of floats, floating their
+coefficients once per call.
 """
 
 import math
@@ -156,16 +159,15 @@ class ChargeDensity:
     def degree(self):
         return len(self.coeffs_c) - 1
 
-    def sigma(self, z):
-        """Density at axial coordinate z, in SI units (float).
+    def sigma(self, points):
+        """Density at each axial coordinate in ``points``, in SI units
+        (floats); c is floated once per call.
 
         Meaningful for |z| <= r, the axial range covered by the surface.
         """
-        zf = float(z)
-        acc = 0.0
-        for c in reversed(self.coeffs_c):
-            acc = acc * zf + float(c)
-        return 2.0 * self.epsilon0 / float(self.radius) * acc
+        coeffs = [float(c) for c in self.coeffs_c]
+        prefactor = 2.0 * self.epsilon0 / float(self.radius)
+        return [prefactor * _horner(coeffs, float(z)) for z in points]
 
 
 @dataclass(frozen=True)
@@ -339,8 +341,17 @@ def axial_force(density):
     return _agreed("force", integrated, closed, density)
 
 
-def induced_axis_potential(density, s):
-    """Axis potential of the induced charge alone, at axial coordinate s.
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k in floats, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def induced_axis_potential(density, points):
+    """Axis potential of the induced charge alone, at each axial
+    coordinate s in ``points``; a list of floats.
 
     Inside the ball (|s| <= r) the induced charge cancels the external
     potential, so u(s) = -phi0(s) = sum m_k (s/r)^(k-1) with m_k the
@@ -350,25 +361,22 @@ def induced_axis_potential(density, s):
         u(s) = (1/|xi|) sum_k m_k xi^-(k-1),    xi = s/r, |xi| > 1,
 
     finite because the moment matrix is triangular.  The two branches agree
-    exactly at |s| = r.  Evaluation is in floats; this exists for physical
-    sanity checks, not exact results.
+    exactly at |s| = r.  The moments are derived and floated once per call;
+    evaluation is in floats, for physical sanity checks, not exact results.
     """
-    sf = float(s)
-    if not math.isfinite(sf):
+    xs = [float(s) for s in points]
+    if not all(map(math.isfinite, xs)):
         raise ValueError("axial coordinate must be finite")
     moments = [float(m) for m in charge_legendre_moments(density)]
     r = float(density.radius)
-    xi = sf / r
-    if abs(xi) <= 1.0:
-        acc = 0.0
-        for m in reversed(moments):
-            acc = acc * xi + m
-        return acc
-    t = 1.0 / xi
-    acc = 0.0
-    for m in reversed(moments):
-        acc = acc * t + m
-    return acc / abs(xi)
+    values = []
+    for sf in xs:
+        xi = sf / r
+        if abs(xi) <= 1.0:
+            values.append(_horner(moments, xi))
+        else:
+            values.append(_horner(moments, 1.0 / xi) / abs(xi))
+    return values
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):

@@ -12,6 +12,8 @@ integral equation
 brute-force quadrature versions of the multipole moments, the force
 and the axis potential, and ``check_report``, which runs all of these
 against a solved report and returns a JSON-ready verification block.
+A quadrature rule integrates the integrand's values at its nodes, and the
+density is sampled at all of a rule's nodes in one ``sigma`` call.
 
 The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 (1 - |xi|)^2 > 0, asserted before every evaluation.  Near |xi| -> 1 it
@@ -67,8 +69,9 @@ class QuadratureRule:
     weights: tuple
     order: int
 
-    def integrate(self, fn):
-        return sum(w * fn(x) for x, w in zip(self.nodes, self.weights))
+    def integrate(self, values):
+        """sum_k w_k values[k], for the integrand's values at the nodes."""
+        return sum(w * v for v, w in zip(values, self.weights))
 
 
 def _legendre_pair(n, x):
@@ -128,27 +131,7 @@ def moment_quadrature(i, j):
     if not (1 <= i <= 60 and 1 <= j <= 60):
         raise ValueError("indices must lie in 1..60")
     rule = gauss_legendre((i + j) // 2 + 1)
-    return rule.integrate(lambda x: legendre_eval(i - 1, x) * x ** (j - 1))
-
-
-def generating_function_check(xi, eta, terms):
-    """Partial sum of sum_n P_n(eta) xi^n against 1/sqrt(1 - 2 xi eta + xi^2).
-
-    Returns the pair (series, closed form); the caller asserts agreement
-    within the truncation bound.  Convergence needs |xi| < 1 (stay at or
-    below 0.9 for a practical margin).
-    """
-    if abs(xi) >= 1.0:
-        raise ValueError("generating function series needs |xi| < 1")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    acc = 0.0
-    power = 1.0
-    for n in range(terms):
-        acc += legendre_eval(n, eta) * power
-        power *= xi
-    closed = 1.0 / math.sqrt(1.0 - 2.0 * xi * eta + xi * xi)
-    return acc, closed
+    return rule.integrate([legendre_eval(i - 1, x) * x ** (j - 1) for x in rule.nodes])
 
 
 _PANEL_RULE = gauss_legendre(16)
@@ -281,21 +264,24 @@ def brute_force_moment(density, m):
         )
     r = float(density.radius)
     rule = gauss_legendre(max((m + density.degree) // 2 + 2, 8))
-    total = rule.integrate(lambda eta: (r * eta) ** m * density.sigma(r * eta))
+    zs = [r * eta for eta in rule.nodes]
+    total = rule.integrate([z**m * v for z, v in zip(zs, density.sigma(zs))])
     return 2.0 * math.pi * r * r * total
 
 
-def _force_rule(density):
-    # exact for the force integrand z sigma^2, of degree 2 * degree + 1
-    return gauss_legendre(max(density.degree + 2, 8))
+def _force_samples(density):
+    """The force rule, exact for the integrand z sigma^2 of degree
+    2 * degree + 1, with its nodes z on [-r, r] and sigma there."""
+    rule = gauss_legendre(max(density.degree + 2, 8))
+    zs = [float(density.radius) * eta for eta in rule.nodes]
+    return rule, zs, density.sigma(zs)
 
 
 def brute_force_force(density):
     """(pi / eps0) int z sigma^2 dz by quadrature; SI float."""
     r = float(density.radius)
-    total = _force_rule(density).integrate(
-        lambda eta: (r * eta) * density.sigma(r * eta) ** 2
-    )
+    rule, zs, sigma = _force_samples(density)
+    total = rule.integrate([z * v**2 for z, v in zip(zs, sigma)])
     return math.pi / density.epsilon0 * r * total
 
 
@@ -382,16 +368,16 @@ def check_report(report):
     with OutOfRangeError.guard("checking the force"):
         exact_force = float(report.force_F)
         brute_force = brute_force_force(density)
-        magnitude = math.pi / eps * r * _force_rule(density).integrate(
-            lambda eta: abs(r * eta) * density.sigma(r * eta) ** 2
+        rule, zs, sigma = _force_samples(density)
+        magnitude = math.pi / eps * r * rule.integrate(
+            [abs(z) * v**2 for z, v in zip(zs, sigma)]
         )
     gap = abs(brute_force - exact_force)
     force_dev = gap / magnitude if magnitude else gap
     checks["force"] = _check("relative_deviation", force_dev, 1e-10)
 
     # floats the same moments as equation_residual, so cannot overflow here
-    u_in = induced_axis_potential(density, r * (1.0 - 1e-8))
-    u_out = induced_axis_potential(density, r * (1.0 + 1e-8))
+    u_in, u_out = induced_axis_potential(density, [r * (1.0 - 1e-8), r * (1.0 + 1e-8)])
     checks["continuity"] = _check(
         "gap", abs(u_out - u_in), 1e-6 * max(1.0, abs(u_in), abs(u_out))
     )

@@ -54,5 +54,6 @@ def parse_rational(value):
 
 
 def format_rational(q):
-    """Canonical text form, ``"p"`` or ``"p/q"``; round-trips exactly."""
-    return str(Fraction(q))
+    """Canonical text form of an int or a Fraction, ``"p"`` or ``"p/q"``;
+    round-trips exactly."""
+    return str(q)

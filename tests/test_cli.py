@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import axoball
 from axoball import (
@@ -16,7 +18,13 @@ from axoball import (
     induced_axis_potential,
     solve_charge_density,
 )
-from axoball.cli import ProblemError, load_problem, main, parse_report
+from axoball.cli import (
+    ProblemError,
+    _profile_arrays,
+    load_problem,
+    main,
+    parse_report,
+)
 from axoball.electrostatics import VACUUM_PERMITTIVITY
 
 
@@ -231,9 +239,9 @@ def test_profile_csv_shape_and_columns(tmp_path, capsys):
     assert z[0] == -1.0 and z[-1] == 1.0
     assert s[0] == -3.0 and s[-1] == 3.0
     density = solve_charge_density(PotentialSpec(1, (2, 1)))
-    for row in rows[1:]:
-        expected = induced_axis_potential(density, float(row[2]))
-        assert float(row[3]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    expected = induced_axis_potential(density, s)
+    for row, u in zip(rows[1:], expected):
+        assert float(row[3]) == pytest.approx(u, rel=1e-12, abs=1e-15)
 
 
 def test_profile_uniform_field_density_is_odd_and_linear(tmp_path, capsys):
@@ -261,9 +269,9 @@ def test_profile_17_digit_floats_round_trip(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "profile", path)
     density = solve_charge_density(PotentialSpec(3, (1, Fraction(1, 3))))
     rows = list(csv.reader(io.StringIO(out)))[1:]
-    for row in rows:
-        z = float(row[0])
-        assert float(row[1]) == density.sigma(z)  # 17 sig digits: lossless
+    sigma = density.sigma([float(row[0]) for row in rows])
+    for row, value in zip(rows, sigma):
+        assert float(row[1]) == value  # 17 sig digits: lossless
 
 
 def test_profile_two_samples_are_endpoints(tmp_path, capsys):
@@ -377,10 +385,64 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
     assert calls.get("reconstruct_potential", 0) == 0
 
     calls.clear()
+    count(es_mod.ChargeDensity, "sigma")
+    count(cli_mod, "induced_axis_potential")
+    count(es_mod, "charge_legendre_moments")
     code, _, _ = run_cli(capsys, "profile", path)
     assert code == 0
     assert calls.get("solve_charge_density") == 1
     assert calls.get("f_entry_closed_form", 0) == 0
+    # one call per column, not one per sample
+    assert calls.get("sigma") == 1
+    assert calls.get("induced_axis_potential") == 1
+    assert calls.get("charge_legendre_moments") == 1
+
+
+exact_scales = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(-300, 300),
+)
+
+
+@given(radius=exact_scales, span=exact_scales, samples=st.integers(2, 40))
+@settings(max_examples=200, deadline=None)
+def test_profile_points_are_the_floated_exact_points(radius, span, samples):
+    density = solve_charge_density(PotentialSpec(radius, (1,)))
+    m = samples - 1
+    try:
+        z = [float(radius * (2 * k - m) / m) for k in range(samples)]
+        s = [float(span * radius * (2 * k - m) / m) for k in range(samples)]
+    except OverflowError:
+        z = s = None
+    if z is None or len(set(z)) < samples or len(set(s)) < samples:
+        with pytest.raises(ProblemError, match="sampling the profile"):
+            _profile_arrays(density, samples, span)
+    else:
+        arrays = _profile_arrays(density, samples, span)
+        # hex tells -0.0 from 0.0
+        assert [v.hex() for v in arrays["z"]] == [v.hex() for v in z]
+        assert [v.hex() for v in arrays["s"]] == [v.hex() for v in s]
+
+
+def test_profile_samples_are_capped(tmp_path, capsys, monkeypatch):
+    import axoball.cli as cli_mod
+
+    def no_sampling(*args):
+        raise AssertionError("sampled a refused profile")
+
+    monkeypatch.setattr(cli_mod, "_profile_arrays", no_sampling)
+    body = {"radius": "1", "coeffs_b": ["1"], "profile": {"samples": 100002}}
+    path = write_problem(tmp_path, body)
+    with pytest.raises(ProblemError, match=r"'profile\.samples'.*100001"):
+        load_problem(path)
+    for command in ("solve", "profile"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        assert "profile.samples" in err
+    body["profile"]["samples"] = 100001
+    assert load_problem(write_problem(tmp_path, body)).profile[0] == 100001
 
 
 HUGE = {"radius": "1e200", "coeffs_b": ["1", "2", "3"]}

@@ -77,8 +77,9 @@ def test_uniform_field_gives_textbook_density():
     spec = PotentialSpec(1, (0, E), epsilon0=1.0)
     density = solve_charge_density(spec)
     assert density.coeffs_c == (0, 3 * E / 2)
-    for z in (-0.5, 0.25, 1.0):
-        assert density.sigma(z) == pytest.approx(3 * float(E) * z, rel=1e-15)
+    zs = (-0.5, 0.25, 1.0)
+    for z, got in zip(zs, density.sigma(zs)):
+        assert got == pytest.approx(3 * float(E) * z, rel=1e-15)
 
 
 def test_pure_quadratic_density():
@@ -251,10 +252,9 @@ def test_interior_potential_cancels_external(rng):
         spec = random_spec(rng, max_degree=8, max_radius=3)
         density = solve_charge_density(spec)
         r = float(spec.radius)
-        for frac in (-0.9, -0.3, 0.0, 0.5, 0.99):
-            s = frac * r
+        points = [frac * r for frac in (-0.9, -0.3, 0.0, 0.5, 0.99)]
+        for s, got in zip(points, induced_axis_potential(density, points)):
             terms = [float(b) * s**k for k, b in enumerate(spec.coeffs_b)]
-            got = induced_axis_potential(density, s)
             # roundoff floor scales with the terms, not with the (possibly
             # cancelled) sum
             tol = 1e-13 * (1.0 + sum(abs(t) for t in terms))
@@ -267,11 +267,13 @@ def test_branches_join_exactly_on_the_surface(rng):
         density = solve_charge_density(spec)
         scale = 1.0 + sum(abs(float(m)) for m in charge_legendre_moments(density))
         r = float(spec.radius)
-        for s in (r, -r):
-            inner = induced_axis_potential(density, s)
-            # nudge outward by one ulp so the exterior branch is taken
-            outer = induced_axis_potential(density, math.nextafter(s, 2 * s))
-            assert abs(outer - inner) <= 1e-9 * scale
+        # nudged outward by one ulp, a point takes the exterior branch
+        inner = induced_axis_potential(density, [r, -r])
+        outer = induced_axis_potential(
+            density, [math.nextafter(s, 2 * s) for s in (r, -r)]
+        )
+        for u_in, u_out in zip(inner, outer):
+            assert abs(u_out - u_in) <= 1e-9 * scale
 
 
 def test_exterior_potential_matches_coulomb_quadrature(rng):
@@ -280,26 +282,26 @@ def test_exterior_potential_matches_coulomb_quadrature(rng):
         density = solve_charge_density(spec)
         scale = 1.0 + sum(abs(float(m)) for m in charge_legendre_moments(density))
         r = float(spec.radius)
-        for s in (1.7 * r, -1.7 * r, 12.0 * r):
-            series = induced_axis_potential(density, s)
+        points = [1.7 * r, -1.7 * r, 12.0 * r]
+        for s, series in zip(points, induced_axis_potential(density, points)):
             direct = brute_force_axis_potential(density, s)
             assert abs(series - direct) <= 1e-9 * scale
 
 
 def test_even_potential_has_even_axis_potential():
     density = solve_charge_density(PotentialSpec(1, (2, 0, Fraction(1, 3))))
-    for s in (0.4, 1.9, 5.0):
-        assert induced_axis_potential(density, s) == induced_axis_potential(
-            density, -s
-        )
+    points = [0.4, 1.9, 5.0]
+    assert induced_axis_potential(density, points) == induced_axis_potential(
+        density, [-s for s in points]
+    )
 
 
 def test_nonfinite_coordinate_rejected():
     density = solve_charge_density(PotentialSpec(1, (1,)))
     with pytest.raises(ValueError):
-        induced_axis_potential(density, math.nan)
+        induced_axis_potential(density, [0.5, math.nan])
     with pytest.raises(ValueError):
-        induced_axis_potential(density, math.inf)
+        induced_axis_potential(density, [math.inf])
 
 
 def test_zero_potential_means_zero_everything():
@@ -309,7 +311,7 @@ def test_zero_potential_means_zero_everything():
     assert report.force_F.coeff == 0
     assert all(ep.coeff == 0 for ep in report.multipoles.values())
     density = solve_charge_density(PotentialSpec(3, (0,)))
-    assert induced_axis_potential(density, 7.0) == 0.0
+    assert induced_axis_potential(density, [7.0]) == [0.0]
 
 
 def test_build_report_collects_requested_orders(rng):
