@@ -21,7 +21,6 @@ from .electrostatics import (
     dipole_moment,
     induced_axis_potential,
     multipole_moment,
-    reconstruct_potential,
     solve_charge_density,
     total_charge,
 )
@@ -33,8 +32,6 @@ from .moment_matrix import (
     build_g,
     d_diagonal,
     f_entry,
-    f_entry_closed_form,
-    g_entry,
 )
 from .rational import format_rational, parse_rational
 
@@ -58,13 +55,10 @@ __all__ = [
     "d_diagonal",
     "dipole_moment",
     "f_entry",
-    "f_entry_closed_form",
     "format_rational",
-    "g_entry",
     "induced_axis_potential",
     "multipole_moment",
     "parse_rational",
-    "reconstruct_potential",
     "solve_charge_density",
     "total_charge",
 ]

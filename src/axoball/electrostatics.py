@@ -30,6 +30,9 @@ ConsistencyError and indicates a bug, never bad input.
 Every quantity takes the density ``solve_charge_density`` returns: its
 closed form reads the b the density was solved from, its integrated path c.
 
+The charge and the dipole are the multipole moments of orders 0 and 1;
+the order-m sum gives their closed forms above.
+
 The quadratic exact loops (solving for c, squaring sigma for the force)
 run on plain ints over a common denominator and build one reduced
 Fraction per output value; the integrated paths do the same through the
@@ -71,15 +74,12 @@ class ExactPhysical:
 
     UNIT_FACTOR: ClassVar[str] = "pi*eps0"
 
-    def to_float(self):
-        return float(self.coeff) * math.pi * self.epsilon0
-
     def __float__(self):
-        return self.to_float()
+        return float(self.coeff) * math.pi * self.epsilon0
 
     def as_dict(self):
         try:
-            value = self.to_float()
+            value = float(self)
         except OverflowError:
             value = math.inf
         # beyond float range the float is null; the exact coeff still holds
@@ -116,7 +116,10 @@ class PotentialSpec:
             raise ValueError("coeffs_b must not be empty")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        eps = float(self.epsilon0)
+        try:
+            eps = float(self.epsilon0)
+        except OverflowError:
+            eps = math.inf
         if not math.isfinite(eps) or eps <= 0:
             raise ValueError("epsilon0 must be positive and finite")
         object.__setattr__(self, "radius", radius)
@@ -164,10 +167,11 @@ class ChargeDensity:
         (floats); c is floated once per call.
 
         Meaningful for |z| <= r, the axial range covered by the surface.
+        Raises FloatingPointError when a value leaves float range.
         """
         coeffs = [float(c) for c in self.coeffs_c]
         prefactor = 2.0 * self.epsilon0 / float(self.radius)
-        return [prefactor * _horner(coeffs, float(z)) for z in points]
+        return _finite([prefactor * _horner(coeffs, float(z)) for z in points])
 
 
 @dataclass(frozen=True)
@@ -279,19 +283,15 @@ def _agreed(label, integrated, closed, density):
 
 
 def total_charge(density):
-    """Total induced charge Q = 2 pi r int sigma dz = 4 pi eps0 r b_1.
-
-    Both sides are computed exactly and must agree.
-    """
-    closed = 4 * density.radius * density.coeffs_b[0]
-    return _agreed("charge", _integrated_moment(density, 0), closed, density)
+    """Total induced charge Q = 2 pi r int sigma dz = 4 pi eps0 r b_1, the
+    multipole moment of order 0."""
+    return multipole_moment(density, 0)
 
 
 def dipole_moment(density):
-    """Dipole moment D = 2 pi r int z sigma dz = 4 pi eps0 r^3 b_2."""
-    b = density.coeffs_b
-    closed = 4 * density.radius**3 * b[1] if len(b) > 1 else Fraction(0)
-    return _agreed("dipole", _integrated_moment(density, 1), closed, density)
+    """Dipole moment D = 2 pi r int z sigma dz = 4 pi eps0 r^3 b_2, the
+    multipole moment of order 1."""
+    return multipole_moment(density, 1)
 
 
 def multipole_moment(density, m):
@@ -300,7 +300,7 @@ def multipole_moment(density, m):
     Closed form: 2 pi eps0 r^(m+1) sum over i = delta, delta+2, ..., m+1 of
     (2i-1) r^(i-1) F_{i,m+1} b_i, with delta = 1 for even m and 2 for odd
     m, and b_i = 0 past the end of the coefficient vector.  Orders 0 and 1
-    collapse to the charge and the dipole moment.
+    collapse to the charge 4 pi eps0 r b_1 and the dipole 4 pi eps0 r^3 b_2.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError("moment order must be a non-negative integer")
@@ -349,6 +349,15 @@ def _horner(coeffs, x):
     return acc
 
 
+def _finite(values):
+    """The float samples, once every one is finite: float arithmetic
+    overflows to inf and NaN without raising, so the samplers raise
+    FloatingPointError themselves."""
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError("a float sample left its range")
+    return values
+
+
 def induced_axis_potential(density, points):
     """Axis potential of the induced charge alone, at each axial
     coordinate s in ``points``; a list of floats.
@@ -363,6 +372,7 @@ def induced_axis_potential(density, points):
     finite because the moment matrix is triangular.  The two branches agree
     exactly at |s| = r.  The moments are derived and floated once per call;
     evaluation is in floats, for physical sanity checks, not exact results.
+    Raises FloatingPointError when a value leaves float range.
     """
     xs = [float(s) for s in points]
     if not all(map(math.isfinite, xs)):
@@ -376,19 +386,20 @@ def induced_axis_potential(density, points):
             values.append(_horner(moments, xi))
         else:
             values.append(_horner(moments, 1.0 / xi) / abs(xi))
-    return values
+    return _finite(values)
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):
-    """Solve once; collect the density, charge, dipole, multipoles, force."""
+    """Solve once; collect the density, charge, dipole, multipoles, force.
+
+    The charge and the dipole are the moments of orders 0 and 1, so each
+    order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
+    the requested orders in their order.
+    """
     density = solve_charge_density(spec)
-    table = {}
-    for m in moments:
-        table[m] = multipole_moment(density, m)
-    return BallReport(
-        density=density,
-        charge_Q=total_charge(density),
-        dipole_D=dipole_moment(density),
-        multipoles=table,
-        force_F=axial_force(density),
+    multipoles = {m: multipole_moment(density, m) for m in moments}
+    charge, dipole = (
+        multipoles[m] if m in multipoles else multipole_moment(density, m)
+        for m in (0, 1)
     )
+    return BallReport(density, charge, dipole, multipoles, axial_force(density))

@@ -24,9 +24,13 @@ Construction and verification use different entries:
   * construction: F from the single-product moment ``f_entry``, G from
     the integer ``g_numerator`` = 2**j G_ij (``g_entry`` divides it by
     2**j; ``solve_charge_density`` sums it in integers);
-  * verification: the Rodrigues alternating sum ``f_entry_closed_form``,
-    the row recurrence and the diagonal/superdiagonal factorial formulas
-    for F, and B D^{-1} for G.
+  * verification: ``build_g`` always compares its rows with B D^{-1},
+    and the Rodrigues alternating sum ``f_entry_closed_form`` is an
+    independent path to every F entry.
+
+The row recurrence, the diagonal and superdiagonal factorial formulas and
+F G = G F = I are proofs about these entries, not construction steps;
+the tests check them (``tests/references.py``).
 
 Every construction entry is total and order-independent.
 """
@@ -77,39 +81,6 @@ def f_entry_closed_form(i, j):
         term = Fraction(num, den)
         total += -term if k % 2 else term
     return total / Fraction(2) ** (i - 2)
-
-
-def f_entry_recurrence(i, j):
-    """F_ij from the row recurrence
-
-        (i - 1) F_ij = (2i - 3) F_{i-1, j+1} - (i - 2) F_{i-2, j},
-
-    valid for i >= 3, with the two lower-order entries taken from the
-    closed form.  Must agree exactly with ``f_entry_closed_form``; this is
-    a verification path.  Structural zeros are returned directly.
-    """
-    if i > j or (i + j) % 2:
-        return Fraction(0)
-    if i < 3:
-        return f_entry_closed_form(i, j)
-    upper = f_entry_closed_form(i - 1, j + 1)
-    lower = f_entry_closed_form(i - 2, j)
-    return ((2 * i - 3) * upper - (i - 2) * lower) / (i - 1)
-
-
-def f_diagonal(i):
-    """Diagonal entry F_ii = 2**(i+1) * i! * (i-1)! / (2i)!."""
-    if i < 1:
-        raise ValueError("indices are 1-based")
-    return Fraction(2 ** (i + 1) * factorial(i) * factorial(i - 1), factorial(2 * i))
-
-
-def f_second_superdiagonal(i):
-    """Second superdiagonal entry F_{i-2, i} = 2**(i-1) * ((i-1)!)**2 / (2i-2)!,
-    for i >= 3."""
-    if i < 3:
-        raise ValueError("second superdiagonal starts at column 3")
-    return Fraction(2 ** (i - 1) * factorial(i - 1) ** 2, factorial(2 * i - 2))
 
 
 def beta_entry(k, i):
@@ -169,26 +140,6 @@ def g_entry(i, j):
     return Fraction(g_numerator(i, j), 2**j)
 
 
-def alpha_coefficients(m, count=None):
-    """Coefficients expanding the shifted first-row window of F over rows
-    delta, delta+2, ..., m+1 (delta = 1 for even m, 2 for odd m):
-
-        alpha_i = (2i - 1)/2 * F_{i, m+1},    i = 1..count.
-
-    Parity-forbidden positions are zero, as are positions i > m + 1 (below
-    the diagonal of F).  ``count`` defaults to m + 1.  The vector solves
-    B a = e with e = (0, ..., 0, 1) of length m + 1.
-    """
-    if m < 0:
-        raise ValueError("order m must be >= 0")
-    if count is None:
-        count = m + 1
-    return [
-        Fraction(2 * i - 1, 2) * f_entry_closed_form(i, m + 1)
-        for i in range(1, count + 1)
-    ]
-
-
 def _triangle(order, entry):
     """Dense rows of the order x order matrix with 1-based entries
     ``entry(i, j)`` on the parity triangle (i <= j, i + j even) and zeros
@@ -205,42 +156,9 @@ def _triangle(order, entry):
     ]
 
 
-def multiply(a, b):
-    """Exact product of two square row matrices of the same order."""
-    if len(a) != len(b):
-        raise ValueError("orders differ")
-    columns = list(zip(*b))
-    return [
-        [
-            sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
-            for col in columns
-        ]
-        for row in a
-    ]
-
-
-def build_f(order, verify=False):
-    """The moment matrix F of the given order, from ``f_entry``.
-
-    With ``verify=True`` every entry is additionally recomputed through the
-    alternating sum, the row recurrence and the factorial formulas for the
-    diagonal and second superdiagonal, and construction fails if any pair
-    disagrees.
-    """
-    rows = _triangle(order, f_entry)
-    if verify:
-        for i in range(1, order + 1):
-            for j in range(i, order + 1, 2):
-                val = rows[i - 1][j - 1]
-                if val != f_entry_closed_form(i, j):
-                    raise ArithmeticError(f"alternating sum mismatch at ({i}, {j})")
-                if i >= 3 and val != f_entry_recurrence(i, j):
-                    raise ArithmeticError(f"recurrence mismatch at ({i}, {j})")
-                if i == j and val != f_diagonal(i):
-                    raise ArithmeticError(f"diagonal mismatch at ({i}, {i})")
-                if j - i == 2 and val != f_second_superdiagonal(j):
-                    raise ArithmeticError(f"superdiagonal mismatch at ({i}, {j})")
-    return rows
+def build_f(order):
+    """The moment matrix F of the given order, from ``f_entry``."""
+    return _triangle(order, f_entry)
 
 
 def build_b(order):
@@ -254,21 +172,14 @@ def build_d(order):
     return _triangle(order, lambda i, j: d_diagonal(i) if i == j else Fraction(0))
 
 
-def build_g(order, verify=False):
+def build_g(order):
     """The inverse matrix G = F^{-1}.
 
-    G is always built twice, from the explicit entry formula and as
-    B D^{-1}, and the two must agree entry by entry.  With ``verify=True``
-    the full products F G and G F are also formed and checked against the
-    identity (cubic in the order, so left to verification contexts).
+    G is built twice, from the explicit entry formula and as B D^{-1}, and
+    the two must agree entry by entry.
     """
     rows = _triangle(order, g_entry)
     via_b = _triangle(order, lambda i, j: beta_entry(i, j) / d_diagonal(j))
     if rows != via_b:
         raise ArithmeticError("inverse entry formula disagrees with B D^-1")
-    if verify:
-        f = build_f(order)
-        eye = [[int(i == j) for j in range(order)] for i in range(order)]
-        if multiply(f, rows) != eye or multiply(rows, f) != eye:
-            raise ArithmeticError("F G or G F is not the identity")
     return rows

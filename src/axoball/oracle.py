@@ -52,9 +52,9 @@ class OutOfRangeError(ValueError):
     @contextlib.contextmanager
     def guard(cls, task):
         """Floats cannot hold every exact value: an overflow, an underflow
-        to a zero divisor, or an underflow that merges distinct values
-        (raised as FloatingPointError) inside a float stage is reported by
-        the task that hit it."""
+        to a zero divisor, and an inf, a NaN or an underflow that merges
+        distinct values (raised as FloatingPointError) inside a float stage
+        are reported by the task that hit it."""
         try:
             yield
         except (OverflowError, ZeroDivisionError, FloatingPointError):
@@ -222,7 +222,7 @@ def collocation_solve(spec, n_points=32, residual_tol=1e-9):
     gamma, _, rank, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
     if rank < n1:
         raise CollocationError(f"collocation matrix rank {rank} < {n1}")
-    residual = float(np.max(np.abs(matrix @ gamma - rhs)))
+    residual = _finite(float(np.max(np.abs(matrix @ gamma - rhs))))
     residual /= max(1.0, float(np.max(np.abs(rhs))))
     condition = float(singular[0] / singular[-1]) if singular.size else math.inf
     if residual > residual_tol:
@@ -250,7 +250,7 @@ def equation_residual(density, n_points=32):
         rhs = 0.0
         for m in reversed(moments):
             rhs = rhs * xi + m
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, _finite(abs(lhs - rhs)))
         scale = max(scale, abs(rhs))
     return worst / scale
 
@@ -301,6 +301,14 @@ def brute_force_axis_potential(density, s):
     )
 
 
+def _finite(value):
+    """A measured float, or FloatingPointError once it has left float
+    range: max() would drop a NaN, and no verdict is given on one."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"measured {value}")
+    return value
+
+
 def _check(measure, value, tolerance, **diagnostics):
     """One check's block: the measured value, diagnostics, the verdict."""
     passed = value <= tolerance
@@ -317,7 +325,7 @@ def _collocation_check(density):
         return {"error": str(exc), "passed": False}
     scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
     deviation = max(
-        abs(float(exact) - got) / scale
+        _finite(abs(float(exact) - got) / scale)
         for exact, got in zip(density.coeffs_c, sol.coeffs)
     )
     return _check(
@@ -360,9 +368,9 @@ def check_report(report):
                 abs(float(c)) * r ** (m + j) / (m + j)
                 for j, c in enumerate(density.coeffs_c, start=1)
             )
-        scale = math.pi * eps * magnitude
-        deviation = abs(brute - exact) / scale if scale else abs(brute - exact)
-        worst = max(worst, deviation)
+            scale = math.pi * eps * magnitude
+            gap = abs(brute - exact)
+            worst = max(worst, _finite(gap / scale if scale else gap))
     checks["moments"] = _check("max_relative_deviation", worst, 1e-10)
 
     with OutOfRangeError.guard("checking the force"):
@@ -372,12 +380,12 @@ def check_report(report):
         magnitude = math.pi / eps * r * rule.integrate(
             [abs(z) * v**2 for z, v in zip(zs, sigma)]
         )
-    gap = abs(brute_force - exact_force)
-    force_dev = gap / magnitude if magnitude else gap
+        gap = abs(brute_force - exact_force)
+        force_dev = _finite(gap / magnitude if magnitude else gap)
     checks["force"] = _check("relative_deviation", force_dev, 1e-10)
 
-    # floats the same moments as equation_residual, so cannot overflow here
-    u_in, u_out = induced_axis_potential(density, [r * (1.0 - 1e-8), r * (1.0 + 1e-8)])
+    with OutOfRangeError.guard("checking the axis potential"):
+        u_in, u_out = induced_axis_potential(density, [r * (1 - 1e-8), r * (1 + 1e-8)])
     checks["continuity"] = _check(
         "gap", abs(u_out - u_in), 1e-6 * max(1.0, abs(u_in), abs(u_out))
     )

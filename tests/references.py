@@ -1,0 +1,111 @@
+"""Reference paths for the moment matrix that only the tests run.
+
+The paper's Appendix proves a row recurrence for F, factorial formulas
+for its diagonal and second superdiagonal, and F G = G F = I.  These are
+checks of the entries ``axoball.moment_matrix`` builds from, not steps
+of any construction, so they live here with the exact matrix product and
+the alpha coefficients of the shifted first row.  ``check_f`` and
+``check_inverse`` run the checks on built rows and raise ArithmeticError
+on the first disagreement.  Entry functions are 1-based, as in the
+library; entries of ``moment_matrix`` are looked up on the module, so a
+test can corrupt one.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from axoball import moment_matrix
+
+
+def f_entry_recurrence(i, j):
+    """F_ij from the row recurrence
+
+        (i - 1) F_ij = (2i - 3) F_{i-1, j+1} - (i - 2) F_{i-2, j},
+
+    valid for i >= 3, with the two lower-order entries taken from the
+    alternating sum.  Structural zeros are returned directly.
+    """
+    closed_form = moment_matrix.f_entry_closed_form
+    if i > j or (i + j) % 2:
+        return Fraction(0)
+    if i < 3:
+        return closed_form(i, j)
+    upper = closed_form(i - 1, j + 1)
+    lower = closed_form(i - 2, j)
+    return ((2 * i - 3) * upper - (i - 2) * lower) / (i - 1)
+
+
+def f_diagonal(i):
+    """Diagonal entry F_ii = 2**(i+1) * i! * (i-1)! / (2i)!."""
+    if i < 1:
+        raise ValueError("indices are 1-based")
+    return Fraction(2 ** (i + 1) * factorial(i) * factorial(i - 1), factorial(2 * i))
+
+
+def f_second_superdiagonal(i):
+    """Second superdiagonal entry F_{i-2, i} = 2**(i-1) * ((i-1)!)**2 / (2i-2)!,
+    for i >= 3."""
+    if i < 3:
+        raise ValueError("second superdiagonal starts at column 3")
+    return Fraction(2 ** (i - 1) * factorial(i - 1) ** 2, factorial(2 * i - 2))
+
+
+def alpha_coefficients(m, count=None):
+    """Coefficients expanding the shifted first-row window of F over rows
+    delta, delta+2, ..., m+1 (delta = 1 for even m, 2 for odd m):
+
+        alpha_i = (2i - 1)/2 * F_{i, m+1},    i = 1..count.
+
+    Parity-forbidden positions are zero, as are positions i > m + 1 (below
+    the diagonal of F).  ``count`` defaults to m + 1.  The vector solves
+    B a = e with e = (0, ..., 0, 1) of length m + 1.
+    """
+    if m < 0:
+        raise ValueError("order m must be >= 0")
+    if count is None:
+        count = m + 1
+    return [
+        Fraction(2 * i - 1, 2) * moment_matrix.f_entry_closed_form(i, m + 1)
+        for i in range(1, count + 1)
+    ]
+
+
+def multiply(a, b):
+    """Exact product of two square row matrices of the same order."""
+    if len(a) != len(b):
+        raise ValueError("orders differ")
+    columns = list(zip(*b))
+    return [
+        [
+            sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+            for col in columns
+        ]
+        for row in a
+    ]
+
+
+def check_f(rows):
+    """Recompute every triangle entry of built F rows through the
+    alternating sum, the row recurrence and the factorial formulas for the
+    diagonal and second superdiagonal."""
+    for i in range(1, len(rows) + 1):
+        for j in range(i, len(rows) + 1, 2):
+            val = rows[i - 1][j - 1]
+            if val != moment_matrix.f_entry_closed_form(i, j):
+                raise ArithmeticError(f"alternating sum mismatch at ({i}, {j})")
+            if i >= 3 and val != f_entry_recurrence(i, j):
+                raise ArithmeticError(f"recurrence mismatch at ({i}, {j})")
+            if i == j and val != f_diagonal(i):
+                raise ArithmeticError(f"diagonal mismatch at ({i}, {i})")
+            if j - i == 2 and val != f_second_superdiagonal(j):
+                raise ArithmeticError(f"superdiagonal mismatch at ({i}, {j})")
+
+
+def check_inverse(g):
+    """Form F G and G F for built G rows, with F from ``build_f``, and
+    compare both with the identity (cubic in the order)."""
+    order = len(g)
+    f = moment_matrix.build_f(order)
+    eye = [[int(i == j) for j in range(order)] for i in range(order)]
+    if multiply(f, g) != eye or multiply(g, f) != eye:
+        raise ArithmeticError("F G or G F is not the identity")

@@ -24,8 +24,6 @@ from axoball import (
     build_g,
     d_diagonal,
     dipole_moment,
-    f_entry_closed_form,
-    g_entry,
     induced_axis_potential,
     multipole_moment,
     solve_charge_density,
@@ -34,14 +32,15 @@ from axoball import (
 from axoball import oracle
 from axoball.cli import main as cli_main
 from axoball.cli import parse_report
-from axoball.moment_matrix import (
+from axoball.moment_matrix import f_entry_closed_form, g_entry
+from conftest import random_coeffs, random_radius
+from references import (
     alpha_coefficients,
     f_diagonal,
     f_entry_recurrence,
     f_second_superdiagonal,
     multiply,
 )
-from conftest import random_coeffs, random_radius
 
 
 class criterion:

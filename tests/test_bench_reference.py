@@ -1,6 +1,7 @@
-"""Every problem of the benchmark's ``solve`` and ``matrix`` main pools still
-gives the output recorded in ``bench/reference.json``: exact digits bit for
-bit, floats within the benchmark's tolerance.  The pool generator and the
+"""Every problem of the benchmark's four main pools (``solve``, ``verify``,
+``profile``, ``matrix``) still gives the output recorded in
+``bench/reference.json``: exact digits bit for bit, floats within the
+benchmark's tolerance, so float drift in the oracle and the samplers shows.  The pool generator and the
 comparison are the benchmark's own (``bench/problems.py``, ``bench/check.py``),
 loaded read-only by path."""
 
@@ -32,7 +33,7 @@ check = _load("check")
 problems = _load("problems")
 
 
-@pytest.mark.parametrize("workload", ["solve", "matrix"])
+@pytest.mark.parametrize("workload", ["solve", "verify", "profile", "matrix"])
 def test_main_pool_matches_reference(tmp_path, workload):
     with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as handle:
         reference = json.load(handle)[f"main/{workload}"]

@@ -553,3 +553,25 @@ def test_a_bug_inside_a_check_is_no_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oracle_mod, "brute_force_force", broken)
     with pytest.raises(ConsistencyError, match="injected"):
         main(["solve", write_problem(tmp_path, BASIC), "--verify"])
+
+
+TINY = {"radius": "1e-310", "coeffs_b": ["1", "2"], "epsilon0": "1"}
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_infinite_profile_samples_exit_2(tmp_path, capsys, command):
+    # sigma = 2 eps0 / r (1 + 2 z) is inf at r = 1e-310; JSON has no inf
+    path = write_problem(tmp_path, dict(TINY, profile={"samples": 3, "span": "1"}))
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert "floats leave their range sampling the profile" in err
+
+
+def test_verify_on_nan_samples_exits_2(tmp_path, capsys):
+    # the brute-force quadratures sample that infinite sigma
+    path = write_problem(tmp_path, TINY)
+    code, out, err = run_cli(capsys, "solve", path, "--verify")
+    assert code == 2
+    assert out == ""
+    assert "floats leave their range checking the order-0 multipole moment" in err

@@ -17,10 +17,10 @@ from axoball import (
     dipole_moment,
     induced_axis_potential,
     multipole_moment,
-    reconstruct_potential,
     solve_charge_density,
     total_charge,
 )
+from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
 from axoball.oracle import brute_force_axis_potential
 from conftest import random_coeffs, random_radius, random_spec
@@ -50,6 +50,22 @@ def test_spec_validation():
         PotentialSpec(1, (1,), epsilon0=0.0)
 
 
+def test_spec_epsilon0_past_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="epsilon0"):
+        PotentialSpec(1, (1,), Fraction(10) ** 400)
+
+
+def test_samplers_refuse_values_past_float_range():
+    # sigma's prefactor 2 eps0 / r and u(r) = b_1 + b_2 r overflow to inf
+    density = solve_charge_density(PotentialSpec("1e-310", (1, 2), 1.0))
+    with pytest.raises(FloatingPointError):
+        density.sigma([0.0])
+    density = solve_charge_density(PotentialSpec(1, ("1e308", "1e308")))
+    assert induced_axis_potential(density, [0.0]) == [1e308]
+    with pytest.raises(FloatingPointError):
+        induced_axis_potential(density, [1.0])
+
+
 def test_from_phi0_negates():
     spec = PotentialSpec.from_phi0(2, ("1", "-3/2"))
     assert spec.coeffs_b == (Fraction(-1), Fraction(3, 2))
@@ -61,7 +77,7 @@ def test_exact_physical_rendering():
     d = q.as_dict()
     assert d == {"coeff": "4", "unit_factor": "pi*eps0", "float": 4 * math.pi}
     si = ExactPhysical(Fraction(1, 2))
-    assert si.to_float() == 0.5 * math.pi * VACUUM_PERMITTIVITY
+    assert float(si) == 0.5 * math.pi * VACUUM_PERMITTIVITY
 
 
 def test_linear_potential_density():

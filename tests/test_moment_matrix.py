@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from axoball import moment_matrix
 from axoball.moment_matrix import (
-    alpha_coefficients,
     beta_entry,
     build_b,
     build_d,
     build_f,
     build_g,
     d_diagonal,
-    f_diagonal,
     f_entry,
     f_entry_closed_form,
-    f_entry_recurrence,
-    f_second_superdiagonal,
     g_entry,
-    multiply,
 )
 from axoball.oracle import moment_quadrature
+from references import (
+    alpha_coefficients,
+    f_diagonal,
+    f_entry_recurrence,
+    f_second_superdiagonal,
+    multiply,
+)
 
 indices = st.integers(min_value=1, max_value=25)
 
@@ -124,8 +127,9 @@ def test_g_known_entries():
 
 
 def test_matrix_identities_order_20():
-    f = build_f(20, verify=True)
-    g = build_g(20, verify=True)
+    f = build_f(20)
+    references.check_f(f)
+    g = build_g(20)
     b = build_b(20)
     d = build_d(20)
     eye = [[int(i == j) for j in range(20)] for i in range(20)]
@@ -194,13 +198,17 @@ def test_identity_matrix():
 def test_checks_catch_a_corrupted_entry(
     monkeypatch, name, at, builder, verify, message
 ):
-    # one wrong entry on one side of a cross-check must make the build fail
-    right = getattr(moment_matrix, name)
-    monkeypatch.setattr(
-        moment_matrix, name, lambda *args: right(*args) + (args == at)
-    )
+    # one wrong entry on one side of a cross-check must make the build, or
+    # with verify the reference checks of the tests, fail
+    module = moment_matrix if hasattr(moment_matrix, name) else references
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: right(*args) + (args == at))
     with pytest.raises(ArithmeticError, match=message):
-        builder(6, verify=verify)
+        rows = builder(6)
+        if verify and builder is build_f:
+            references.check_f(rows)
+        elif verify:
+            references.check_inverse(rows)
 
 
 def test_alpha_small_orders():
@@ -231,10 +239,6 @@ def test_alpha_reproduces_shifted_first_row(m, n):
             a * f_entry_closed_form(k, j) for k, a in enumerate(alpha, start=1)
         )
         assert combo == f_entry_closed_form(1, m + j)
-
-
-def test_build_f_verify_mode_runs_clean():
-    build_f(15, verify=True)
 
 
 def test_entries_match_quadrature_to_1e12():

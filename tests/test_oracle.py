@@ -275,3 +275,23 @@ def test_check_report_cannot_check_moment_order_41():
     report = build_report(PotentialSpec(1, (1, 2)), moments=(0, 41))
     with pytest.raises(OutOfRangeError, match="order-41 multipole moment.*0..40"):
         check_report(report)
+
+
+@pytest.mark.parametrize("name", ["brute_force_moment", "brute_force_force"])
+def test_check_report_gives_no_verdict_on_nan(monkeypatch, name):
+    # max() drops a NaN: a check must refuse it, never pass over it
+    import axoball.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, name, lambda *args: math.nan)
+    report = build_report(PotentialSpec(1, (1, 2)))
+    with pytest.raises(OutOfRangeError, match="floats leave their range"):
+        check_report(report)
+
+
+def test_equation_residual_refuses_nan():
+    # gamma_3 = +inf and gamma_5 = -inf while every float of b and c is finite
+    density = solve_charge_density(PotentialSpec(10, (0, 0, 0, 0, "1e304"), 1.0))
+    with pytest.raises(FloatingPointError):
+        equation_residual(density)
+    with pytest.raises(FloatingPointError):
+        collocation_solve(density.spec)
