@@ -13,7 +13,8 @@ to str for the same reason).  Reports are JSON with a schema_version
 field; parsers ignore unknown fields so the schema can grow.
 
 Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
-finds a tolerance breach.
+finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
+the oracle's OutOfRangeError) to exit 2.
 """
 
 import argparse
@@ -21,7 +22,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -69,11 +69,12 @@ def load_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemError(f"cannot read problem file: {exc}") from None
     try:
         data = json.loads(text, parse_float=str, parse_constant=_reject_nonfinite)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed, an integer past Python's digit limit, or nested too deep
         raise ProblemError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ProblemError("problem file must be a JSON object")
@@ -108,17 +109,10 @@ def load_problem(path):
         for idx, value in enumerate(raw_coeffs)
     ]
 
-    # the permittivity enters only the float rendering
+    # float rendering only; PotentialSpec checks the range
     epsilon0 = VACUUM_PERMITTIVITY
     if "epsilon0" in data:
-        try:
-            epsilon0 = float(_parse_field(data["epsilon0"], "epsilon0"))
-        except OverflowError:
-            epsilon0 = math.inf
-        if not 0 < epsilon0 < math.inf:
-            raise ProblemError(
-                "field 'epsilon0': must be positive and within float range"
-            )
+        epsilon0 = _parse_field(data["epsilon0"], "epsilon0")
 
     try:
         if kind == "coeffs_b":
@@ -169,20 +163,17 @@ def _profile_arrays(density, samples, span):
     p, q = density.radius.numerator, density.radius.denominator
     ps, qs = p * span.numerator, q * span.denominator
     m = samples - 1
-    try:
-        with OutOfRangeError.guard("sampling the profile"):
-            z = [p * (2 * k - m) / (q * m) for k in range(samples)]
-            s = [ps * (2 * k - m) / (qs * m) for k in range(samples)]
-            if len(set(z)) < samples or len(set(s)) < samples:
-                raise FloatingPointError("distinct sample points float to one value")
-            return {
-                "z": z,
-                "sigma": density.sigma(z),
-                "s": s,
-                "u": induced_axis_potential(density, s),
-            }
-    except OutOfRangeError as exc:
-        raise ProblemError(str(exc)) from None
+    with OutOfRangeError.guard("sampling the profile"):
+        z = [p * (2 * k - m) / (q * m) for k in range(samples)]
+        s = [ps * (2 * k - m) / (qs * m) for k in range(samples)]
+        if len(set(z)) < samples or len(set(s)) < samples:
+            raise FloatingPointError("distinct sample points float to one value")
+        return {
+            "z": z,
+            "sigma": density.sigma(z),
+            "s": s,
+            "u": induced_axis_potential(density, s),
+        }
 
 
 @contextlib.contextmanager
@@ -197,18 +188,19 @@ def _printable(quantity):
 
 
 def run_verification(report):
-    """The oracle's verification block for a solved report; a check the
-    oracle cannot run on this input is bad input."""
-    try:
-        return check_report(report)
-    except OutOfRangeError as exc:
-        raise ProblemError(str(exc)) from None
+    """The oracle's verification block for a solved report, and the exit
+    code its verdict gives: 0 when every check passed, 3 otherwise."""
+    block = check_report(report)
+    return block, 0 if block["passed"] else 3
 
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ProblemError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -255,9 +247,7 @@ def cmd_solve(args):
 
     code = 0
     if args.verify:
-        doc["verification"] = run_verification(report)
-        if not doc["verification"]["passed"]:
-            code = 3
+        doc["verification"], code = run_verification(report)
     _emit(json.dumps(doc, indent=2), args.out)
     if code:
         print("verification failed; see the verification block", file=sys.stderr)
@@ -365,7 +355,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemError as exc:
+    except (ProblemError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,8 +120,10 @@ class PotentialSpec:
             eps = float(self.epsilon0)
         except OverflowError:
             eps = math.inf
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValueError("epsilon0 must be positive and finite")
+        if not 0 < eps < math.inf:
+            raise ValueError(
+                "field 'epsilon0': must be positive and within float range"
+            )
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "coeffs_b", tuple(coeffs))
         object.__setattr__(self, "epsilon0", eps)
@@ -171,7 +173,7 @@ class ChargeDensity:
         """
         coeffs = [float(c) for c in self.coeffs_c]
         prefactor = 2.0 * self.epsilon0 / float(self.radius)
-        return _finite([prefactor * _horner(coeffs, float(z)) for z in points])
+        return [_finite(prefactor * _horner(coeffs, float(z))) for z in points]
 
 
 @dataclass(frozen=True)
@@ -349,13 +351,13 @@ def _horner(coeffs, x):
     return acc
 
 
-def _finite(values):
-    """The float samples, once every one is finite: float arithmetic
-    overflows to inf and NaN without raising, so the samplers raise
-    FloatingPointError themselves."""
-    if not all(map(math.isfinite, values)):
-        raise FloatingPointError("a float sample left its range")
-    return values
+def _finite(value):
+    """A float sample or measurement, once it is finite: float arithmetic
+    overflows to inf and NaN without raising, and max() drops a NaN, so
+    the samplers and the oracle raise FloatingPointError themselves."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"float {value} left its range")
+    return value
 
 
 def induced_axis_potential(density, points):
@@ -383,10 +385,10 @@ def induced_axis_potential(density, points):
     for sf in xs:
         xi = sf / r
         if abs(xi) <= 1.0:
-            values.append(_horner(moments, xi))
+            values.append(_finite(_horner(moments, xi)))
         else:
-            values.append(_horner(moments, 1.0 / xi) / abs(xi))
-    return _finite(values)
+            values.append(_finite(_horner(moments, 1.0 / xi) / abs(xi)))
+    return values
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):

@@ -2,18 +2,21 @@
 
 Nothing here touches the moment-matrix code path beyond reading plain
 coefficient tuples, so agreement between this module and the exact one is
-evidence, not tautology.  Contents: Legendre evaluation by the three-term
-recurrence, Gauss-Legendre rules with Newton-iterated nodes, the moment
-integrals by quadrature, a direct collocation solve of the boundary
-integral equation
+evidence, not tautology.  Contents: Gauss-Legendre rules with
+Newton-iterated nodes, a direct collocation solve of the boundary integral
+equation
 
     int_{-1}^{1} s(eta) / sqrt(xi^2 + 1 - 2 xi eta) d eta = rhs(xi),
 
-brute-force quadrature versions of the multipole moments, the force
-and the axis potential, and ``check_report``, which runs all of these
-against a solved report and returns a JSON-ready verification block.
+its residual for an exact density, brute-force quadrature versions of the
+multipole moments and the force, and ``check_report``, which runs all of
+these against a solved report and returns a JSON-ready verification block.
 A quadrature rule integrates the integrand's values at its nodes, and the
 density is sampled at all of a rule's nodes in one ``sigma`` call.
+
+The settings are module constants: COLLOCATION_POINTS (for the solve and
+the equation residual), COLLOCATION_RESIDUAL_TOL, KERNEL_TOL and
+COLLOCATION_MAX_DEGREE.
 
 The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 (1 - |xi|)^2 > 0, asserted before every evaluation.  Near |xi| -> 1 it
@@ -28,10 +31,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .electrostatics import charge_legendre_moments, induced_axis_potential
+from .electrostatics import (
+    _finite,
+    _horner,
+    charge_legendre_moments,
+    induced_axis_potential,
+)
 
 # the monomial collocation basis turns ill-conditioned beyond degree ~12
 COLLOCATION_MAX_DEGREE = 10
+COLLOCATION_POINTS = 32
+COLLOCATION_RESIDUAL_TOL = 1e-9
+KERNEL_TOL = 1e-13
 
 
 class CollocationError(RuntimeError):
@@ -67,7 +78,6 @@ class QuadratureRule:
 
     nodes: tuple
     weights: tuple
-    order: int
 
     def integrate(self, values):
         """sum_k w_k values[k], for the integrand's values at the nodes."""
@@ -82,15 +92,6 @@ def _legendre_pair(n, x):
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
     return cur, prev
-
-
-def legendre_eval(n, x):
-    """P_n(x) via the three-term recurrence; domain [-1, 1] (tiny slack)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError(f"x = {x} outside [-1, 1]")
-    return _legendre_pair(n, float(x))[0]
 
 
 @lru_cache(maxsize=None)
@@ -119,19 +120,7 @@ def gauss_legendre(order):
         dp = order * (x * p - p_prev) / (x * x - 1.0)
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return QuadratureRule(tuple(nodes), tuple(weights), order)
-
-
-def moment_quadrature(i, j):
-    """Numeric moment integral of P_{i-1} against eta^(j-1) on [-1, 1].
-
-    The integrand is a polynomial of degree i + j - 2, so a rule with
-    (i+j)//2 + 1 nodes integrates it exactly up to roundoff.
-    """
-    if not (1 <= i <= 60 and 1 <= j <= 60):
-        raise ValueError("indices must lie in 1..60")
-    rule = gauss_legendre((i + j) // 2 + 1)
-    return rule.integrate([legendre_eval(i - 1, x) * x ** (j - 1) for x in rule.nodes])
+    return QuadratureRule(tuple(nodes), tuple(weights))
 
 
 _PANEL_RULE = gauss_legendre(16)
@@ -150,31 +139,31 @@ def _kernel_panel(power, xi, a, b):
     return half * total
 
 
-def _kernel_adaptive(power, xi, a, b, estimate, tol, scale, depth):
+def _kernel_adaptive(power, xi, a, b, estimate, scale, depth):
     mid = 0.5 * (a + b)
     left = _kernel_panel(power, xi, a, mid)
     right = _kernel_panel(power, xi, mid, b)
     err = abs(left + right - estimate)
     # absolute floor keeps the per-panel target above float resolution in
     # the boundary layer near eta = sign(xi) when |xi| -> 1
-    if err <= max(tol * (b - a) / 2.0, 1e-16) * scale or depth >= 30:
+    if err <= max(KERNEL_TOL * (b - a) / 2.0, 1e-16) * scale or depth >= 30:
         return left + right
     return _kernel_adaptive(
-        power, xi, a, mid, left, tol, scale, depth + 1
-    ) + _kernel_adaptive(power, xi, mid, b, right, tol, scale, depth + 1)
+        power, xi, a, mid, left, scale, depth + 1
+    ) + _kernel_adaptive(power, xi, mid, b, right, scale, depth + 1)
 
 
-def axis_kernel_integral(j, xi, tol=1e-13):
+def axis_kernel_integral(j, xi):
     """K_j(xi) = int_{-1}^{1} eta^(j-1) / sqrt(xi^2 + 1 - 2 xi eta) d eta.
 
-    Adaptive bisection over 16-node panels.  Valid for any xi with
-    |xi| != 1; for |xi| > 1 this is the (smooth) exterior kernel.
+    Adaptive bisection over 16-node panels to KERNEL_TOL.  Valid for any
+    xi with |xi| != 1; for |xi| > 1 this is the (smooth) exterior kernel.
     """
     if j < 1:
         raise ValueError("indices are 1-based")
     whole = _kernel_panel(j - 1, xi, -1.0, 1.0)
     scale = max(1.0, abs(whole))
-    return _kernel_adaptive(j - 1, xi, -1.0, 1.0, whole, tol, scale, 0)
+    return _kernel_adaptive(j - 1, xi, -1.0, 1.0, whole, scale, 0)
 
 
 @dataclass(frozen=True)
@@ -191,7 +180,7 @@ def chebyshev_points(count):
     return [math.cos((2 * k - 1) * math.pi / (2 * count)) for k in range(1, count + 1)]
 
 
-def collocation_solve(spec, n_points=32, residual_tol=1e-9):
+def collocation_solve(spec):
     """Solve the boundary integral equation directly, bypassing all the
     closed forms.
 
@@ -200,19 +189,19 @@ def collocation_solve(spec, n_points=32, residual_tol=1e-9):
 
         sum_j gamma_j K_j(xi) = sum_i b_i (r xi)^(i-1)
 
-    at ``n_points`` Chebyshev points and solving in the least-squares sense
-    yields gamma_j = c_j r^(j-1).  Raises CollocationError when the
-    residual stays above ``residual_tol`` (relative to the right side).
-    Keep the degree at or below COLLOCATION_MAX_DEGREE, where the monomial
-    basis still gives coefficients good to ~1e-8.
+    at COLLOCATION_POINTS Chebyshev points and solving in the least-squares
+    sense yields gamma_j = c_j r^(j-1).  Raises CollocationError when the
+    residual stays above COLLOCATION_RESIDUAL_TOL (relative to the right
+    side).  Keep the degree at or below COLLOCATION_MAX_DEGREE, where the
+    monomial basis still gives coefficients good to ~1e-8.
     """
     b = [float(x) for x in spec.coeffs_b]
     r = float(spec.radius)
     n1 = len(b)
-    if n_points < n1:
+    if COLLOCATION_POINTS < n1:
         raise ValueError("need at least degree+1 collocation points")
-    points = chebyshev_points(n_points)
-    matrix = np.empty((n_points, n1))
+    points = chebyshev_points(COLLOCATION_POINTS)
+    matrix = np.empty((COLLOCATION_POINTS, n1))
     for row, xi in enumerate(points):
         for j in range(1, n1 + 1):
             matrix[row, j - 1] = axis_kernel_integral(j, xi)
@@ -225,31 +214,30 @@ def collocation_solve(spec, n_points=32, residual_tol=1e-9):
     residual = _finite(float(np.max(np.abs(matrix @ gamma - rhs))))
     residual /= max(1.0, float(np.max(np.abs(rhs))))
     condition = float(singular[0] / singular[-1]) if singular.size else math.inf
-    if residual > residual_tol:
+    if residual > COLLOCATION_RESIDUAL_TOL:
         raise CollocationError(
-            f"collocation residual {residual:.3e} above {residual_tol:.1e}"
+            f"collocation residual {residual:.3e} above "
+            f"{COLLOCATION_RESIDUAL_TOL:.1e}"
         )
     coeffs = tuple(float(g) / r**j for j, g in enumerate(gamma))
     return CollocationSolution(coeffs, residual, condition)
 
 
-def equation_residual(density, n_points=32):
+def equation_residual(density):
     """Max relative residual of the integral equation for an exact density.
 
     Substitutes sigma back into the kernel integral and compares against
     the potential it was solved from (recovered through the Legendre charge
-    moments), at Chebyshev collocation points.
+    moments), at the COLLOCATION_POINTS Chebyshev points.
     """
     r = float(density.radius)
     gammas = [float(c) * r**j for j, c in enumerate(density.coeffs_c)]
     moments = [float(m) for m in charge_legendre_moments(density)]
     worst = 0.0
     scale = 1.0
-    for xi in chebyshev_points(n_points):
+    for xi in chebyshev_points(COLLOCATION_POINTS):
         lhs = sum(g * axis_kernel_integral(j + 1, xi) for j, g in enumerate(gammas))
-        rhs = 0.0
-        for m in reversed(moments):
-            rhs = rhs * xi + m
+        rhs = _horner(moments, xi)
         worst = max(worst, _finite(abs(lhs - rhs)))
         scale = max(scale, abs(rhs))
     return worst / scale
@@ -283,30 +271,6 @@ def brute_force_force(density):
     rule, zs, sigma = _force_samples(density)
     total = rule.integrate([z * v**2 for z, v in zip(zs, sigma)])
     return math.pi / density.epsilon0 * r * total
-
-
-def brute_force_axis_potential(density, s):
-    """Axis potential of the induced charge by direct Coulomb quadrature.
-
-    u(s) = sum_j c_j r^(j-1) K_j(s/r); valid inside and outside the ball
-    (|s| = r excluded, where the kernel touches zero).
-    """
-    r = float(density.radius)
-    xi = float(s) / r
-    if abs(abs(xi) - 1.0) < 1e-12:
-        raise ValueError("|s| = r sits on the surface; kernel is singular")
-    return sum(
-        float(c) * r**j * axis_kernel_integral(j + 1, xi)
-        for j, c in enumerate(density.coeffs_c)
-    )
-
-
-def _finite(value):
-    """A measured float, or FloatingPointError once it has left float
-    range: max() would drop a NaN, and no verdict is given on one."""
-    if not math.isfinite(value):
-        raise FloatingPointError(f"measured {value}")
-    return value
 
 
 def _check(measure, value, tolerance, **diagnostics):

@@ -1,4 +1,5 @@
-"""Reference paths for the moment matrix that only the tests run.
+"""Reference paths for the moment matrix and the oracle that only the
+tests run.
 
 The paper's Appendix proves a row recurrence for F, factorial formulas
 for its diagonal and second superdiagonal, and F G = G F = I.  These are
@@ -9,12 +10,17 @@ the alpha coefficients of the shifted first row.  ``check_f`` and
 on the first disagreement.  Entry functions are 1-based, as in the
 library; entries of ``moment_matrix`` are looked up on the module, so a
 test can corrupt one.
+
+The float references below them are built from the oracle's Legendre
+recurrence, Gauss-Legendre rules and axis kernel: Legendre values, the
+moment integrals F_ij by quadrature, and the axis potential of the
+induced charge by direct Coulomb quadrature.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from axoball import moment_matrix
+from axoball import moment_matrix, oracle
 
 
 def f_entry_recurrence(i, j):
@@ -109,3 +115,40 @@ def check_inverse(g):
     eye = [[int(i == j) for j in range(order)] for i in range(order)]
     if multiply(f, g) != eye or multiply(g, f) != eye:
         raise ArithmeticError("F G or G F is not the identity")
+
+
+def legendre_eval(n, x):
+    """P_n(x) via the three-term recurrence; domain [-1, 1] (tiny slack)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if abs(x) > 1.0 + 1e-12:
+        raise ValueError(f"x = {x} outside [-1, 1]")
+    return oracle._legendre_pair(n, float(x))[0]
+
+
+def moment_quadrature(i, j):
+    """Numeric moment integral of P_{i-1} against eta^(j-1) on [-1, 1].
+
+    The integrand is a polynomial of degree i + j - 2, so a rule with
+    (i+j)//2 + 1 nodes integrates it exactly up to roundoff.
+    """
+    if not (1 <= i <= 60 and 1 <= j <= 60):
+        raise ValueError("indices must lie in 1..60")
+    rule = oracle.gauss_legendre((i + j) // 2 + 1)
+    return rule.integrate([legendre_eval(i - 1, x) * x ** (j - 1) for x in rule.nodes])
+
+
+def brute_force_axis_potential(density, s):
+    """Axis potential of the induced charge by direct Coulomb quadrature.
+
+    u(s) = sum_j c_j r^(j-1) K_j(s/r); valid inside and outside the ball
+    (|s| = r excluded, where the kernel touches zero).
+    """
+    r = float(density.radius)
+    xi = float(s) / r
+    if abs(abs(xi) - 1.0) < 1e-12:
+        raise ValueError("|s| = r sits on the surface; kernel is singular")
+    return sum(
+        float(c) * r**j * oracle.axis_kernel_integral(j + 1, xi)
+        for j, c in enumerate(density.coeffs_c)
+    )

@@ -184,9 +184,9 @@ def test_criterion_07_collocation_oracle_agreement():
             r = Fraction(rng.choice((1, 1, 2)), rng.choice((1, 2)))
             spec = PotentialSpec(r, random_coeffs(rng, degree), epsilon0=1.0)
             density = solve_charge_density(spec)
-            sol = oracle.collocation_solve(spec, n_points=32)
+            sol = oracle.collocation_solve(spec)
             assert sol.residual_norm < 1e-9
-            assert oracle.equation_residual(density, n_points=32) < 1e-9
+            assert oracle.equation_residual(density) < 1e-9
             scale = max(abs(float(x)) for x in density.coeffs_c) or 1.0
             for exact, got in zip(density.coeffs_c, sol.coeffs):
                 assert abs(float(exact) - got) / scale < 1e-8

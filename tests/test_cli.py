@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -26,6 +27,7 @@ from axoball.cli import (
     parse_report,
 )
 from axoball.electrostatics import VACUUM_PERMITTIVITY
+from axoball.oracle import OutOfRangeError
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -130,7 +132,7 @@ def test_verify_breach_exits_3(tmp_path, capsys, monkeypatch):
     import axoball.oracle as oracle_mod
     from axoball.oracle import CollocationSolution
 
-    def bogus(spec, n_points=32, residual_tol=1e-9):
+    def bogus(spec):
         n1 = len(spec.coeffs_b)
         return CollocationSolution((123.0,) * n1, 1e-15, 1.0)
 
@@ -417,7 +419,7 @@ def test_profile_points_are_the_floated_exact_points(radius, span, samples):
     except OverflowError:
         z = s = None
     if z is None or len(set(z)) < samples or len(set(s)) < samples:
-        with pytest.raises(ProblemError, match="sampling the profile"):
+        with pytest.raises(OutOfRangeError, match="sampling the profile"):
             _profile_arrays(density, samples, span)
     else:
         arrays = _profile_arrays(density, samples, span)
@@ -575,3 +577,147 @@ def test_verify_on_nan_samples_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "floats leave their range checking the order-0 multipole moment" in err
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
+
+UNDECODABLE = [
+    pytest.param(b"\xff\xfe{}", "cannot read problem file", id="not-utf-8"),
+    pytest.param(
+        b'{"radius": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        "invalid JSON",
+        id="nested-too-deep",
+    ),
+    pytest.param(
+        b'{"radius": "1", "coeffs_b": ["1"], "moments": [' + b"7" * 5000 + b"]}",
+        "invalid JSON",
+        id="integer-past-digit-limit",
+        marks=pytest.mark.skipif(
+            not DIGIT_LIMIT, reason="this Python reads integers of any length"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,needle", UNDECODABLE)
+def test_undecodable_problem_files_exit_2(tmp_path, capsys, raw, needle):
+    path = tmp_path / "problem.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {needle}")
+    assert len(err.encode()) < 1000  # the input is not echoed
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    path = write_problem(tmp_path, dict(BASIC, profile={"samples": 3}))
+    out_path = tmp_path / "absent" / "x.out" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, command, path, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file")
+
+
+# The exit contract on generated input: every problem file and every byte
+# string exits 0, 2 or 3, with no exception, and solve prints strict JSON.
+# Sizes stay small: degree <= 12 (<= 6 under --verify), moment orders
+# <= 60, decimal exponents |e| <= 400, profile samples <= 50.
+
+rational_texts = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-9, 99)),
+    st.builds(
+        "{}.{}e{}".format,
+        st.integers(-99, 99),
+        st.integers(0, 99),
+        st.integers(-400, 400),
+    ),
+)
+positive_texts = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 99), st.integers(1, 99)),
+    st.builds(
+        "{}.{}e{}".format,
+        st.integers(1, 99),
+        st.integers(0, 99),
+        st.integers(-400, 400),
+    ),
+)
+json_values = st.one_of(
+    rational_texts,
+    st.integers(-99, 99),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(rational_texts, max_size=3),
+    st.dictionaries(st.sampled_from(["coeffs_b", "samples"]), rational_texts),
+)
+FIELDS = (
+    "radius", "r", "coeffs_b", "phi0_coeffs", "potential", "moments", "epsilon0",
+    "profile",
+)
+
+
+@st.composite
+def problem_files(draw, max_degree):
+    """A valid problem file; one in four carries one bad or surplus field."""
+    body = {
+        "radius": draw(positive_texts),
+        draw(st.sampled_from(["coeffs_b", "phi0_coeffs"])): draw(
+            st.lists(rational_texts, min_size=1, max_size=max_degree + 1)
+        ),
+        "moments": draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)),
+    }
+    if draw(st.booleans()):
+        body["epsilon0"] = draw(positive_texts)
+    if draw(st.booleans()):
+        body["profile"] = {
+            "samples": draw(st.integers(2, 50)),
+            "span": draw(positive_texts),
+        }
+    if draw(st.integers(0, 3)) == 0:
+        body[draw(st.sampled_from(FIELDS))] = draw(json_values)
+    return body
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def assert_exit_contract(tmp_path_factory, raw, command, *flags):
+    """main() on a file holding ``raw`` exits 0, 2 or 3 without raising;
+    exit 2 prints only an error line, and solve's stdout is strict JSON."""
+    path = tmp_path_factory.mktemp("contract") / "problem.json"
+    path.write_bytes(raw)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, str(path), *flags])
+    assert code in (0, 2, 3), stderr.getvalue()
+    if code == 2:
+        assert stdout.getvalue() == "" and stderr.getvalue().startswith("error: ")
+    elif command == "solve":
+        json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+
+
+@given(body=problem_files(max_degree=12), command=st.sampled_from(["solve", "profile"]))
+@settings(max_examples=150, deadline=None)
+def test_generated_problem_files_keep_the_exit_contract(tmp_path_factory, body, command):
+    assert_exit_contract(tmp_path_factory, json.dumps(body).encode(), command)
+
+
+@given(body=problem_files(max_degree=6))
+@settings(max_examples=25, deadline=None)
+def test_generated_problem_files_keep_the_exit_contract_under_verify(
+    tmp_path_factory, body
+):
+    raw = json.dumps(body).encode()
+    assert_exit_contract(tmp_path_factory, raw, "solve", "--verify")
+
+
+@given(raw=st.binary(max_size=64), command=st.sampled_from(["solve", "profile"]))
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_bytes_keep_the_exit_contract(tmp_path_factory, raw, command):
+    assert_exit_contract(tmp_path_factory, raw, command)

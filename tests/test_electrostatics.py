@@ -22,8 +22,8 @@ from axoball import (
 )
 from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
-from axoball.oracle import brute_force_axis_potential
 from conftest import random_coeffs, random_radius, random_spec
+from references import brute_force_axis_potential
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 radii = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)

@@ -18,12 +18,12 @@ from axoball.moment_matrix import (
     f_entry_closed_form,
     g_entry,
 )
-from axoball.oracle import moment_quadrature
 from references import (
     alpha_coefficients,
     f_diagonal,
     f_entry_recurrence,
     f_second_superdiagonal,
+    moment_quadrature,
     multiply,
 )
 

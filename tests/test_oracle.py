@@ -10,7 +10,6 @@ from axoball.oracle import (
     CollocationError,
     OutOfRangeError,
     axis_kernel_integral,
-    brute_force_axis_potential,
     brute_force_force,
     brute_force_moment,
     chebyshev_points,
@@ -18,10 +17,9 @@ from axoball.oracle import (
     collocation_solve,
     equation_residual,
     gauss_legendre,
-    legendre_eval,
-    moment_quadrature,
 )
 from conftest import random_spec
+from references import brute_force_axis_potential, legendre_eval, moment_quadrature
 
 
 def test_legendre_values():
@@ -148,14 +146,18 @@ def test_collocation_quadratic_with_radius():
 
 
 def test_collocation_needs_enough_points():
-    with pytest.raises(ValueError):
-        collocation_solve(PotentialSpec(1, (1, 1, 1)), n_points=2)
+    # degree 32 has 33 coefficients, one more than the 32 points
+    with pytest.raises(ValueError, match="collocation points"):
+        collocation_solve(PotentialSpec(1, (1,) * 33))
 
 
-def test_collocation_reports_residual_breach():
+def test_collocation_reports_residual_breach(monkeypatch):
     # an honest solve cannot reach an absurd tolerance
-    with pytest.raises(CollocationError):
-        collocation_solve(PotentialSpec(1, (1, 2, 3)), residual_tol=1e-30)
+    import axoball.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "COLLOCATION_RESIDUAL_TOL", 1e-30)
+    with pytest.raises(CollocationError, match="above 1.0e-30"):
+        collocation_solve(PotentialSpec(1, (1, 2, 3)))
 
 
 def test_equation_residual_small_for_exact_solutions(rng):
