@@ -54,6 +54,17 @@ def _reject_nonfinite(token):
     raise ProblemError(f"non-finite number {token} is not allowed")
 
 
+def _parse_int(token):
+    """An integer literal of a problem file.  Past Python's int-to-str
+    digit limit (4300 by default, which stays set) the message names the
+    limit, not Python's advice to raise it."""
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer literal has more than {limit} digits") from None
+
+
 class ProblemInput:
     """Validated problem file: spec + report options."""
 
@@ -72,7 +83,12 @@ def load_problem(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemError(f"cannot read problem file: {exc}") from None
     try:
-        data = json.loads(text, parse_float=str, parse_constant=_reject_nonfinite)
+        data = json.loads(
+            text,
+            parse_float=str,
+            parse_int=_parse_int,
+            parse_constant=_reject_nonfinite,
+        )
     except (ValueError, RecursionError) as exc:
         # malformed, an integer past Python's digit limit, or nested too deep
         raise ProblemError(f"invalid JSON in {path}: {exc}") from None

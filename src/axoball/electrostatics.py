@@ -58,7 +58,21 @@ VACUUM_PERMITTIVITY = 8.8541878128e-12
 
 
 class ConsistencyError(ArithmeticError):
-    """Two independent exact evaluation paths for one quantity disagreed."""
+    """Two independent exact evaluation paths for one quantity disagreed.
+
+    ``quantity`` is "moment" or "force", ``order`` the moment's order (None
+    for the force), and ``integrated`` and ``closed`` the two exact values
+    in units of pi*eps0.
+    """
+
+    def __init__(
+        self, message, quantity=None, order=None, integrated=None, closed=None
+    ):
+        super().__init__(message)
+        self.quantity = quantity
+        self.order = order
+        self.integrated = integrated
+        self.closed = closed
 
 
 @dataclass(frozen=True)
@@ -275,11 +289,16 @@ def _integrated_moment(density, m):
     return 4 * _integral(numerators, density.radius, m) / lcd
 
 
-def _agreed(label, integrated, closed, density):
+def _agreed(quantity, order, integrated, closed, density):
     """The closed form as an ExactPhysical, once both exact paths agree."""
     if integrated != closed:
+        label = quantity if order is None else f"order-{order} {quantity}"
         raise ConsistencyError(
-            f"{label} paths disagree: integrated {integrated}, closed {closed}"
+            f"{label} paths disagree: integrated {integrated}, closed {closed}",
+            quantity,
+            order,
+            integrated,
+            closed,
         )
     return ExactPhysical(closed, density.epsilon0)
 
@@ -315,7 +334,7 @@ def multipole_moment(density, m):
             break
         acc += (2 * i - 1) * r ** (i - 1) * f_entry(i, m + 1) * b[i - 1]
     closed = 2 * r ** (m + 1) * acc
-    return _agreed(f"order-{m} moment", _integrated_moment(density, m), closed, density)
+    return _agreed("moment", m, _integrated_moment(density, m), closed, density)
 
 
 def axial_force(density):
@@ -340,7 +359,7 @@ def axial_force(density):
         for e in range(1 - a % 2, len(numerators), 2):
             q[a + e] += na * numerators[e]
     integrated = 4 * _integral(q, r, 1) / (r * r * lcd * lcd)
-    return _agreed("force", integrated, closed, density)
+    return _agreed("force", None, integrated, closed, density)
 
 
 def _horner(coeffs, x):

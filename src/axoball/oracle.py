@@ -21,7 +21,13 @@ COLLOCATION_MAX_DEGREE.
 The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 (1 - |xi|)^2 > 0, asserted before every evaluation.  Near |xi| -> 1 it
 develops a boundary layer at eta = sign(xi), which the adaptive panel
-subdivision in ``axis_kernel_integral`` resolves.
+subdivision in ``axis_kernel_integral`` resolves.  That function returns
+the whole table K_j(xi), j = 1..count, at a tuple of points in one call:
+``check_report`` builds one table per run, at degree + 1 columns and the
+COLLOCATION_POINTS Chebyshev points, and hands it to both the collocation
+solve and the equation residual.  Nothing is cached between calls.  The
+table equals, bit for bit, the one-value-at-a-time recursive rule kept in
+the tests as its reference.
 """
 
 import contextlib
@@ -65,9 +71,11 @@ class OutOfRangeError(ValueError):
         """Floats cannot hold every exact value: an overflow, an underflow
         to a zero divisor, and an inf, a NaN or an underflow that merges
         distinct values (raised as FloatingPointError) inside a float stage
-        are reported by the task that hit it."""
+        are reported by the task that hit it.  numpy raises its overflows,
+        divisions by zero and invalid values here too, instead of warning."""
         try:
-            yield
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                yield
         except (OverflowError, ZeroDivisionError, FloatingPointError):
             raise cls(f"floats leave their range {task}") from None
 
@@ -124,46 +132,80 @@ def gauss_legendre(order):
 
 
 _PANEL_RULE = gauss_legendre(16)
+_PANEL_NODES = np.array(_PANEL_RULE.nodes)
 
 
-def _kernel_panel(power, xi, a, b):
-    # fixed 16-node panel for int_a^b eta^power / sqrt(xi^2+1-2 xi eta) d eta
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = 0.0
-    for x, w in zip(_PANEL_RULE.nodes, _PANEL_RULE.weights):
-        eta = mid + half * x
-        den = xi * xi + 1.0 - 2.0 * xi * eta
-        assert den > 0.0, "kernel lost positivity"
-        total += w * eta**power / math.sqrt(den)
+def _panel_sums(level, index, task, count, near, slope):
+    """The 16-node panel rule on [a, a + width], one panel per item, for
+    task t's integrand eta^power / sqrt(near - slope eta) at point t //
+    count and power t % count.  width = 2^(1 - level) and a = -1 + index *
+    width are exact dyadics, so mid and half round as they would from the
+    panel's ends.  eta^power is Python's float power (libm pow), once per
+    distinct (panel, power) pair; the nodes are summed left to right."""
+    width = 2.0 ** (1 - level)
+    half = 0.5 * width
+    point, power = np.divmod(task, count)
+    panels, panel_of = np.unique(index, return_inverse=True)
+    etas = (panels * width - 1.0 + half)[:, None] + half * _PANEL_NODES
+    pairs, pair_of = np.unique(panel_of * count + power, return_inverse=True)
+    exponents = (pairs % count).tolist()
+    total = np.zeros(len(index))
+    for node, weight in enumerate(_PANEL_RULE.weights):
+        eta = etas[:, node]
+        bases = eta[pairs // count].tolist()
+        powers = np.fromiter(map(pow, bases, exponents), float, len(pairs))
+        den = near[point] - slope[point] * eta[panel_of]
+        assert (den > 0.0).all(), "kernel lost positivity"
+        total = total + weight * powers[pair_of] / np.sqrt(den)
     return half * total
 
 
-def _kernel_adaptive(power, xi, a, b, estimate, scale, depth):
-    mid = 0.5 * (a + b)
-    left = _kernel_panel(power, xi, a, mid)
-    right = _kernel_panel(power, xi, mid, b)
-    err = abs(left + right - estimate)
-    # absolute floor keeps the per-panel target above float resolution in
-    # the boundary layer near eta = sign(xi) when |xi| -> 1
-    if err <= max(KERNEL_TOL * (b - a) / 2.0, 1e-16) * scale or depth >= 30:
-        return left + right
-    return _kernel_adaptive(
-        power, xi, a, mid, left, scale, depth + 1
-    ) + _kernel_adaptive(power, xi, mid, b, right, scale, depth + 1)
+def axis_kernel_integral(count, xis):
+    """The table K[row, j - 1] = K_j(xis[row]) for j = 1..count, where
 
+        K_j(xi) = int_{-1}^{1} eta^(j-1) / sqrt(xi^2 + 1 - 2 xi eta) d eta.
 
-def axis_kernel_integral(j, xi):
-    """K_j(xi) = int_{-1}^{1} eta^(j-1) / sqrt(xi^2 + 1 - 2 xi eta) d eta.
-
-    Adaptive bisection over 16-node panels to KERNEL_TOL.  Valid for any
-    xi with |xi| != 1; for |xi| > 1 this is the (smooth) exterior kernel.
+    Adaptive bisection over 16-node panels to KERNEL_TOL, run level by
+    level for every (xi, j) at once: an interval is split in two while its
+    halves' sum moves from its own panel value by more than the tolerance,
+    down to depth 30, and the halves' results are summed back up the tree.
+    Valid for any xi with |xi| != 1; for |xi| > 1 this is the (smooth)
+    exterior kernel.  ``xis`` is a tuple; each call builds its table
+    afresh.
     """
-    if j < 1:
-        raise ValueError("indices are 1-based")
-    whole = _kernel_panel(j - 1, xi, -1.0, 1.0)
-    scale = max(1.0, abs(whole))
-    return _kernel_adaptive(j - 1, xi, -1.0, 1.0, whole, scale, 0)
+    if count < 1:
+        raise ValueError("need at least one kernel column")
+    xi = np.array(xis, dtype=float)
+    near = xi * xi + 1.0
+    slope = 2.0 * xi
+    # task t integrates eta^(t % count) at xis[t // count]
+    task = np.arange(len(xis) * count)
+    index = np.zeros(len(task), dtype=np.int64)
+    estimate = _panel_sums(0, index, task, count, near, slope)
+    scale = np.maximum(1.0, np.abs(estimate))
+    levels = []
+    depth = 0
+    # the open intervals of one depth: their task, index and panel value
+    while task.size:
+        halves = np.column_stack((2 * index, 2 * index + 1)).ravel()
+        twice = np.repeat(task, 2)
+        sums = _panel_sums(depth + 1, halves, twice, count, near, slope)
+        both = sums[0::2] + sums[1::2]
+        # absolute floor keeps the per-panel target above float resolution
+        # in the boundary layer near eta = sign(xi) when |xi| -> 1
+        tol = max(KERNEL_TOL * 2.0 ** (1 - depth) / 2.0, 1e-16)
+        done = (np.abs(both - estimate) <= tol * scale[task]) | (depth >= 30)
+        levels.append((done, both))
+        split = np.repeat(~done, 2)
+        task, index, estimate = twice[split], halves[split], sums[split]
+        depth += 1
+    # an interval's result is its halves' sum where it stopped, else the
+    # sum of its halves' results; the deepest level stops everywhere
+    _, values = levels.pop()
+    for done, both in reversed(levels):
+        both[~done] = values[0::2] + values[1::2]
+        values = both
+    return values.reshape(len(xis), count)
 
 
 @dataclass(frozen=True)
@@ -180,9 +222,10 @@ def chebyshev_points(count):
     return [math.cos((2 * k - 1) * math.pi / (2 * count)) for k in range(1, count + 1)]
 
 
-def collocation_solve(spec):
+def collocation_solve(spec, kernel):
     """Solve the boundary integral equation directly, bypassing all the
-    closed forms.
+    closed forms.  ``kernel`` is the table ``axis_kernel_integral(degree +
+    1, points)`` at the COLLOCATION_POINTS Chebyshev points.
 
     The dimensionless density s(eta) = (r / 2 eps0) sigma(r eta) is
     expanded over monomials eta^(j-1); enforcing
@@ -200,18 +243,16 @@ def collocation_solve(spec):
     n1 = len(b)
     if COLLOCATION_POINTS < n1:
         raise ValueError("need at least degree+1 collocation points")
+    if kernel.shape != (COLLOCATION_POINTS, n1):
+        raise ValueError("need the kernel table with one column per coefficient")
     points = chebyshev_points(COLLOCATION_POINTS)
-    matrix = np.empty((COLLOCATION_POINTS, n1))
-    for row, xi in enumerate(points):
-        for j in range(1, n1 + 1):
-            matrix[row, j - 1] = axis_kernel_integral(j, xi)
     rhs = np.array(
         [sum(bi * (r * xi) ** i for i, bi in enumerate(b)) for xi in points]
     )
-    gamma, _, rank, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
+    gamma, _, rank, singular = np.linalg.lstsq(kernel, rhs, rcond=None)
     if rank < n1:
         raise CollocationError(f"collocation matrix rank {rank} < {n1}")
-    residual = _finite(float(np.max(np.abs(matrix @ gamma - rhs))))
+    residual = _finite(float(np.max(np.abs(kernel @ gamma - rhs))))
     residual /= max(1.0, float(np.max(np.abs(rhs))))
     condition = float(singular[0] / singular[-1]) if singular.size else math.inf
     if residual > COLLOCATION_RESIDUAL_TOL:
@@ -223,20 +264,21 @@ def collocation_solve(spec):
     return CollocationSolution(coeffs, residual, condition)
 
 
-def equation_residual(density):
+def equation_residual(density, kernel):
     """Max relative residual of the integral equation for an exact density.
 
     Substitutes sigma back into the kernel integral and compares against
     the potential it was solved from (recovered through the Legendre charge
-    moments), at the COLLOCATION_POINTS Chebyshev points.
+    moments), at the COLLOCATION_POINTS Chebyshev points, whose ``kernel``
+    table has at least degree + 1 columns.
     """
     r = float(density.radius)
     gammas = [float(c) * r**j for j, c in enumerate(density.coeffs_c)]
     moments = [float(m) for m in charge_legendre_moments(density)]
     worst = 0.0
     scale = 1.0
-    for xi in chebyshev_points(COLLOCATION_POINTS):
-        lhs = sum(g * axis_kernel_integral(j + 1, xi) for j, g in enumerate(gammas))
+    for xi, row in zip(chebyshev_points(COLLOCATION_POINTS), kernel.tolist()):
+        lhs = sum(g * k for g, k in zip(gammas, row))
         rhs = _horner(moments, xi)
         worst = max(worst, _finite(abs(lhs - rhs)))
         scale = max(scale, abs(rhs))
@@ -279,12 +321,12 @@ def _check(measure, value, tolerance, **diagnostics):
     return {measure: value, **diagnostics, "tolerance": tolerance, "passed": passed}
 
 
-def _collocation_check(density):
+def _collocation_check(density, kernel):
     if density.degree > COLLOCATION_MAX_DEGREE:
         # past the basis's reach this is no failure
         return {"skipped": f"degree above {COLLOCATION_MAX_DEGREE}", "passed": True}
     try:
-        sol = collocation_solve(density.spec)
+        sol = collocation_solve(density.spec, kernel)
     except CollocationError as exc:
         return {"error": str(exc), "passed": False}
     scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
@@ -314,11 +356,14 @@ def check_report(report):
     density = report.density
     checks = {}
     eps = density.epsilon0
+    # the one kernel table of the run, at the fixed collocation points
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    kernel = axis_kernel_integral(density.degree + 1, points)
     with OutOfRangeError.guard("checking the charge density"):
         r = float(density.radius)
-        checks["collocation"] = _collocation_check(density)
+        checks["collocation"] = _collocation_check(density, kernel)
         checks["equation_residual"] = _check(
-            "value", equation_residual(density), 1e-9
+            "value", equation_residual(density, kernel), 1e-9
         )
 
     # moment quadrature vs exact, relative to the cancellation-free

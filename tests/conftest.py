@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from axoball import PotentialSpec
+from axoball import PotentialSpec, oracle
 
 
 @pytest.fixture
@@ -35,3 +35,9 @@ def random_spec(rng, max_degree=20, max_radius=10, epsilon0=1.0):
     return PotentialSpec(
         random_radius(rng, max_radius), random_coeffs(rng, degree), epsilon0
     )
+
+
+def collocation_kernel(count):
+    """The oracle's kernel table at its collocation points, count columns."""
+    points = tuple(oracle.chebyshev_points(oracle.COLLOCATION_POINTS))
+    return oracle.axis_kernel_integral(count, points)

@@ -13,12 +13,14 @@ test can corrupt one.
 
 The float references below them are built from the oracle's Legendre
 recurrence, Gauss-Legendre rules and axis kernel: Legendre values, the
-moment integrals F_ij by quadrature, and the axis potential of the
-induced charge by direct Coulomb quadrature.
+moment integrals F_ij by quadrature, the recursive one-value-at-a-time
+kernel rule that the oracle's batched kernel table must equal bit for
+bit, and the axis potential of the induced charge by direct Coulomb
+quadrature.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 
 from axoball import moment_matrix, oracle
 
@@ -138,17 +140,58 @@ def moment_quadrature(i, j):
     return rule.integrate([legendre_eval(i - 1, x) * x ** (j - 1) for x in rule.nodes])
 
 
-def brute_force_axis_potential(density, s):
-    """Axis potential of the induced charge by direct Coulomb quadrature.
+_PANEL_RULE = oracle.gauss_legendre(16)
+
+
+def _kernel_panel(power, xi, a, b):
+    # fixed 16-node panel for int_a^b eta^power / sqrt(xi^2+1-2 xi eta) d eta
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    for x, w in zip(_PANEL_RULE.nodes, _PANEL_RULE.weights):
+        eta = mid + half * x
+        den = xi * xi + 1.0 - 2.0 * xi * eta
+        assert den > 0.0, "kernel lost positivity"
+        total += w * eta**power / sqrt(den)
+    return half * total
+
+
+def _kernel_adaptive(power, xi, a, b, estimate, scale, depth):
+    mid = 0.5 * (a + b)
+    left = _kernel_panel(power, xi, a, mid)
+    right = _kernel_panel(power, xi, mid, b)
+    err = abs(left + right - estimate)
+    if err <= max(oracle.KERNEL_TOL * (b - a) / 2.0, 1e-16) * scale or depth >= 30:
+        return left + right
+    return _kernel_adaptive(
+        power, xi, a, mid, left, scale, depth + 1
+    ) + _kernel_adaptive(power, xi, mid, b, right, scale, depth + 1)
+
+
+def axis_kernel(j, xi):
+    """K_j(xi) by the recursive adaptive rule, one (j, xi) at a time: the
+    bit-for-bit reference for the oracle's batched
+    ``axis_kernel_integral(count, xis)[row, j - 1]``."""
+    if j < 1:
+        raise ValueError("indices are 1-based")
+    whole = _kernel_panel(j - 1, xi, -1.0, 1.0)
+    scale = max(1.0, abs(whole))
+    return _kernel_adaptive(j - 1, xi, -1.0, 1.0, whole, scale, 0)
+
+
+def brute_force_axis_potential(density, points):
+    """Axis potential of the induced charge by direct Coulomb quadrature,
+    at each axial coordinate s of ``points``, from one kernel table.
 
     u(s) = sum_j c_j r^(j-1) K_j(s/r); valid inside and outside the ball
     (|s| = r excluded, where the kernel touches zero).
     """
     r = float(density.radius)
-    xi = float(s) / r
-    if abs(abs(xi) - 1.0) < 1e-12:
+    xis = tuple(float(s) / r for s in points)
+    if any(abs(abs(xi) - 1.0) < 1e-12 for xi in xis):
         raise ValueError("|s| = r sits on the surface; kernel is singular")
-    return sum(
-        float(c) * r**j * oracle.axis_kernel_integral(j + 1, xi)
-        for j, c in enumerate(density.coeffs_c)
-    )
+    kernel = oracle.axis_kernel_integral(len(density.coeffs_c), xis)
+    return [
+        sum(float(c) * r**j * k for j, (c, k) in enumerate(zip(density.coeffs_c, row)))
+        for row in kernel.tolist()
+    ]

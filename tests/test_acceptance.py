@@ -33,7 +33,7 @@ from axoball import oracle
 from axoball.cli import main as cli_main
 from axoball.cli import parse_report
 from axoball.moment_matrix import f_entry_closed_form, g_entry
-from conftest import random_coeffs, random_radius
+from conftest import collocation_kernel, random_coeffs, random_radius
 from references import (
     alpha_coefficients,
     f_diagonal,
@@ -184,9 +184,10 @@ def test_criterion_07_collocation_oracle_agreement():
             r = Fraction(rng.choice((1, 1, 2)), rng.choice((1, 2)))
             spec = PotentialSpec(r, random_coeffs(rng, degree), epsilon0=1.0)
             density = solve_charge_density(spec)
-            sol = oracle.collocation_solve(spec)
+            kernel = collocation_kernel(density.degree + 1)
+            sol = oracle.collocation_solve(spec, kernel)
             assert sol.residual_norm < 1e-9
-            assert oracle.equation_residual(density) < 1e-9
+            assert oracle.equation_residual(density, kernel) < 1e-9
             scale = max(abs(float(x)) for x in density.coeffs_c) or 1.0
             for exact, got in zip(density.coeffs_c, sol.coeffs):
                 assert abs(float(exact) - got) / scale < 1e-8

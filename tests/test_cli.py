@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -132,7 +133,7 @@ def test_verify_breach_exits_3(tmp_path, capsys, monkeypatch):
     import axoball.oracle as oracle_mod
     from axoball.oracle import CollocationSolution
 
-    def bogus(spec):
+    def bogus(spec, kernel):
         n1 = len(spec.coeffs_b)
         return CollocationSolution((123.0,) * n1, 1e-15, 1.0)
 
@@ -579,7 +580,33 @@ def test_verify_on_nan_samples_exits_2(tmp_path, capsys):
     assert "floats leave their range checking the order-0 multipole moment" in err
 
 
+def test_verify_out_of_range_floats_leave_one_stderr_line(tmp_path, capsys):
+    # gamma_3 = +inf and gamma_5 = -inf in the collocation solve: numpy's
+    # overflow and invalid value reach the oracle's guard, not a warning
+    body = {"radius": "10", "coeffs_b": ["0", "0", "0", "0", "1e304"], "epsilon0": "1"}
+    path = write_problem(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "solve", path, "--verify")
+    assert code == 2
+    assert out == ""
+    assert err == "error: floats leave their range checking the charge density\n"
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads integers of any length")
+def test_integer_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    moments = "7" * 5000
+    path.write_text('{"radius": "1", "coeffs_b": ["1"], "moments": [' + moments + "]}")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    message = f"an integer literal has more than {limit} digits"
+    assert err == f"error: invalid JSON in {path}: {message}\n"
 
 UNDECODABLE = [
     pytest.param(b"\xff\xfe{}", "cannot read problem file", id="not-utf-8"),

@@ -209,11 +209,24 @@ def test_density_that_does_not_solve_its_spec_is_caught():
     # closed forms read the spec's b, integrated paths the density's c
     good = solve_charge_density(PotentialSpec(2, (1, 2, 3)))
     bad = dataclasses.replace(good, coeffs_c=tuple(c + 1 for c in good.coeffs_c))
-    for quantity in (total_charge, dipole_moment, axial_force):
-        with pytest.raises(ConsistencyError):
+    cases = [
+        (total_charge, ("moment", 0)),
+        (dipole_moment, ("moment", 1)),
+        (axial_force, ("force", None)),
+        (lambda density: multipole_moment(density, 2), ("moment", 2)),
+    ]
+    for quantity, (name, order) in cases:
+        with pytest.raises(ConsistencyError) as caught:
             quantity(bad)
-    with pytest.raises(ConsistencyError):
-        multipole_moment(bad, 2)
+        error = caught.value
+        assert (error.quantity, error.order) == (name, order)
+        label = name if order is None else f"order-{order} {name}"
+        assert str(error) == (
+            f"{label} paths disagree: "
+            f"integrated {error.integrated}, closed {error.closed}"
+        )
+        # the closed form reads b, so it is the good density's value
+        assert error.closed == quantity(good).coeff != error.integrated
 
 
 def test_parity_of_density_matches_potential(rng):
@@ -299,9 +312,10 @@ def test_exterior_potential_matches_coulomb_quadrature(rng):
         scale = 1.0 + sum(abs(float(m)) for m in charge_legendre_moments(density))
         r = float(spec.radius)
         points = [1.7 * r, -1.7 * r, 12.0 * r]
-        for s, series in zip(points, induced_axis_potential(density, points)):
-            direct = brute_force_axis_potential(density, s)
-            assert abs(series - direct) <= 1e-9 * scale
+        series = induced_axis_potential(density, points)
+        direct = brute_force_axis_potential(density, points)
+        for u, u_direct in zip(series, direct):
+            assert abs(u - u_direct) <= 1e-9 * scale
 
 
 def test_even_potential_has_even_axis_potential():

@@ -7,6 +7,7 @@ from axoball import PotentialSpec, build_report, solve_charge_density
 from axoball.electrostatics import axial_force, multipole_moment
 from axoball.moment_matrix import f_entry_closed_form
 from axoball.oracle import (
+    COLLOCATION_POINTS,
     CollocationError,
     OutOfRangeError,
     axis_kernel_integral,
@@ -18,8 +19,13 @@ from axoball.oracle import (
     equation_residual,
     gauss_legendre,
 )
-from conftest import random_spec
-from references import brute_force_axis_potential, legendre_eval, moment_quadrature
+from conftest import collocation_kernel, random_spec
+from references import (
+    axis_kernel,
+    brute_force_axis_potential,
+    legendre_eval,
+    moment_quadrature,
+)
 
 
 def test_legendre_values():
@@ -92,29 +98,85 @@ def test_moment_quadrature_bounds():
 
 def test_kernel_integral_constant_mode():
     # int d eta / sqrt(xi^2+1-2 xi eta) is exactly 2 inside, 2/|xi| outside
-    for xi in (0.1, -0.35, 0.62, -0.9, 0.988):
-        assert axis_kernel_integral(1, xi) == pytest.approx(2.0, rel=1e-12)
-    for xi in (1.5, -2.0, 10.0):
-        assert axis_kernel_integral(1, xi) == pytest.approx(
-            2.0 / abs(xi), rel=1e-12
-        )
+    inside = (0.1, -0.35, 0.62, -0.9, 0.988)
+    for k in axis_kernel_integral(1, inside)[:, 0]:
+        assert k == pytest.approx(2.0, rel=1e-12)
+    outside = (1.5, -2.0, 10.0)
+    for xi, k in zip(outside, axis_kernel_integral(1, outside)[:, 0]):
+        assert k == pytest.approx(2.0 / abs(xi), rel=1e-12)
 
 
 def test_kernel_integral_matches_legendre_expansion():
     # K_j(xi) = sum_k F_{k+1,j} xi^k inside and, outside,
     # (1/|xi|) sum_k F_{k+1,j} xi^-k (the |xi| carries the sign of the
     # Coulomb prefactor on the negative axis)
+    xis = (0.37, -0.81, 1.25, -3.0)
+    table = axis_kernel_integral(5, xis)
     for j in (2, 3, 5):
-        for xi in (0.37, -0.81):
-            expected = sum(
-                float(f_entry_closed_form(k + 1, j)) * xi**k for k in range(j)
-            )
-            assert axis_kernel_integral(j, xi) == pytest.approx(expected, rel=1e-11)
-        for xi in (1.25, -3.0):
-            expected = sum(
-                float(f_entry_closed_form(k + 1, j)) * xi**-k for k in range(j)
-            ) / abs(xi)
-            assert axis_kernel_integral(j, xi) == pytest.approx(expected, rel=1e-11)
+        f = [float(f_entry_closed_form(k + 1, j)) for k in range(j)]
+        for xi, row in zip(xis, table):
+            if abs(xi) < 1:
+                expected = sum(fk * xi**k for k, fk in enumerate(f))
+            else:
+                expected = sum(fk * xi**-k for k, fk in enumerate(f)) / abs(xi)
+            assert row[j - 1] == pytest.approx(expected, rel=1e-11)
+
+
+def test_kernel_table_is_the_recursive_rule_bit_for_bit():
+    # every column at every collocation point, for each table width
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    reference = [[axis_kernel(j, xi) for j in range(1, 26)] for xi in points]
+    for count in range(1, 26):
+        table = axis_kernel_integral(count, points)
+        assert table.shape == (COLLOCATION_POINTS, count)
+        assert table.tolist() == [row[:count] for row in reference]
+
+
+def test_wide_kernel_table_is_the_recursive_rule_bit_for_bit():
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))[::15]
+    table = axis_kernel_integral(201, points)
+    reference = [[axis_kernel(j, xi) for j in range(1, 202)] for xi in points]
+    assert table.tolist() == reference
+
+
+def test_exterior_kernel_table_is_the_recursive_rule_bit_for_bit():
+    # the scaled points of the exterior Coulomb quadrature, and points
+    # just outside the ball
+    xis = (1.7, -1.7, 12.0, 1.5, -2.0, 1.0001, -1.01)
+    table = axis_kernel_integral(8, xis)
+    assert table.tolist() == [[axis_kernel(j, xi) for j in range(1, 9)] for xi in xis]
+
+
+def test_kernel_table_is_built_afresh_per_call():
+    # no table outlives its call: a caller may overwrite the one it got
+    points = (0.25, -0.5)
+    first = axis_kernel_integral(3, points)
+    expected = first.tolist()
+    first[:] = 0.0
+    assert axis_kernel_integral(3, points).tolist() == expected
+
+
+def test_kernel_table_needs_a_column():
+    with pytest.raises(ValueError, match="column"):
+        axis_kernel_integral(0, (0.5,))
+
+
+@pytest.mark.parametrize("degree", [3, 14])
+def test_check_report_builds_one_kernel_table(monkeypatch, degree):
+    # the collocation solve (degree <= 10) and the residual share it
+    import axoball.oracle as oracle_mod
+
+    calls = []
+
+    def counted(count, xis):
+        calls.append((count, xis))
+        return axis_kernel_integral(count, xis)
+
+    monkeypatch.setattr(oracle_mod, "axis_kernel_integral", counted)
+    report = build_report(PotentialSpec(1, tuple(range(1, degree + 2))))
+    block = check_report(report)
+    assert ("skipped" in block["checks"]["collocation"]) == (degree > 10)
+    assert calls == [(degree + 1, tuple(chebyshev_points(COLLOCATION_POINTS)))]
 
 
 def test_chebyshev_points_lie_inside():
@@ -125,20 +187,22 @@ def test_chebyshev_points_lie_inside():
 
 
 def test_collocation_recovers_constant_density():
-    sol = collocation_solve(PotentialSpec(1, (1,), epsilon0=1.0))
+    sol = collocation_solve(PotentialSpec(1, (1,), epsilon0=1.0), collocation_kernel(1))
     assert sol.coeffs[0] == pytest.approx(0.5, abs=1e-9)
     assert sol.residual_norm < 1e-9
 
 
 def test_collocation_recovers_linear_density():
-    sol = collocation_solve(PotentialSpec(1, (0, 1), epsilon0=1.0))
+    spec = PotentialSpec(1, (0, 1), epsilon0=1.0)
+    sol = collocation_solve(spec, collocation_kernel(2))
     assert sol.coeffs[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.coeffs[1] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_collocation_quadratic_with_radius():
     r = 2.0
-    sol = collocation_solve(PotentialSpec(2, (0, 0, 1), epsilon0=1.0))
+    spec = PotentialSpec(2, (0, 0, 1), epsilon0=1.0)
+    sol = collocation_solve(spec, collocation_kernel(3))
     assert sol.coeffs[0] == pytest.approx(-1.25 * r * r, rel=1e-8)
     assert sol.coeffs[1] == pytest.approx(0.0, abs=1e-8)
     assert sol.coeffs[2] == pytest.approx(3.75, rel=1e-8)
@@ -148,7 +212,12 @@ def test_collocation_quadratic_with_radius():
 def test_collocation_needs_enough_points():
     # degree 32 has 33 coefficients, one more than the 32 points
     with pytest.raises(ValueError, match="collocation points"):
-        collocation_solve(PotentialSpec(1, (1,) * 33))
+        collocation_solve(PotentialSpec(1, (1,) * 33), collocation_kernel(33))
+
+
+def test_collocation_needs_one_kernel_column_per_coefficient():
+    with pytest.raises(ValueError, match="one column per coefficient"):
+        collocation_solve(PotentialSpec(1, (1, 2, 3)), collocation_kernel(4))
 
 
 def test_collocation_reports_residual_breach(monkeypatch):
@@ -157,13 +226,14 @@ def test_collocation_reports_residual_breach(monkeypatch):
 
     monkeypatch.setattr(oracle_mod, "COLLOCATION_RESIDUAL_TOL", 1e-30)
     with pytest.raises(CollocationError, match="above 1.0e-30"):
-        collocation_solve(PotentialSpec(1, (1, 2, 3)))
+        collocation_solve(PotentialSpec(1, (1, 2, 3)), collocation_kernel(3))
 
 
 def test_equation_residual_small_for_exact_solutions(rng):
     for _ in range(5):
         density = solve_charge_density(random_spec(rng, max_degree=8, max_radius=2))
-        assert equation_residual(density) < 1e-9
+        kernel = collocation_kernel(density.degree + 1)
+        assert equation_residual(density, kernel) < 1e-9
 
 
 def test_brute_moment_odd_mode_vanishes():
@@ -215,17 +285,15 @@ def test_brute_force_matches_exact(rng):
 def test_brute_axis_potential_interior_matches_negated_phi0():
     spec = PotentialSpec(1, (2, -1, Fraction(1, 2)), epsilon0=1.0)
     density = solve_charge_density(spec)
-    for s in (-0.6, 0.0, 0.5):
-        expected = 2 - s + 0.5 * s * s
-        assert brute_force_axis_potential(density, s) == pytest.approx(
-            expected, rel=1e-11
-        )
+    points = (-0.6, 0.0, 0.5)
+    for s, u in zip(points, brute_force_axis_potential(density, points)):
+        assert u == pytest.approx(2 - s + 0.5 * s * s, rel=1e-11)
 
 
 def test_brute_axis_potential_rejects_surface_points():
     density = solve_charge_density(PotentialSpec(1, (1,)))
     with pytest.raises(ValueError):
-        brute_force_axis_potential(density, 1.0)
+        brute_force_axis_potential(density, [0.5, 1.0])
 
 
 CHECK_KEYS = {
@@ -293,7 +361,8 @@ def test_check_report_gives_no_verdict_on_nan(monkeypatch, name):
 def test_equation_residual_refuses_nan():
     # gamma_3 = +inf and gamma_5 = -inf while every float of b and c is finite
     density = solve_charge_density(PotentialSpec(10, (0, 0, 0, 0, "1e304"), 1.0))
+    kernel = collocation_kernel(5)
     with pytest.raises(FloatingPointError):
-        equation_residual(density)
+        equation_residual(density, kernel)
     with pytest.raises(FloatingPointError):
-        collocation_solve(density.spec)
+        collocation_solve(density.spec, kernel)
