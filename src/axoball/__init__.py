@@ -5,8 +5,12 @@ induced on the ball (surface charge density, total charge, multipole
 moments of any order, axial force, axis potential) follows in exact
 rational arithmetic from the Legendre moment matrix and its inverse.  A
 floating-point oracle solves the same boundary integral equation
-numerically and cross-checks every closed form.
+numerically and cross-checks every closed form.  The package logs to
+the ``axoball`` logger, which drops every record until the application
+gives it a handler.
 """
+
+import logging
 
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
@@ -36,6 +40,8 @@ from .moment_matrix import (
 from .rational import format_rational, parse_rational
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "VACUUM_PERMITTIVITY",

@@ -147,6 +147,8 @@ def load_problem(path):
             raise ProblemError(
                 f"field 'moments[{idx}]': must be a non-negative integer"
             )
+        if m > 1000:
+            raise ProblemError(f"field 'moments[{idx}]': must be at most 1000")
         if m not in moments:
             moments.append(m)
 

@@ -25,12 +25,16 @@ subdivision in ``axis_kernel_integral`` resolves.  That function returns
 the whole table K_j(xi), j = 1..count, at a tuple of points in one call:
 ``check_report`` builds one table per run, at degree + 1 columns and the
 COLLOCATION_POINTS Chebyshev points, and hands it to both the collocation
-solve and the equation residual.  Nothing is cached between calls.  The
-table equals, bit for bit, the one-value-at-a-time recursive rule kept in
-the tests as its reference.
+solve and the equation residual.  Nothing is cached between calls.  At
+each level of the bisection the table takes one libm pow per node and
+power for each mirrored pair of panels (eta -> -eta), and one sqrt per
+point, panel and node.  It equals, bit for bit, the one-value-at-a-time
+recursive rule kept in the tests as its reference, and it logs its size
+and work as one DEBUG record to the ``axoball.oracle`` logger.
 """
 
 import contextlib
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +53,8 @@ COLLOCATION_MAX_DEGREE = 10
 COLLOCATION_POINTS = 32
 COLLOCATION_RESIDUAL_TOL = 1e-9
 KERNEL_TOL = 1e-13
+
+_log = logging.getLogger(__name__)
 
 
 class CollocationError(RuntimeError):
@@ -133,31 +139,65 @@ def gauss_legendre(order):
 
 _PANEL_RULE = gauss_legendre(16)
 _PANEL_NODES = np.array(_PANEL_RULE.nodes)
+_PANEL_WEIGHTS = np.array(_PANEL_RULE.weights)[:, None]
+# libm pow, as Python's float power reaches it; a module name, so that the
+# tests can count its calls
+_pow = math.pow
 
 
 def _panel_sums(level, index, task, count, near, slope):
     """The 16-node panel rule on [a, a + width], one panel per item, for
     task t's integrand eta^power / sqrt(near - slope eta) at point t //
-    count and power t % count.  width = 2^(1 - level) and a = -1 + index *
-    width are exact dyadics, so mid and half round as they would from the
-    panel's ends.  eta^power is Python's float power (libm pow), once per
-    distinct (panel, power) pair; the nodes are summed left to right."""
+    count and power t % count; and the number of pow calls it made.
+
+    width = 2^(1 - level) and a = -1 + index * width are exact dyadics, so
+    mid and half round as they would from the panel's ends.  The rule is
+    antisymmetric (node k is minus node 15 - k, with the same weight), so
+    panel last - i has exactly panel i's etas, negated and in reverse
+    order.  Python's float power takes eta^power for a negative eta as
+    +-pow(-eta, power), so one libm pow(|eta|, power) per node and power
+    serves a mirrored pair of panels: the sign flips for odd powers.
+    sqrt(near - slope eta) is taken once per (point, panel, node).  Each
+    item sums its nodes' (w eta^power) / sqrt(near - slope eta) left to
+    right from 0.0, as the recursive rule does."""
     width = 2.0 ** (1 - level)
     half = 0.5 * width
+    last = 2**level - 1
+    nodes = _PANEL_NODES[:, None]
     point, power = np.divmod(task, count)
-    panels, panel_of = np.unique(index, return_inverse=True)
-    etas = (panels * width - 1.0 + half)[:, None] + half * _PANEL_NODES
-    pairs, pair_of = np.unique(panel_of * count + power, return_inverse=True)
-    exponents = (pairs % count).tolist()
+    # pairs: (left panel of a mirrored pair, power); keys: the pairs on
+    # their left panels, then on the right ones
+    mirrored = index > last - index
+    pairs, pair_of = np.unique(
+        np.minimum(index, last - index) * count + power, return_inverse=True
+    )
+    key_of = pair_of + len(pairs) * mirrored
+    exponent = pairs % count
+    odd = exponent % 2 == 1
+    # row k of each table is node k; the right panel's node k is minus the
+    # left panel's node 15 - k
+    etas = (pairs // count) * width - 1.0 + half + half * nodes
+    exponents = exponent.astype(float).tolist()
+    # one node's bases at a time as Python floats
+    sizes = np.array(
+        [
+            np.fromiter(map(_pow, row.tolist(), exponents), float, len(pairs))
+            for row in np.abs(etas)
+        ]
+    )
+    left = _PANEL_WEIGHTS * np.where(odd & (etas < 0.0), -sizes, sizes)
+    right = np.where(odd, -left[::-1], left[::-1])
+    wpow = np.concatenate((left, right), axis=1)
+    cells, cell_of = np.unique(index * len(near) + point, return_inverse=True)
+    at = cells % len(near)
+    cell_etas = (cells // len(near)) * width - 1.0 + half + half * nodes
+    den = near[at] - slope[at] * cell_etas
+    assert (den > 0.0).all(), "kernel lost positivity"
+    root = np.sqrt(den)
     total = np.zeros(len(index))
-    for node, weight in enumerate(_PANEL_RULE.weights):
-        eta = etas[:, node]
-        bases = eta[pairs // count].tolist()
-        powers = np.fromiter(map(pow, bases, exponents), float, len(pairs))
-        den = near[point] - slope[point] * eta[panel_of]
-        assert (den > 0.0).all(), "kernel lost positivity"
-        total = total + weight * powers[pair_of] / np.sqrt(den)
-    return half * total
+    for node in range(len(_PANEL_NODES)):
+        total = total + wpow[node][key_of] / root[node][cell_of]
+    return half * total, sizes.size
 
 
 def axis_kernel_integral(count, xis):
@@ -181,15 +221,18 @@ def axis_kernel_integral(count, xis):
     # task t integrates eta^(t % count) at xis[t // count]
     task = np.arange(len(xis) * count)
     index = np.zeros(len(task), dtype=np.int64)
-    estimate = _panel_sums(0, index, task, count, near, slope)
+    estimate, pow_calls = _panel_sums(0, index, task, count, near, slope)
     scale = np.maximum(1.0, np.abs(estimate))
+    panels = len(task)
     levels = []
     depth = 0
     # the open intervals of one depth: their task, index and panel value
     while task.size:
         halves = np.column_stack((2 * index, 2 * index + 1)).ravel()
         twice = np.repeat(task, 2)
-        sums = _panel_sums(depth + 1, halves, twice, count, near, slope)
+        sums, calls = _panel_sums(depth + 1, halves, twice, count, near, slope)
+        panels += len(halves)
+        pow_calls += calls
         both = sums[0::2] + sums[1::2]
         # absolute floor keeps the per-panel target above float resolution
         # in the boundary layer near eta = sign(xi) when |xi| -> 1
@@ -205,6 +248,15 @@ def axis_kernel_integral(count, xis):
     for done, both in reversed(levels):
         both[~done] = values[0::2] + values[1::2]
         values = both
+    _log.debug(
+        "kernel table: %d columns at %d points, %d levels deep, "
+        "%d panel evaluations, %d pow calls",
+        count,
+        len(xis),
+        depth,
+        panels,
+        pow_calls,
+    )
     return values.reshape(len(xis), count)
 
 
@@ -235,8 +287,9 @@ def collocation_solve(spec, kernel):
     at COLLOCATION_POINTS Chebyshev points and solving in the least-squares
     sense yields gamma_j = c_j r^(j-1).  Raises CollocationError when the
     residual stays above COLLOCATION_RESIDUAL_TOL (relative to the right
-    side).  Keep the degree at or below COLLOCATION_MAX_DEGREE, where the
-    monomial basis still gives coefficients good to ~1e-8.
+    side), and FloatingPointError when its floats leave their range.  Keep
+    the degree at or below COLLOCATION_MAX_DEGREE, where the monomial basis
+    still gives coefficients good to ~1e-8.
     """
     b = [float(x) for x in spec.coeffs_b]
     r = float(spec.radius)
@@ -252,7 +305,9 @@ def collocation_solve(spec, kernel):
     gamma, _, rank, singular = np.linalg.lstsq(kernel, rhs, rcond=None)
     if rank < n1:
         raise CollocationError(f"collocation matrix rank {rank} < {n1}")
-    residual = _finite(float(np.max(np.abs(kernel @ gamma - rhs))))
+    # an inf in gamma raises here, as in check_report, instead of warning
+    with np.errstate(over="raise", invalid="raise"):
+        residual = _finite(float(np.max(np.abs(kernel @ gamma - rhs))))
     residual /= max(1.0, float(np.max(np.abs(rhs))))
     condition = float(singular[0] / singular[-1]) if singular.size else math.inf
     if residual > COLLOCATION_RESIDUAL_TOL:

@@ -346,6 +346,20 @@ def test_load_problem_deduplicates_moments(tmp_path):
     assert load_problem(path).moments == [2, 0]
 
 
+def test_moment_order_past_1000_exits_2(tmp_path, capsys):
+    body = {"radius": "1", "coeffs_b": ["1", "2"], "moments": [0, 1001]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert (code, out) == (2, "")
+    assert err == "error: field 'moments[1]': must be at most 1000\n"
+
+
+def test_moment_order_1000_is_served(tmp_path, capsys):
+    body = {"radius": "1", "coeffs_b": ["1", "2"], "moments": [1000]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    assert list(parse_report(out)["multipoles"]) == [1000]
+
+
 def test_module_entry_point_runs():
     # the child imports axoball from wherever this process found it
     src = os.path.dirname(os.path.dirname(axoball.__file__))
@@ -358,6 +372,31 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2 0\n0 2/3\n"
+
+
+def test_verify_prints_no_log_record_by_default(tmp_path):
+    # the kernel's DEBUG record reaches stderr only once logging is set up
+    src = os.path.dirname(os.path.dirname(axoball.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    problem = write_problem(tmp_path, BASIC)
+    argv = ["solve", "--verify", problem]
+    configured = (
+        "import logging, sys; from axoball.cli import main; "
+        "logging.basicConfig(level=logging.DEBUG); sys.exit(main(sys.argv[1:]))"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, *head, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        for head in (["-m", "axoball.cli"], ["-c", configured])
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stderr == ""
+    assert runs[1].stderr.startswith("DEBUG:axoball.oracle:kernel table: 3 columns")
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch):

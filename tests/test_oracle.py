@@ -1,4 +1,6 @@
+import logging
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,72 @@ def test_exterior_kernel_table_is_the_recursive_rule_bit_for_bit():
     xis = (1.7, -1.7, 12.0, 1.5, -2.0, 1.0001, -1.01)
     table = axis_kernel_integral(8, xis)
     assert table.tolist() == [[axis_kernel(j, xi) for j in range(1, 9)] for xi in xis]
+
+
+def test_panel_rule_is_antisymmetric_bit_for_bit():
+    # mirrored panels share their pow calls on this exact symmetry
+    rule = gauss_legendre(16)
+    assert rule.nodes == tuple(-x for x in reversed(rule.nodes))
+    assert rule.weights == tuple(reversed(rule.weights))
+
+
+@pytest.mark.parametrize("xis", [(0.5, -0.5, 0.9988, -0.9988), (0.3,)])
+@pytest.mark.parametrize("count", [1, 2, 25])
+def test_mirrored_points_keep_the_recursive_rule_bit_for_bit(xis, count):
+    # xi and -xi bisect into mirrored panels at every level
+    table = axis_kernel_integral(count, xis)
+    reference = [[axis_kernel(j, xi) for j in range(1, count + 1)] for xi in xis]
+    assert table.tolist() == reference
+
+
+def test_kernel_takes_one_pow_per_mirrored_pair_of_panels(monkeypatch):
+    import axoball.oracle as oracle_mod
+
+    calls = []
+
+    def counted(base, exponent):
+        calls.append((base, exponent))
+        return math.pow(base, exponent)
+
+    monkeypatch.setattr(oracle_mod, "_pow", counted)
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    axis_kernel_integral(25, points)
+    # only level 0's whole-interval panel, its own mirror, repeats a
+    # (|eta|, power) pair: its nodes k and 15 - k
+    whole = {abs(x) for x in gauss_legendre(16).nodes}
+    repeats = Counter(calls) - Counter(set(calls))
+    assert {base for base, _ in repeats} == whole
+    assert sum(repeats.values()) == 8 * 25
+    assert len(calls) <= 104_128
+
+
+def test_kernel_table_logs_its_work(monkeypatch, caplog):
+    import axoball.oracle as oracle_mod
+
+    pows = []
+    panels = []
+    panel_sums = oracle_mod._panel_sums
+
+    def spy(level, index, *args):
+        panels.append((level, len(index)))
+        return panel_sums(level, index, *args)
+
+    def counted(base, exponent):
+        pows.append(exponent)
+        return math.pow(base, exponent)
+
+    monkeypatch.setattr(oracle_mod, "_panel_sums", spy)
+    monkeypatch.setattr(oracle_mod, "_pow", counted)
+    caplog.set_level(logging.DEBUG, logger="axoball")
+    axis_kernel_integral(3, (0.5, -0.9))
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("axoball.oracle", logging.DEBUG)
+    deepest = max(level for level, _ in panels)
+    evaluations = sum(size for _, size in panels)
+    assert record.getMessage() == (
+        f"kernel table: 3 columns at 2 points, {deepest} levels deep, "
+        f"{evaluations} panel evaluations, {len(pows)} pow calls"
+    )
 
 
 def test_kernel_table_is_built_afresh_per_call():
