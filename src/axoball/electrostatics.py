@@ -37,6 +37,10 @@ The quadratic exact loops (solving for c, squaring sigma for the force)
 run on plain ints over a common denominator and build one reduced
 Fraction per output value; the integrated paths do the same through the
 private ``_numerators`` and ``_integral``, which no closed form uses.
+The solve and the closed multipole sum read the moment matrices by walks,
+not entry by entry: the solve sums each row of the integers 2^j G_ij as
+``moment_matrix._g_row`` walks it, and the closed sum of order m reads
+column m+1 of F from ``moment_matrix._f_column``.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.  The two float
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .moment_matrix import f_entry, f_entry_closed_form, g_numerator
+from .moment_matrix import _f_column, _g_row, f_entry_closed_form
 from .rational import format_rational, parse_rational
 
 # CODATA 2018 vacuum permittivity, F/m; rendering only, never exact math
@@ -207,20 +211,22 @@ def solve_charge_density(spec):
     c_i = sum_j r^(j-i) G_ij b_j.  The system behind this is triangular
     with nonzero diagonal, so it is always solvable and the solution is
     exact.  With r = p/s, b_j = B_j / L over the least common denominator
-    L of b, and the integers 2^j G_ij, each c_i is one integer sum over
-    the denominator 2^n s^(n-i) L, n = len(b).
+    L of b, and the integers 2^j G_ij walked along row i, each c_i is one
+    integer sum over the denominator 2^n s^(n-i) L, n = len(b).
     """
     p, s = spec.radius.numerator, spec.radius.denominator
     big_b, lcd = _numerators(spec.coeffs_b)
     n1 = len(big_b)
     # b_j's factor over the common denominator, all but the power of p
     weight = [(2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)]
+    p2 = p * p
     coeffs = []
     for i in range(1, n1 + 1):
-        acc = sum(
-            p ** (j - i) * g_numerator(i, j) * weight[j - 1]
-            for j in range(i, n1 + 1, 2)
-        )
+        terms = [g * weight[j - 1] for j, g in zip(range(i, n1 + 1, 2), _g_row(i, n1))]
+        # sum_j p^(j-i) terms_j, by Horner's rule in p^2 from the row's end
+        acc = 0
+        for term in reversed(terms):
+            acc = acc * p2 + term
         coeffs.append(Fraction(acc, 2**n1 * s ** (n1 - i) * lcd))
     return ChargeDensity(spec, tuple(coeffs))
 
@@ -329,10 +335,8 @@ def multipole_moment(density, m):
     b = density.coeffs_b
     delta = 1 if m % 2 == 0 else 2
     acc = Fraction(0)
-    for i in range(delta, m + 2, 2):
-        if i > len(b):
-            break
-        acc += (2 * i - 1) * r ** (i - 1) * f_entry(i, m + 1) * b[i - 1]
+    for i, f in zip(range(delta, min(m + 1, len(b)) + 1, 2), _f_column(m + 1)):
+        acc += (2 * i - 1) * r ** (i - 1) * f * b[i - 1]
     closed = 2 * r ** (m + 1) * acc
     return _agreed("moment", m, _integrated_moment(density, m), closed, density)
 

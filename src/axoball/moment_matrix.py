@@ -19,20 +19,27 @@ module.  Entry functions are 1-based to match the usual F_11, G_13, ...
 convention.  The builders return plain dense rows, ``list[list[Fraction]]``,
 so entry (i, j) sits at ``rows[i - 1][j - 1]``.
 
-Construction and verification use different entries:
+Construction walks, verification evaluates entries:
 
-  * construction: F from the single-product moment ``f_entry``, G from
-    the integer ``g_numerator`` = 2**j G_ij (``g_entry`` divides it by
-    2**j; ``solve_charge_density`` sums it in integers);
-  * verification: ``build_g`` always compares its rows with B D^{-1},
-    and the Rodrigues alternating sum ``f_entry_closed_form`` is an
-    independent path to every F entry.
+  * construction: each column of F is walked down by its term ratio
+    (``_f_column``), and each row of G by the integer ratio of its
+    numerators 2**j G_ij (``_g_row``): one small multiply and one exact
+    division per entry.  ``build_f``, ``build_g``,
+    ``solve_charge_density`` and the closed multipole sum read only the
+    walks;
+  * verification: ``build_g`` compares every walked numerator with
+    (2j - 1) ``beta_numerator(i, j)``, the factorial form of B D^{-1}
+    scaled to an integer, compared in ints; the Rodrigues alternating
+    sum ``f_entry_closed_form`` is an independent path to every F entry.
 
-The row recurrence, the diagonal and superdiagonal factorial formulas and
-F G = G F = I are proofs about these entries, not construction steps;
-the tests check them (``tests/references.py``).
+The entry functions (``f_entry``, ``g_entry``, ``g_numerator``,
+``beta_entry``) give any single entry from its closed form; the tests
+hold the walks to them cell by cell.  The row recurrence, the diagonal
+and superdiagonal factorial formulas and F G = G F = I are proofs about
+these entries, not construction steps; the tests check them
+(``tests/references.py``).
 
-Every construction entry is total and order-independent.
+Every entry and every walk is order-independent.
 """
 
 from fractions import Fraction
@@ -44,8 +51,8 @@ def f_entry(i, j):
 
         F_ij = 2**i (j-1)! ((i+j-2)/2)! / (((j-i)/2)! (i+j-1)!)
 
-    for i <= j with i + j even; structurally zero otherwise.  This is the
-    entry F is built from.
+    for i <= j with i + j even; structurally zero otherwise.  ``_f_column``
+    walks the same product down a column.
     """
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
@@ -55,6 +62,18 @@ def f_entry(i, j):
         2**i * factorial(j - 1) * factorial((i + j) // 2 - 1),
         factorial((j - i) // 2) * factorial(i + j - 1),
     )
+
+
+def _f_column(j):
+    """The nonzero entries F_ij of column j, for i = 2 - j % 2, ..., j in
+    steps of 2: from F_1j = 2/j (j odd) or F_2j = 2/(j+1) (j even), by the
+    ratio F_{i+2,j} = F_ij (j-i)/(i+j+1) of ``f_entry``'s product."""
+    first = 2 - j % 2
+    value = Fraction(2, j + first - 1)
+    yield value
+    for i in range(first, j - 1, 2):
+        value *= Fraction(j - i, i + j + 1)
+        yield value
 
 
 def f_entry_closed_form(i, j):
@@ -83,27 +102,30 @@ def f_entry_closed_form(i, j):
     return total / Fraction(2) ** (i - 2)
 
 
+def beta_numerator(k, i):
+    """The integer 2**(i-1) beta_ki = (-1)**((i-k)/2) (i+k-2)!
+    / ((k-1)! ((i-k)/2)! ((i+k)/2 - 1)!), for k <= i with k + i even; zero
+    otherwise.  Indices are 1-based and not checked."""
+    if k > i or (k + i) % 2:
+        return 0
+    value = factorial(i + k - 2) // (
+        factorial(k - 1) * factorial((i - k) // 2) * factorial((i + k) // 2 - 1)
+    )
+    return -value if ((i - k) // 2) % 2 else value
+
+
 def beta_entry(k, i):
     """Coefficient of eta**(k-1) in the Legendre polynomial P_{i-1}:
 
         beta_ki = (-1)**((i-k)/2) (i+k-2)!
-                  / (2**(i-1) (k-1)! ((i-k)/2)! ((i+k)/2 - 1)!)
+                  / (2**(i-1) (k-1)! ((i-k)/2)! ((i+k)/2 - 1)!),
 
-    for k <= i with k + i even; structurally zero otherwise.
+    that is ``beta_numerator(k, i) / 2**(i-1)``, for k <= i with k + i
+    even; structurally zero otherwise.
     """
     if k < 1 or i < 1:
         raise ValueError("indices are 1-based")
-    if k > i or (k + i) % 2:
-        return Fraction(0)
-    sign = -1 if ((i - k) // 2) % 2 else 1
-    num = sign * factorial(i + k - 2)
-    den = (
-        2 ** (i - 1)
-        * factorial(k - 1)
-        * factorial((i - k) // 2)
-        * factorial((i + k) // 2 - 1)
-    )
-    return Fraction(num, den)
+    return Fraction(beta_numerator(k, i), 2 ** (i - 1))
 
 
 def d_diagonal(i):
@@ -126,6 +148,17 @@ def g_numerator(i, j):
     return -value if k % 2 else value
 
 
+def _g_row(i, n):
+    """The nonzero numerators 2**j G_ij = (2j-1) h_j of row i, for j = i,
+    i+2, ..., n: from h_i = C(2i-2, i-1), by the ratio
+    h_{j+2} = -2 h_j (i+j-1)/(k+1) with k = (j-i)/2, an exact integer
+    division."""
+    h = comb(2 * i - 2, i - 1)
+    for j in range(i, n + 1, 2):
+        yield (2 * j - 1) * h
+        h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
+
+
 def g_entry(i, j):
     """Entry of the inverse matrix G = F^{-1}:
 
@@ -140,25 +173,33 @@ def g_entry(i, j):
     return Fraction(g_numerator(i, j), 2**j)
 
 
+def _zeros(order):
+    """Dense zero rows of an order x order matrix."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    zero = Fraction(0)
+    return [[zero] * order for _ in range(order)]
+
+
 def _triangle(order, entry):
     """Dense rows of the order x order matrix with 1-based entries
     ``entry(i, j)`` on the parity triangle (i <= j, i + j even) and zeros
     elsewhere; ``entry`` is never called on a structural zero."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    zero = Fraction(0)
-    return [
-        [
-            entry(i, j) if i <= j and (i + j) % 2 == 0 else zero
-            for j in range(1, order + 1)
-        ]
-        for i in range(1, order + 1)
-    ]
+    rows = _zeros(order)
+    for i in range(1, order + 1):
+        for j in range(i, order + 1, 2):
+            rows[i - 1][j - 1] = entry(i, j)
+    return rows
 
 
 def build_f(order):
-    """The moment matrix F of the given order, from ``f_entry``."""
-    return _triangle(order, f_entry)
+    """The moment matrix F of the given order, column by column from
+    ``_f_column``."""
+    rows = _zeros(order)
+    for j in range(1, order + 1):
+        for i, value in zip(range(2 - j % 2, j + 1, 2), _f_column(j)):
+            rows[i - 1][j - 1] = value
+    return rows
 
 
 def build_b(order):
@@ -173,13 +214,18 @@ def build_d(order):
 
 
 def build_g(order):
-    """The inverse matrix G = F^{-1}.
+    """The inverse matrix G = F^{-1}, row by row from ``_g_row``.
 
-    G is built twice, from the explicit entry formula and as B D^{-1}, and
-    the two must agree entry by entry.
+    Every walked numerator 2**j G_ij must equal (2j - 1)
+    ``beta_numerator(i, j)``, the same entry of B D^{-1} scaled by 2**j,
+    compared in ints.
     """
-    rows = _triangle(order, g_entry)
-    via_b = _triangle(order, lambda i, j: beta_entry(i, j) / d_diagonal(j))
-    if rows != via_b:
-        raise ArithmeticError("inverse entry formula disagrees with B D^-1")
+    rows = _zeros(order)
+    for i in range(1, order + 1):
+        for j, num in zip(range(i, order + 1, 2), _g_row(i, order)):
+            if num != (2 * j - 1) * beta_numerator(i, j):
+                raise ArithmeticError(
+                    f"inverse entry formula disagrees with B D^-1 at ({i}, {j})"
+                )
+            rows[i - 1][j - 1] = Fraction(num, 2**j)
     return rows

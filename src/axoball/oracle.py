@@ -243,8 +243,9 @@ def axis_kernel_integral(count, xis):
         task, index, estimate = twice[split], halves[split], sums[split]
         depth += 1
     # an interval's result is its halves' sum where it stopped, else the
-    # sum of its halves' results; the deepest level stops everywhere
-    _, values = levels.pop()
+    # sum of its halves' results; the deepest level stops everywhere (with
+    # no points there is no level, and the table is empty)
+    values = levels.pop()[1] if levels else estimate
     for done, both in reversed(levels):
         both[~done] = values[0::2] + values[1::2]
         values = both

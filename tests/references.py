@@ -7,9 +7,10 @@ checks of the entries ``axoball.moment_matrix`` builds from, not steps
 of any construction, so they live here with the exact matrix product and
 the alpha coefficients of the shifted first row.  ``check_f`` and
 ``check_inverse`` run the checks on built rows and raise ArithmeticError
-on the first disagreement.  Entry functions are 1-based, as in the
-library; entries of ``moment_matrix`` are looked up on the module, so a
-test can corrupt one.
+on the first disagreement.  ``solve_by_entries`` solves for the density
+from one G entry at a time, the reference for the library's row walks.
+Entry functions are 1-based, as in the library; entries of
+``moment_matrix`` are looked up on the module, so a test can corrupt one.
 
 The float references below them are built from the oracle's Legendre
 recurrence, Gauss-Legendre rules and axis kernel: Legendre values, the
@@ -22,7 +23,7 @@ quadrature.
 from fractions import Fraction
 from math import factorial, sqrt
 
-from axoball import moment_matrix, oracle
+from axoball import electrostatics, moment_matrix, oracle
 
 
 def f_entry_recurrence(i, j):
@@ -117,6 +118,25 @@ def check_inverse(g):
     eye = [[int(i == j) for j in range(order)] for i in range(order)]
     if multiply(f, g) != eye or multiply(g, f) != eye:
         raise ArithmeticError("F G or G F is not the identity")
+
+
+def solve_by_entries(spec):
+    """The coefficients c of ``solve_charge_density(spec)``, from one
+    ``g_numerator`` call per entry instead of the row walks: with r = p/s
+    and b_j = B_j / L over the least common denominator L of b, each c_i
+    is one integer sum over the denominator 2^n s^(n-i) L, n = len(b)."""
+    p, s = spec.radius.numerator, spec.radius.denominator
+    big_b, lcd = electrostatics._numerators(spec.coeffs_b)
+    n1 = len(big_b)
+    weight = [(2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)]
+    coeffs = []
+    for i in range(1, n1 + 1):
+        acc = sum(
+            p ** (j - i) * moment_matrix.g_numerator(i, j) * weight[j - 1]
+            for j in range(i, n1 + 1, 2)
+        )
+        coeffs.append(Fraction(acc, 2**n1 * s ** (n1 - i) * lcd))
+    return tuple(coeffs)
 
 
 def legendre_eval(n, x):

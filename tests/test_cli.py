@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -203,6 +204,23 @@ def test_matrix_table_and_csv(capsys):
         capsys, "matrix", "--order", "2", "--which", "G", "--format", "csv"
     )
     assert out == "1/2,0\n0,3/2\n"
+
+
+# sha256 of `axoball matrix --order 200 --which W --format csv`; the
+# benchmark pools stop at order 120
+ORDER_200_CSV_SHA256 = {
+    "F": "38d79c458abffc0fa9eaca7cd1ddb2f7a061f8c91e2a0772270c1e9a9ec64cb5",
+    "G": "aab9ad9eb039b50a544bc30bcd31b540d27c94445c18c4c36381f74a4ef66c98",
+}
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_order_200_matrices_are_pinned_byte_for_byte(capsys, which):
+    code, out, _ = run_cli(
+        capsys, "matrix", "--order", "200", "--which", which, "--format", "csv"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_CSV_SHA256[which]
 
 
 def test_matrix_d_prints_diagonal_row(capsys):

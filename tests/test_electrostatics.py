@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,11 @@ from axoball import (
     solve_charge_density,
     total_charge,
 )
+from axoball import electrostatics as es_mod
 from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
 from conftest import random_coeffs, random_radius, random_spec
-from references import brute_force_axis_potential
+from references import brute_force_axis_potential, solve_by_entries
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 radii = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
@@ -394,6 +396,38 @@ def test_solve_equals_the_fraction_sum(spec):
         for i in range(1, len(b) + 1)
     )
     assert solve_charge_density(spec).coeffs_c == expected
+
+
+@given(spec=kernel_specs(max_degree=64))
+@settings(max_examples=25, deadline=None)
+def test_solve_equals_the_per_entry_sum(spec):
+    assert solve_charge_density(spec).coeffs_c == solve_by_entries(spec)
+
+
+@pytest.mark.parametrize("degree", [100, 200, 400])
+def test_solve_equals_the_per_entry_sum_at_high_degree(degree):
+    rng = random.Random(degree)
+    spec = PotentialSpec(
+        random_radius(rng), random_coeffs(rng, degree), epsilon0=1.0
+    )
+    assert spec.degree == degree
+    assert solve_charge_density(spec).coeffs_c == solve_by_entries(spec)
+
+
+def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
+    # the closed multipole sum reads F from the column walk; the integrated
+    # path does not, so one wrong walked entry must raise ConsistencyError
+    walk = es_mod._f_column
+
+    def column(j):
+        for k, value in enumerate(walk(j)):
+            yield value + (j == 3 and k == 1)  # F_33
+
+    monkeypatch.setattr(es_mod, "_f_column", column)
+    density = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0))
+    multipole_moment(density, 1)
+    with pytest.raises(ConsistencyError, match="order-2 moment"):
+        multipole_moment(density, 2)
 
 
 @given(spec=kernel_specs(max_degree=30))

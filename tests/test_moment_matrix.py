@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,7 @@ import references
 from axoball import moment_matrix
 from axoball.moment_matrix import (
     beta_entry,
+    beta_numerator,
     build_b,
     build_d,
     build_f,
@@ -140,21 +142,35 @@ def test_matrix_identities_order_20():
 
 
 def test_zero_pattern_is_structural(monkeypatch):
-    # the entry function only runs on the parity triangle
-    called = []
+    # each column is walked once, over its parity-triangle cells only
+    walked = []
+    walk = moment_matrix._f_column
 
-    def entry(i, j):
-        called.append((i, j))
-        return f_entry(i, j)
+    def column(j):
+        for value in walk(j):
+            walked.append(j)
+            yield value
 
-    monkeypatch.setattr(moment_matrix, "f_entry", entry)
+    monkeypatch.setattr(moment_matrix, "_f_column", column)
     f = build_f(8)
     for i in range(1, 9):
         for j in range(1, 9):
             if i > j or (i + j) % 2:
                 assert f[i - 1][j - 1] == 0
-                assert (i, j) not in called
-    assert len(called) == len(set(called)) == 20
+    # column j holds (j + 1) // 2 triangle cells: 20 in all at order 8
+    assert walked == [j for j in range(1, 9) for _ in range((j + 1) // 2)]
+    assert len(walked) == 20
+
+
+def test_walked_matrices_equal_the_entries_at_order_200():
+    # entries do not depend on the order, so this covers every smaller order
+    order = 200
+    f = build_f(order)
+    g = build_g(order)
+    for i in range(1, order + 1):
+        for j in range(1, order + 1):
+            assert f[i - 1][j - 1] == f_entry(i, j)
+            assert g[i - 1][j - 1] == g_entry(i, j)
 
 
 def test_multiply_requires_same_order():
@@ -183,6 +199,38 @@ def test_identity_matrix():
     assert multiply(eye, f) == f
 
 
+# the walk that yields each matrix's entries, and the 1-based cell of the
+# k-th value a walk yields given its first argument
+WALKS = {
+    "f_entry": ("_f_column", lambda j, k: (2 - j % 2 + 2 * k, j)),
+    "g_entry": ("_g_row", lambda i, k: (i, i + 2 * k)),
+}
+
+
+def _off_by_one(walk, cell, at):
+    """``walk`` with its value at cell ``at`` one too large, and the rest of
+    the walk, below and beyond that cell, unchanged."""
+
+    def corrupted(first, *rest):
+        for k, value in enumerate(walk(first, *rest)):
+            yield value + (cell(first, k) == at)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("at", [(i, j) for i in range(1, 7) for j in range(i, 7, 2)])
+@pytest.mark.parametrize("name", ["_g_row", "beta_numerator"])
+def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
+    right = getattr(moment_matrix, name)
+    if name == "_g_row":
+        wrong = _off_by_one(right, WALKS["g_entry"][1], at)
+    else:
+        wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
+    monkeypatch.setattr(moment_matrix, name, wrong)
+    with pytest.raises(ArithmeticError, match=re.escape(f"B D^-1 at {at}")):
+        build_g(6)
+
+
 @pytest.mark.parametrize(
     "name, at, builder, verify, message",
     [
@@ -193,6 +241,7 @@ def test_identity_matrix():
         ("f_entry", (2, 4), build_g, True, "identity"),
         ("f_entry", (3, 5), build_f, True, r"alternating sum mismatch at \(3, 5\)"),
         ("f_entry_closed_form", (2, 4), build_f, True, "alternating sum"),
+        ("beta_numerator", (1, 3), build_g, False, "disagrees with B D"),
     ],
 )
 def test_checks_catch_a_corrupted_entry(
@@ -200,9 +249,15 @@ def test_checks_catch_a_corrupted_entry(
 ):
     # one wrong entry on one side of a cross-check must make the build, or
     # with verify the reference checks of the tests, fail
-    module = moment_matrix if hasattr(moment_matrix, name) else references
-    right = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: right(*args) + (args == at))
+    if name in WALKS:
+        # the builders read F and G from the walks: corrupt the walked value
+        name, cell = WALKS[name]
+        right = getattr(moment_matrix, name)
+        monkeypatch.setattr(moment_matrix, name, _off_by_one(right, cell, at))
+    else:
+        module = moment_matrix if hasattr(moment_matrix, name) else references
+        right = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: right(*args) + (args == at))
     with pytest.raises(ArithmeticError, match=message):
         rows = builder(6)
         if verify and builder is build_f:

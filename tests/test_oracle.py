@@ -229,6 +229,12 @@ def test_kernel_table_needs_a_column():
         axis_kernel_integral(0, (0.5,))
 
 
+@pytest.mark.parametrize("count", [1, 4])
+def test_kernel_table_at_no_points_is_empty(count):
+    table = axis_kernel_integral(count, ())
+    assert table.shape == (0, count)
+
+
 @pytest.mark.parametrize("degree", [3, 14])
 def test_check_report_builds_one_kernel_table(monkeypatch, degree):
     # the collocation solve (degree <= 10) and the residual share it
@@ -356,6 +362,11 @@ def test_brute_axis_potential_interior_matches_negated_phi0():
     points = (-0.6, 0.0, 0.5)
     for s, u in zip(points, brute_force_axis_potential(density, points)):
         assert u == pytest.approx(2 - s + 0.5 * s * s, rel=1e-11)
+
+
+def test_brute_axis_potential_at_no_points_is_empty():
+    density = solve_charge_density(PotentialSpec(1, (2, -1), epsilon0=1.0))
+    assert brute_force_axis_potential(density, []) == []
 
 
 def test_brute_axis_potential_rejects_surface_points():
