@@ -14,7 +14,9 @@ field; parsers ignore unknown fields so the schema can grow.
 
 Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
 finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
-the oracle's OutOfRangeError) to exit 2.
+the float stages' OutOfRangeError from ``electrostatics``) to exit 2.  The
+oracle, and with it numpy and logging, is imported only when --verify
+runs it.
 """
 
 import argparse
@@ -27,13 +29,13 @@ from fractions import Fraction
 
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
+    OutOfRangeError,
     PotentialSpec,
     build_report,
     induced_axis_potential,
     solve_charge_density,
 )
 from .moment_matrix import build_b, build_d, build_f, build_g
-from .oracle import OutOfRangeError, check_report
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -208,6 +210,9 @@ def _printable(quantity):
 def run_verification(report):
     """The oracle's verification block for a solved report, and the exit
     code its verdict gives: 0 when every check passed, 3 otherwise."""
+    # here, not at the top: only --verify needs the oracle's numpy
+    from .oracle import check_report
+
     block = check_report(report)
     return block, 0 if block["passed"] else 3
 
@@ -228,9 +233,7 @@ def _emit(text, out_path):
 def cmd_solve(args):
     prob = load_problem(args.problem)
     spec = prob.spec
-    report = build_report(spec, prob.moments)
-    density = report.density
-
+    # echoed first: an input the report cannot print is refused unsolved
     with _printable("echoed input"):
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -244,6 +247,8 @@ def cmd_solve(args):
         }
         if prob.phi0_echo is not None:
             doc["input"]["phi0_coeffs"] = [format_rational(a) for a in prob.phi0_echo]
+    report = build_report(spec, prob.moments)
+    density = report.density
     with _printable("charge density"):
         doc["charge_density"] = {
             "prefactor": "2*eps0/r",

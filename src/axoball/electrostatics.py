@@ -46,9 +46,12 @@ Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.  The two float
 samplers, ``ChargeDensity.sigma`` and ``induced_axis_potential``, take a
 sequence of axial coordinates and return a list of floats, floating their
-coefficients once per call.
+coefficients once per call.  A float stage that cannot run on its input
+raises ``OutOfRangeError``, bad input rather than a bug; its ``guard``
+maps the float errors of a stage to it.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -372,6 +375,25 @@ def _horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+class OutOfRangeError(ValueError):
+    """A float stage this input cannot run: its floats leave their range
+    (a profile, or an oracle check), or the oracle is asked for a moment
+    order past 0..40.  This is bad input, not a bug: the exact results
+    still hold."""
+
+    @classmethod
+    @contextlib.contextmanager
+    def guard(cls, task):
+        """Floats cannot hold every exact value: an overflow, an underflow
+        to a zero divisor, and an inf, a NaN or an underflow that merges
+        distinct values (raised as FloatingPointError) inside a float stage
+        are reported by the task that hit it."""
+        try:
+            yield
+        except (OverflowError, ZeroDivisionError, FloatingPointError):
+            raise cls(f"floats leave their range {task}") from None
 
 
 def _finite(value):

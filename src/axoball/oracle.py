@@ -14,6 +14,12 @@ these against a solved report and returns a JSON-ready verification block.
 A quadrature rule integrates the integrand's values at its nodes, and the
 density is sampled at all of a rule's nodes in one ``sigma`` call.
 
+``check_report`` runs under one numpy error state, so that numpy raises
+its float errors instead of warning, and the guards of
+``electrostatics.OutOfRangeError`` turn them into bad input.  This is the
+only module that imports numpy or logs; the CLI loads it only for
+``--verify``.
+
 The settings are module constants: COLLOCATION_POINTS (for the solve and
 the equation residual), COLLOCATION_RESIDUAL_TOL, KERNEL_TOL and
 COLLOCATION_MAX_DEGREE.
@@ -33,7 +39,6 @@ recursive rule kept in the tests as its reference, and it logs its size
 and work as one DEBUG record to the ``axoball.oracle`` logger.
 """
 
-import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -42,6 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .electrostatics import (
+    OutOfRangeError,
     _finite,
     _horner,
     charge_legendre_moments,
@@ -55,6 +61,9 @@ COLLOCATION_RESIDUAL_TOL = 1e-9
 KERNEL_TOL = 1e-13
 
 _log = logging.getLogger(__name__)
+# the oracle is the package's only module that logs: the axoball logger
+# drops every record until the application gives it a handler
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 
 class CollocationError(RuntimeError):
@@ -64,26 +73,6 @@ class CollocationError(RuntimeError):
     (or an under-resolved solve) and is a test failure, not a state the
     caller recovers from.
     """
-
-
-class OutOfRangeError(ValueError):
-    """A check the oracle cannot run on this input: its floats leave their
-    range, or the input asks for a moment order past 0..40.  This is bad
-    input, not a bug: the exact results still hold."""
-
-    @classmethod
-    @contextlib.contextmanager
-    def guard(cls, task):
-        """Floats cannot hold every exact value: an overflow, an underflow
-        to a zero divisor, and an inf, a NaN or an underflow that merges
-        distinct values (raised as FloatingPointError) inside a float stage
-        are reported by the task that hit it.  numpy raises its overflows,
-        divisions by zero and invalid values here too, instead of warning."""
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                yield
-        except (OverflowError, ZeroDivisionError, FloatingPointError):
-            raise cls(f"floats leave their range {task}") from None
 
 
 @dataclass(frozen=True)
@@ -408,58 +397,65 @@ def check_report(report):
     residual, multipole moments, force, continuity of the axis potential
     across the surface).  Raises OutOfRangeError when a check cannot run
     on this input.
+
+    The whole run is under one numpy error state: numpy raises its
+    overflows, divisions by zero and invalid values as FloatingPointError
+    instead of warning, and each check's guard reports them.
     """
-    density = report.density
-    checks = {}
-    eps = density.epsilon0
-    # the one kernel table of the run, at the fixed collocation points
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))
-    kernel = axis_kernel_integral(density.degree + 1, points)
-    with OutOfRangeError.guard("checking the charge density"):
-        r = float(density.radius)
-        checks["collocation"] = _collocation_check(density, kernel)
-        checks["equation_residual"] = _check(
-            "value", equation_residual(density, kernel), 1e-9
-        )
-
-    # moment quadrature vs exact, relative to the cancellation-free
-    # magnitude of the integral (the roundoff scale of the quadrature)
-    worst = 0.0
-    for m, moment in report.multipoles.items():
-        with OutOfRangeError.guard(f"checking the order-{m} multipole moment"):
-            exact = float(moment)
-            brute = brute_force_moment(density, m)
-            magnitude = 8.0 * sum(
-                abs(float(c)) * r ** (m + j) / (m + j)
-                for j, c in enumerate(density.coeffs_c, start=1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        density = report.density
+        checks = {}
+        eps = density.epsilon0
+        # the one kernel table of the run, at the fixed collocation points
+        points = tuple(chebyshev_points(COLLOCATION_POINTS))
+        kernel = axis_kernel_integral(density.degree + 1, points)
+        with OutOfRangeError.guard("checking the charge density"):
+            r = float(density.radius)
+            checks["collocation"] = _collocation_check(density, kernel)
+            checks["equation_residual"] = _check(
+                "value", equation_residual(density, kernel), 1e-9
             )
-            scale = math.pi * eps * magnitude
-            gap = abs(brute - exact)
-            worst = max(worst, _finite(gap / scale if scale else gap))
-    checks["moments"] = _check("max_relative_deviation", worst, 1e-10)
 
-    with OutOfRangeError.guard("checking the force"):
-        exact_force = float(report.force_F)
-        brute_force = brute_force_force(density)
-        rule, zs, sigma = _force_samples(density)
-        magnitude = math.pi / eps * r * rule.integrate(
-            [abs(z) * v**2 for z, v in zip(zs, sigma)]
+        # moment quadrature vs exact, relative to the cancellation-free
+        # magnitude of the integral (the roundoff scale of the quadrature)
+        worst = 0.0
+        for m, moment in report.multipoles.items():
+            with OutOfRangeError.guard(f"checking the order-{m} multipole moment"):
+                exact = float(moment)
+                brute = brute_force_moment(density, m)
+                magnitude = 8.0 * sum(
+                    abs(float(c)) * r ** (m + j) / (m + j)
+                    for j, c in enumerate(density.coeffs_c, start=1)
+                )
+                scale = math.pi * eps * magnitude
+                gap = abs(brute - exact)
+                worst = max(worst, _finite(gap / scale if scale else gap))
+        checks["moments"] = _check("max_relative_deviation", worst, 1e-10)
+
+        with OutOfRangeError.guard("checking the force"):
+            exact_force = float(report.force_F)
+            brute_force = brute_force_force(density)
+            rule, zs, sigma = _force_samples(density)
+            magnitude = math.pi / eps * r * rule.integrate(
+                [abs(z) * v**2 for z, v in zip(zs, sigma)]
+            )
+            gap = abs(brute_force - exact_force)
+            force_dev = _finite(gap / magnitude if magnitude else gap)
+        checks["force"] = _check("relative_deviation", force_dev, 1e-10)
+
+        with OutOfRangeError.guard("checking the axis potential"):
+            u_in, u_out = induced_axis_potential(
+                density, [r * (1 - 1e-8), r * (1 + 1e-8)]
+            )
+        checks["continuity"] = _check(
+            "gap", abs(u_out - u_in), 1e-6 * max(1.0, abs(u_in), abs(u_out))
         )
-        gap = abs(brute_force - exact_force)
-        force_dev = _finite(gap / magnitude if magnitude else gap)
-    checks["force"] = _check("relative_deviation", force_dev, 1e-10)
 
-    with OutOfRangeError.guard("checking the axis potential"):
-        u_in, u_out = induced_axis_potential(density, [r * (1 - 1e-8), r * (1 + 1e-8)])
-    checks["continuity"] = _check(
-        "gap", abs(u_out - u_in), 1e-6 * max(1.0, abs(u_in), abs(u_out))
-    )
-
-    deviations = [worst, force_dev, checks["equation_residual"]["value"]]
-    if "max_coeff_deviation" in checks["collocation"]:
-        deviations.append(checks["collocation"]["max_coeff_deviation"])
-    return {
-        "passed": all(entry["passed"] for entry in checks.values()),
-        "max_relative_deviation": max(deviations),
-        "checks": checks,
-    }
+        deviations = [worst, force_dev, checks["equation_residual"]["value"]]
+        if "max_coeff_deviation" in checks["collocation"]:
+            deviations.append(checks["collocation"]["max_coeff_deviation"])
+        return {
+            "passed": all(entry["passed"] for entry in checks.values()),
+            "max_relative_deviation": max(deviations),
+            "checks": checks,
+        }

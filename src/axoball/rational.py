@@ -9,8 +9,32 @@ converts exactly through power-of-ten denominators, never through binary
 floats.
 """
 
+import re
 import sys
 from fractions import Fraction
+
+# Python's int-to-str digit limit as it stands, or 0 on a Python without one
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# decimal text with an exponent, as Fraction reads it; group 1 is the
+# exponent, whose power of ten Fraction builds before anything can fail
+_DECIMAL_EXPONENT = re.compile(
+    r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
+)
+
+
+def _exponent_past(text, limit):
+    """Whether ``text`` is decimal text whose exponent's magnitude is past
+    ``limit``: its value has more digits than that either way."""
+    if "e" not in text and "E" not in text:  # cheaper than the match
+        return False
+    match = _DECIMAL_EXPONENT.fullmatch(text)
+    if match is None:
+        return False
+    try:
+        return abs(int(match.group(1))) > limit
+    except ValueError:  # the exponent alone has more digits than int reads
+        return True
 
 
 def parse_rational(value):
@@ -23,7 +47,9 @@ def parse_rational(value):
 
     Raises ValueError with a readable message on malformed input, a zero
     denominator, or more digits than Python turns into an integer (its
-    int_max_str_digits limit, 4300 by default, which is left alone).
+    int_max_str_digits limit, 4300 by default, which is left alone).  A
+    decimal exponent past that limit is refused before any Fraction is
+    built: ten to that power would be carried through the whole solve.
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational number, got a boolean")
@@ -38,16 +64,18 @@ def parse_rational(value):
     if not isinstance(value, str):
         raise ValueError(f"expected a rational number, got {type(value).__name__}")
     text = value.strip()
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        reason = "zero denominator in"
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and sum(ch.isdigit() for ch in text) > limit:
-            reason = f"more than {limit} digits (Python's int-to-str limit) in"
-        else:
+    limit = _digit_limit()
+    past_limit = limit and _exponent_past(text, limit)
+    if not past_limit:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            reason = "zero denominator in"
+        except ValueError:
+            past_limit = limit and sum(ch.isdigit() for ch in text) > limit
             reason = "not a rational number:"
+    if past_limit:
+        reason = f"more than {limit} digits (Python's int-to-str limit) in"
     # a huge input is echoed only by its first 40 characters
     shown = value if len(value) <= 40 else value[:40] + "..."
     raise ValueError(f"{reason} {shown!r}")

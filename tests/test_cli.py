@@ -28,8 +28,7 @@ from axoball.cli import (
     main,
     parse_report,
 )
-from axoball.electrostatics import VACUUM_PERMITTIVITY
-from axoball.oracle import OutOfRangeError
+from axoball.electrostatics import VACUUM_PERMITTIVITY, OutOfRangeError
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -417,6 +416,56 @@ def test_verify_prints_no_log_record_by_default(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
+FOOTPRINT = """
+import contextlib, io, json, sys
+from axoball.cli import main
+
+solve, profile, tiny = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["solve", solve]),
+        main(["profile", profile]),
+        main(["profile", tiny]),
+        main(["matrix", "--order", "2", "--which", "F"]),
+    ]
+    unverified = sorted({"numpy", "logging", "axoball.oracle"} & set(sys.modules))
+    codes.append(main(["solve", "--verify", solve]))
+print(json.dumps([codes, unverified, "numpy" in sys.modules]))
+"""
+
+
+def test_only_verify_loads_numpy_and_logging(tmp_path):
+    # one fresh interpreter: solve, profile and matrix, bad input included,
+    # import neither the oracle nor numpy nor logging; --verify loads them
+    src = os.path.dirname(os.path.dirname(axoball.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    tiny_span = {"samples": 3, "span": "1e-400"}
+    argv = [
+        write_problem(tmp_path, BASIC, "solve.json"),
+        write_problem(tmp_path, dict(BASIC, profile={"samples": 5}), "profile.json"),
+        write_problem(tmp_path, dict(BASIC, profile=tiny_span), "tiny.json"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "error: floats leave their range sampling the profile\n"
+    codes, unverified, numpy_after_verify = json.loads(proc.stdout)
+    assert codes == [0, 0, 2, 0, 0]
+    assert unverified == []
+    assert numpy_after_verify
+
+
+def test_out_of_range_error_is_one_class():
+    import axoball.electrostatics as es_mod
+    import axoball.oracle as oracle_mod
+
+    assert oracle_mod.OutOfRangeError is es_mod.OutOfRangeError
+
+
 def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch):
     import axoball.cli as cli_mod
     import axoball.electrostatics as es_mod
@@ -600,6 +649,50 @@ def test_number_past_the_digit_limit_exits_2_briefly(tmp_path, capsys):
     assert "field 'radius'" in err and "digits" in err
     assert "not a rational number" not in err
     assert len(err.encode()) < 200
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python reads integers of any length",
+)
+def test_radius_with_a_huge_exponent_exits_2_unsolved(tmp_path, capsys, monkeypatch):
+    # refused before ten to the two millionth is built, let alone solved
+    import axoball.rational as rational_mod
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("built a Fraction from a refused exponent")
+
+    monkeypatch.setattr(rational_mod, "Fraction", NoFraction)
+    body = {"radius": "1e2000000", "coeffs_b": ["1", "2", "3"]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: field 'radius': more than {limit} digits "
+        "(Python's int-to-str limit) in '1e2000000'\n"
+    )
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python reads integers of any length",
+)
+def test_unprintable_echo_exits_2_unsolved(tmp_path, capsys, monkeypatch):
+    # ten to the limit has one digit too many to echo; nothing is solved
+    import axoball.cli as cli_mod
+
+    def no_solve(*args):
+        raise AssertionError("solved a problem the report cannot echo")
+
+    monkeypatch.setattr(cli_mod, "build_report", no_solve)
+    radius = f"1e{sys.get_int_max_str_digits()}"
+    body = {"radius": radius, "coeffs_b": ["1", "2", "3"]}
+    code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the echoed input has too many digits to print\n"
 
 
 def test_a_bug_inside_a_check_is_no_input_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,48 @@ def test_malformed_text():
         parse_rational("three halves")
     with pytest.raises(ValueError, match="got NoneType"):
         parse_rational(None)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class NoFraction(Fraction):
+    """Stands in for ``rational.Fraction``: building any value fails."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("built a Fraction from a refused exponent")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads integers of any length")
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"1e{DIGIT_LIMIT + 1}",
+        f"-2.5E-{DIGIT_LIMIT + 1}",
+        ".5e+2000000",
+        "1e2_000_000",
+        "1e" + "9" * (DIGIT_LIMIT + 1),
+    ],
+    ids=["past-limit", "negative", "two-million", "underscores", "long-exponent"],
+)
+def test_exponent_past_the_digit_limit_is_refused_unbuilt(monkeypatch, text):
+    # ten to such a power is never built: the refusal comes first
+    import axoball.rational as rational_mod
+
+    monkeypatch.setattr(rational_mod, "Fraction", NoFraction)
+    message = re.escape(f"more than {DIGIT_LIMIT} digits (Python's int-to-str limit) in")
+    with pytest.raises(ValueError, match=message):
+        parse_rational(text)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads integers of any length")
+def test_exponent_at_the_digit_limit_is_served():
+    assert parse_rational(f"1e{DIGIT_LIMIT}") == 10**DIGIT_LIMIT
+    assert parse_rational(f"-1e-{DIGIT_LIMIT}") == Fraction(-1, 10**DIGIT_LIMIT)
+    # text that is no decimal keeps its own message, however large its tail
+    for text in (f"xe{DIGIT_LIMIT + 1}", f"1/2e{DIGIT_LIMIT + 1}", "_1e99999"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
 
 
 def test_format_is_canonical():
