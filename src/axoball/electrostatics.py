@@ -38,9 +38,10 @@ run on plain ints over a common denominator and build one reduced
 Fraction per output value; the integrated paths do the same through the
 private ``_numerators`` and ``_integral``, which no closed form uses.
 The solve and the closed multipole sum read the moment matrices by walks,
-not entry by entry: the solve sums each row of the integers 2^j G_ij as
-``moment_matrix._g_row`` walks it, and the closed sum of order m reads
-column m+1 of F from ``moment_matrix._f_column``.
+not entry by entry: the solve sums row i of G = B D^{-1} from the integers
+2^(j-1) B_ij as ``moment_matrix._b_row`` walks them, with the factor
+2j - 1 of 1/D_jj folded into b_j's weight, and the closed sum of order m
+reads column m+1 of F from ``moment_matrix._f_column``.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.  The two float
@@ -55,9 +56,8 @@ import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
-from .moment_matrix import _f_column, _g_row, f_entry_closed_form
+from .moment_matrix import _b_row, _f_column, f_entry_closed_form
 from .rational import format_rational, parse_rational
 
 # CODATA 2018 vacuum permittivity, F/m; rendering only, never exact math
@@ -93,7 +93,8 @@ class ExactPhysical:
     coeff: Fraction
     epsilon0: float = VACUUM_PERMITTIVITY
 
-    UNIT_FACTOR: ClassVar[str] = "pi*eps0"
+    # unannotated, so a class constant and not a dataclass field
+    UNIT_FACTOR = "pi*eps0"
 
     def __float__(self):
         return float(self.coeff) * math.pi * self.epsilon0
@@ -214,18 +215,22 @@ def solve_charge_density(spec):
     c_i = sum_j r^(j-i) G_ij b_j.  The system behind this is triangular
     with nonzero diagonal, so it is always solvable and the solution is
     exact.  With r = p/s, b_j = B_j / L over the least common denominator
-    L of b, and the integers 2^j G_ij walked along row i, each c_i is one
-    integer sum over the denominator 2^n s^(n-i) L, n = len(b).
+    L of b, and 2^j G_ij = (2j-1) h_j for the integers h_j = 2^(j-1) B_ij
+    walked along row i, each c_i is one integer sum over the denominator
+    2^n s^(n-i) L, n = len(b).
     """
     p, s = spec.radius.numerator, spec.radius.denominator
     big_b, lcd = _numerators(spec.coeffs_b)
     n1 = len(big_b)
-    # b_j's factor over the common denominator, all but the power of p
-    weight = [(2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)]
+    # b_j's factor over the common denominator with G's (2j - 1), all but
+    # the power of p
+    weight = [
+        (2 * j - 1) * (2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)
+    ]
     p2 = p * p
     coeffs = []
     for i in range(1, n1 + 1):
-        terms = [g * weight[j - 1] for j, g in zip(range(i, n1 + 1, 2), _g_row(i, n1))]
+        terms = [h * weight[j - 1] for j, h in zip(range(i, n1 + 1, 2), _b_row(i, n1))]
         # sum_j p^(j-i) terms_j, by Horner's rule in p^2 from the row's end
         acc = 0
         for term in reversed(terms):

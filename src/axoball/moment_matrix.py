@@ -12,7 +12,7 @@ share that rarefied triangle:
   * B, whose column i holds the monomial coefficients of P_{i-1}
     (entries ``beta_entry``), so that F B pairs P_{i-1} with P_{j-1},
   * D = F B, diagonal with D_ii = 2/(2i - 1),
-  * G = F^{-1} = B D^{-1}, with an explicit entry formula (``g_entry``).
+  * G = F^{-1} = B D^{-1} (entries ``g_entry``).
 
 All quantities are Fractions or ints; there is no floating point in this
 module.  Entry functions are 1-based to match the usual F_11, G_13, ...
@@ -22,19 +22,19 @@ so entry (i, j) sits at ``rows[i - 1][j - 1]``.
 Construction walks, verification evaluates entries:
 
   * construction: each column of F is walked down by its term ratio
-    (``_f_column``), and each row of G by the integer ratio of its
-    numerators 2**j G_ij (``_g_row``): one small multiply and one exact
-    division per entry.  ``build_f``, ``build_g``,
-    ``solve_charge_density`` and the closed multipole sum read only the
-    walks;
-  * verification: ``build_g`` compares every walked numerator with
-    (2j - 1) ``beta_numerator(i, j)``, the factorial form of B D^{-1}
-    scaled to an integer, compared in ints; the Rodrigues alternating
-    sum ``f_entry_closed_form`` is an independent path to every F entry.
+    (``_f_column``), and each row of the integers 2**(j-1) B_ij by the
+    integer ratio of its neighbours (``_b_row``): one small multiply and
+    one exact division per entry.  B and G = B D^{-1} are both built from
+    that one walk, and ``solve_charge_density`` and the closed multipole
+    sum read only the walks;
+  * verification: ``build_b`` and ``build_g`` compare every walked integer
+    with ``beta_numerator``, its binomial closed form, in ints; the
+    Rodrigues alternating sum ``f_entry_closed_form`` is an independent
+    path to every F entry.
 
-The entry functions (``f_entry``, ``g_entry``, ``g_numerator``,
-``beta_entry``) give any single entry from its closed form; the tests
-hold the walks to them cell by cell.  The row recurrence, the diagonal
+The entry functions (``f_entry``, ``g_entry``, ``beta_entry``,
+``beta_numerator``) give any single entry from its closed form; the tests
+hold the builders to them cell by cell.  The row recurrence, the diagonal
 and superdiagonal factorial formulas and F G = G F = I are proofs about
 these entries, not construction steps; the tests check them
 (``tests/references.py``).
@@ -103,15 +103,26 @@ def f_entry_closed_form(i, j):
 
 
 def beta_numerator(k, i):
-    """The integer 2**(i-1) beta_ki = (-1)**((i-k)/2) (i+k-2)!
-    / ((k-1)! ((i-k)/2)! ((i+k)/2 - 1)!), for k <= i with k + i even; zero
+    """The integer 2**(i-1) beta_ki = (-1)**q C(2m, m) C(m, q), with
+    q = (i-k)/2 and m = (i+k)/2 - 1, for k <= i with k + i even; zero
     otherwise.  Indices are 1-based and not checked."""
     if k > i or (k + i) % 2:
         return 0
-    value = factorial(i + k - 2) // (
-        factorial(k - 1) * factorial((i - k) // 2) * factorial((i + k) // 2 - 1)
-    )
-    return -value if ((i - k) // 2) % 2 else value
+    q = (i - k) // 2
+    m = (i + k) // 2 - 1
+    value = comb(2 * m, m) * comb(m, q)
+    return -value if q % 2 else value
+
+
+def _b_row(i, n):
+    """The nonzero integers h_j = 2**(j-1) B_ij = ``beta_numerator(i, j)``
+    of row i, for j = i, i+2, ..., n: from h_i = C(2i-2, i-1), by the ratio
+    h_{j+2} = -2 h_j (i+j-1)/(q+1) with q = (j-i)/2, an exact integer
+    division."""
+    h = comb(2 * i - 2, i - 1)
+    for j in range(i, n + 1, 2):
+        yield h
+        h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
 
 
 def beta_entry(k, i):
@@ -136,41 +147,14 @@ def d_diagonal(i):
     return Fraction(2, 2 * i - 1)
 
 
-def g_numerator(i, j):
-    """The integer 2**j G_ij = (-1)**k (2j-1) C(2m, m) C(m, k), with
-    k = (j-i)/2 and m = (i+j)/2 - 1, for i <= j with i + j even; zero
-    otherwise.  Indices are 1-based and not checked."""
-    if i > j or (i + j) % 2:
-        return 0
-    k = (j - i) // 2
-    m = (i + j) // 2 - 1
-    value = (2 * j - 1) * comb(2 * m, m) * comb(m, k)
-    return -value if k % 2 else value
-
-
-def _g_row(i, n):
-    """The nonzero numerators 2**j G_ij = (2j-1) h_j of row i, for j = i,
-    i+2, ..., n: from h_i = C(2i-2, i-1), by the ratio
-    h_{j+2} = -2 h_j (i+j-1)/(k+1) with k = (j-i)/2, an exact integer
-    division."""
-    h = comb(2 * i - 2, i - 1)
-    for j in range(i, n + 1, 2):
-        yield (2 * j - 1) * h
-        h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
-
-
 def g_entry(i, j):
-    """Entry of the inverse matrix G = F^{-1}:
+    """Entry of the inverse matrix G = F^{-1} = B D^{-1}:
 
-        G_ij = (-1)**((j-i)/2) (2j-1)(j+i-2)!
-               / (2**j (i-1)! ((j-i)/2)! ((j+i)/2 - 1)!),
+        G_ij = beta_ij / D_jj = (2j-1) beta_numerator(i, j) / 2**j,
 
-    that is ``g_numerator(i, j) / 2**j``, for i <= j with i + j even;
-    structurally zero otherwise.
+    structurally zero unless i <= j with i + j even.
     """
-    if i < 1 or j < 1:
-        raise ValueError("indices are 1-based")
-    return Fraction(g_numerator(i, j), 2**j)
+    return beta_entry(i, j) / d_diagonal(j)
 
 
 def _zeros(order):
@@ -181,14 +165,20 @@ def _zeros(order):
     return [[zero] * order for _ in range(order)]
 
 
-def _triangle(order, entry):
-    """Dense rows of the order x order matrix with 1-based entries
-    ``entry(i, j)`` on the parity triangle (i <= j, i + j even) and zeros
-    elsewhere; ``entry`` is never called on a structural zero."""
+def _checked_rows(order, entry):
+    """Dense rows with ``entry(j, h)`` at each parity-triangle cell (i, j),
+    where h = 2**(j-1) B_ij as ``_b_row`` walks row i, and zeros elsewhere.
+
+    Every walked h must equal ``beta_numerator(i, j)``, compared in ints.
+    """
     rows = _zeros(order)
     for i in range(1, order + 1):
-        for j in range(i, order + 1, 2):
-            rows[i - 1][j - 1] = entry(i, j)
+        for j, h in zip(range(i, order + 1, 2), _b_row(i, order)):
+            if h != beta_numerator(i, j):
+                raise ArithmeticError(
+                    f"row walk disagrees with beta_numerator at ({i}, {j})"
+                )
+            rows[i - 1][j - 1] = entry(j, h)
     return rows
 
 
@@ -204,28 +194,20 @@ def build_f(order):
 
 def build_b(order):
     """The Legendre basis matrix B: column i holds the monomial
-    coefficients of P_{i-1}."""
-    return _triangle(order, beta_entry)
+    coefficients of P_{i-1}.  Row by row from ``_b_row``, checked."""
+    return _checked_rows(order, lambda j, h: Fraction(h, 2 ** (j - 1)))
 
 
 def build_d(order):
     """The diagonal matrix D = F B with D_ii = 2/(2i - 1)."""
-    return _triangle(order, lambda i, j: d_diagonal(i) if i == j else Fraction(0))
+    rows = _zeros(order)
+    for i in range(1, order + 1):
+        rows[i - 1][i - 1] = d_diagonal(i)
+    return rows
 
 
 def build_g(order):
-    """The inverse matrix G = F^{-1}, row by row from ``_g_row``.
-
-    Every walked numerator 2**j G_ij must equal (2j - 1)
-    ``beta_numerator(i, j)``, the same entry of B D^{-1} scaled by 2**j,
-    compared in ints.
-    """
-    rows = _zeros(order)
-    for i in range(1, order + 1):
-        for j, num in zip(range(i, order + 1, 2), _g_row(i, order)):
-            if num != (2 * j - 1) * beta_numerator(i, j):
-                raise ArithmeticError(
-                    f"inverse entry formula disagrees with B D^-1 at ({i}, {j})"
-                )
-            rows[i - 1][j - 1] = Fraction(num, 2**j)
-    return rows
+    """The inverse matrix G = F^{-1} = B D^{-1}: entry (i, j) is
+    (2j - 1) h / 2**j for the integer h = 2**(j-1) B_ij, row by row from
+    ``_b_row``, checked."""
+    return _checked_rows(order, lambda j, h: Fraction((2 * j - 1) * h, 2**j))

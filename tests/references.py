@@ -122,7 +122,8 @@ def check_inverse(g):
 
 def solve_by_entries(spec):
     """The coefficients c of ``solve_charge_density(spec)``, from one
-    ``g_numerator`` call per entry instead of the row walks: with r = p/s
+    ``beta_numerator`` call per entry instead of the row walks, as
+    2^j G_ij = (2j-1) ``beta_numerator(i, j)``: with r = p/s
     and b_j = B_j / L over the least common denominator L of b, each c_i
     is one integer sum over the denominator 2^n s^(n-i) L, n = len(b)."""
     p, s = spec.radius.numerator, spec.radius.denominator
@@ -132,7 +133,10 @@ def solve_by_entries(spec):
     coeffs = []
     for i in range(1, n1 + 1):
         acc = sum(
-            p ** (j - i) * moment_matrix.g_numerator(i, j) * weight[j - 1]
+            p ** (j - i)
+            * (2 * j - 1)
+            * moment_matrix.beta_numerator(i, j)
+            * weight[j - 1]
             for j in range(i, n1 + 1, 2)
         )
         coeffs.append(Fraction(acc, 2**n1 * s ** (n1 - i) * lcd))

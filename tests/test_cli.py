@@ -210,10 +210,12 @@ def test_matrix_table_and_csv(capsys):
 ORDER_200_CSV_SHA256 = {
     "F": "38d79c458abffc0fa9eaca7cd1ddb2f7a061f8c91e2a0772270c1e9a9ec64cb5",
     "G": "aab9ad9eb039b50a544bc30bcd31b540d27c94445c18c4c36381f74a4ef66c98",
+    "B": "8fb0fb1952026dce1f7cb09bbb16c961e2f07419aa524d566755d9bfd69718de",
+    "D": "d5a1e4ce05595701e7715d28bd512daed8f42c72670bc0c2e8283c43ef3d230a",
 }
 
 
-@pytest.mark.parametrize("which", ["F", "G"])
+@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
 def test_order_200_matrices_are_pinned_byte_for_byte(capsys, which):
     code, out, _ = run_cli(
         capsys, "matrix", "--order", "200", "--which", which, "--format", "csv"

@@ -167,10 +167,14 @@ def test_walked_matrices_equal_the_entries_at_order_200():
     order = 200
     f = build_f(order)
     g = build_g(order)
+    b = build_b(order)
+    d = build_d(order)
     for i in range(1, order + 1):
         for j in range(1, order + 1):
             assert f[i - 1][j - 1] == f_entry(i, j)
             assert g[i - 1][j - 1] == g_entry(i, j)
+            assert b[i - 1][j - 1] == beta_entry(i, j)
+            assert d[i - 1][j - 1] == (d_diagonal(i) if i == j else 0)
 
 
 def test_multiply_requires_same_order():
@@ -203,7 +207,7 @@ def test_identity_matrix():
 # k-th value a walk yields given its first argument
 WALKS = {
     "f_entry": ("_f_column", lambda j, k: (2 - j % 2 + 2 * k, j)),
-    "g_entry": ("_g_row", lambda i, k: (i, i + 2 * k)),
+    "g_entry": ("_b_row", lambda i, k: (i, i + 2 * k)),
 }
 
 
@@ -218,30 +222,45 @@ def _off_by_one(walk, cell, at):
     return corrupted
 
 
-@pytest.mark.parametrize("at", [(i, j) for i in range(1, 7) for j in range(i, 7, 2)])
-@pytest.mark.parametrize("name", ["_g_row", "beta_numerator"])
-def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
+def _assert_catches_off_by_one(monkeypatch, builder, name, at):
     right = getattr(moment_matrix, name)
-    if name == "_g_row":
+    if name == "_b_row":
         wrong = _off_by_one(right, WALKS["g_entry"][1], at)
     else:
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
-    with pytest.raises(ArithmeticError, match=re.escape(f"B D^-1 at {at}")):
-        build_g(6)
+    with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
+        builder(6)
+
+
+# B and G read one checked walk: an off-by-one on either side of the check,
+# at any triangle cell of order 6, must fail both builders
+TRIANGLE_6 = [(i, j) for i in range(1, 7) for j in range(i, 7, 2)]
+
+
+@pytest.mark.parametrize("at", TRIANGLE_6)
+@pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
+def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
+    _assert_catches_off_by_one(monkeypatch, build_g, name, at)
+
+
+@pytest.mark.parametrize("at", TRIANGLE_6)
+@pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
+def test_build_b_catches_any_off_by_one_numerator(monkeypatch, name, at):
+    _assert_catches_off_by_one(monkeypatch, build_b, name, at)
 
 
 @pytest.mark.parametrize(
     "name, at, builder, verify, message",
     [
-        ("g_entry", (1, 3), build_g, False, "disagrees with B D"),
+        ("g_entry", (1, 3), build_g, False, "disagrees with beta_numerator"),
         ("f_entry_recurrence", (3, 5), build_f, True, "recurrence"),
         ("f_diagonal", (4,), build_f, True, "diagonal"),
         ("f_second_superdiagonal", (5,), build_f, True, "superdiagonal"),
         ("f_entry", (2, 4), build_g, True, "identity"),
         ("f_entry", (3, 5), build_f, True, r"alternating sum mismatch at \(3, 5\)"),
         ("f_entry_closed_form", (2, 4), build_f, True, "alternating sum"),
-        ("beta_numerator", (1, 3), build_g, False, "disagrees with B D"),
+        ("beta_numerator", (1, 3), build_g, False, "disagrees with beta_numerator"),
     ],
 )
 def test_checks_catch_a_corrupted_entry(
