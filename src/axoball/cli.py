@@ -10,7 +10,8 @@ Problem files are JSON.  Rational values travel as strings ("p/q", integer
 or decimal text); decimals are converted exactly through power-of-ten
 denominators, never through binary floats (json parse_float is redirected
 to str for the same reason).  Reports are JSON with a schema_version
-field; parsers ignore unknown fields so the schema can grow.
+field; parsers ignore unknown fields so the schema can grow.  Every
+command writes its output through ``_emit``.
 
 Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
 finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
@@ -21,8 +22,6 @@ runs it.
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -143,7 +142,6 @@ def load_problem(path):
     moments_raw = data.get("moments", [0, 1, 2, 3])
     if not isinstance(moments_raw, list) or not moments_raw:
         raise ProblemError("field 'moments': must be a non-empty list")
-    moments = []
     for idx, m in enumerate(moments_raw):
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ProblemError(
@@ -151,8 +149,7 @@ def load_problem(path):
             )
         if m > 1000:
             raise ProblemError(f"field 'moments[{idx}]': must be at most 1000")
-        if m not in moments:
-            moments.append(m)
+    moments = list(dict.fromkeys(moments_raw))  # first of each order, in order
 
     profile = None
     if "profile" in data:
@@ -215,6 +212,15 @@ def run_verification(report):
 
     block = check_report(report)
     return block, 0 if block["passed"] else 3
+
+
+def _lines(rows, sep):
+    """Rows of text fields as lines: fields joined by sep, each line ended
+    by a newline.  No field holds sep, a quote or a line break (a rational
+    prints as '-', digits and '/', a profile value as the 17-digit text of
+    a finite float, and header names are fixed), so the comma-joined lines
+    are exactly what a CSV writer with a newline terminator would write."""
+    return "".join(sep.join(row) + "\n" for row in rows)
 
 
 def _emit(text, out_path):
@@ -291,15 +297,8 @@ def cmd_matrix(args):
     rows = _MATRIX_BUILDERS[args.which](args.order)
     if args.which == "D":
         rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        for row in rows:
-            writer.writerow([format_rational(v) for v in row])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        for row in rows:
-            sys.stdout.write(" ".join(format_rational(v) for v in row) + "\n")
+    sep = "," if args.format == "csv" else " "
+    _emit(_lines((map(format_rational, row) for row in rows), sep), None)
     return 0
 
 
@@ -310,12 +309,8 @@ def cmd_profile(args):
     samples, span = prob.profile
     density = solve_charge_density(prob.spec)
     arrays = _profile_arrays(density, samples, span)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(arrays))
-    for k in range(samples):
-        writer.writerow([format(column[k], ".17g") for column in arrays.values()])
-    _emit(buffer.getvalue(), args.out)
+    body = ([format(x, ".17g") for x in point] for point in zip(*arrays.values()))
+    _emit(_lines([list(arrays), *body], ","), args.out)
     return 0
 
 

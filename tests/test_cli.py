@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -224,6 +225,23 @@ def test_order_200_matrices_are_pinned_byte_for_byte(capsys, which):
     assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_CSV_SHA256[which]
 
 
+# sha256 of `axoball matrix --order 200 --which W` in the default table
+# format, pinned apart from the csv digests above
+ORDER_200_TABLE_SHA256 = {
+    "F": "78c9bb35907548e49e4900a52000e4c848bec55939172eb6e7cc4e01248c6ceb",
+    "G": "d657d823ec0d83e5f00b8c985941452889723bda1816e8c604b0ca34e93a29da",
+    "B": "a8cd3990e10fe84e64acc2c6dbc3a4a1e644ddea5e5fa76a81f68a4d0527f1fe",
+    "D": "f096b23885a14fe42a19df0a143f75a32bc75b94ee4c367d59e50b4e8f84aeab",
+}
+
+
+@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
+def test_order_200_table_matrices_are_pinned_byte_for_byte(capsys, which):
+    code, out, _ = run_cli(capsys, "matrix", "--order", "200", "--which", which)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_TABLE_SHA256[which]
+
+
 def test_matrix_d_prints_diagonal_row(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--order", "3", "--which", "D", "--format", "csv"
@@ -264,6 +282,18 @@ def test_profile_csv_shape_and_columns(tmp_path, capsys):
     expected = induced_axis_potential(density, s)
     for row, u in zip(rows[1:], expected):
         assert float(row[3]) == pytest.approx(u, rel=1e-12, abs=1e-15)
+
+
+def test_readme_profile_is_pinned_byte_for_byte(tmp_path, capsys):
+    # the README's example problem; its profile is built from +, * and /
+    # only, so the digest does not depend on the platform's libm
+    body = dict(BASIC, moments=[0, 1, 2, 3, 4], profile={"samples": 101, "span": "3"})
+    code, out, _ = run_cli(capsys, "profile", write_problem(tmp_path, body))
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "4b761da574bc094ae15e13525fe8937a6fe712ce90f6a83a1b73d07f7bec70de"
+    )
 
 
 def test_profile_uniform_field_density_is_odd_and_linear(tmp_path, capsys):
@@ -363,6 +393,28 @@ def test_load_problem_deduplicates_moments(tmp_path):
         tmp_path, {"radius": "1", "coeffs_b": ["1"], "moments": [2, 2, 0]}
     )
     assert load_problem(path).moments == [2, 0]
+
+
+def test_load_problem_deduplicates_moments_in_linear_time(tmp_path):
+    # every order 0..1000, a thousand times over (4.9 MB): a dedupe that
+    # scans the orders kept so far costs a thousand times the parse
+    text = json.dumps(
+        {"radius": "1", "coeffs_b": ["1"], "moments": list(range(1001)) * 1000}
+    )
+    path = write_problem(tmp_path, text)
+
+    def best_of(runs, call):
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            result = call()
+            times.append(time.perf_counter() - start)
+        return min(times), result
+
+    parse_time, _ = best_of(3, lambda: json.loads(text))
+    load_time, prob = best_of(2, lambda: load_problem(path))
+    assert prob.moments == list(range(1001))
+    assert load_time < 20 * parse_time
 
 
 def test_moment_order_past_1000_exits_2(tmp_path, capsys):
