@@ -23,6 +23,7 @@ from .electrostatics import (
     dipole_moment,
     induced_axis_potential,
     multipole_moment,
+    multipole_moments,
     solve_charge_density,
     total_charge,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "format_rational",
     "induced_axis_potential",
     "multipole_moment",
+    "multipole_moments",
     "parse_rational",
     "solve_charge_density",
     "total_charge",

@@ -33,15 +33,18 @@ closed form reads the b the density was solved from, its integrated path c.
 The charge and the dipole are the multipole moments of orders 0 and 1;
 the order-m sum gives their closed forms above.
 
-The quadratic exact loops (solving for c, squaring sigma for the force)
-run on plain ints over a common denominator and build one reduced
-Fraction per output value; the integrated paths do the same through the
-private ``_numerators`` and ``_integral``, which no closed form uses.
-The solve and the closed multipole sum read the moment matrices by walks,
-not entry by entry: the solve sums row i of G = B D^{-1} from the integers
-2^(j-1) B_ij as ``moment_matrix._b_row`` walks them, with the factor
-2j - 1 of 1/D_jj folded into b_j's weight, and the closed sum of order m
-reads column m+1 of F from ``moment_matrix._f_column``.
+Every exact path sums plain ints over one common denominator, by Horner's
+rule in p^2 for r = p/s, and builds one reduced Fraction per value.  The
+solve sums row i of G = B D^{-1} from the integers 2^(j-1) B_ij as
+``moment_matrix._b_row`` walks them, with the factor 2j - 1 of 1/D_jj
+folded into b_j's weight.  ``multipole_moments`` takes the numerators of b
+and of c once for all its orders: the closed sum of order m reads column
+m+1 of F from ``moment_matrix._f_column`` over the lcm of its
+denominators, and the integrated path runs through the private
+``_integral``, which no closed form uses.  The force's closed sum is one
+integer over b's numerators; its integral squares c's numerator polynomial
+as one big-int product (Kronecker substitution, ``_product``), so CPython's
+Karatsuba multiplies the pairs.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.  The two float
@@ -278,29 +281,129 @@ def _numerators(values):
 
 
 def _integral(a, r, m):
-    """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d]: the sum over
-    d with d + m even of 2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is
-    summed in integers over s^top M (top the largest e, M the lcm of the
-    e) and reduced once."""
+    """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d], as an
+    unreduced numerator and denominator: the sum over d with d + m even of
+    2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is one integer over
+    s^top M (top the largest e, M the lcm of the e), summed by Horner's
+    rule in p^2 with a running power of s^2."""
     p, s = r.numerator, r.denominator
     degrees = range(m % 2, len(a), 2)
     if not degrees:
-        return Fraction(0)
-    top = degrees[-1] + m + 1
+        return 0, 1
     lcm_e = math.lcm(*(d + m + 1 for d in degrees))
-    acc = 0
-    for d in degrees:
-        e = d + m + 1
-        acc += a[d] * p**e * s ** (top - e) * (lcm_e // e)
-    return Fraction(2 * acc, s**top * lcm_e)
+    p2, s2 = p * p, s * s
+    acc, s_power = 0, 1
+    for d in reversed(degrees):
+        acc = acc * p2 + a[d] * (lcm_e // (d + m + 1)) * s_power
+        s_power *= s2
+    first, top = degrees[0] + m + 1, degrees[-1] + m + 1
+    return 2 * acc * p**first, s**top * lcm_e
 
 
-def _integrated_moment(density, m):
-    """2 pi r int z^m sigma dz over [-r, r], in units of pi eps0, by exact
-    polynomial integration of sigma's coefficients c:
+def _integrated_moment(c, lcd, r, m):
+    """2 pi r int z^m sigma dz over [-r, r], in units of pi eps0, from the
+    numerators c of sigma's coefficients over their denominator lcd:
     8 sum over j with m + j odd of c_j r^(m+j) / (m+j)."""
-    numerators, lcd = _numerators(density.coeffs_c)
-    return 4 * _integral(numerators, density.radius, m) / lcd
+    num, den = _integral(c, r, m)
+    return Fraction(4 * num, den * lcd)
+
+
+def _closed_moment(b, lcd, r, m):
+    """2 r^(m+1) sum over i = delta, delta+2, ..., min(m+1, n) of
+    (2i-1) r^(i-1) F_{i,m+1} b_i, from the numerators b of the potential's
+    coefficients over their denominator lcd.  With r = p/s and the column
+    of F over the lcm M of its denominators, the sum is one integer over
+    s^(top-1) M lcd (top the last i), summed by Horner's rule in p^2."""
+    p, s = r.numerator, r.denominator
+    rows = range(1 + m % 2, min(m + 1, len(b)) + 1, 2)
+    if not rows:
+        return Fraction(0)
+    column = list(zip(rows, _f_column(m + 1)))
+    lcm_f = math.lcm(*(f.denominator for _, f in column))
+    p2, s2 = p * p, s * s
+    acc, s_power = 0, 1
+    for i, f in reversed(column):
+        weight = (2 * i - 1) * b[i - 1] * f.numerator * (lcm_f // f.denominator)
+        acc = acc * p2 + weight * s_power
+        s_power *= s2
+    return Fraction(
+        2 * p ** (m + rows[0]) * acc, s ** (m + rows[-1]) * lcm_f * lcd
+    )
+
+
+def _integrated_force(c, lcd, r):
+    """(pi/eps0) int z sigma^2 dz over [-r, r], in units of pi eps0, from the
+    numerators c of sigma's coefficients over their denominator lcd.
+
+    Only the odd coefficients of (sum c_j z^j)^2 survive the integral, and
+    they are those of 2 z E(z^2) O(z^2), with E and O the polynomials of the
+    even- and the odd-index numerators; ``_product`` multiplies E and O."""
+    q = [0] * (2 * len(c) - 1)
+    q[1::2] = _product(c[0::2], c[1::2])
+    num, den = _integral(q, r, 1)
+    p, s = r.numerator, r.denominator
+    return Fraction(8 * num * s * s, den * p * p * lcd * lcd)
+
+
+def _closed_force(b, lcd, r):
+    """4 sum_i i r^(2i-1) b_i b_{i+1}, from the numerators b of the
+    potential's coefficients over their denominator lcd: with r = p/s, one
+    integer over s^(2n-3) lcd^2, summed by Horner's rule in p^2."""
+    if len(b) < 2:
+        return Fraction(0)
+    p, s = r.numerator, r.denominator
+    p2, s2 = p * p, s * s
+    acc, s_power = 0, 1
+    for i in range(len(b) - 1, 0, -1):
+        acc = acc * p2 + i * b[i - 1] * b[i] * s_power
+        s_power *= s2
+    return Fraction(4 * p * acc, s ** (2 * len(b) - 3) * lcd * lcd)
+
+
+def _field_width(u, v):
+    """Bits per field that hold every coefficient of the product of the
+    integer polynomials u and v as a signed value: each is a sum of at most
+    n = min(len(u), len(v)) products below 2^(2 maxbits) in magnitude."""
+    bits = max(abs(x).bit_length() for x in (*u, *v))
+    return 2 * bits + min(len(u), len(v)).bit_length() + 2
+
+
+def _product(u, v):
+    """The coefficients of (sum u_k x^k)(sum v_k x^k) for integers u_k, v_k,
+    by Kronecker substitution: u and v are evaluated at x = 2^w, one field
+    of w = ``_field_width(u, v)`` bits per coefficient, the two integers
+    are multiplied once, and the product's fields are read back as signed
+    values.  Packing and unpacking split in halves, so each level touches
+    every bit once."""
+    if not u or not v:
+        return []
+    width = _field_width(u, v)
+    return _unpack(_pack(u, width) * _pack(v, width), width, len(u) + len(v) - 1)
+
+
+def _pack(values, width):
+    """sum_k values[k] 2^(width k) for signed integers values[k]."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return _pack(values[:half], width) + (
+        _pack(values[half:], width) << (width * half)
+    )
+
+
+def _unpack(z, width, count):
+    """The count signed fields of z = sum_k f_k 2^(width k), each with
+    -2^(width-1) <= f_k < 2^(width-1): the low half of the fields is the
+    signed residue of z modulo 2^(width half), the high half the exact
+    quotient."""
+    if count == 1:
+        return [z]
+    half = count // 2
+    shift = width * half
+    low = z & ((1 << shift) - 1)
+    if low >> (shift - 1):
+        low -= 1 << shift
+    return _unpack(low, width, half) + _unpack((z - low) >> shift, width, count - half)
 
 
 def _agreed(quantity, order, integrated, closed, density):
@@ -330,23 +433,43 @@ def dipole_moment(density):
 
 
 def multipole_moment(density, m):
-    """Multipole moment of order m, D_m = 2 pi r int z^m sigma dz.
+    """Multipole moment of order m, D_m = 2 pi r int z^m sigma dz, by
+    ``multipole_moments`` of the one order.
 
     Closed form: 2 pi eps0 r^(m+1) sum over i = delta, delta+2, ..., m+1 of
     (2i-1) r^(i-1) F_{i,m+1} b_i, with delta = 1 for even m and 2 for odd
     m, and b_i = 0 past the end of the coefficient vector.  Orders 0 and 1
     collapse to the charge 4 pi eps0 r b_1 and the dipole 4 pi eps0 r^3 b_2.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError("moment order must be a non-negative integer")
+    return multipole_moments(density, (m,))[m]
+
+
+def multipole_moments(density, orders):
+    """The multipole moments of the given orders, as a dict from each order
+    to its ExactPhysical, in the order requested.
+
+    The numerators of b and of c over their common denominators are taken
+    once; each order then sums its closed form from b and its defining
+    integral from c as one integer each.  The orders are evaluated in turn,
+    so the first order whose two paths disagree raises ConsistencyError.
+    """
+    orders = list(orders)
+    for m in orders:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise ValueError("moment order must be a non-negative integer")
     r = density.radius
-    b = density.coeffs_b
-    delta = 1 if m % 2 == 0 else 2
-    acc = Fraction(0)
-    for i, f in zip(range(delta, min(m + 1, len(b)) + 1, 2), _f_column(m + 1)):
-        acc += (2 * i - 1) * r ** (i - 1) * f * b[i - 1]
-    closed = 2 * r ** (m + 1) * acc
-    return _agreed("moment", m, _integrated_moment(density, m), closed, density)
+    b = _numerators(density.coeffs_b)
+    c = _numerators(density.coeffs_c)
+    return {
+        m: _agreed(
+            "moment",
+            m,
+            _integrated_moment(*c, r, m),
+            _closed_moment(*b, r, m),
+            density,
+        )
+        for m in orders
+    }
 
 
 def axial_force(density):
@@ -355,23 +478,19 @@ def axial_force(density):
     The electric pressure sigma^2 / (2 eps0) acts along the outward normal;
     its axial component integrates to F = (pi/eps0) int z sigma^2 dz, which
     has the closed form 4 pi eps0 sum_i i r^(2i-1) b_i b_{i+1}.  Positive
-    values point along +z (increasing s).  Both paths are exact and must
-    agree.
+    values point along +z (increasing s).  The closed form is one integer
+    sum over b's numerators; the integral squares sigma's numerator
+    polynomial by one big-int product (``_product``).  Both paths are exact
+    and must agree.
     """
     r = density.radius
-    b = density.coeffs_b
-    closed = Fraction(
-        4 * sum(i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b)))
+    return _agreed(
+        "force",
+        None,
+        _integrated_force(*_numerators(density.coeffs_c), r),
+        _closed_force(*_numerators(density.coeffs_b), r),
+        density,
     )
-    # (c_1 + c_2 z + ...)^2 = sum_d q[d] z^d / lcd^2; int z^(d+1) dz reads
-    # odd d only, so only the pairs with a + e odd are multiplied
-    numerators, lcd = _numerators(density.coeffs_c)
-    q = [0] * (2 * len(numerators) - 1)
-    for a, na in enumerate(numerators):
-        for e in range(1 - a % 2, len(numerators), 2):
-            q[a + e] += na * numerators[e]
-    integrated = 4 * _integral(q, r, 1) / (r * r * lcd * lcd)
-    return _agreed("force", None, integrated, closed, density)
 
 
 def _horner(coeffs, x):
@@ -449,9 +568,6 @@ def build_report(spec, moments=(0, 1, 2, 3)):
     the requested orders in their order.
     """
     density = solve_charge_density(spec)
-    multipoles = {m: multipole_moment(density, m) for m in moments}
-    charge, dipole = (
-        multipoles[m] if m in multipoles else multipole_moment(density, m)
-        for m in (0, 1)
-    )
-    return BallReport(density, charge, dipole, multipoles, axial_force(density))
+    values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
+    multipoles = {m: values[m] for m in moments}
+    return BallReport(density, values[0], values[1], multipoles, axial_force(density))

@@ -1,5 +1,5 @@
-"""Reference paths for the moment matrix and the oracle that only the
-tests run.
+"""Reference paths for the moment matrix, the exact quantities and the
+oracle that only the tests run.
 
 The paper's Appendix proves a row recurrence for F, factorial formulas
 for its diagonal and second superdiagonal, and F G = G F = I.  These are
@@ -12,6 +12,12 @@ from one G entry at a time, the reference for the library's row walks.
 Entry functions are 1-based, as in the library; entries of
 ``moment_matrix`` are looked up on the module, so a test can corrupt one.
 
+Each exact path of the moments and the force has its own reference here,
+summed term by term in Fractions: the closed multipole sum, the
+integrated moment, the closed force sum and the integrated force from the
+pair products of the density's numerators.  ``schoolbook_product`` is the
+pair loop that the library's Kronecker product must equal.
+
 The float references below them are built from the oracle's Legendre
 recurrence, Gauss-Legendre rules and axis kernel: Legendre values, the
 moment integrals F_ij by quadrature, the recursive one-value-at-a-time
@@ -21,7 +27,7 @@ quadrature.
 """
 
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
 
 from axoball import electrostatics, moment_matrix, oracle
 
@@ -141,6 +147,72 @@ def solve_by_entries(spec):
         )
         coeffs.append(Fraction(acc, 2**n1 * s ** (n1 - i) * lcd))
     return tuple(coeffs)
+
+
+def closed_moment(b, r, m):
+    """2 r^(m+1) sum over i = delta, delta+2, ..., m+1 of
+    (2i-1) r^(i-1) F_{i,m+1} b_i for the potential's coefficients b, one
+    Fraction term at a time."""
+    delta = 1 if m % 2 == 0 else 2
+    acc = Fraction(0)
+    for i, f in zip(
+        range(delta, min(m + 1, len(b)) + 1, 2), moment_matrix._f_column(m + 1)
+    ):
+        acc += (2 * i - 1) * r ** (i - 1) * f * b[i - 1]
+    return 2 * r ** (m + 1) * acc
+
+
+def integral(a, r, m):
+    """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d]: the sum over
+    d with d + m even of 2 a[d] r^e / e, e = d + m + 1, with every power of
+    p and s of r = p/s taken on its own, reduced once."""
+    p, s = r.numerator, r.denominator
+    degrees = range(m % 2, len(a), 2)
+    if not degrees:
+        return Fraction(0)
+    top = degrees[-1] + m + 1
+    lcm_e = lcm(*(d + m + 1 for d in degrees))
+    acc = 0
+    for d in degrees:
+        e = d + m + 1
+        acc += a[d] * p**e * s ** (top - e) * (lcm_e // e)
+    return Fraction(2 * acc, s**top * lcm_e)
+
+
+def integrated_moment(c, r, m):
+    """2 r int z^m sum_j c_j z^(j-1) dz over [-r, r] for the density's
+    coefficients c."""
+    numerators, lcd = electrostatics._numerators(c)
+    return 4 * integral(numerators, r, m) / lcd
+
+
+def closed_force(b, r):
+    """4 sum_i i r^(2i-1) b_i b_{i+1}, one Fraction term at a time."""
+    return Fraction(
+        4 * sum(i * r ** (2 * i - 1) * b[i - 1] * b[i] for i in range(1, len(b)))
+    )
+
+
+def integrated_force(c, r):
+    """int z (sum_j c_j z^(j-1))^2 dz over [-r, r] times 4 / r^2, from the
+    pair products of the numerators of c with an odd index sum."""
+    numerators, lcd = electrostatics._numerators(c)
+    q = [0] * (2 * len(numerators) - 1)
+    for a, na in enumerate(numerators):
+        for e in range(1 - a % 2, len(numerators), 2):
+            q[a + e] += na * numerators[e]
+    return 4 * integral(q, r, 1) / (r * r * lcd * lcd)
+
+
+def schoolbook_product(u, v):
+    """The coefficients of (sum u_k x^k)(sum v_k x^k), pair by pair."""
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for a, x in enumerate(u):
+        for e, y in enumerate(v):
+            out[a + e] += x * y
+    return out
 
 
 def legendre_eval(n, x):

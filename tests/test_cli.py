@@ -242,6 +242,28 @@ def test_order_200_table_matrices_are_pinned_byte_for_byte(capsys, which):
     assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_TABLE_SHA256[which]
 
 
+# sha256 of `axoball solve` on the problem of degree N below: radius 7/3,
+# moments 0..200 at N = 200 and the default moments at N = 400; the
+# benchmark pools stop at degree 64
+LARGE_SOLVE_SHA256 = {
+    200: "139f76a1e471624355d5d8fb33b9afaabd087b361ea227c6c22fe9558adead2c",
+    400: "967cd5d81046123133849da9ffa897d68547a30226bd0ca7f756b32549cf0950",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(LARGE_SOLVE_SHA256))
+def test_large_solve_reports_are_pinned_byte_for_byte(tmp_path, capsys, degree):
+    body = {
+        "radius": "7/3",
+        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(degree + 1)],
+    }
+    if degree == 200:
+        body["moments"] = list(range(201))
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SOLVE_SHA256[degree]
+
+
 def test_matrix_d_prints_diagonal_row(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--order", "3", "--which", "D", "--format", "csv"

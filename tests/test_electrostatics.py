@@ -18,6 +18,7 @@ from axoball import (
     dipole_moment,
     induced_axis_potential,
     multipole_moment,
+    multipole_moments,
     solve_charge_density,
     total_charge,
 )
@@ -25,6 +26,7 @@ from axoball import electrostatics as es_mod
 from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
 from conftest import random_coeffs, random_radius, random_spec
+import references
 from references import brute_force_axis_potential, solve_by_entries
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -446,3 +448,172 @@ def test_integrated_paths_equal_the_fraction_sums(spec):
         odd = range(1 + m % 2, len(c) + 1, 2)
         moment = 8 * sum((c[j - 1] * r ** (m + j) / (m + j) for j in odd), Fraction(0))
         assert multipole_moment(density, m).coeff == moment
+
+
+def test_multipole_moments_keep_the_requested_orders():
+    density = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0))
+    moments = multipole_moments(density, [5, 0, 5, 2])
+    assert list(moments) == [5, 0, 2]
+    assert all(moments[m] == multipole_moment(density, m) for m in moments)
+    assert multipole_moments(density, ()) == {}
+    for order in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            multipole_moments(density, [0, order])
+
+
+def _assert_disagrees(call, quantity, order):
+    with pytest.raises(ConsistencyError) as caught:
+        call()
+    error = caught.value
+    assert (error.quantity, error.order) == (quantity, order)
+    label = quantity if order is None else f"order-{order} {quantity}"
+    assert str(error) == (
+        f"{label} paths disagree: "
+        f"integrated {error.integrated}, closed {error.closed}"
+    )
+    assert error.integrated != error.closed
+    return error
+
+
+def test_consistency_error_is_raised_per_order():
+    good = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4, 5), epsilon0=1.0))
+    right = multipole_moments(good, range(6))
+    # c_2, the coefficient of z, is read by the integrals of odd order only
+    c = list(good.coeffs_c)
+    c[1] += 1
+    bad_c = dataclasses.replace(good, coeffs_c=tuple(c))
+    error = _assert_disagrees(
+        lambda: multipole_moments(bad_c, [0, 3, 1]), "moment", 3
+    )
+    assert error.closed == right[3].coeff
+    assert multipole_moments(bad_c, [0, 2, 4]) == {m: right[m] for m in (0, 2, 4)}
+    # b_2 is read by the closed sums of odd order only, and by the force
+    b = list(good.coeffs_b)
+    b[1] += 1
+    bad_b = dataclasses.replace(
+        good, spec=dataclasses.replace(good.spec, coeffs_b=tuple(b))
+    )
+    error = _assert_disagrees(
+        lambda: multipole_moments(bad_b, [0, 2, 3, 1]), "moment", 3
+    )
+    assert error.integrated == right[3].coeff
+    assert multipole_moments(bad_b, [4, 0]) == {m: right[m] for m in (4, 0)}
+    error = _assert_disagrees(lambda: axial_force(bad_b), "force", None)
+    assert error.integrated == axial_force(good).coeff
+
+
+# radii whose numerator and denominator grow in every way: integers, p/q,
+# 1/10^k and 10^k
+path_radii = st.one_of(
+    st.integers(min_value=1, max_value=50).map(Fraction),
+    kernel_radii,
+    st.integers(min_value=1, max_value=12).map(lambda k: Fraction(1, 10**k)),
+    st.integers(min_value=1, max_value=12).map(lambda k: Fraction(10**k)),
+)
+
+
+@st.composite
+def path_densities(draw, max_degree):
+    degree = draw(st.integers(min_value=0, max_value=max_degree))
+    coeffs = draw(
+        st.one_of(
+            st.just([0] * (degree + 1)),
+            st.lists(kernel_coeffs, min_size=degree + 1, max_size=degree + 1),
+        )
+    )
+    spec = PotentialSpec(draw(path_radii), tuple(coeffs), epsilon0=1.0)
+    return solve_charge_density(spec)
+
+
+def _assert_paths_equal_references(density, orders):
+    r, b, c = density.radius, density.coeffs_b, density.coeffs_c
+    numerators_b, numerators_c = es_mod._numerators(b), es_mod._numerators(c)
+    for m in orders:
+        closed = es_mod._closed_moment(*numerators_b, r, m)
+        assert closed == references.closed_moment(b, r, m)
+        integrated = es_mod._integrated_moment(*numerators_c, r, m)
+        assert integrated == references.integrated_moment(c, r, m)
+    assert es_mod._closed_force(*numerators_b, r) == references.closed_force(b, r)
+    assert es_mod._integrated_force(*numerators_c, r) == references.integrated_force(
+        c, r
+    )
+
+
+@given(
+    density=path_densities(max_degree=64),
+    orders=st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_each_exact_path_equals_its_fraction_reference(density, orders):
+    # each path against its own reference, so two paths broken alike fail
+    _assert_paths_equal_references(density, orders)
+
+
+@pytest.mark.parametrize("degree, orders", [(200, range(201)), (400, ())])
+def test_exact_paths_equal_their_references_at_high_degree(degree, orders):
+    rng = random.Random(degree)
+    spec = PotentialSpec(random_radius(rng), random_coeffs(rng, degree), epsilon0=1.0)
+    assert spec.degree == degree
+    _assert_paths_equal_references(solve_charge_density(spec), orders)
+
+
+def _assert_product(u, v):
+    assert es_mod._product(u, v) == references.schoolbook_product(u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ([3], [-5]),
+        ([0], [7]),
+        ([7], [1, -2]),
+        ([1, -1], [2, 3]),
+        ([-3, -7, -1, -9], [-2, -8, -5]),
+        ([(-1) ** k * (k + 1) for k in range(9)], [(-1) ** k * 3 for k in range(8)]),
+        ([1, -2, 10**300, 3, -1], [2, 1, -1, 1]),
+        ([1, -2, 3], [-1, -(10**300), 1, 2]),
+        ([0, 5, 0, -3, 0, 0, 7], [0, 0, -4, 0, 1]),
+        ([0, 0, 0], [0, 0]),
+        ([], [1, 2]),
+    ],
+)
+def test_kronecker_product_equals_the_pair_loop(u, v):
+    _assert_product(u, v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 30, 31, 64, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_kronecker_product_at_the_edges_of_its_fields(k, n):
+    # the largest entries of k and k + 1 bits, in every sign pattern: the
+    # product's coefficients reach n (2^k)^2, next to the field's bound
+    for big in (2**k - 1, 2**k):
+        for u, v in (
+            ([big] * n, [big] * n),
+            ([-big] * n, [-big] * n),
+            ([-big] * n, [big] * (n + 1)),
+            ([big, -big] * n, [-big, big] * n),
+            ([big, -big] * n, [big] * n),
+        ):
+            width = es_mod._field_width(u, v)
+            bound = max(abs(x) for x in references.schoolbook_product(u, v))
+            assert bound < 2 ** (width - 2)
+            _assert_product(u, v)
+
+
+def test_fields_unpack_up_to_their_signed_bounds():
+    width = es_mod._field_width([2**30 - 1, -(2**30)], [1, 2])
+    low, high = -(2 ** (width - 1)), 2 ** (width - 1) - 1
+    fields = [low, high, 0, -1, 1, high, low, low, high]
+    assert es_mod._unpack(es_mod._pack(fields, width), width, len(fields)) == fields
+    # one past the bound no longer fits its field
+    past = [high + 1, 0]
+    assert es_mod._unpack(es_mod._pack(past, width), width, 2) != past
+
+
+@given(
+    u=st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=20),
+    v=st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=20),
+)
+@settings(max_examples=100)
+def test_kronecker_product_equals_the_pair_loop_on_any_ints(u, v):
+    _assert_product(u, v)
