@@ -34,17 +34,17 @@ The charge and the dipole are the multipole moments of orders 0 and 1;
 the order-m sum gives their closed forms above.
 
 Every exact path sums plain ints over one common denominator, by Horner's
-rule in p^2 for r = p/s, and builds one reduced Fraction per value.  The
-solve sums row i of G = B D^{-1} from the integers 2^(j-1) B_ij as
-``moment_matrix._b_row`` walks them, with the factor 2j - 1 of 1/D_jj
-folded into b_j's weight.  ``multipole_moments`` takes the numerators of b
-and of c once for all its orders: the closed sum of order m reads column
-m+1 of F from ``moment_matrix._f_column`` over the lcm of its
-denominators, and the integrated path runs through the private
-``_integral``, which no closed form uses.  The force's closed sum is one
-integer over b's numerators; its integral squares c's numerator polynomial
-as one big-int product (Kronecker substitution, ``_product``), so CPython's
-Karatsuba multiplies the pairs.
+rule in p^2 for r = p/s, and builds one reduced Fraction per value; every
+path but the solve sums through ``_in_r2``.  The solve sums row i of
+G = B D^{-1} from the integers 2^(j-1) B_ij as ``moment_matrix._b_row``
+walks them, with the factor 2j - 1 of 1/D_jj folded into b_j's weight.
+``multipole_moments`` takes the numerators of b and of c once for all its
+orders: the closed sum of order m reads column m+1 of F as the integers
+``moment_matrix._f_column`` walks over one denominator, and the integrated
+path runs through the private ``_integral``, which no closed form uses.
+The force's closed sum is one integer over b's numerators; its integral
+squares c's numerator polynomial as one big-int product (Kronecker
+substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats.  The two float
@@ -234,7 +234,7 @@ def solve_charge_density(spec):
     coeffs = []
     for i in range(1, n1 + 1):
         terms = [h * weight[j - 1] for j, h in zip(range(i, n1 + 1, 2), _b_row(i, n1))]
-        # sum_j p^(j-i) terms_j, by Horner's rule in p^2 from the row's end
+        # Horner in p^2, not _in_r2: s's powers sit in weights every row shares
         acc = 0
         for term in reversed(terms):
             acc = acc * p2 + term
@@ -280,22 +280,28 @@ def _numerators(values):
     return [v.numerator * (lcd // v.denominator) for v in values], lcd
 
 
+def _in_r2(terms, p, s):
+    """sum_k terms[k] p^(2k) s^(2(K-1-k)) for K integers terms[k], that is
+    s^(2K-2) sum_k terms[k] r^(2k) for r = p/s, by Horner's rule in p^2."""
+    p2, s2 = p * p, s * s
+    acc, s_power = 0, 1
+    for term in reversed(terms):
+        acc = acc * p2 + term * s_power
+        s_power *= s2
+    return acc
+
+
 def _integral(a, r, m):
     """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d], as an
     unreduced numerator and denominator: the sum over d with d + m even of
     2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is one integer over
-    s^top M (top the largest e, M the lcm of the e), summed by Horner's
-    rule in p^2 with a running power of s^2."""
+    s^top M (top the largest e, M the lcm of the e), summed by ``_in_r2``."""
     p, s = r.numerator, r.denominator
     degrees = range(m % 2, len(a), 2)
     if not degrees:
         return 0, 1
     lcm_e = math.lcm(*(d + m + 1 for d in degrees))
-    p2, s2 = p * p, s * s
-    acc, s_power = 0, 1
-    for d in reversed(degrees):
-        acc = acc * p2 + a[d] * (lcm_e // (d + m + 1)) * s_power
-        s_power *= s2
+    acc = _in_r2([a[d] * (lcm_e // (d + m + 1)) for d in degrees], p, s)
     first, top = degrees[0] + m + 1, degrees[-1] + m + 1
     return 2 * acc * p**first, s**top * lcm_e
 
@@ -311,24 +317,16 @@ def _integrated_moment(c, lcd, r, m):
 def _closed_moment(b, lcd, r, m):
     """2 r^(m+1) sum over i = delta, delta+2, ..., min(m+1, n) of
     (2i-1) r^(i-1) F_{i,m+1} b_i, from the numerators b of the potential's
-    coefficients over their denominator lcd.  With r = p/s and the column
-    of F over the lcm M of its denominators, the sum is one integer over
-    s^(top-1) M lcd (top the last i), summed by Horner's rule in p^2."""
-    p, s = r.numerator, r.denominator
+    coefficients over their denominator lcd: with r = p/s and column m+1 of
+    F as ``_f_column``'s integers over M, one integer over s^(top-1) M lcd
+    (top the last i), summed by ``_in_r2``."""
     rows = range(1 + m % 2, min(m + 1, len(b)) + 1, 2)
     if not rows:
         return Fraction(0)
-    column = list(zip(rows, _f_column(m + 1)))
-    lcm_f = math.lcm(*(f.denominator for _, f in column))
-    p2, s2 = p * p, s * s
-    acc, s_power = 0, 1
-    for i, f in reversed(column):
-        weight = (2 * i - 1) * b[i - 1] * f.numerator * (lcm_f // f.denominator)
-        acc = acc * p2 + weight * s_power
-        s_power *= s2
-    return Fraction(
-        2 * p ** (m + rows[0]) * acc, s ** (m + rows[-1]) * lcm_f * lcd
-    )
+    nums, den = _f_column(m + 1, len(b))
+    p, s = r.numerator, r.denominator
+    acc = _in_r2([(2 * i - 1) * b[i - 1] * f for i, f in zip(rows, nums)], p, s)
+    return Fraction(2 * p ** (m + rows[0]) * acc, s ** (m + rows[-1]) * den * lcd)
 
 
 def _integrated_force(c, lcd, r):
@@ -348,15 +346,11 @@ def _integrated_force(c, lcd, r):
 def _closed_force(b, lcd, r):
     """4 sum_i i r^(2i-1) b_i b_{i+1}, from the numerators b of the
     potential's coefficients over their denominator lcd: with r = p/s, one
-    integer over s^(2n-3) lcd^2, summed by Horner's rule in p^2."""
+    integer over s^(2n-3) lcd^2, summed by ``_in_r2``."""
     if len(b) < 2:
         return Fraction(0)
     p, s = r.numerator, r.denominator
-    p2, s2 = p * p, s * s
-    acc, s_power = 0, 1
-    for i in range(len(b) - 1, 0, -1):
-        acc = acc * p2 + i * b[i - 1] * b[i] * s_power
-        s_power *= s2
+    acc = _in_r2([i * b[i - 1] * b[i] for i in range(1, len(b))], p, s)
     return Fraction(4 * p * acc, s ** (2 * len(b) - 3) * lcd * lcd)
 
 

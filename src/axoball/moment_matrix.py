@@ -21,12 +21,12 @@ so entry (i, j) sits at ``rows[i - 1][j - 1]``.
 
 Construction walks, verification evaluates entries:
 
-  * construction: each column of F is walked down by its term ratio
-    (``_f_column``), and each row of the integers 2**(j-1) B_ij by the
-    integer ratio of its neighbours (``_b_row``): one small multiply and
-    one exact division per entry.  B and G = B D^{-1} are both built from
-    that one walk, and ``solve_charge_density`` and the closed multipole
-    sum read only the walks;
+  * construction: each column of F is walked down by its term ratio as
+    integers over one denominator (``_f_column``), and each row of the
+    integers 2**(j-1) B_ij by the integer ratio of its neighbours
+    (``_b_row``): one small multiply and one exact division per entry.
+    B and G = B D^{-1} are both built from the row walk, and
+    ``solve_charge_density`` and the closed multipole sum read the walks;
   * verification: ``build_b`` and ``build_g`` compare every walked integer
     with ``beta_numerator``, its binomial closed form, in ints; the
     Rodrigues alternating sum ``f_entry_closed_form`` is an independent
@@ -43,7 +43,7 @@ Every entry and every walk is order-independent.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 def f_entry(i, j):
@@ -64,16 +64,19 @@ def f_entry(i, j):
     )
 
 
-def _f_column(j):
-    """The nonzero entries F_ij of column j, for i = 2 - j % 2, ..., j in
-    steps of 2: from F_1j = 2/j (j odd) or F_2j = 2/(j+1) (j even), by the
-    ratio F_{i+2,j} = F_ij (j-i)/(i+j+1) of ``f_entry``'s product."""
+def _f_column(j, n):
+    """Column j of F down to row min(j, n): its nonzero entries, for
+    i = 2 - j % 2 in steps of 2, as integers over one denominator, and that
+    denominator.  From F_1j = 2/j (j odd) or F_2j = 2/(j+1) (j even), by
+    F_{i+2,j} = F_ij (j-i)/(i+j+1): the denominator holds every i+j+1, so
+    each step is one small multiply and one exact integer division."""
     first = 2 - j % 2
-    value = Fraction(2, j + first - 1)
-    yield value
-    for i in range(first, j - 1, 2):
-        value *= Fraction(j - i, i + j + 1)
-        yield value
+    steps = range(first, min(j, n) - 1, 2)
+    tail = prod(i + j + 1 for i in steps)
+    nums = [2 * tail]
+    for i in steps:
+        nums.append(nums[-1] * (j - i) // (i + j + 1))
+    return nums, (j + first - 1) * tail
 
 
 def f_entry_closed_form(i, j):
@@ -187,8 +190,9 @@ def build_f(order):
     ``_f_column``."""
     rows = _zeros(order)
     for j in range(1, order + 1):
-        for i, value in zip(range(2 - j % 2, j + 1, 2), _f_column(j)):
-            rows[i - 1][j - 1] = value
+        nums, den = _f_column(j, j)
+        for i, num in zip(range(2 - j % 2, j + 1, 2), nums):
+            rows[i - 1][j - 1] = Fraction(num, den)
     return rows
 
 

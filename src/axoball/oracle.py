@@ -31,7 +31,7 @@ subdivision in ``axis_kernel_integral`` resolves.  That function returns
 the whole table K_j(xi), j = 1..count, at a tuple of points in one call:
 ``check_report`` builds one table per run, at degree + 1 columns and the
 COLLOCATION_POINTS Chebyshev points, and hands it to both the collocation
-solve and the equation residual.  Nothing is cached between calls.  At
+solve and the equation residual; the table is not cached.  At
 each level of the bisection the table takes one libm pow per node and
 power for each mirrored pair of panels (eta -> -eta), and one sqrt per
 point, panel and node.  It equals, bit for bit, the one-value-at-a-time
@@ -344,12 +344,13 @@ def brute_force_moment(density, m):
     return 2.0 * math.pi * r * r * total
 
 
+@lru_cache(maxsize=1)  # check_report re-reads brute_force_force's samples
 def _force_samples(density):
-    """The force rule, exact for the integrand z sigma^2 of degree
-    2 * degree + 1, with its nodes z on [-r, r] and sigma there."""
+    """The force rule, exact for z sigma^2 of degree 2 * degree + 1, with its
+    nodes z on [-r, r] and sigma there, kept for the last density."""
     rule = gauss_legendre(max(density.degree + 2, 8))
-    zs = [float(density.radius) * eta for eta in rule.nodes]
-    return rule, zs, density.sigma(zs)
+    zs = tuple(float(density.radius) * eta for eta in rule.nodes)
+    return rule, zs, tuple(density.sigma(zs))
 
 
 def brute_force_force(density):

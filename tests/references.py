@@ -152,12 +152,12 @@ def solve_by_entries(spec):
 def closed_moment(b, r, m):
     """2 r^(m+1) sum over i = delta, delta+2, ..., m+1 of
     (2i-1) r^(i-1) F_{i,m+1} b_i for the potential's coefficients b, one
-    Fraction term at a time."""
+    Fraction term at a time, with each F entry from ``f_entry``'s product
+    rather than the column walk."""
     delta = 1 if m % 2 == 0 else 2
     acc = Fraction(0)
-    for i, f in zip(
-        range(delta, min(m + 1, len(b)) + 1, 2), moment_matrix._f_column(m + 1)
-    ):
+    for i in range(delta, min(m + 1, len(b)) + 1, 2):
+        f = moment_matrix.f_entry(i, m + 1)
         acc += (2 * i - 1) * r ** (i - 1) * f * b[i - 1]
     return 2 * r ** (m + 1) * acc
 

@@ -264,6 +264,22 @@ def test_large_solve_reports_are_pinned_byte_for_byte(tmp_path, capsys, degree):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SOLVE_SHA256[degree]
 
 
+def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
+    # the closed moment sums read F's columns up to 1001, where the moment
+    # orders stop; the pins above reach column 201
+    body = {
+        "radius": "7/3",
+        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(201)],
+        "moments": list(range(1001)),
+    }
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "d60bd6d9d0d67cef355932d66abfe63733fd30e17b03f091d7695857f6b2796c"
+    )
+
+
 def test_matrix_d_prints_diagonal_row(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--order", "3", "--which", "D", "--format", "csv"

@@ -421,9 +421,11 @@ def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
     # path does not, so one wrong walked entry must raise ConsistencyError
     walk = es_mod._f_column
 
-    def column(j):
-        for k, value in enumerate(walk(j)):
-            yield value + (j == 3 and k == 1)  # F_33
+    def column(j, n):
+        nums, den = walk(j, n)
+        if j == 3:
+            nums[1] += 1  # F_33, one unit of the column's denominator off
+        return nums, den
 
     monkeypatch.setattr(es_mod, "_f_column", column)
     density = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0))

@@ -146,10 +146,10 @@ def test_zero_pattern_is_structural(monkeypatch):
     walked = []
     walk = moment_matrix._f_column
 
-    def column(j):
-        for value in walk(j):
-            walked.append(j)
-            yield value
+    def column(j, n):
+        nums, den = walk(j, n)
+        walked.append((j, len(nums)))
+        return nums, den
 
     monkeypatch.setattr(moment_matrix, "_f_column", column)
     f = build_f(8)
@@ -158,8 +158,8 @@ def test_zero_pattern_is_structural(monkeypatch):
             if i > j or (i + j) % 2:
                 assert f[i - 1][j - 1] == 0
     # column j holds (j + 1) // 2 triangle cells: 20 in all at order 8
-    assert walked == [j for j in range(1, 9) for _ in range((j + 1) // 2)]
-    assert len(walked) == 20
+    assert walked == [(j, (j + 1) // 2) for j in range(1, 9)]
+    assert sum(count for _, count in walked) == 20
 
 
 def test_walked_matrices_equal_the_entries_at_order_200():
@@ -175,6 +175,20 @@ def test_walked_matrices_equal_the_entries_at_order_200():
             assert g[i - 1][j - 1] == g_entry(i, j)
             assert b[i - 1][j - 1] == beta_entry(i, j)
             assert d[i - 1][j - 1] == (d_diagonal(i) if i == j else 0)
+
+
+# multipole_moments reads columns up to 1001 (moment orders up to 1000),
+# past build_f(200), which the test above holds to f_entry
+@pytest.mark.parametrize("j", [*range(1, 65), 201, 202, 500, 999, 1000, 1001])
+def test_column_walk_equals_f_entry(j):
+    rows = range(2 - j % 2, j + 1, 2)
+    nums, den = moment_matrix._f_column(j, j)
+    assert [Fraction(num, den) for num in nums] == [f_entry(i, j) for i in rows]
+    # a walk cut at row n gives the column's entries down to row n
+    for n in {2, 3, j // 2 + 1, j + 5}:
+        cut = [i for i in rows if i <= n]
+        nums, den = moment_matrix._f_column(j, n)
+        assert [Fraction(num, den) for num in nums] == [f_entry(i, j) for i in cut]
 
 
 def test_multiply_requires_same_order():
@@ -203,23 +217,38 @@ def test_identity_matrix():
     assert multiply(eye, f) == f
 
 
-# the walk that yields each matrix's entries, and the 1-based cell of the
-# k-th value a walk yields given its first argument
-WALKS = {
-    "f_entry": ("_f_column", lambda j, k: (2 - j % 2 + 2 * k, j)),
-    "g_entry": ("_b_row", lambda i, k: (i, i + 2 * k)),
-}
-
-
 def _off_by_one(walk, cell, at):
-    """``walk`` with its value at cell ``at`` one too large, and the rest of
-    the walk, below and beyond that cell, unchanged."""
+    """The row walk ``walk`` with its integer at cell ``at`` one too large,
+    and the rest of the walk, below and beyond that cell, unchanged."""
 
     def corrupted(first, *rest):
         for k, value in enumerate(walk(first, *rest)):
             yield value + (cell(first, k) == at)
 
     return corrupted
+
+
+def _numerator_off_by_one(walk, cell, at):
+    """The column walk ``walk`` with its numerator at cell ``at`` one too
+    large over the column's denominator, and the rest unchanged."""
+
+    def corrupted(j, n):
+        nums, den = walk(j, n)
+        return [num + (cell(j, k) == at) for k, num in enumerate(nums)], den
+
+    return corrupted
+
+
+# the walk that gives each matrix's entries, the 1-based cell of the k-th
+# integer a walk gives for its first argument, and how to corrupt one
+WALKS = {
+    "f_entry": (
+        "_f_column",
+        lambda j, k: (2 - j % 2 + 2 * k, j),
+        _numerator_off_by_one,
+    ),
+    "g_entry": ("_b_row", lambda i, k: (i, i + 2 * k), _off_by_one),
+}
 
 
 def _assert_catches_off_by_one(monkeypatch, builder, name, at):
@@ -270,9 +299,9 @@ def test_checks_catch_a_corrupted_entry(
     # with verify the reference checks of the tests, fail
     if name in WALKS:
         # the builders read F and G from the walks: corrupt the walked value
-        name, cell = WALKS[name]
+        name, cell, off_by_one = WALKS[name]
         right = getattr(moment_matrix, name)
-        monkeypatch.setattr(moment_matrix, name, _off_by_one(right, cell, at))
+        monkeypatch.setattr(moment_matrix, name, off_by_one(right, cell, at))
     else:
         module = moment_matrix if hasattr(moment_matrix, name) else references
         right = getattr(module, name)

@@ -253,6 +253,29 @@ def test_check_report_builds_one_kernel_table(monkeypatch, degree):
     assert calls == [(degree + 1, tuple(chebyshev_points(COLLOCATION_POINTS)))]
 
 
+def test_check_report_samples_sigma_once_per_check(monkeypatch):
+    # one sigma call per moment order, and one for the force: its brute
+    # force and its magnitude sum the same samples
+    import axoball.oracle as oracle_mod
+    from axoball.electrostatics import ChargeDensity
+
+    oracle_mod._force_samples.cache_clear()
+    sampled = []
+    sigma = ChargeDensity.sigma
+
+    def counted(density, points):
+        sampled.append(len(points))
+        return sigma(density, points)
+
+    monkeypatch.setattr(ChargeDensity, "sigma", counted)
+    report = build_report(PotentialSpec(2, tuple(range(1, 16))), moments=(0, 5, 9))
+    block = check_report(report)
+    assert block["passed"] is True
+    # orders 0, 5 and 9 at degree 14 take rules of 9, 11 and 13 nodes, and
+    # the force's rule takes degree + 2 = 16
+    assert sampled == [9, 11, 13, 16]
+
+
 def test_chebyshev_points_lie_inside():
     pts = chebyshev_points(32)
     assert len(pts) == 32
