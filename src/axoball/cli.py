@@ -10,8 +10,10 @@ Problem files are JSON.  Rational values travel as strings ("p/q", integer
 or decimal text); decimals are converted exactly through power-of-ten
 denominators, never through binary floats (json parse_float is redirected
 to str for the same reason).  Reports are JSON with a schema_version
-field; parsers ignore unknown fields so the schema can grow.  Every
-command writes its output through ``_emit``.
+field; parsers ignore unknown fields so the schema can grow.  This module
+alone writes and reads report text: the library returns exact values,
+``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
+back.  Every command writes its output through ``_emit``.
 
 Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
 finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
@@ -21,8 +23,8 @@ runs it.
 """
 
 import argparse
-import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -131,11 +133,10 @@ def load_problem(path):
     if "epsilon0" in data:
         epsilon0 = _parse_field(data["epsilon0"], "epsilon0")
 
+    # -phi0 = b: a phi0 file's coefficients flip sign here
+    coeffs_b = coeffs if kind == "coeffs_b" else [-a for a in coeffs]
     try:
-        if kind == "coeffs_b":
-            spec = PotentialSpec(radius, tuple(coeffs), epsilon0)
-        else:
-            spec = PotentialSpec.from_phi0(radius, coeffs, epsilon0)
+        spec = PotentialSpec(radius, tuple(coeffs_b), epsilon0)
     except ValueError as exc:
         raise ProblemError(str(exc)) from None
 
@@ -193,15 +194,34 @@ def _profile_arrays(density, samples, span):
         }
 
 
-@contextlib.contextmanager
-def _printable(quantity):
-    """Python turns no integer longer than its int_max_str_digits limit
-    (4300 digits by default) into text; an exact value that long is bad
-    input, reported by quantity.  The limit itself is left alone."""
+def _text(value, section):
+    """The report text of an exact value in the named report section.
+    Python turns no integer longer than its int_max_str_digits limit (4300
+    digits by default) into text; an exact value that long is bad input,
+    reported by section.  The limit itself is left alone."""
     try:
-        yield
+        return format_rational(value)
     except ValueError:
-        raise ProblemError(f"the {quantity} has too many digits to print") from None
+        raise ProblemError(f"the {section} has too many digits to print") from None
+
+
+def _quantity(value, section):
+    """The report block of an ExactPhysical: coeff, unit factor and float.
+
+    The float is float(value), three roundings, and null past the top of
+    float range.  A nonzero value that floats to 0.0 underflowed at one of
+    them: its float is the exact product coeff * pi * epsilon0 rounded
+    once, and null where that too is 0.0."""
+    coeff = value.coeff
+    try:
+        rendered = float(value)
+    except OverflowError:
+        rendered = math.inf
+    if rendered == 0 and coeff != 0:
+        rendered = float(coeff * Fraction(math.pi) * Fraction(value.epsilon0)) or None
+    elif not math.isfinite(rendered):
+        rendered = None
+    return {"coeff": _text(coeff, section), "unit_factor": "pi*eps0", "float": rendered}
 
 
 def run_verification(report):
@@ -240,39 +260,34 @@ def cmd_solve(args):
     prob = load_problem(args.problem)
     spec = prob.spec
     # echoed first: an input the report cannot print is refused unsolved
-    with _printable("echoed input"):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "input": {
-                "radius": format_rational(spec.radius),
-                "epsilon0": spec.epsilon0,
-                "given": prob.given,
-                "coeffs_b": [format_rational(b) for b in spec.coeffs_b],
-                "moments": prob.moments,
-            },
-        }
-        if prob.phi0_echo is not None:
-            doc["input"]["phi0_coeffs"] = [format_rational(a) for a in prob.phi0_echo]
+    echo = {
+        "radius": _text(spec.radius, "echoed input"),
+        "epsilon0": spec.epsilon0,
+        "given": prob.given,
+        "coeffs_b": [_text(b, "echoed input") for b in spec.coeffs_b],
+        "moments": prob.moments,
+    }
+    if prob.phi0_echo is not None:
+        echo["phi0_coeffs"] = [_text(a, "echoed input") for a in prob.phi0_echo]
     report = build_report(spec, prob.moments)
-    density = report.density
-    with _printable("charge density"):
-        doc["charge_density"] = {
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "input": echo,
+        "charge_density": {
             "prefactor": "2*eps0/r",
-            "coeffs_c": [format_rational(c) for c in density.coeffs_c],
-        }
-    with _printable("charge"):
-        doc["charge"] = report.charge_Q.as_dict()
-    with _printable("dipole"):
-        doc["dipole"] = report.dipole_D.as_dict()
-    doc["multipoles"] = {}
-    for m, ep in report.multipoles.items():
-        with _printable(f"order-{m} multipole moment"):
-            doc["multipoles"][str(m)] = ep.as_dict()
-    with _printable("force"):
-        doc["force"] = report.force_F.as_dict()
+            "coeffs_c": [_text(c, "charge density") for c in report.density.coeffs_c],
+        },
+        "charge": _quantity(report.charge_Q, "charge"),
+        "dipole": _quantity(report.dipole_D, "dipole"),
+        "multipoles": {
+            str(m): _quantity(value, f"order-{m} multipole moment")
+            for m, value in report.multipoles.items()
+        },
+        "force": _quantity(report.force_F, "force"),
+    }
     if prob.profile is not None:
         samples, span = prob.profile
-        doc["profile"] = _profile_arrays(density, samples, span)
+        doc["profile"] = _profile_arrays(report.density, samples, span)
 
     code = 0
     if args.verify:

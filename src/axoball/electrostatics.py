@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .moment_matrix import _b_row, _f_column, f_entry_closed_form
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 # CODATA 2018 vacuum permittivity, F/m; rendering only, never exact math
 VACUUM_PERMITTIVITY = 8.8541878128e-12
@@ -96,23 +96,8 @@ class ExactPhysical:
     coeff: Fraction
     epsilon0: float = VACUUM_PERMITTIVITY
 
-    # unannotated, so a class constant and not a dataclass field
-    UNIT_FACTOR = "pi*eps0"
-
     def __float__(self):
         return float(self.coeff) * math.pi * self.epsilon0
-
-    def as_dict(self):
-        try:
-            value = float(self)
-        except OverflowError:
-            value = math.inf
-        # beyond float range the float is null; the exact coeff still holds
-        return {
-            "coeff": format_rational(self.coeff),
-            "unit_factor": self.UNIT_FACTOR,
-            "float": value if math.isfinite(value) else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -152,12 +137,6 @@ class PotentialSpec:
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "coeffs_b", tuple(coeffs))
         object.__setattr__(self, "epsilon0", eps)
-
-    @classmethod
-    def from_phi0(cls, radius, phi0_coeffs, epsilon0=VACUUM_PERMITTIVITY):
-        """Build from the coefficients of phi0 itself; signs flip here."""
-        coeffs = tuple(-parse_rational(a) for a in phi0_coeffs)
-        return cls(radius, coeffs, epsilon0)
 
     @property
     def degree(self):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import axoball
 from axoball import (
+    ExactPhysical,
     PotentialSpec,
     build_report,
     induced_axis_potential,
@@ -25,6 +26,7 @@ from axoball import (
 from axoball.cli import (
     ProblemError,
     _profile_arrays,
+    _quantity,
     load_problem,
     main,
     parse_report,
@@ -661,6 +663,51 @@ def test_out_of_range_floats_render_null(tmp_path, capsys):
     )
 
 
+def test_quantity_block_is_written_by_the_cli():
+    block = _quantity(ExactPhysical(Fraction(4), epsilon0=1.0), "charge")
+    assert block == {"coeff": "4", "unit_factor": "pi*eps0", "float": 4 * math.pi}
+
+
+def test_nonzero_values_below_float_range_render_null(tmp_path, capsys):
+    # every exact value is near 1e-400 or smaller; float(coeff) is 0.0
+    body = {"radius": "1e-400", "coeffs_b": ["1", "1"]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    doc = json.loads(out)
+    blocks = [doc[key] for key in ("charge", "dipole", "force")]
+    blocks += doc["multipoles"].values()
+    assert len(blocks) == 7
+    for block in blocks:
+        assert Fraction(block["coeff"]) != 0
+        assert block["float"] is None
+
+
+def test_a_value_underflowing_at_one_step_is_rounded_once(tmp_path, capsys):
+    # coeff 4e-400 floats to 0.0; coeff * pi * 1e300 does not underflow
+    body = {"radius": "1e-400", "coeffs_b": ["1"], "epsilon0": "1e300", "moments": [0]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    doc = json.loads(out)
+    coeff = Fraction(doc["charge"]["coeff"])
+    assert coeff == Fraction(4, 10**400)
+    exact = coeff * Fraction(math.pi) * Fraction(1e300)
+    assert doc["charge"]["float"] == 1.2566370614359172e-99 == float(exact)
+    assert doc["multipoles"]["0"] == doc["charge"]
+
+
+def test_a_coeff_past_float_range_renders_null(tmp_path, capsys):
+    # coeff 4e310 overflows float(coeff), although coeff * pi * eps0 is
+    # 1.1126500554478704e300; the pinned degree-200 report with moments
+    # 0..1000 holds 28 such nulls
+    body = {"radius": "1e100", "coeffs_b": ["1e210"], "moments": [0]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    doc = json.loads(out)
+    assert Fraction(doc["charge"]["coeff"]) == 4 * Fraction(10) ** 310
+    assert doc["charge"]["float"] is None
+    assert doc["multipoles"]["0"] == doc["charge"]
+
+
 @pytest.mark.parametrize("radius", ["1e200", "1e-200"])
 def test_verify_out_of_float_range_exits_2(tmp_path, capsys, radius):
     # 1e-200: r^2 underflows to 0, a zero divisor in the collocation check
@@ -715,17 +762,37 @@ def test_verify_moment_order_beyond_oracle_exits_2(tmp_path, capsys):
     assert run_cli(capsys, "solve", write_problem(tmp_path, body))[0] == 0
 
 
+# a problem per report section whose value there is past Python's
+# int-to-str limit (4300 digits by default), which stays set
+TOO_LONG_TO_PRINT = {
+    # r^21 = 10^8400
+    "order-20 multipole moment": {
+        "radius": "1e400",
+        "coeffs_b": ["1"],
+        "moments": [20],
+    },
+    # c_3 r^2: 4401 digits
+    "charge density": {"radius": "1e2200", "coeffs_b": ["1", "0", "1"]},
+    # 4 r b_1: 5001 digits
+    "charge": {"radius": "1e1000", "coeffs_b": ["1e4000"]},
+    # 4 r^3 b_2: 4501 digits
+    "dipole": {"radius": "1e1500", "coeffs_b": ["0", "1"]},
+    # 4 r b_1 b_2: 4401 digits, while every moment prints
+    "force": {"radius": "1e400", "coeffs_b": ["1e2000", "1e2000"]},
+}
+
+
 @pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
     reason="this Python prints integers of any length",
 )
-def test_value_too_long_to_print_exits_2(tmp_path, capsys):
-    # r^21 = 10^8400 digits: past Python's int-to-str limit, which stays set
-    body = {"radius": "1e400", "coeffs_b": ["1"], "moments": [20]}
+@pytest.mark.parametrize("section", TOO_LONG_TO_PRINT)
+def test_value_too_long_to_print_exits_2(tmp_path, capsys, section):
+    body = TOO_LONG_TO_PRINT[section]
     code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
     assert code == 2
     assert out == ""
-    assert "order-20 multipole moment has too many digits to print" in err
+    assert err == f"error: the {section} has too many digits to print\n"
     assert sys.get_int_max_str_digits() > 0
 
 

@@ -70,16 +70,9 @@ def test_samplers_refuse_values_past_float_range():
         induced_axis_potential(density, [1.0])
 
 
-def test_from_phi0_negates():
-    spec = PotentialSpec.from_phi0(2, ("1", "-3/2"))
-    assert spec.coeffs_b == (Fraction(-1), Fraction(3, 2))
-
-
 def test_exact_physical_rendering():
     q = ExactPhysical(Fraction(4), epsilon0=1.0)
     assert float(q) == 4 * math.pi
-    d = q.as_dict()
-    assert d == {"coeff": "4", "unit_factor": "pi*eps0", "float": 4 * math.pi}
     si = ExactPhysical(Fraction(1, 2))
     assert float(si) == 0.5 * math.pi * VACUUM_PERMITTIVITY
 
