@@ -15,6 +15,12 @@ alone writes and reads report text: the library returns exact values,
 ``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
 back.  Every command writes its output through ``_emit``.
 
+``main(argv)`` may be called any number of times in one process.  The
+parser is built once per process, on the first call; each call only
+parses.  Commands dispatch by name at call time, through the module's
+``cmd_*`` globals, so rebinding one of them at module level (a tracer or
+a test does) changes what ``main`` runs.
+
 Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
 finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
 the float stages' OutOfRangeError from ``electrostatics``) to exit 2.  The
@@ -23,6 +29,7 @@ runs it.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,22 +212,31 @@ def _text(value, section):
         raise ProblemError(f"the {section} has too many digits to print") from None
 
 
+def _normal(x):
+    """Whether x is a finite float of normal range: no overflow, no
+    underflow to a subnormal or to zero."""
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
 def _quantity(value, section):
     """The report block of an ExactPhysical: coeff, unit factor and float.
 
-    The float is float(value), three roundings, and null past the top of
-    float range.  A nonzero value that floats to 0.0 underflowed at one of
-    them: its float is the exact product coeff * pi * epsilon0 rounded
-    once, and null where that too is 0.0."""
+    The float is float(value), float(coeff) * pi * epsilon0 in three
+    roundings, where coeff is 0 or both float(coeff) and that product are
+    normal floats.  Elsewhere one rounding left the normal range and lost
+    digits: the float is the exact product coeff * pi * epsilon0 rounded
+    once, and null where that is 0.0 or overflows too."""
     coeff = value.coeff
     try:
         rendered = float(value)
-    except OverflowError:
-        rendered = math.inf
-    if rendered == 0 and coeff != 0:
-        rendered = float(coeff * Fraction(math.pi) * Fraction(value.epsilon0)) or None
-    elif not math.isfinite(rendered):
-        rendered = None
+        exact_float = coeff != 0 and not (_normal(float(coeff)) and _normal(rendered))
+    except OverflowError:  # float(coeff) overflowed
+        exact_float = True
+    if exact_float:
+        try:
+            rendered = float(coeff * Fraction(math.pi) * Fraction(value.epsilon0)) or None
+        except OverflowError:
+            rendered = None
     return {"coeff": _text(coeff, section), "unit_factor": "pi*eps0", "float": rendered}
 
 
@@ -237,9 +253,8 @@ def run_verification(report):
 def _lines(rows, sep):
     """Rows of text fields as lines: fields joined by sep, each line ended
     by a newline.  No field holds sep, a quote or a line break (a rational
-    prints as '-', digits and '/', a profile value as the 17-digit text of
-    a finite float, and header names are fixed), so the comma-joined lines
-    are exactly what a CSV writer with a newline terminator would write."""
+    prints as '-', digits and '/'), so the comma-joined lines are exactly
+    what a CSV writer with a newline terminator would write."""
     return "".join(sep.join(row) + "\n" for row in rows)
 
 
@@ -324,8 +339,11 @@ def cmd_profile(args):
     samples, span = prob.profile
     density = solve_charge_density(prob.spec)
     arrays = _profile_arrays(density, samples, span)
-    body = ([format(x, ".17g") for x in point] for point in zip(*arrays.values()))
-    _emit(_lines([list(arrays), *body], ","), args.out)
+    # one "%.17g" format per row: 17 significant digits of each finite
+    # float, no quoting needed, the lines a CSV writer would write
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+    body = "".join(row % point for point in zip(*arrays.values()))
+    _emit(",".join(arrays) + "\n" + body, args.out)
     return 0
 
 
@@ -356,7 +374,11 @@ def parse_report(text):
     return out
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The CLI's parser, built on the first call and kept for the process.
+    It holds no command function: ``main`` looks the command up by name at
+    call time, so a module-level rebinding of ``cmd_*`` takes effect."""
     parser = argparse.ArgumentParser(
         prog="axoball",
         description=(
@@ -372,22 +394,23 @@ def main(argv=None):
         "--verify", action="store_true", help="run oracle cross-checks"
     )
     p_solve.add_argument("--out", help="write the report here instead of stdout")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_matrix = sub.add_parser("matrix", help="print an exact matrix")
     p_matrix.add_argument("--order", type=int, required=True)
     p_matrix.add_argument("--which", required=True, choices=sorted(_MATRIX_BUILDERS))
     p_matrix.add_argument("--format", choices=("table", "csv"), default="table")
-    p_matrix.set_defaults(func=cmd_matrix)
 
     p_profile = sub.add_parser("profile", help="emit CSV profiles of sigma and u")
     p_profile.add_argument("problem", help="path to the JSON problem file")
     p_profile.add_argument("--out", help="write the CSV here instead of stdout")
-    p_profile.set_defaults(func=cmd_profile)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    command = {"solve": cmd_solve, "matrix": cmd_matrix, "profile": cmd_profile}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (ProblemError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axoball
+from axoball import cli
 from axoball import (
     ExactPhysical,
     PotentialSpec,
@@ -278,7 +280,7 @@ def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
     assert code == 0
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "d60bd6d9d0d67cef355932d66abfe63733fd30e17b03f091d7695857f6b2796c"
+        == "ed6cc765cf0b0f1d6fb13111fb8d37b40c5989ce423d1790ff2ff8821eaa9927"
     )
 
 
@@ -483,6 +485,101 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2 0\n0 2/3\n"
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "matrix", "--order", "2", "--which", "F")
+    assert len(built) == 4  # the parser and its three subparsers
+    second = run_cli(capsys, "matrix", "--order", "2", "--which", "F")
+    assert len(built) == 4
+    assert first == second == (0, "2 0\n0 2/3\n", "")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cmd_profile", ["profile", "problem.json"]),
+        ("cmd_matrix", ["matrix", "--order", "2", "--which", "F"]),
+        ("cmd_solve", ["solve", "problem.json"]),
+    ],
+)
+def test_main_runs_the_command_bound_in_the_module(monkeypatch, name, argv):
+    # a tracer wraps cmd_* by rebinding the module global; main must call
+    # whatever the module holds when it runs, not what it held when the
+    # parser was built
+    cli._parser()  # built before the rebinding
+    seen = []
+    monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+    assert main(argv) == 7
+    assert seen == [argv[0]]
+
+
+def test_a_bad_argv_between_calls_changes_no_output(tmp_path, capsys):
+    problem = write_problem(tmp_path, dict(BASIC, profile={"samples": 5, "span": "3"}))
+    calls = [
+        ["profile", problem],
+        ["matrix", "--order", "3", "--which", "G", "--format", "csv"],
+        ["matrix", "--order", "x", "--which", "F"],
+        ["solve", problem],
+        ["profile", problem],
+        ["matrix", "--order", "3", "--which", "G", "--format", "csv"],
+    ]
+    src = os.path.dirname(os.path.dirname(axoball.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "axoball.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        if "x" in argv:
+            assert code == 2
+            assert err.startswith("usage: axoball matrix")
+        else:
+            assert code == 0 and out
+
+
+def _old_profile_csv(arrays):
+    """The profile CSV as one format(x, ".17g") call per field wrote it."""
+    rows = [list(arrays)]
+    rows += [[format(x, ".17g") for x in point] for point in zip(*arrays.values())]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@given(st.lists(st.tuples(*[finite_floats] * 4), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_profile_rows_are_written_as_format_wrote_them(tmp_path_factory, points):
+    arrays = dict(zip(("z", "sigma", "s", "u"), map(list, zip(*points))))
+    problem = write_problem(
+        tmp_path_factory.mktemp("rows"), dict(BASIC, profile={"samples": 2})
+    )
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_profile_arrays", lambda density, samples, span: arrays)
+        assert main(["profile", problem]) == 0
+    assert out.getvalue() == _old_profile_csv(arrays)
 
 
 def test_verify_prints_no_log_record_by_default(tmp_path):
@@ -695,17 +792,71 @@ def test_a_value_underflowing_at_one_step_is_rounded_once(tmp_path, capsys):
     assert doc["multipoles"]["0"] == doc["charge"]
 
 
-def test_a_coeff_past_float_range_renders_null(tmp_path, capsys):
+def test_a_coeff_past_float_range_is_rounded_once(tmp_path, capsys):
     # coeff 4e310 overflows float(coeff), although coeff * pi * eps0 is
     # 1.1126500554478704e300; the pinned degree-200 report with moments
-    # 0..1000 holds 28 such nulls
+    # 0..1000 holds 28 such floats, at orders 672-701
     body = {"radius": "1e100", "coeffs_b": ["1e210"], "moments": [0]}
     code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
     assert code == 0
     doc = json.loads(out)
-    assert Fraction(doc["charge"]["coeff"]) == 4 * Fraction(10) ** 310
+    coeff = Fraction(doc["charge"]["coeff"])
+    assert coeff == 4 * Fraction(10) ** 310
+    exact = coeff * Fraction(math.pi) * Fraction(VACUUM_PERMITTIVITY)
+    assert doc["charge"]["float"] == 1.1126500554478704e300 == float(exact)
+    assert doc["multipoles"]["0"] == doc["charge"]
+
+
+def test_a_coeff_past_float_range_renders_null(tmp_path, capsys):
+    # coeff 4e400: float(coeff) overflows, and so does the exact product
+    # coeff * pi * eps0, about 1.1e390
+    body = {"radius": "1e100", "coeffs_b": ["1e300"], "moments": [0]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    doc = json.loads(out)
+    assert Fraction(doc["charge"]["coeff"]) == 4 * Fraction(10) ** 400
     assert doc["charge"]["float"] is None
     assert doc["multipoles"]["0"] == doc["charge"]
+
+
+def test_a_subnormal_coeff_is_rounded_once(tmp_path, capsys):
+    # coeff 4e-320 floats to a subnormal that keeps about 4 digits;
+    # times pi * 1e300 it would print 1.2566065636326264e-19
+    body = {"radius": "1e-320", "coeffs_b": ["1"], "epsilon0": "1e300", "moments": [0]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0
+    doc = json.loads(out)
+    coeff = Fraction(doc["charge"]["coeff"])
+    assert coeff == Fraction(4, 10**320)
+    exact = coeff * Fraction(math.pi) * Fraction(1e300)
+    assert doc["charge"]["float"] == 1.2566370614359174e-19 == float(exact)
+
+
+@given(
+    st.fractions().filter(lambda q: q != 0)
+    | st.builds(
+        lambda m, e: Fraction(m) * Fraction(2) ** e,
+        st.integers(-(2**60), 2**60).filter(bool),
+        st.integers(-1200, 1200),
+    ),
+    st.sampled_from([1.0, VACUUM_PERMITTIVITY, 1e300, 1e-300]),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantity_float_is_never_degenerate(coeff, epsilon0):
+    # the float is the three-rounding float(value) or the exact product
+    # rounded once: never 0.0 for a nonzero coeff, never inf, and within a
+    # few ulps of the exact product rounded once
+    rendered = _quantity(ExactPhysical(coeff, epsilon0=epsilon0), "charge")["float"]
+    exact = coeff * Fraction(math.pi) * Fraction(epsilon0)
+    try:
+        once = float(exact)
+    except OverflowError:
+        once = None
+    if once is None or once == 0:
+        assert rendered is None
+    else:
+        assert math.isfinite(rendered) and rendered != 0
+        assert abs(rendered - once) <= 4 * math.ulp(once)
 
 
 @pytest.mark.parametrize("radius", ["1e200", "1e-200"])
