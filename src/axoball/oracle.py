@@ -29,9 +29,16 @@ The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 develops a boundary layer at eta = sign(xi), which the adaptive panel
 subdivision in ``axis_kernel_integral`` resolves.  That function returns
 the whole table K_j(xi), j = 1..count, at a tuple of points in one call:
-``check_report`` builds one table per run, at degree + 1 columns and the
+``check_report`` takes one table per run, of degree + 1 columns at the
 COLLOCATION_POINTS Chebyshev points, and hands it to both the collocation
-solve and the equation residual; the table is not cached.  At
+solve and the equation residual.  Each (point, column) is integrated on
+its own, so a table is, bit for bit, the first columns of any wider one:
+``check_report`` keeps the widest table built so far in the process and
+hands out a copy of its first columns, building a wider one only when a
+run needs more.  The first table is COLLOCATION_POINTS columns wide, so
+below that degree a process builds once, on its first run, and no later
+run's time depends on which degrees came before it.
+``axis_kernel_integral`` itself keeps nothing.  At
 each level of the bisection the table takes one libm pow per node and
 power for each mirrored pair of panels (eta -> -eta), and one sqrt per
 point, panel and node.  It equals, bit for bit, the one-value-at-a-time
@@ -264,6 +271,27 @@ def chebyshev_points(count):
     return [math.cos((2 * k - 1) * math.pi / (2 * count)) for k in range(1, count + 1)]
 
 
+# the widest kernel table built so far at the Chebyshev points
+_widest_kernel = None
+
+
+def _chebyshev_kernel(count):
+    """A fresh C-contiguous copy of the first count columns of the widest
+    kernel table at the COLLOCATION_POINTS Chebyshev points, built wider
+    first when it has fewer columns.  A table is built at least
+    COLLOCATION_POINTS columns wide, so a process's first run builds the
+    one table that every degree below COLLOCATION_POINTS slices, whatever
+    order the degrees come in.  The slice is taken from a local, so a
+    concurrent run that swaps in another table cannot narrow this one."""
+    global _widest_kernel
+    table = _widest_kernel
+    if table is None or table.shape[1] < count:
+        width = max(count, COLLOCATION_POINTS)
+        table = axis_kernel_integral(width, tuple(chebyshev_points(COLLOCATION_POINTS)))
+        _widest_kernel = table
+    return table[:, :count].copy()
+
+
 def collocation_solve(spec, kernel):
     """Solve the boundary integral equation directly, bypassing all the
     closed forms.  ``kernel`` is the table ``axis_kernel_integral(degree +
@@ -408,8 +436,7 @@ def check_report(report):
         checks = {}
         eps = density.epsilon0
         # the one kernel table of the run, at the fixed collocation points
-        points = tuple(chebyshev_points(COLLOCATION_POINTS))
-        kernel = axis_kernel_integral(density.degree + 1, points)
+        kernel = _chebyshev_kernel(density.degree + 1)
         with OutOfRangeError.guard("checking the charge density"):
             r = float(density.radius)
             checks["collocation"] = _collocation_check(density, kernel)

@@ -284,6 +284,26 @@ def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
     )
 
 
+# sha256 of `axoball solve --verify` on the problem of degree N built as
+# above: the collocation solve runs at N = 10 and is skipped at N = 16, so
+# the pins cover the oracle's floats on both paths
+VERIFY_SHA256 = {
+    10: "51ca198fe9b0d31b56fdebad6a582841ac3601d7b1e92fda27332239b6181fea",
+    16: "fc1df1f3c233ed9850333d416872e58c8a793330b338ef6b61586621edbcbc63",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(VERIFY_SHA256))
+def test_verify_reports_are_pinned_byte_for_byte(tmp_path, capsys, degree):
+    body = {
+        "radius": "7/3",
+        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(degree + 1)],
+    }
+    code, out, _ = run_cli(capsys, "solve", "--verify", write_problem(tmp_path, body))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[degree]
+
+
 def test_matrix_d_prints_diagonal_row(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--order", "3", "--which", "D", "--format", "csv"
@@ -603,7 +623,10 @@ def test_verify_prints_no_log_record_by_default(tmp_path):
     ]
     assert [run.returncode for run in runs] == [0, 0]
     assert runs[0].stderr == ""
-    assert runs[1].stderr.startswith("DEBUG:axoball.oracle:kernel table: 3 columns")
+    # a process's first table has one column per collocation point
+    assert runs[1].stderr.startswith(
+        "DEBUG:axoball.oracle:kernel table: 32 columns at 32 points"
+    )
     assert runs[0].stdout == runs[1].stdout
 
 

@@ -235,22 +235,101 @@ def test_kernel_table_at_no_points_is_empty(count):
     assert table.shape == (0, count)
 
 
-@pytest.mark.parametrize("degree", [3, 14])
-def test_check_report_builds_one_kernel_table(monkeypatch, degree):
-    # the collocation solve (degree <= 10) and the residual share it
+def test_kernel_table_is_a_prefix_of_any_wider_one():
+    # each (point, column) is integrated on its own, whatever the width
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    wide = axis_kernel_integral(25, points)
+    for count in range(1, 26):
+        table = axis_kernel_integral(count, points)
+        assert table.shape == (COLLOCATION_POINTS, count)
+        assert (table == wide[:, :count]).all()
+    wide = axis_kernel_integral(101, points)
+    assert (axis_kernel_integral(60, points) == wide[:, :60]).all()
+
+
+def reset_kernel_memo(monkeypatch):
     import axoball.oracle as oracle_mod
 
+    monkeypatch.setattr(oracle_mod, "_widest_kernel", None)
+
+
+def ball_report(degree):
+    coeffs = tuple(Fraction(k % 7 - 3, k % 5 + 1) for k in range(degree + 1))
+    return build_report(PotentialSpec(Fraction(7, 3), coeffs))
+
+
+@pytest.mark.parametrize("degree", [3, 14])
+def test_check_report_builds_one_kernel_table(monkeypatch, degree):
+    # the first table is COLLOCATION_POINTS columns wide and serves every
+    # narrower run; a wider run builds a table of its own width.  The
+    # collocation solve (degree <= 10) and the residual share the run's table
+    import axoball.oracle as oracle_mod
+
+    reset_kernel_memo(monkeypatch)
     calls = []
+    handed = []
 
     def counted(count, xis):
         calls.append((count, xis))
         return axis_kernel_integral(count, xis)
 
+    def spy(name):
+        real = getattr(oracle_mod, name)
+
+        def wrapped(subject, kernel):
+            handed.append((name, kernel))
+            return real(subject, kernel)
+
+        monkeypatch.setattr(oracle_mod, name, wrapped)
+
     monkeypatch.setattr(oracle_mod, "axis_kernel_integral", counted)
-    report = build_report(PotentialSpec(1, tuple(range(1, degree + 2))))
-    block = check_report(report)
+    spy("collocation_solve")
+    spy("equation_residual")
+    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    block = check_report(build_report(PotentialSpec(1, tuple(range(1, degree + 2)))))
     assert ("skipped" in block["checks"]["collocation"]) == (degree > 10)
-    assert calls == [(degree + 1, tuple(chebyshev_points(COLLOCATION_POINTS)))]
+    assert calls == [(COLLOCATION_POINTS, points)]
+    solved = ["collocation_solve"] if degree <= 10 else []
+    assert [name for name, _ in handed] == solved + ["equation_residual"]
+    assert all(kernel is handed[0][1] for _, kernel in handed)
+    assert handed[0][1].tolist() == axis_kernel_integral(degree + 1, points).tolist()
+
+    check_report(ball_report(degree // 2))
+    check_report(ball_report(COLLOCATION_POINTS - 1))
+    assert len(calls) == 1
+    check_report(ball_report(COLLOCATION_POINTS + degree))
+    check_report(ball_report(degree + 4))
+    assert calls[1:] == [(COLLOCATION_POINTS + degree + 1, points)]
+
+
+@pytest.mark.parametrize("degree", [0, 3, 10, 14, 24])
+def test_check_report_block_is_independent_of_earlier_runs(monkeypatch, degree):
+    # collocation runs at degrees 0, 3 and 10 and is skipped at 14 and 24;
+    # the earlier run at degree 40 leaves a table wider than the first one
+    report = ball_report(degree)
+    blocks = []
+    for earlier in (None, 40, 0):
+        reset_kernel_memo(monkeypatch)
+        if earlier is not None:
+            check_report(ball_report(earlier))
+        blocks.append(repr(check_report(report)))
+    assert ("skipped" in blocks[0]) == (degree > 10)
+    assert blocks[1:] == blocks[:1] * 2
+
+
+def test_a_handed_out_kernel_table_is_the_callers_own(monkeypatch):
+    # zeroing a table, full width or narrower, changes no later run
+    import axoball.oracle as oracle_mod
+
+    reset_kernel_memo(monkeypatch)
+    report = ball_report(10)
+    block = repr(check_report(report))
+    for count in (11, 4):
+        table = oracle_mod._chebyshev_kernel(count)
+        assert table.shape == (COLLOCATION_POINTS, count)
+        assert table.flags.c_contiguous
+        table[:] = 0.0
+    assert repr(check_report(report)) == block
 
 
 def test_check_report_samples_sigma_once_per_check(monkeypatch):
