@@ -13,7 +13,9 @@ to str for the same reason).  Reports are JSON with a schema_version
 field; parsers ignore unknown fields so the schema can grow.  This module
 alone writes and reads report text: the library returns exact values,
 ``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
-back.  Every command writes its output through ``_emit``.
+back.  A quantity's float is ``float(x)``, its exact value rounded once,
+and null where that overflows or a nonzero value underflows to 0.0.
+Every command writes its output through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
@@ -31,7 +33,6 @@ runs it.
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -130,6 +131,8 @@ def load_problem(path):
     fieldname, kind, raw_coeffs = candidates[0]
     if not isinstance(raw_coeffs, list) or not raw_coeffs:
         raise ProblemError(f"field '{fieldname}': must be a non-empty list")
+    if len(raw_coeffs) > 401:
+        raise ProblemError(f"field '{fieldname}': must hold at most 401 entries")
     coeffs = [
         _parse_field(value, f"{fieldname}[{idx}]")
         for idx, value in enumerate(raw_coeffs)
@@ -212,32 +215,19 @@ def _text(value, section):
         raise ProblemError(f"the {section} has too many digits to print") from None
 
 
-def _normal(x):
-    """Whether x is a finite float of normal range: no overflow, no
-    underflow to a subnormal or to zero."""
-    return sys.float_info.min <= abs(x) <= sys.float_info.max
-
-
 def _quantity(value, section):
     """The report block of an ExactPhysical: coeff, unit factor and float.
-
-    The float is float(value), float(coeff) * pi * epsilon0 in three
-    roundings, where coeff is 0 or both float(coeff) and that product are
-    normal floats.  Elsewhere one rounding left the normal range and lost
-    digits: the float is the exact product coeff * pi * epsilon0 rounded
-    once, and null where that is 0.0 or overflows too."""
-    coeff = value.coeff
+    The float is float(value), the exact product coeff * pi * epsilon0
+    rounded once, and null where that overflows or where a nonzero value
+    underflows to 0.0."""
     try:
         rendered = float(value)
-        exact_float = coeff != 0 and not (_normal(float(coeff)) and _normal(rendered))
-    except OverflowError:  # float(coeff) overflowed
-        exact_float = True
-    if exact_float:
-        try:
-            rendered = float(coeff * Fraction(math.pi) * Fraction(value.epsilon0)) or None
-        except OverflowError:
-            rendered = None
-    return {"coeff": _text(coeff, section), "unit_factor": "pi*eps0", "float": rendered}
+    except OverflowError:
+        rendered = None
+    if rendered == 0 and value.coeff:
+        rendered = None
+    coeff = _text(value.coeff, section)
+    return {"coeff": coeff, "unit_factor": "pi*eps0", "float": rendered}
 
 
 def run_verification(report):
@@ -248,14 +238,6 @@ def run_verification(report):
 
     block = check_report(report)
     return block, 0 if block["passed"] else 3
-
-
-def _lines(rows, sep):
-    """Rows of text fields as lines: fields joined by sep, each line ended
-    by a newline.  No field holds sep, a quote or a line break (a rational
-    prints as '-', digits and '/'), so the comma-joined lines are exactly
-    what a CSV writer with a newline terminator would write."""
-    return "".join(sep.join(row) + "\n" for row in rows)
 
 
 def _emit(text, out_path):
@@ -328,7 +310,8 @@ def cmd_matrix(args):
     if args.which == "D":
         rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
     sep = "," if args.format == "csv" else " "
-    _emit(_lines((map(format_rational, row) for row in rows), sep), None)
+    # a rational prints as '-', digits and '/': no field needs quoting
+    _emit("".join(sep.join(map(format_rational, row)) + "\n" for row in rows), None)
     return 0
 
 

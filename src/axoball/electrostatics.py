@@ -47,10 +47,10 @@ squares c's numerator polynomial as one big-int product (Kronecker
 substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
-numeric permittivity enters only when rendering floats.  The two float
-samplers, ``ChargeDensity.sigma`` and ``induced_axis_potential``, take a
-sequence of axial coordinates and return a list of floats, floating their
-coefficients once per call.  A float stage that cannot run on its input
+numeric permittivity enters only when rendering floats, each the exact
+product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
+``induced_axis_potential``, take a sequence of axial coordinates and
+return a list of floats, floating their coefficients once per call.  A float stage that cannot run on its input
 raises ``OutOfRangeError``, bad input rather than a bug; its ``guard``
 maps the float errors of a stage to it.
 """
@@ -89,15 +89,21 @@ class ConsistencyError(ArithmeticError):
 class ExactPhysical:
     """An exact rational multiple of the symbolic unit factor pi*eps0.
 
-    The rational coefficient is the truth; the float rendering multiplies
-    in pi and the stored permittivity on demand.
+    The rational coefficient is the truth.  ``float(x)`` is the exact
+    product of coeff, ``math.pi`` and the stored permittivity, rounded once
+    by one int true division: 0.0 or a subnormal where it underflows, and
+    OverflowError only where the product itself overflows.
     """
 
     coeff: Fraction
     epsilon0: float = VACUUM_PERMITTIVITY
 
     def __float__(self):
-        return float(self.coeff) * math.pi * self.epsilon0
+        pi_num, pi_den = math.pi.as_integer_ratio()
+        eps_num, eps_den = self.epsilon0.as_integer_ratio()
+        return (self.coeff.numerator * pi_num * eps_num) / (
+            self.coeff.denominator * pi_den * eps_den
+        )
 
 
 @dataclass(frozen=True)

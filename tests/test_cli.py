@@ -250,7 +250,7 @@ def test_order_200_table_matrices_are_pinned_byte_for_byte(capsys, which):
 # moments 0..200 at N = 200 and the default moments at N = 400; the
 # benchmark pools stop at degree 64
 LARGE_SOLVE_SHA256 = {
-    200: "139f76a1e471624355d5d8fb33b9afaabd087b361ea227c6c22fe9558adead2c",
+    200: "4d4674df755429d974a30100e81b6e4ef2d970dcb82663358545820a21b71d85",
     400: "967cd5d81046123133849da9ffa897d68547a30226bd0ca7f756b32549cf0950",
 }
 
@@ -280,7 +280,7 @@ def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
     assert code == 0
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "ed6cc765cf0b0f1d6fb13111fb8d37b40c5989ce423d1790ff2ff8821eaa9927"
+        == "bd2636b8aa2f48bcb744ddc22e8384ec391c17b64bde3dd4572b379923152aa5"
     )
 
 
@@ -288,8 +288,8 @@ def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
 # above: the collocation solve runs at N = 10 and is skipped at N = 16, so
 # the pins cover the oracle's floats on both paths
 VERIFY_SHA256 = {
-    10: "51ca198fe9b0d31b56fdebad6a582841ac3601d7b1e92fda27332239b6181fea",
-    16: "fc1df1f3c233ed9850333d416872e58c8a793330b338ef6b61586621edbcbc63",
+    10: "ae47cb6728befc2455e94d0fcd35cc184e6ae0e6e7a5dd99a6b52394a63ebe54",
+    16: "3e8e5535934359f4dcf922cb111e8c0936da5b263b9c7ff4846a23b1cb2613b2",
 }
 
 
@@ -768,6 +768,32 @@ def test_profile_samples_are_capped(tmp_path, capsys, monkeypatch):
     assert load_problem(write_problem(tmp_path, body)).profile[0] == 100001
 
 
+@pytest.mark.parametrize("key", ["coeffs_b", "phi0_coeffs"])
+def test_coefficient_lists_are_capped(tmp_path, capsys, monkeypatch, key):
+    import axoball.cli as cli_mod
+    import axoball.electrostatics as es_mod
+
+    # 401 entries, degree 400 at most, still solve (trailing zeros keep
+    # this one at degree 0)
+    body = {"radius": "1", key: ["1"] + ["0"] * 400, "moments": [0]}
+    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
+    assert code == 0 and len(json.loads(out)["input"]["coeffs_b"]) == 1
+
+    def no_solving(*args):
+        raise AssertionError("solved a refused problem")
+
+    monkeypatch.setattr(cli_mod, "solve_charge_density", no_solving)
+    monkeypatch.setattr(es_mod, "solve_charge_density", no_solving)
+    body[key].append("1")
+    path = write_problem(tmp_path, dict(body, profile={"samples": 2}))
+    with pytest.raises(ProblemError, match=rf"'{key}'.*at most 401"):
+        load_problem(path)
+    for command in ("solve", "profile"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        assert key in err
+
+
 HUGE = {"radius": "1e200", "coeffs_b": ["1", "2", "3"]}
 
 
@@ -866,9 +892,9 @@ def test_a_subnormal_coeff_is_rounded_once(tmp_path, capsys):
 )
 @settings(max_examples=300, deadline=None)
 def test_quantity_float_is_never_degenerate(coeff, epsilon0):
-    # the float is the three-rounding float(value) or the exact product
-    # rounded once: never 0.0 for a nonzero coeff, never inf, and within a
-    # few ulps of the exact product rounded once
+    # the float is the exact product rounded once: never 0.0 for a nonzero
+    # coeff, never inf, and null exactly where that product is 0.0 or
+    # overflows
     rendered = _quantity(ExactPhysical(coeff, epsilon0=epsilon0), "charge")["float"]
     exact = coeff * Fraction(math.pi) * Fraction(epsilon0)
     try:
@@ -879,7 +905,7 @@ def test_quantity_float_is_never_degenerate(coeff, epsilon0):
         assert rendered is None
     else:
         assert math.isfinite(rendered) and rendered != 0
-        assert abs(rendered - once) <= 4 * math.ulp(once)
+        assert rendered == once
 
 
 @pytest.mark.parametrize("radius", ["1e200", "1e-200"])

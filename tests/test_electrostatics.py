@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axoball import (
@@ -75,6 +75,33 @@ def test_exact_physical_rendering():
     assert float(q) == 4 * math.pi
     si = ExactPhysical(Fraction(1, 2))
     assert float(si) == 0.5 * math.pi * VACUUM_PERMITTIVITY
+
+
+@given(
+    st.builds(
+        lambda m, e: Fraction(m) * Fraction(2) ** e,
+        st.integers(-(2**60), 2**60),
+        st.integers(-1200, 1200),
+    ),
+    st.sampled_from([1.0, VACUUM_PERMITTIVITY, 1e300, 1e-300]),
+)
+# float(coeff) * pi * eps0 leaves the normal range on these: it gives 0.0
+# for about 1.26e-99, keeps about 4 digits of 1.2566370614359174e-19, and
+# raises OverflowError for about 1.11e300
+@example(Fraction(4, 10**400), 1e300)
+@example(Fraction(4, 10**320), 1e300)
+@example(4 * Fraction(10) ** 310, VACUUM_PERMITTIVITY)
+@settings(max_examples=300, deadline=None)
+def test_exact_physical_float_is_the_product_rounded_once(coeff, epsilon0):
+    exact = coeff * Fraction(math.pi) * Fraction(epsilon0)
+    value = ExactPhysical(coeff, epsilon0=epsilon0)
+    try:
+        once = float(exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(value)
+    else:
+        assert float(value) == once
 
 
 def test_linear_potential_density():
