@@ -15,7 +15,10 @@ alone writes and reads report text: the library returns exact values,
 ``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
 back.  A quantity's float is ``float(x)``, its exact value rounded once,
 and null where that overflows or a nonzero value underflows to 0.0.
-Every command writes its output through ``_emit``.
+``matrix`` prints each cell of ``matrix_cells``, the integers num/den that
+the library's walk gives and the builders wrap in Fractions, over one gcd
+(``_ratio_text``), with no Fraction built; the walk checks every B and G
+cell it prints.  Every command writes its output through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
@@ -35,6 +38,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
@@ -44,7 +48,7 @@ from .electrostatics import (
     induced_axis_potential,
     solve_charge_density,
 )
-from .moment_matrix import build_b, build_d, build_f, build_g
+from .moment_matrix import matrix_cells
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -295,23 +299,26 @@ def cmd_solve(args):
     return code
 
 
-_MATRIX_BUILDERS = {
-    "F": build_f,
-    "G": build_g,
-    "B": build_b,
-    "D": build_d,
-}
+def _ratio_text(num, den):
+    """The text ``str(Fraction(num, den))`` of num/den, for den > 0, from
+    one gcd: ``"p"`` or ``"p/q"`` in lowest terms."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def cmd_matrix(args):
     if args.order < 1 or args.order > 200:
         raise ProblemError("--order must lie in 1..200")
-    rows = _MATRIX_BUILDERS[args.which](args.order)
+    rows = [["0"] * args.order for _ in range(args.order)]
+    for i, j, num, den in matrix_cells(args.which, args.order):
+        rows[i - 1][j - 1] = _ratio_text(num, den)
     if args.which == "D":
         rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
     sep = "," if args.format == "csv" else " "
     # a rational prints as '-', digits and '/': no field needs quoting
-    _emit("".join(sep.join(map(format_rational, row)) + "\n" for row in rows), None)
+    _emit("".join(sep.join(row) + "\n" for row in rows), None)
     return 0
 
 
@@ -380,7 +387,7 @@ def _parser():
 
     p_matrix = sub.add_parser("matrix", help="print an exact matrix")
     p_matrix.add_argument("--order", type=int, required=True)
-    p_matrix.add_argument("--which", required=True, choices=sorted(_MATRIX_BUILDERS))
+    p_matrix.add_argument("--which", required=True, choices=("B", "D", "F", "G"))
     p_matrix.add_argument("--format", choices=("table", "csv"), default="table")
 
     p_profile = sub.add_parser("profile", help="emit CSV profiles of sigma and u")

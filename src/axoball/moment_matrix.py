@@ -16,8 +16,11 @@ share that rarefied triangle:
 
 All quantities are Fractions or ints; there is no floating point in this
 module.  Entry functions are 1-based to match the usual F_11, G_13, ...
-convention.  The builders return plain dense rows, ``list[list[Fraction]]``,
-so entry (i, j) sits at ``rows[i - 1][j - 1]``.
+convention.  ``matrix_cells(which, order)`` gives the nonzero cells of F,
+G, B or D as integers (i, j, num, den), from one walk per matrix; the
+builders wrap those same cells in Fractions and return plain dense rows,
+``list[list[Fraction]]``, so entry (i, j) sits at ``rows[i - 1][j - 1]``,
+and ``axoball matrix`` prints them as text without building a Fraction.
 
 Construction walks, verification evaluates entries:
 
@@ -25,12 +28,12 @@ Construction walks, verification evaluates entries:
     integers over one denominator (``_f_column``), and each row of the
     integers 2**(j-1) B_ij by the integer ratio of its neighbours
     (``_b_row``): one small multiply and one exact division per entry.
-    B and G = B D^{-1} are both built from the row walk, and
+    The cells of B and G = B D^{-1} both come from the row walk, and
     ``solve_charge_density`` and the closed multipole sum read the walks;
-  * verification: ``build_b`` and ``build_g`` compare every walked integer
-    with ``beta_numerator``, its binomial closed form, in ints; the
-    Rodrigues alternating sum ``f_entry_closed_form`` is an independent
-    path to every F entry.
+  * verification: ``matrix_cells`` compares every walked integer of B and
+    G with ``beta_numerator``, its binomial closed form, in ints, on every
+    build and every print; the Rodrigues alternating sum
+    ``f_entry_closed_form`` is an independent path to every F entry.
 
 The entry functions (``f_entry``, ``g_entry``, ``beta_entry``,
 ``beta_numerator``) give any single entry from its closed form; the tests
@@ -43,6 +46,7 @@ Every entry and every walk is order-independent.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 
@@ -105,6 +109,13 @@ def f_entry_closed_form(i, j):
     return total / Fraction(2) ** (i - 2)
 
 
+# 256 entries hold every m that a matrix of order up to 200 reads
+@lru_cache(maxsize=256)
+def _central_binomial(m):
+    """C(2m, m), kept for the most recent m."""
+    return comb(2 * m, m)
+
+
 def beta_numerator(k, i):
     """The integer 2**(i-1) beta_ki = (-1)**q C(2m, m) C(m, q), with
     q = (i-k)/2 and m = (i+k)/2 - 1, for k <= i with k + i even; zero
@@ -113,7 +124,7 @@ def beta_numerator(k, i):
         return 0
     q = (i - k) // 2
     m = (i + k) // 2 - 1
-    value = comb(2 * m, m) * comb(m, q)
+    value = _central_binomial(m) * comb(m, q)
     return -value if q % 2 else value
 
 
@@ -160,58 +171,82 @@ def g_entry(i, j):
     return beta_entry(i, j) / d_diagonal(j)
 
 
-def _zeros(order):
-    """Dense zero rows of an order x order matrix."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    zero = Fraction(0)
-    return [[zero] * order for _ in range(order)]
+def _f_cells(order):
+    """F's triangle cells as (i, j, num, den), column by column from
+    ``_f_column``."""
+    cells = []
+    for j in range(1, order + 1):
+        nums, den = _f_column(j, j)
+        rows = range(2 - j % 2, j + 1, 2)
+        cells.extend((i, j, num, den) for i, num in zip(rows, nums))
+    return cells
 
 
-def _checked_rows(order, entry):
-    """Dense rows with ``entry(j, h)`` at each parity-triangle cell (i, j),
-    where h = 2**(j-1) B_ij as ``_b_row`` walks row i, and zeros elsewhere.
+def _b_cells(order, inverse):
+    """The triangle cells of B, or of G = B D^{-1} when ``inverse``, as
+    (i, j, num, den), row by row from ``_b_row``: (h, 2**(j-1)) for B and
+    ((2j - 1) h, 2**j) for G, where h = 2**(j-1) B_ij.
 
     Every walked h must equal ``beta_numerator(i, j)``, compared in ints.
     """
-    rows = _zeros(order)
+    cells = []
     for i in range(1, order + 1):
         for j, h in zip(range(i, order + 1, 2), _b_row(i, order)):
             if h != beta_numerator(i, j):
                 raise ArithmeticError(
                     f"row walk disagrees with beta_numerator at ({i}, {j})"
                 )
-            rows[i - 1][j - 1] = entry(j, h)
+            if inverse:
+                cells.append((i, j, (2 * j - 1) * h, 2**j))
+            else:
+                cells.append((i, j, h, 2 ** (j - 1)))
+    return cells
+
+
+def matrix_cells(which, order):
+    """The nonzero cells of the matrix ``which`` (``"F"``, ``"G"``, ``"B"``
+    or ``"D"``) of the given order, as tuples (i, j, num, den) with entry
+    (i, j) = num/den, den > 0, not necessarily in lowest terms; every other
+    cell is zero.  B and G are checked as they are walked."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if which == "F":
+        return _f_cells(order)
+    if which == "D":
+        return [(i, i, 2, 2 * i - 1) for i in range(1, order + 1)]
+    if which not in ("B", "G"):
+        raise ValueError(f"no matrix named {which!r}")
+    return _b_cells(order, which == "G")
+
+
+def _dense(which, order):
+    """Dense Fraction rows of ``matrix_cells(which, order)``."""
+    zero = Fraction(0)
+    rows = [[zero] * order for _ in range(order)]
+    for i, j, num, den in matrix_cells(which, order):
+        rows[i - 1][j - 1] = Fraction(num, den)
     return rows
 
 
 def build_f(order):
     """The moment matrix F of the given order, column by column from
     ``_f_column``."""
-    rows = _zeros(order)
-    for j in range(1, order + 1):
-        nums, den = _f_column(j, j)
-        for i, num in zip(range(2 - j % 2, j + 1, 2), nums):
-            rows[i - 1][j - 1] = Fraction(num, den)
-    return rows
+    return _dense("F", order)
 
 
 def build_b(order):
     """The Legendre basis matrix B: column i holds the monomial
     coefficients of P_{i-1}.  Row by row from ``_b_row``, checked."""
-    return _checked_rows(order, lambda j, h: Fraction(h, 2 ** (j - 1)))
+    return _dense("B", order)
 
 
 def build_d(order):
     """The diagonal matrix D = F B with D_ii = 2/(2i - 1)."""
-    rows = _zeros(order)
-    for i in range(1, order + 1):
-        rows[i - 1][i - 1] = d_diagonal(i)
-    return rows
+    return _dense("D", order)
 
 
 def build_g(order):
     """The inverse matrix G = F^{-1} = B D^{-1}: entry (i, j) is
     (2j - 1) h / 2**j for the integer h = 2**(j-1) B_ij, row by row from
     ``_b_row``, checked."""
-    return _checked_rows(order, lambda j, h: Fraction((2 * j - 1) * h, 2**j))
+    return _dense("G", order)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axoball
-from axoball import cli
+from axoball import cli, moment_matrix
 from axoball import (
     ExactPhysical,
     PotentialSpec,
@@ -322,6 +322,59 @@ def test_matrix_order_bounds(capsys):
         code, _, err = run_cli(capsys, "matrix", "--order", bad, "--which", "F")
         assert code == 2
         assert "1..200" in err
+
+
+def _fraction_text(which, order, sep):
+    """The rows of build_<which>(order), each cell through
+    format_rational, D as its diagonal row."""
+    rows = getattr(axoball, f"build_{which.lower()}")(order)
+    if which == "D":
+        rows = [[row[i] for i, row in enumerate(rows)]]
+    return "".join(sep.join(map(axoball.format_rational, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
+def test_matrix_text_equals_formatted_fractions(capsys, which, fmt):
+    # the CLI prints the walked integers; the builders wrap the same cells
+    sep = "," if fmt == "csv" else " "
+    for order in range(1, 49):
+        code, out, _ = run_cli(
+            capsys, "matrix", "--order", str(order), "--which", which, "--format", fmt
+        )
+        assert code == 0
+        assert out == _fraction_text(which, order, sep), order
+
+
+def test_matrix_builds_no_fraction(monkeypatch, capsys):
+    expected = {which: _fraction_text(which, 12, " ") for which in "FGBD"}
+
+    def no_fraction(*args):
+        raise AssertionError("a matrix op built a Fraction")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    monkeypatch.setattr(moment_matrix, "Fraction", no_fraction)
+    for which, text in expected.items():
+        code, out, _ = run_cli(capsys, "matrix", "--order", "12", "--which", which)
+        assert (code, out) == (0, text)
+
+
+# the text helper against str(Fraction): small and 1000-bit-plus integers,
+# zero and negative numerators, den == 1, and pairs sharing a factor, so
+# that den can divide num
+WIDE = st.integers(min_value=2**1000, max_value=2**1100)
+NUMERATORS = st.one_of(st.integers(), WIDE, WIDE.map(lambda n: -n), st.just(0))
+DENOMINATORS = st.one_of(st.just(1), st.integers(min_value=1), WIDE)
+FACTORS = st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6), WIDE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(NUMERATORS, DENOMINATORS, FACTORS)
+def test_ratio_text_equals_fraction_str(num, den, factor):
+    assert cli._ratio_text(num, den) == str(Fraction(num, den))
+    assert cli._ratio_text(num * factor, den * factor) == str(Fraction(num, den))
+    # den divides num
+    assert cli._ratio_text(num * den, den) == str(num)
 
 
 def test_profile_csv_shape_and_columns(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import references
 from axoball import moment_matrix
+from axoball.cli import main
 from axoball.moment_matrix import (
     beta_entry,
     beta_numerator,
@@ -68,6 +69,11 @@ def test_index_validation():
         f_second_superdiagonal(2)
     with pytest.raises(ValueError):
         alpha_coefficients(-1)
+    for which in "FGBD":
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            moment_matrix.matrix_cells(which, 0)
+    with pytest.raises(ValueError, match="no matrix named 'X'"):
+        moment_matrix.matrix_cells("X", 3)
 
 
 def test_construction_entry_equals_alternating_sum_to_order_80():
@@ -277,6 +283,17 @@ def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
 @pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
 def test_build_b_catches_any_off_by_one_numerator(monkeypatch, name, at):
     _assert_catches_off_by_one(monkeypatch, build_b, name, at)
+
+
+# the CLI prints B and G from the same checked walk, without the builders
+@pytest.mark.parametrize("at", TRIANGLE_6)
+@pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
+@pytest.mark.parametrize("which", ["B", "G"])
+def test_matrix_command_catches_any_off_by_one_numerator(monkeypatch, which, name, at):
+    def command(order):
+        return main(["matrix", "--order", str(order), "--which", which])
+
+    _assert_catches_off_by_one(monkeypatch, command, name, at)
 
 
 @pytest.mark.parametrize(
