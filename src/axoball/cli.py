@@ -34,6 +34,7 @@ runs it.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -252,9 +253,18 @@ def _emit(text, out_path):
         except OSError as exc:
             raise ProblemError(f"cannot write output file: {exc}") from None
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        # flushed here, so that a full device or a closed pipe exits 2 with
+        # one error line, not a traceback; the failed stream is closed, as
+        # Python flushes stdout again at exit and its buffer would fail again
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+            raise ProblemError(f"cannot write output: {exc}") from None
 
 
 def cmd_solve(args):

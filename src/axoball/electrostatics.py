@@ -50,9 +50,10 @@ Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact
 product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
 ``induced_axis_potential``, take a sequence of axial coordinates and
-return a list of floats, floating their coefficients once per call.  A float stage that cannot run on its input
-raises ``OutOfRangeError``, bad input rather than a bug; its ``guard``
-maps the float errors of a stage to it.
+return a list of floats, floating their coefficients once per call.  A
+float stage that cannot run on its input raises ``OutOfRangeError``, bad
+input rather than a bug; its ``guard`` maps the float errors of a stage
+to it.
 """
 
 import contextlib

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -34,6 +35,7 @@ from axoball.cli import (
     parse_report,
 )
 from axoball.electrostatics import VACUUM_PERMITTIVITY, OutOfRangeError
+from pins import PINS, with_problem
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -46,6 +48,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a child interpreter imports axoball from wherever this process found it
+SRC = os.path.dirname(os.path.dirname(axoball.__file__))
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 
 BASIC = {
@@ -210,98 +220,53 @@ def test_matrix_table_and_csv(capsys):
     assert out == "1/2,0\n0,3/2\n"
 
 
-# sha256 of `axoball matrix --order 200 --which W --format csv`; the
-# benchmark pools stop at order 120
-ORDER_200_CSV_SHA256 = {
-    "F": "38d79c458abffc0fa9eaca7cd1ddb2f7a061f8c91e2a0772270c1e9a9ec64cb5",
-    "G": "aab9ad9eb039b50a544bc30bcd31b540d27c94445c18c4c36381f74a4ef66c98",
-    "B": "8fb0fb1952026dce1f7cb09bbb16c961e2f07419aa524d566755d9bfd69718de",
-    "D": "d5a1e4ce05595701e7715d28bd512daed8f42c72670bc0c2e8283c43ef3d230a",
-}
-
-
-@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
-def test_order_200_matrices_are_pinned_byte_for_byte(capsys, which):
-    code, out, _ = run_cli(
-        capsys, "matrix", "--order", "200", "--which", which, "--format", "csv"
-    )
+@pytest.mark.parametrize(
+    "args, body, pinned",
+    PINS,
+    ids=["-".join(arg.lstrip("-") for arg in args) for args, _, _ in PINS],
+)
+def test_output_is_pinned_byte_for_byte(tmp_path, capsys, args, body, pinned):
+    code, out, _ = run_cli(capsys, *with_problem(args, body, tmp_path))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_CSV_SHA256[which]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
-# sha256 of `axoball matrix --order 200 --which W` in the default table
-# format, pinned apart from the csv digests above
-ORDER_200_TABLE_SHA256 = {
-    "F": "78c9bb35907548e49e4900a52000e4c848bec55939172eb6e7cc4e01248c6ceb",
-    "G": "d657d823ec0d83e5f00b8c985941452889723bda1816e8c604b0ca34e93a29da",
-    "B": "a8cd3990e10fe84e64acc2c6dbc3a4a1e644ddea5e5fa76a81f68a4d0527f1fe",
-    "D": "f096b23885a14fe42a19df0a143f75a32bc75b94ee4c367d59e50b4e8f84aeab",
-}
-
-
-@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
-def test_order_200_table_matrices_are_pinned_byte_for_byte(capsys, which):
-    code, out, _ = run_cli(capsys, "matrix", "--order", "200", "--which", which)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_200_TABLE_SHA256[which]
-
-
-# sha256 of `axoball solve` on the problem of degree N below: radius 7/3,
-# moments 0..200 at N = 200 and the default moments at N = 400; the
-# benchmark pools stop at degree 64
-LARGE_SOLVE_SHA256 = {
-    200: "4d4674df755429d974a30100e81b6e4ef2d970dcb82663358545820a21b71d85",
-    400: "967cd5d81046123133849da9ffa897d68547a30226bd0ca7f756b32549cf0950",
-}
-
-
-@pytest.mark.parametrize("degree", sorted(LARGE_SOLVE_SHA256))
-def test_large_solve_reports_are_pinned_byte_for_byte(tmp_path, capsys, degree):
-    body = {
-        "radius": "7/3",
-        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(degree + 1)],
-    }
-    if degree == 200:
-        body["moments"] = list(range(201))
-    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SOLVE_SHA256[degree]
-
-
-def test_degree_200_report_of_moments_0_to_1000_is_pinned(tmp_path, capsys):
-    # the closed moment sums read F's columns up to 1001, where the moment
-    # orders stop; the pins above reach column 201
-    body = {
-        "radius": "7/3",
-        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(201)],
-        "moments": list(range(1001)),
-    }
-    code, out, _ = run_cli(capsys, "solve", write_problem(tmp_path, body))
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode()).hexdigest()
-        == "bd2636b8aa2f48bcb744ddc22e8384ec391c17b64bde3dd4572b379923152aa5"
+def test_pin_script_checks_the_axoball_on_path(tmp_path):
+    # CI runs the script against the installed console script; a shim on
+    # PATH stands in for it here, the second one altering each output
+    shim = tmp_path / "axoball"
+    path = os.pathsep.join((str(tmp_path), os.environ.get("PATH", "")))
+    script = os.path.join(os.path.dirname(__file__), "pins.py")
+    runs = []
+    for tail in ("", ' | sed "1s/^./#/"'):
+        shim.write_text(f'#!/bin/sh\n"{sys.executable}" -m axoball.cli "$@"{tail}\n')
+        shim.chmod(0o755)
+        runs.append(subprocess.run(
+            [sys.executable, script], capture_output=True, text=True,
+            env=dict(CHILD_ENV, PATH=path),
+        ))
+    assert (runs[0].returncode, runs[0].stderr) == (0, "")
+    assert runs[1].returncode == 1
+    assert runs[1].stderr.startswith(
+        "pin 0 (axoball matrix --order 200 --which F --format csv) "
+        "differs through the axoball on PATH"
     )
 
 
-# sha256 of `axoball solve --verify` on the problem of degree N built as
-# above: the collocation solve runs at N = 10 and is skipped at N = 16, so
-# the pins cover the oracle's floats on both paths
-VERIFY_SHA256 = {
-    10: "ae47cb6728befc2455e94d0fcd35cc184e6ae0e6e7a5dd99a6b52394a63ebe54",
-    16: "3e8e5535934359f4dcf922cb111e8c0936da5b263b9c7ff4846a23b1cb2613b2",
-}
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_failed_stdout_write_exits_2(monkeypatch, capsys, failing):
+    # a buffered stdout on a full device fails at the flush
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-
-@pytest.mark.parametrize("degree", sorted(VERIFY_SHA256))
-def test_verify_reports_are_pinned_byte_for_byte(tmp_path, capsys, degree):
-    body = {
-        "radius": "7/3",
-        "coeffs_b": [f"{k % 7 - 3}/{k % 5 + 1}" for k in range(degree + 1)],
-    }
-    code, out, _ = run_cli(capsys, "solve", "--verify", write_problem(tmp_path, body))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[degree]
+    stdout = type("FullDevice", (io.StringIO,), {failing: no_space})()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["matrix", "--order", "2", "--which", "F"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n"
+    )
+    # closed, or the interpreter's own flush at exit would fail again
+    assert stdout.closed
 
 
 def test_matrix_d_prints_diagonal_row(capsys):
@@ -397,18 +362,6 @@ def test_profile_csv_shape_and_columns(tmp_path, capsys):
     expected = induced_axis_potential(density, s)
     for row, u in zip(rows[1:], expected):
         assert float(row[3]) == pytest.approx(u, rel=1e-12, abs=1e-15)
-
-
-def test_readme_profile_is_pinned_byte_for_byte(tmp_path, capsys):
-    # the README's example problem; its profile is built from +, * and /
-    # only, so the digest does not depend on the platform's libm
-    body = dict(BASIC, moments=[0, 1, 2, 3, 4], profile={"samples": 101, "span": "3"})
-    code, out, _ = run_cli(capsys, "profile", write_problem(tmp_path, body))
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode()).hexdigest()
-        == "4b761da574bc094ae15e13525fe8937a6fe712ce90f6a83a1b73d07f7bec70de"
-    )
 
 
 def test_profile_uniform_field_density_is_odd_and_linear(tmp_path, capsys):
@@ -547,14 +500,11 @@ def test_moment_order_1000_is_served(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
-    # the child imports axoball from wherever this process found it
-    src = os.path.dirname(os.path.dirname(axoball.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "axoball.cli", "matrix", "--order", "2", "--which", "F"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "2 0\n0 2/3\n"
@@ -606,8 +556,6 @@ def test_a_bad_argv_between_calls_changes_no_output(tmp_path, capsys):
         ["profile", problem],
         ["matrix", "--order", "3", "--which", "G", "--format", "csv"],
     ]
-    src = os.path.dirname(os.path.dirname(axoball.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for argv in calls:
         try:
             code = main(argv)
@@ -618,7 +566,7 @@ def test_a_bad_argv_between_calls_changes_no_output(tmp_path, capsys):
             [sys.executable, "-m", "axoball.cli", *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=CHILD_ENV,
         )
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         if "x" in argv:
@@ -657,8 +605,6 @@ def test_profile_rows_are_written_as_format_wrote_them(tmp_path_factory, points)
 
 def test_verify_prints_no_log_record_by_default(tmp_path):
     # the kernel's DEBUG record reaches stderr only once logging is set up
-    src = os.path.dirname(os.path.dirname(axoball.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     problem = write_problem(tmp_path, BASIC)
     argv = ["solve", "--verify", problem]
     configured = (
@@ -670,7 +616,7 @@ def test_verify_prints_no_log_record_by_default(tmp_path):
             [sys.executable, *head, *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=CHILD_ENV,
         )
         for head in (["-m", "axoball.cli"], ["-c", configured])
     ]
@@ -704,8 +650,6 @@ print(json.dumps([codes, unverified, "numpy" in sys.modules]))
 def test_only_verify_loads_numpy_and_logging(tmp_path):
     # one fresh interpreter: solve, profile and matrix, bad input included,
     # import neither the oracle nor numpy nor logging; --verify loads them
-    src = os.path.dirname(os.path.dirname(axoball.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     tiny_span = {"samples": 3, "span": "1e-400"}
     argv = [
         write_problem(tmp_path, BASIC, "solve.json"),
@@ -716,7 +660,7 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
         [sys.executable, "-c", FOOTPRINT, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "error: floats leave their range sampling the profile\n"

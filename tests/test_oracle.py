@@ -22,6 +22,7 @@ from axoball.oracle import (
     gauss_legendre,
 )
 from conftest import collocation_kernel, random_spec
+from pins import problem
 from references import (
     axis_kernel,
     brute_force_axis_potential,
@@ -254,8 +255,7 @@ def reset_kernel_memo(monkeypatch):
 
 
 def ball_report(degree):
-    coeffs = tuple(Fraction(k % 7 - 3, k % 5 + 1) for k in range(degree + 1))
-    return build_report(PotentialSpec(Fraction(7, 3), coeffs))
+    return build_report(PotentialSpec(**problem(degree)))
 
 
 @pytest.mark.parametrize("degree", [3, 14])
