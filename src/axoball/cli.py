@@ -26,11 +26,12 @@ parses.  Commands dispatch by name at call time, through the module's
 ``cmd_*`` globals, so rebinding one of them at module level (a tracer or
 a test does) changes what ``main`` runs.
 
-Exit codes: 0 on success, 2 on input/validation errors, 3 when --verify
-finds a tolerance breach.  Only ``main`` maps bad input (ProblemError, or
-the float stages' OutOfRangeError from ``electrostatics``) to exit 2.  The
-oracle, and with it numpy and logging, is imported only when --verify
-runs it.
+Exit codes: 0 on success (and for --help), 2 on input/validation errors
+and bad arguments, 3 when --verify finds a tolerance breach; ``main``
+returns each of them and raises no SystemExit.  Only ``main`` maps bad
+input (ProblemError, or the float stages' OutOfRangeError from
+``electrostatics``) to exit 2.  The oracle, and with it numpy and
+logging, is imported only when --verify runs it.
 """
 
 import argparse
@@ -407,7 +408,11 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or help: 2 for a bad argv, 0 for --help
+        return exc.code
     command = {"solve": cmd_solve, "matrix": cmd_matrix, "profile": cmd_profile}
     try:
         return command[args.command](args)

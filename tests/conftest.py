@@ -1,11 +1,21 @@
-"""Shared test helpers: seeded random rationals, radii and problem specs."""
+"""Shared test helpers: seeded random rationals, radii and problem specs,
+and Python's int-to-str digit limit."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from axoball import PotentialSpec, oracle
+
+
+# Python's int-to-str digit limit (4300 by default, and left set), or 0
+# where this Python reads and prints integers of any length
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python reads and prints integers of any length"
+)
 
 
 @pytest.fixture

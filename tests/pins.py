@@ -2,9 +2,12 @@
 pools (matrix order 120, degree 64).  A re-pin is one edit here.  Each pin
 is (argv, problem body or None, sha256 of stdout); a body is written to
 the file the last argv entry names.  ``python tests/pins.py`` checks every
-pin in table order, a bad argv once between two, through the ``axoball``
-on PATH and then through ``main`` in one process; it exits non-zero
-naming the first pin that differs.
+pin in table order, through the ``axoball`` on PATH and then through
+``main`` in one process: each must exit 0 with the pinned stdout and an
+empty stderr.  A bad argv runs once between the csv and the table matrix
+pins, so every command also runs after it; it must exit 2 with an empty
+stdout and argparse's usage on stderr, with no traceback.  The script
+exits non-zero naming the first pin that differs.
 """
 
 import contextlib
@@ -75,33 +78,39 @@ def with_problem(args, body, directory):
     return [*args[:-1], path]
 
 
+# a bad argv: argparse refuses it before any command runs
+BAD_ARGV = ["matrix", "--order", "x", "--which", "F"]
+
+
 def run_script(argv):
     proc = subprocess.run(["axoball", *argv], capture_output=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_main(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue().encode()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def check(run, where, directory):
     """The first pin, in table order, that ``run`` does not reproduce."""
     for index, (args, body, pinned) in enumerate(PINS):
-        # between the matrix pins and the report pins
-        if index == 8 and run(["matrix", "--order", "x", "--which", "F"]) != (2, b""):
-            return f"axoball matrix --order x did not exit 2 silently {where}"
-        code, out = run(with_problem(args, body, directory))
+        if index == 4:
+            code, out, err = run(BAD_ARGV)
+            usage = err.startswith(b"usage: axoball matrix") and b"Traceback" not in err
+            if (code, out, usage) != (2, b"", True):
+                return (
+                    f"axoball {' '.join(BAD_ARGV)} did not exit 2 with its usage "
+                    f"line {where}: exit {code}, stderr {err[:200]!r}"
+                )
+        code, out, err = run(with_problem(args, body, directory))
         found = hashlib.sha256(out).hexdigest()
-        if (code, found) != (0, pinned):
+        if (code, found, err) != (0, pinned, b""):
             return (
                 f"pin {index} (axoball {' '.join(args)}) differs {where}: "
-                f"exit {code}, sha256 {found}, pinned {pinned}"
+                f"exit {code}, sha256 {found}, pinned {pinned}, stderr {err[:200]!r}"
             )
     return None
 

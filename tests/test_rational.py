@@ -1,5 +1,4 @@
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from axoball.rational import format_rational, parse_rational
+from conftest import DIGIT_LIMIT, needs_digit_limit
 
 
 def test_accepts_ints_fractions_and_strings():
@@ -47,9 +47,6 @@ def test_malformed_text():
         parse_rational(None)
 
 
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 class NoFraction(Fraction):
     """Stands in for ``rational.Fraction``: building any value fails."""
 
@@ -57,7 +54,7 @@ class NoFraction(Fraction):
         raise AssertionError("built a Fraction from a refused exponent")
 
 
-@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads integers of any length")
+@needs_digit_limit
 @pytest.mark.parametrize(
     "text",
     [
@@ -79,7 +76,7 @@ def test_exponent_past_the_digit_limit_is_refused_unbuilt(monkeypatch, text):
         parse_rational(text)
 
 
-@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads integers of any length")
+@needs_digit_limit
 def test_exponent_at_the_digit_limit_is_served():
     assert parse_rational(f"1e{DIGIT_LIMIT}") == 10**DIGIT_LIMIT
     assert parse_rational(f"-1e-{DIGIT_LIMIT}") == Fraction(-1, 10**DIGIT_LIMIT)
