@@ -197,16 +197,8 @@ BAD_INPUT = [
           "--order must lie in 1..200") for n in ("0", "201", "-5")),
     bad("missing-file", "solve {dir}/absent.json", None, "cannot read problem file: "
         "[Errno 2] No such file or directory: '{dir}/absent.json'"),
-    bad("not-utf-8", "solve {file}", b"\xff\xfe{}", "error: cannot read problem file: "
-        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
     bad("not-json", "solve {file}", "not json at all {",
         "invalid JSON in {file}: Expecting value: line 1 column 1 (char 0)"),
-    bad("nested-too-deep", "solve {file}", NESTED, "error: invalid JSON in {file}: "
-        "maximum recursion depth exceeded while decoding a JSON array from a unicode "
-        "string\n"),
-    bad("integer-past-digit-limit", "solve {file}", LONG_INT, "error: invalid JSON in "
-        f"{{file}}: an integer literal has more than {DIGIT_LIMIT} digits\n",
-        needs_digit_limit),
     bad("nan", "solve {file}", '{"r": NaN}', "non-finite number NaN is not allowed"),
     bad("not-an-object", "solve {file}", [1], "problem file must be a JSON object"),
     bad("radius-and-r", "solve {file}", dict(ONE, r="2"),
@@ -299,8 +291,9 @@ BAD_INPUT = [
 ]
 
 
-@pytest.mark.parametrize("argv, content, text", BAD_INPUT)
-def test_bad_input_exits_2(tmp_path, capsys, argv, content, text):
+def assert_refused(tmp_path, capsys, argv, content, text):
+    """Run one row: exit 2, an empty stdout, no traceback or warning, the
+    digit limit as it was, and the row's text on its error line."""
     if content is not None:
         write_problem(tmp_path, content)
     paths = {"file": tmp_path / "problem.json", "dir": tmp_path}
@@ -316,6 +309,48 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, content, text):
     else:
         assert usage == [] and line.startswith("error: ")
     assert text.format(**paths) in line
+
+
+@pytest.mark.parametrize("argv, content, text", BAD_INPUT)
+def test_bad_input_exits_2(tmp_path, capsys, argv, content, text):
+    assert_refused(tmp_path, capsys, argv, content, text)
+
+
+# rows for the files that JSON cannot decode; each text is the whole
+# error line, so none of the input is echoed
+UNDECODABLE = [
+    bad("not-utf-8", "solve {file}", b"\xff\xfe{}", "error: cannot read problem file: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    bad("nested-too-deep", "solve {file}", NESTED, "error: invalid JSON in {file}: "
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode "
+        "string\n"),
+    bad("integer-past-digit-limit", "solve {file}", LONG_INT, "error: invalid JSON in "
+        f"{{file}}: an integer literal has more than {DIGIT_LIMIT} digits\n",
+        needs_digit_limit),
+]
+
+
+@pytest.mark.parametrize("argv, content, text", UNDECODABLE)
+def test_undecodable_problem_files_exit_2(tmp_path, capsys, argv, content, text):
+    assert_refused(tmp_path, capsys, argv, content, text)
+
+
+@needs_digit_limit
+def test_integer_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    # the message names the limit in force, here Python's lowest, and
+    # main leaves that limit set
+    lowest = sys.int_info.str_digits_check_threshold
+    body = '{"radius": "1", "coeffs_b": ["1"], "moments": [' + "7" * (lowest + 1) + "]}"
+    path = write_problem(tmp_path, body)
+    try:
+        sys.set_int_max_str_digits(lowest)
+        code, out, err = run_cli(capsys, "solve", path)
+        assert sys.get_int_max_str_digits() == lowest
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+    assert (code, out) == (2, "")
+    message = f"an integer literal has more than {lowest} digits"
+    assert err == f"error: invalid JSON in {path}: {message}\n"
 
 
 def test_help_returns_0(capsys):
@@ -624,6 +659,34 @@ def test_main_runs_the_command_bound_in_the_module(monkeypatch, name, argv):
     monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
     assert main(argv) == 7
     assert seen == [argv[0]]
+
+
+def test_a_bad_argv_between_calls_changes_no_output(tmp_path, capsys):
+    # each call's exit code, stdout and stderr in this process are those of
+    # a fresh interpreter, before and after a bad argv
+    problem = write_problem(tmp_path, dict(BASIC, profile={"samples": 5, "span": "3"}))
+    calls = [
+        ["profile", problem],
+        ["matrix", "--order", "3", "--which", "G", "--format", "csv"],
+        ["matrix", "--order", "x", "--which", "F"],
+        ["solve", problem],
+        ["profile", problem],
+        ["matrix", "--order", "3", "--which", "G", "--format", "csv"],
+    ]
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "axoball.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        if "x" in argv:
+            assert code == 2
+            assert err.startswith("usage: axoball matrix")
+        else:
+            assert code == 0 and out
 
 
 def _old_profile_csv(arrays):
