@@ -46,6 +46,12 @@ The force's closed sum is one integer over b's numerators; its integral
 squares c's numerator polynomial as one big-int product (Kronecker
 substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
 
+The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
+and the oracle's two) are plain immutable classes on one base, ``_Value``:
+equal within one class and hashed by their fields, pickled and copied
+through their constructors, which also build a changed copy.  Assigning or
+deleting a field raises AttributeError.
+
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact
 product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
@@ -58,7 +64,6 @@ to it.
 
 import contextlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .moment_matrix import _b_row, _f_column, f_entry_closed_form
@@ -86,8 +91,38 @@ class ConsistencyError(ArithmeticError):
         self.closed = closed
 
 
-@dataclass(frozen=True)
-class ExactPhysical:
+class _Value:
+    """Base of the value classes, whose ``__init__`` sets each field in
+    ``__slots__`` once; see the module docstring."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class ExactPhysical(_Value):
     """An exact rational multiple of the symbolic unit factor pi*eps0.
 
     The rational coefficient is the truth.  ``float(x)`` is the exact
@@ -96,8 +131,11 @@ class ExactPhysical:
     OverflowError only where the product itself overflows.
     """
 
-    coeff: Fraction
-    epsilon0: float = VACUUM_PERMITTIVITY
+    __slots__ = ("coeff", "epsilon0")
+
+    def __init__(self, coeff, epsilon0=VACUUM_PERMITTIVITY):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "epsilon0", epsilon0)
 
     def __float__(self):
         pi_num, pi_den = math.pi.as_integer_ratio()
@@ -107,8 +145,7 @@ class ExactPhysical:
         )
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(_Value):
     """Ball radius and the coefficients b of the negated axial potential.
 
     ``coeffs_b`` holds b_1..b_{n+1} with -phi0(s) = sum b_i s^(i-1).
@@ -120,21 +157,19 @@ class PotentialSpec:
     ``epsilon0`` is a plain float used only for float rendering.
     """
 
-    radius: Fraction
-    coeffs_b: tuple
-    epsilon0: float = VACUUM_PERMITTIVITY
+    __slots__ = ("radius", "coeffs_b", "epsilon0")
 
-    def __post_init__(self):
-        radius = parse_rational(self.radius)
+    def __init__(self, radius, coeffs_b, epsilon0=VACUUM_PERMITTIVITY):
+        radius = parse_rational(radius)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        coeffs = [parse_rational(b) for b in self.coeffs_b]
+        coeffs = [parse_rational(b) for b in coeffs_b]
         if not coeffs:
             raise ValueError("coeffs_b must not be empty")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         try:
-            eps = float(self.epsilon0)
+            eps = float(epsilon0)
         except OverflowError:
             eps = math.inf
         if not 0 < eps < math.inf:
@@ -150,14 +185,18 @@ class PotentialSpec:
         return len(self.coeffs_b) - 1
 
 
-@dataclass(frozen=True)
-class ChargeDensity:
+class ChargeDensity(_Value):
     """A solved problem: the spec and the coefficients c of its induced
-    density sigma(z) = (2 eps0 / r) sum_j c_j z^(j-1).  Built only by
-    ``solve_charge_density``; radius, permittivity and b come from spec."""
+    density sigma(z) = (2 eps0 / r) sum_j c_j z^(j-1).  Built by
+    ``solve_charge_density``; radius, permittivity and b come from spec.
+    The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
+    also builds a density that does not solve its spec."""
 
-    spec: PotentialSpec
-    coeffs_c: tuple
+    __slots__ = ("spec", "coeffs_c")
+
+    def __init__(self, spec, coeffs_c):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coeffs_c", coeffs_c)
 
     @property
     def radius(self):
@@ -187,15 +226,17 @@ class ChargeDensity:
         return [_finite(prefactor * _horner(coeffs, float(z))) for z in points]
 
 
-@dataclass(frozen=True)
-class BallReport:
+class BallReport(_Value):
     """A solved density with its charge, dipole, multipoles and force."""
 
-    density: ChargeDensity
-    charge_Q: ExactPhysical
-    dipole_D: ExactPhysical
-    multipoles: dict
-    force_F: ExactPhysical
+    __slots__ = ("density", "charge_Q", "dipole_D", "multipoles", "force_F")
+
+    def __init__(self, density, charge_Q, dipole_D, multipoles, force_F):
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "charge_Q", charge_Q)
+        object.__setattr__(self, "dipole_D", dipole_D)
+        object.__setattr__(self, "multipoles", multipoles)
+        object.__setattr__(self, "force_F", force_F)
 
 
 def solve_charge_density(spec):

@@ -48,7 +48,6 @@ and work as one DEBUG record to the ``axoball.oracle`` logger.
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +55,7 @@ import numpy as np
 from .electrostatics import (
     OutOfRangeError,
     _finite,
+    _Value,
     _horner,
     charge_legendre_moments,
     induced_axis_potential,
@@ -82,12 +82,14 @@ class CollocationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Value):
     """Gauss-Legendre nodes/weights on [-1, 1]; exact to degree 2*order-1."""
 
-    nodes: tuple
-    weights: tuple
+    __slots__ = ("nodes", "weights")
+
+    def __init__(self, nodes, weights):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def integrate(self, values):
         """sum_k w_k values[k], for the integrand's values at the nodes."""
@@ -257,13 +259,15 @@ def axis_kernel_integral(count, xis):
     return values.reshape(len(xis), count)
 
 
-@dataclass(frozen=True)
-class CollocationSolution:
+class CollocationSolution(_Value):
     """Least-squares density coefficients plus solve diagnostics."""
 
-    coeffs: tuple
-    residual_norm: float
-    condition_estimate: float
+    __slots__ = ("coeffs", "residual_norm", "condition_estimate")
+
+    def __init__(self, coeffs, residual_norm, condition_estimate):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "residual_norm", residual_norm)
+        object.__setattr__(self, "condition_estimate", condition_estimate)
 
 
 def chebyshev_points(count):

@@ -744,7 +744,14 @@ def test_verify_prints_no_log_record_by_default(tmp_path):
 
 FOOTPRINT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from axoball.cli import main
+
+
+def added(names):
+    # modules loaded since start-up, so that site hooks do not count
+    return sorted(set(names) & set(sys.modules) - before)
+
 
 solve, profile, tiny = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -752,17 +759,23 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["solve", solve]),
         main(["profile", profile]),
         main(["profile", tiny]),
+        main(["solve", tiny + ".missing"]),
         main(["matrix", "--order", "2", "--which", "F"]),
+        main(["matrix", "--order", "x", "--which", "F"]),
     ]
-    unverified = sorted({"numpy", "logging", "axoball.oracle"} & set(sys.modules))
+    unverified = added(
+        {"numpy", "logging", "axoball.oracle", "dataclasses", "inspect"}
+    )
     codes.append(main(["solve", "--verify", solve]))
-print(json.dumps([codes, unverified, "numpy" in sys.modules]))
+print(json.dumps([codes, unverified, added({"numpy", "dataclasses"})]))
 """
 
 
 def test_only_verify_loads_numpy_and_logging(tmp_path):
     # one fresh interpreter: solve, profile and matrix, bad input included,
-    # import neither the oracle nor numpy nor logging; --verify loads them
+    # import neither the oracle nor numpy, logging, dataclasses or inspect;
+    # --verify loads numpy and logging (numpy itself loads inspect), but
+    # not dataclasses
     tiny_span = {"samples": 3, "span": "1e-400"}
     argv = [
         write_problem(tmp_path, BASIC, "solve.json"),
@@ -776,11 +789,15 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
         env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "error: floats leave their range sampling the profile\n"
-    codes, unverified, numpy_after_verify = json.loads(proc.stdout)
-    assert codes == [0, 0, 2, 0, 0]
+    errors = proc.stderr.splitlines()
+    assert errors[0] == "error: floats leave their range sampling the profile"
+    assert errors[1].startswith("error: cannot read problem file")
+    assert errors[-1].startswith("axoball matrix: error: argument --order")
+    assert "Traceback" not in proc.stderr
+    codes, unverified, verified = json.loads(proc.stdout)
+    assert codes == [0, 0, 2, 2, 0, 2, 0]
     assert unverified == []
-    assert numpy_after_verify
+    assert verified == ["numpy"]
 
 
 def test_out_of_range_error_is_one_class():

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axoball import (
+    ChargeDensity,
     ConsistencyError,
     ExactPhysical,
     PotentialSpec,
@@ -25,6 +27,7 @@ from axoball import (
 from axoball import electrostatics as es_mod
 from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
+from axoball.oracle import CollocationSolution, QuadratureRule
 from conftest import random_coeffs, random_radius, random_spec
 import references
 from references import brute_force_axis_potential, solve_by_entries
@@ -232,7 +235,7 @@ def test_force_vanishes_without_gradient_coupling():
 def test_density_that_does_not_solve_its_spec_is_caught():
     # closed forms read the spec's b, integrated paths the density's c
     good = solve_charge_density(PotentialSpec(2, (1, 2, 3)))
-    bad = dataclasses.replace(good, coeffs_c=tuple(c + 1 for c in good.coeffs_c))
+    bad = ChargeDensity(good.spec, tuple(c + 1 for c in good.coeffs_c))
     cases = [
         (total_charge, ("moment", 0)),
         (dipole_moment, ("moment", 1)),
@@ -503,7 +506,7 @@ def test_consistency_error_is_raised_per_order():
     # c_2, the coefficient of z, is read by the integrals of odd order only
     c = list(good.coeffs_c)
     c[1] += 1
-    bad_c = dataclasses.replace(good, coeffs_c=tuple(c))
+    bad_c = ChargeDensity(good.spec, tuple(c))
     error = _assert_disagrees(
         lambda: multipole_moments(bad_c, [0, 3, 1]), "moment", 3
     )
@@ -512,8 +515,8 @@ def test_consistency_error_is_raised_per_order():
     # b_2 is read by the closed sums of odd order only, and by the force
     b = list(good.coeffs_b)
     b[1] += 1
-    bad_b = dataclasses.replace(
-        good, spec=dataclasses.replace(good.spec, coeffs_b=tuple(b))
+    bad_b = ChargeDensity(
+        PotentialSpec(good.radius, tuple(b), good.epsilon0), good.coeffs_c
     )
     error = _assert_disagrees(
         lambda: multipole_moments(bad_b, [0, 2, 3, 1]), "moment", 3
@@ -639,3 +642,65 @@ def test_fields_unpack_up_to_their_signed_bounds():
 @settings(max_examples=100)
 def test_kronecker_product_equals_the_pair_loop_on_any_ints(u, v):
     _assert_product(u, v)
+
+
+def _spec():
+    return PotentialSpec("7/3", ("1", "-2/5", "3", "0"))
+
+
+# each value class: a builder of fresh equal values, and its field names
+VALUE_CLASSES = {
+    ExactPhysical: (lambda: ExactPhysical(Fraction(-4, 3), 2.5), ("coeff", "epsilon0")),
+    PotentialSpec: (_spec, ("radius", "coeffs_b", "epsilon0")),
+    ChargeDensity: (lambda: solve_charge_density(_spec()), ("spec", "coeffs_c")),
+    es_mod.BallReport: (
+        lambda: build_report(_spec(), moments=(2, 0)),
+        ("density", "charge_Q", "dipole_D", "multipoles", "force_F"),
+    ),
+    QuadratureRule: (
+        lambda: QuadratureRule((-0.5, 0.5), (1.0, 1.0)),
+        ("nodes", "weights"),
+    ),
+    CollocationSolution: (
+        lambda: CollocationSolution((1.0, -2.0), 1e-15, 3.0),
+        ("coeffs", "residual_norm", "condition_estimate"),
+    ),
+}
+# the value classes whose constructors take any field values, by field count
+ANY_FIELDS = {
+    2: (ExactPhysical, ChargeDensity, QuadratureRule),
+    3: (CollocationSolution,),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_contract(cls):
+    build, names = VALUE_CLASSES[cls]
+    value, twin = build(), build()
+    assert type(value) is cls and value is not twin
+    assert value == twin and not value != twin
+    if cls is es_mod.BallReport:
+        # its multipoles are a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    # another class with the same field values is not equal
+    fields = [getattr(value, name) for name in names]
+    others = [type("Other", (cls,), {"__slots__": ()})]
+    others += [other for other in ANY_FIELDS.get(len(names), ()) if other is not cls]
+    for other in others:
+        assert value != other(*fields) and other(*fields) != value
+    assert value != tuple(fields)
+    assert cls(**dict(zip(names, fields))) == value
+    for name in (*names, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == fields
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+        assert type(copied) is cls and copied == value
+    text = repr(value)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{name}=" in text for name in names)
