@@ -219,7 +219,8 @@ class ChargeDensity(_Value):
         (floats); c is floated once per call.
 
         Meaningful for |z| <= r, the axial range covered by the surface.
-        Raises FloatingPointError when a value leaves float range.
+        Raises OverflowError, ZeroDivisionError or FloatingPointError when
+        a value leaves float range, the errors ``OutOfRangeError.guard`` maps.
         """
         coeffs = [float(c) for c in self.coeffs_c]
         prefactor = 2.0 * self.epsilon0 / float(self.radius)
@@ -564,7 +565,8 @@ def induced_axis_potential(density, points):
     finite because the moment matrix is triangular.  The two branches agree
     exactly at |s| = r.  The moments are derived and floated once per call;
     evaluation is in floats, for physical sanity checks, not exact results.
-    Raises FloatingPointError when a value leaves float range.
+    Raises OverflowError, ZeroDivisionError or FloatingPointError when a
+    value leaves float range, the errors ``OutOfRangeError.guard`` maps.
     """
     xs = [float(s) for s in points]
     if not all(map(math.isfinite, xs)):

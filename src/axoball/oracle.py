@@ -9,10 +9,12 @@ equation
     int_{-1}^{1} s(eta) / sqrt(xi^2 + 1 - 2 xi eta) d eta = rhs(xi),
 
 its residual for an exact density, brute-force quadrature versions of the
-multipole moments and the force, and ``check_report``, which runs all of
-these against a solved report and returns a JSON-ready verification block.
-A quadrature rule integrates the integrand's values at its nodes, and the
-density is sampled at all of a rule's nodes in one ``sigma`` call.
+multipole moments and the force, each returned with the scale its gap is
+measured against (the integral's cancellation-free magnitude), and
+``check_report``, which runs all of these against a solved report and
+returns a JSON-ready verification block.  A quadrature rule integrates the
+integrand's values at its nodes, and the density is sampled at all of a
+rule's nodes in one ``sigma`` call.
 
 ``check_report`` runs under one numpy error state, so that numpy raises
 its float errors instead of warning, and the guards of
@@ -38,10 +40,11 @@ hands out a copy of its first columns, building a wider one only when a
 run needs more.  The first table is COLLOCATION_POINTS columns wide, so
 below that degree a process builds once, on its first run, and no later
 run's time depends on which degrees came before it.
-``axis_kernel_integral`` itself keeps nothing.  At
-each level of the bisection the table takes one libm pow per node and
-power for each mirrored pair of panels (eta -> -eta), and one sqrt per
-point, panel and node.  It equals, bit for bit, the one-value-at-a-time
+``axis_kernel_integral`` itself keeps nothing, and the oracle keeps
+nothing per density: across calls it holds only that table and the
+Gauss-Legendre rules.  At each level of the bisection the table takes one
+libm pow per node and power for each mirrored pair of panels (eta ->
+-eta), and one sqrt per point, panel and node.  It equals, bit for bit, the one-value-at-a-time
 recursive rule kept in the tests as its reference, and it logs its size
 and work as one DEBUG record to the ``axoball.oracle`` logger.
 """
@@ -363,8 +366,10 @@ def equation_residual(density, kernel):
 
 
 def brute_force_moment(density, m):
-    """2 pi r int z^m sigma(z) dz by quadrature, treating sigma as a black
-    box; SI float."""
+    """The order-m moment 2 pi r int z^m sigma(z) dz by quadrature,
+    treating sigma as a black box, and the scale its gap is measured
+    against: pi eps0 * 8 sum_j |c_j| r^(m+j) / (m+j), the moment's
+    cancellation-free magnitude.  A pair of SI floats."""
     if m < 0 or m > 40:
         raise OutOfRangeError(
             f"cannot check the order-{m} multipole moment: orders 0..40 only"
@@ -373,24 +378,26 @@ def brute_force_moment(density, m):
     rule = gauss_legendre(max((m + density.degree) // 2 + 2, 8))
     zs = [r * eta for eta in rule.nodes]
     total = rule.integrate([z**m * v for z, v in zip(zs, density.sigma(zs))])
-    return 2.0 * math.pi * r * r * total
-
-
-@lru_cache(maxsize=1)  # check_report re-reads brute_force_force's samples
-def _force_samples(density):
-    """The force rule, exact for z sigma^2 of degree 2 * degree + 1, with its
-    nodes z on [-r, r] and sigma there, kept for the last density."""
-    rule = gauss_legendre(max(density.degree + 2, 8))
-    zs = tuple(float(density.radius) * eta for eta in rule.nodes)
-    return rule, zs, tuple(density.sigma(zs))
+    magnitude = 8.0 * sum(
+        abs(float(c)) * r ** (m + j) / (m + j)
+        for j, c in enumerate(density.coeffs_c, start=1)
+    )
+    return 2.0 * math.pi * r * r * total, math.pi * density.epsilon0 * magnitude
 
 
 def brute_force_force(density):
-    """(pi / eps0) int z sigma^2 dz by quadrature; SI float."""
+    """The force (pi / eps0) int z sigma^2 dz by quadrature, and the scale
+    its gap is measured against: (pi / eps0) int |z| sigma^2 dz.  Both
+    sum one sampling of sigma, on a rule exact for z sigma^2 of degree
+    2 * degree + 1.  A pair of SI floats."""
     r = float(density.radius)
-    rule, zs, sigma = _force_samples(density)
+    rule = gauss_legendre(max(density.degree + 2, 8))
+    zs = [r * eta for eta in rule.nodes]
+    sigma = density.sigma(zs)
     total = rule.integrate([z * v**2 for z, v in zip(zs, sigma)])
-    return math.pi / density.epsilon0 * r * total
+    magnitude = rule.integrate([abs(z) * v**2 for z, v in zip(zs, sigma)])
+    unit = math.pi / density.epsilon0 * r
+    return unit * total, unit * magnitude
 
 
 def _check(measure, value, tolerance, **diagnostics):
@@ -448,8 +455,8 @@ def check_report(report):
                 "value", equation_residual(density, kernel), 1e-9
             )
 
-        # moment quadrature vs exact, relative to the cancellation-free
-        # magnitude of the integral (the roundoff scale of the quadrature).
+        # each quadrature vs its exact value, relative to the integral's
+        # cancellation-free magnitude (the roundoff scale of the quadrature).
         # The exact side is float(coeff) * pi * eps in three roundings, not
         # float(moment)'s one: the benchmark's verify references were
         # recorded against these floats, and stay until they are re-recorded
@@ -457,25 +464,16 @@ def check_report(report):
         for m, moment in report.multipoles.items():
             with OutOfRangeError.guard(f"checking the order-{m} multipole moment"):
                 exact = float(moment.coeff) * math.pi * eps
-                brute = brute_force_moment(density, m)
-                magnitude = 8.0 * sum(
-                    abs(float(c)) * r ** (m + j) / (m + j)
-                    for j, c in enumerate(density.coeffs_c, start=1)
-                )
-                scale = math.pi * eps * magnitude
+                brute, scale = brute_force_moment(density, m)
                 gap = abs(brute - exact)
                 worst = max(worst, _finite(gap / scale if scale else gap))
         checks["moments"] = _check("max_relative_deviation", worst, 1e-10)
 
         with OutOfRangeError.guard("checking the force"):
-            exact_force = float(report.force_F.coeff) * math.pi * eps  # as above
-            brute_force = brute_force_force(density)
-            rule, zs, sigma = _force_samples(density)
-            magnitude = math.pi / eps * r * rule.integrate(
-                [abs(z) * v**2 for z, v in zip(zs, sigma)]
-            )
-            gap = abs(brute_force - exact_force)
-            force_dev = _finite(gap / magnitude if magnitude else gap)
+            exact = float(report.force_F.coeff) * math.pi * eps
+            brute, scale = brute_force_force(density)
+            gap = abs(brute - exact)
+            force_dev = _finite(gap / scale if scale else gap)
         checks["force"] = _check("relative_deviation", force_dev, 1e-10)
 
         with OutOfRangeError.guard("checking the axis potential"):

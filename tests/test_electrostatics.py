@@ -73,6 +73,37 @@ def test_samplers_refuse_values_past_float_range():
         induced_axis_potential(density, [1.0])
 
 
+SAMPLERS = {
+    "sigma": lambda density: density.sigma([0.0]),
+    "axis-potential": lambda density: induced_axis_potential(density, [0.0]),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        # the radius floats to 0.0: sigma's 2 eps0 / r and u's s / r divide by it
+        (("1e-400", ("1", "2"), 1.0), ZeroDivisionError),
+        # a number too large to float: c_1, or the Legendre moment m_1
+        ((1, ("1e400", "1")), OverflowError),
+        # the radius itself, too large to float
+        (("1e400", ("1", "2")), OverflowError),
+    ],
+    ids=["radius-1e-400", "coefficient-1e400", "radius-1e400"],
+)
+def test_samplers_raise_what_the_guard_maps(sampler, spec, error):
+    # beside FloatingPointError, a sampler raises the two errors of
+    # floating an exact value; the guard reports all three as bad input
+    density = solve_charge_density(PotentialSpec(*spec))
+    with pytest.raises(error) as raised:
+        SAMPLERS[sampler](density)
+    assert type(raised.value) is error
+    with pytest.raises(es_mod.OutOfRangeError, match="floats leave their range in"):
+        with es_mod.OutOfRangeError.guard("in a test"):
+            SAMPLERS[sampler](density)
+
+
 def test_exact_physical_rendering():
     q = ExactPhysical(Fraction(4), epsilon0=1.0)
     assert float(q) == 4 * math.pi

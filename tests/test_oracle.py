@@ -338,7 +338,6 @@ def test_check_report_samples_sigma_once_per_check(monkeypatch):
     import axoball.oracle as oracle_mod
     from axoball.electrostatics import ChargeDensity
 
-    oracle_mod._force_samples.cache_clear()
     sampled = []
     sigma = ChargeDensity.sigma
 
@@ -353,6 +352,20 @@ def test_check_report_samples_sigma_once_per_check(monkeypatch):
     # orders 0, 5 and 9 at degree 14 take rules of 9, 11 and 13 nodes, and
     # the force's rule takes degree + 2 = 16
     assert sampled == [9, 11, 13, 16]
+
+
+def test_check_report_hashes_no_value(monkeypatch):
+    # the oracle keeps nothing keyed by a density or a spec
+    from axoball.electrostatics import ChargeDensity
+
+    def unhashable(self):
+        raise TypeError(f"{type(self).__name__} was hashed")
+
+    report = ball_report(14)
+    block = check_report(report)
+    monkeypatch.setattr(ChargeDensity, "__hash__", unhashable)
+    monkeypatch.setattr(PotentialSpec, "__hash__", unhashable)
+    assert check_report(report) == block
 
 
 def test_chebyshev_points_lie_inside():
@@ -414,7 +427,8 @@ def test_equation_residual_small_for_exact_solutions(rng):
 
 def test_brute_moment_odd_mode_vanishes():
     density = solve_charge_density(PotentialSpec(1, (4,), epsilon0=1.0))
-    assert abs(brute_force_moment(density, 1)) < 1e-13
+    brute, _ = brute_force_moment(density, 1)
+    assert abs(brute) < 1e-13
 
 
 def test_brute_moment_matches_exact(rng):
@@ -423,7 +437,7 @@ def test_brute_moment_matches_exact(rng):
         density = solve_charge_density(spec)
         r = float(spec.radius)
         for m in (0, 1, 2, 5):
-            brute = brute_force_moment(density, m)
+            brute, _ = brute_force_moment(density, m)
             exact = float(multipole_moment(density, m))
             scale = math.pi * 8.0 * sum(
                 abs(float(c)) * r ** (m + j) / (m + j)
@@ -440,14 +454,15 @@ def test_brute_moment_order_capped():
 
 def test_brute_force_even_density_gives_zero():
     density = solve_charge_density(PotentialSpec(1, (3,), epsilon0=1.0))
-    assert abs(brute_force_force(density)) < 1e-12
+    brute, _ = brute_force_force(density)
+    assert abs(brute) < 1e-12
 
 
 def test_brute_force_matches_exact(rng):
     for _ in range(6):
         spec = random_spec(rng, max_degree=5, max_radius=2, epsilon0=1.0)
         density = solve_charge_density(spec)
-        brute = brute_force_force(density)
+        brute, _ = brute_force_force(density)
         exact = float(axial_force(density))
         rule = gauss_legendre(16)
         r = float(spec.radius)
@@ -456,6 +471,27 @@ def test_brute_force_matches_exact(rng):
             [abs(z) * v**2 for z, v in zip(zs, density.sigma(zs))]
         )
         assert abs(brute - exact) <= 1e-10 * max(scale, 1e-30)
+
+
+def test_brute_force_checks_return_integral_and_scale(rng):
+    # each scale is a finite bound on its integral.  The force's sums the
+    # same terms in absolute value, so it bounds the float sum exactly.  The
+    # moment's is pi eps0 * 8 sum_j |c_j| r^(m+j) / (m+j), bit for bit (here
+    # eps0 = 1), the exact integral's bound, which a constant density meets
+    # with equality, so the quadrature may pass it by roundoff
+    for _ in range(40):
+        spec = random_spec(rng, max_degree=24, max_radius=10)
+        density = solve_charge_density(spec)
+        r = float(spec.radius)
+        force, scale = brute_force_force(density)
+        assert math.isfinite(scale) and abs(force) <= scale
+        for m in (0, 1, 2, 7, 40):
+            moment, scale = brute_force_moment(density, m)
+            assert scale == math.pi * 8.0 * sum(
+                abs(float(c)) * r ** (m + j) / (m + j)
+                for j, c in enumerate(density.coeffs_c, start=1)
+            )
+            assert math.isfinite(scale) and abs(moment) <= scale * (1 + 1e-13)
 
 
 def test_brute_axis_potential_interior_matches_negated_phi0():
@@ -530,13 +566,15 @@ def test_check_report_cannot_check_moment_order_41():
 
 @pytest.mark.parametrize("name", ["brute_force_moment", "brute_force_force"])
 def test_check_report_gives_no_verdict_on_nan(monkeypatch, name):
-    # max() drops a NaN: a check must refuse it, never pass over it
+    # max() drops a NaN: a check must refuse a NaN integral or a NaN
+    # scale, never pass over it
     import axoball.oracle as oracle_mod
 
-    monkeypatch.setattr(oracle_mod, name, lambda *args: math.nan)
     report = build_report(PotentialSpec(1, (1, 2)))
-    with pytest.raises(OutOfRangeError, match="floats leave their range"):
-        check_report(report)
+    for pair in [(math.nan, 1.0), (1.0, math.nan)]:
+        monkeypatch.setattr(oracle_mod, name, lambda *args: pair)
+        with pytest.raises(OutOfRangeError, match="floats leave their range"):
+            check_report(report)
 
 
 def test_equation_residual_refuses_nan():
