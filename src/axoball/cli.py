@@ -15,10 +15,11 @@ alone writes and reads report text: the library returns exact values,
 ``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
 back.  A quantity's float is ``float(x)``, its exact value rounded once,
 and null where that overflows or a nonzero value underflows to 0.0.
-``matrix`` prints each cell of ``matrix_cells``, the integers num/den that
-the library's walk gives and the builders wrap in Fractions, over one gcd
-(``_ratio_text``), with no Fraction built; the walk checks every B and G
-cell it prints.  Every command writes its output through ``_emit``.
+``matrix`` prints each cell of ``matrix_cells``, the integers num/den in
+lowest terms that the library's walks give and the builders wrap in
+Fractions, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; the walk
+checks every B and G cell it prints.  Every command writes its output
+through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
@@ -40,7 +41,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
 from .electrostatics import (
     VACUUM_PERMITTIVITY,
@@ -310,21 +310,12 @@ def cmd_solve(args):
     return code
 
 
-def _ratio_text(num, den):
-    """The text ``str(Fraction(num, den))`` of num/den, for den > 0, from
-    one gcd: ``"p"`` or ``"p/q"`` in lowest terms."""
-    g = gcd(num, den)
-    if g == den:
-        return str(num // den)
-    return f"{num // g}/{den // g}"
-
-
 def cmd_matrix(args):
     if args.order < 1 or args.order > 200:
         raise ProblemError("--order must lie in 1..200")
     rows = [["0"] * args.order for _ in range(args.order)]
     for i, j, num, den in matrix_cells(args.which, args.order):
-        rows[i - 1][j - 1] = _ratio_text(num, den)
+        rows[i - 1][j - 1] = str(num) if den == 1 else f"{num}/{den}"
     if args.which == "D":
         rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
     sep = "," if args.format == "csv" else " "

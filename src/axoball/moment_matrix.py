@@ -17,19 +17,23 @@ share that rarefied triangle:
 All quantities are Fractions or ints; there is no floating point in this
 module.  Entry functions are 1-based to match the usual F_11, G_13, ...
 convention.  ``matrix_cells(which, order)`` gives the nonzero cells of F,
-G, B or D as integers (i, j, num, den), from one walk per matrix; the
-builders wrap those same cells in Fractions and return plain dense rows,
-``list[list[Fraction]]``, so entry (i, j) sits at ``rows[i - 1][j - 1]``,
-and ``axoball matrix`` prints them as text without building a Fraction.
+G, B or D as integers (i, j, num, den) in lowest terms, from one walk per
+matrix; the builders wrap those same cells in Fractions and return plain
+dense rows, ``list[list[Fraction]]``, so entry (i, j) sits at
+``rows[i - 1][j - 1]``, and ``axoball matrix`` prints them as text with no
+gcd and no Fraction.
 
 Construction walks, verification evaluates entries:
 
-  * construction: each column of F is walked down by its term ratio as
-    integers over one denominator (``_f_column``), and each row of the
-    integers 2**(j-1) B_ij by the integer ratio of its neighbours
+  * construction: each column of F is walked down by its term ratio,
+    cross-cancelled so that every cell stays in lowest terms (``_f_cells``,
+    for the matrix), or as integers over one denominator (``_f_column``,
+    for the integer moment sums of ``electrostatics``); each row of the
+    integers 2**(j-1) B_ij is walked by the integer ratio of its neighbours
     (``_b_row``): one small multiply and one exact division per entry.
-    The cells of B and G = B D^{-1} both come from the row walk, and
-    ``solve_charge_density`` and the closed multipole sum read the walks;
+    The cells of B and G = B D^{-1} both come from the row walk, with
+    their common power of two shifted out, and ``solve_charge_density``
+    and the closed multipole sum read the walks;
   * verification: ``matrix_cells`` compares every walked integer of B and
     G with ``beta_numerator``, its binomial closed form, in ints, on every
     build and every print; the Rodrigues alternating sum
@@ -47,7 +51,7 @@ Every entry and every walk is order-independent.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 
 def f_entry(i, j):
@@ -172,20 +176,31 @@ def g_entry(i, j):
 
 
 def _f_cells(order):
-    """F's triangle cells as (i, j, num, den), column by column from
-    ``_f_column``."""
+    """F's triangle cells as (i, j, num, den) in lowest terms, column by
+    column.  Column j starts from F_1j = 2/j (j odd) or F_2j = 2/(j+1)
+    (j even), both reduced, and steps down by F_{i+2,j} = F_ij a/b with
+    a/b = (j-i)/(i+j+1), after cancelling gcd(a, b), then gcd(a, den) and
+    gcd(num, b) (Knuth, TAOCP 2, 4.5.1): each product stays in lowest
+    terms, and every gcd has one small operand."""
     cells = []
     for j in range(1, order + 1):
-        nums, den = _f_column(j, j)
-        rows = range(2 - j % 2, j + 1, 2)
-        cells.extend((i, j, num, den) for i, num in zip(rows, nums))
+        num, den = 2, j + 1 - j % 2
+        for i in range(2 - j % 2, j, 2):
+            cells.append((i, j, num, den))
+            a, b = j - i, i + j + 1
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            g, h = gcd(a, den), gcd(num, b)
+            num, den = num // h * (a // g), den // g * (b // h)
+        cells.append((j, j, num, den))
     return cells
 
 
 def _b_cells(order, inverse):
     """The triangle cells of B, or of G = B D^{-1} when ``inverse``, as
-    (i, j, num, den), row by row from ``_b_row``: (h, 2**(j-1)) for B and
-    ((2j - 1) h, 2**j) for G, where h = 2**(j-1) B_ij.
+    (i, j, num, den) in lowest terms, row by row from ``_b_row``:
+    h / 2**(j-1) for B and (2j - 1) h / 2**j for G, where
+    h = 2**(j-1) B_ij, with the power of two shifted out of both.
 
     Every walked h must equal ``beta_numerator(i, j)``, compared in ints.
     """
@@ -196,18 +211,19 @@ def _b_cells(order, inverse):
                 raise ArithmeticError(
                     f"row walk disagrees with beta_numerator at ({i}, {j})"
                 )
-            if inverse:
-                cells.append((i, j, (2 * j - 1) * h, 2**j))
-            else:
-                cells.append((i, j, h, 2 ** (j - 1)))
+            num = (2 * j - 1) * h if inverse else h
+            e = j - 1 + inverse
+            # den is 2**e: shift out min(v2(num), e), v2 the trailing zeros
+            k = min((num & -num).bit_length() - 1, e)
+            cells.append((i, j, num >> k, 1 << (e - k)))
     return cells
 
 
 def matrix_cells(which, order):
     """The nonzero cells of the matrix ``which`` (``"F"``, ``"G"``, ``"B"``
     or ``"D"``) of the given order, as tuples (i, j, num, den) with entry
-    (i, j) = num/den, den > 0, not necessarily in lowest terms; every other
-    cell is zero.  B and G are checked as they are walked."""
+    (i, j) = num/den in lowest terms, den > 0; every other cell is zero.
+    B and G are checked as they are walked."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if which == "F":
@@ -230,7 +246,7 @@ def _dense(which, order):
 
 def build_f(order):
     """The moment matrix F of the given order, column by column from
-    ``_f_column``."""
+    ``_f_cells``."""
     return _dense("F", order)
 
 

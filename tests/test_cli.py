@@ -469,24 +469,6 @@ def test_matrix_builds_no_fraction(monkeypatch, capsys):
         assert (code, out) == (0, text)
 
 
-# the text helper against str(Fraction): small and 1000-bit-plus integers,
-# zero and negative numerators, den == 1, and pairs sharing a factor, so
-# that den can divide num
-WIDE = st.integers(min_value=2**1000, max_value=2**1100)
-NUMERATORS = st.one_of(st.integers(), WIDE, WIDE.map(lambda n: -n), st.just(0))
-DENOMINATORS = st.one_of(st.just(1), st.integers(min_value=1), WIDE)
-FACTORS = st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6), WIDE)
-
-
-@settings(max_examples=500, deadline=None)
-@given(NUMERATORS, DENOMINATORS, FACTORS)
-def test_ratio_text_equals_fraction_str(num, den, factor):
-    assert cli._ratio_text(num, den) == str(Fraction(num, den))
-    assert cli._ratio_text(num * factor, den * factor) == str(Fraction(num, den))
-    # den divides num
-    assert cli._ratio_text(num * den, den) == str(num)
-
-
 def test_profile_csv_shape_and_columns(tmp_path, capsys):
     body = {
         "radius": "1",

@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -148,24 +148,25 @@ def test_matrix_identities_order_20():
 
 
 def test_zero_pattern_is_structural(monkeypatch):
-    # each column is walked once, over its parity-triangle cells only
+    # each parity-triangle cell is walked once, column by column, and no
+    # other cell is walked
     walked = []
-    walk = moment_matrix._f_column
+    walk = moment_matrix._f_cells
 
-    def column(j, n):
-        nums, den = walk(j, n)
-        walked.append((j, len(nums)))
-        return nums, den
+    def cells(order):
+        result = walk(order)
+        walked.extend((i, j) for i, j, _, _ in result)
+        return result
 
-    monkeypatch.setattr(moment_matrix, "_f_column", column)
+    monkeypatch.setattr(moment_matrix, "_f_cells", cells)
     f = build_f(8)
     for i in range(1, 9):
         for j in range(1, 9):
             if i > j or (i + j) % 2:
                 assert f[i - 1][j - 1] == 0
     # column j holds (j + 1) // 2 triangle cells: 20 in all at order 8
-    assert walked == [(j, (j + 1) // 2) for j in range(1, 9)]
-    assert sum(count for _, count in walked) == 20
+    assert walked == [(i, j) for j in range(1, 9) for i in range(2 - j % 2, j + 1, 2)]
+    assert len(walked) == 20
 
 
 def test_walked_matrices_equal_the_entries_at_order_200():
@@ -181,6 +182,25 @@ def test_walked_matrices_equal_the_entries_at_order_200():
             assert g[i - 1][j - 1] == g_entry(i, j)
             assert b[i - 1][j - 1] == beta_entry(i, j)
             assert d[i - 1][j - 1] == (d_diagonal(i) if i == j else 0)
+
+
+# the cells ``axoball matrix`` prints as "p" or "p/q" with no gcd
+@pytest.mark.parametrize("order", [*range(1, 65), 200])
+def test_matrix_cells_are_the_entries_in_lowest_terms(order):
+    triangle = [(i, j) for j in range(1, order + 1) for i in range(2 - j % 2, j + 1, 2)]
+    entries = {
+        "F": f_entry,
+        "G": g_entry,
+        "B": beta_entry,
+        "D": lambda i, j: d_diagonal(i),
+    }
+    for which, entry in entries.items():
+        cells = moment_matrix.matrix_cells(which, order)
+        expected = [(i, i) for i in range(1, order + 1)] if which == "D" else triangle
+        assert sorted((i, j) for i, j, _, _ in cells) == sorted(expected)
+        for i, j, num, den in cells:
+            assert den > 0 and gcd(num, den) == 1, (which, i, j)
+            assert Fraction(num, den) == entry(i, j), (which, i, j)
 
 
 # multipole_moments reads columns up to 1001 (moment orders up to 1000),
@@ -223,44 +243,40 @@ def test_identity_matrix():
     assert multiply(eye, f) == f
 
 
-def _off_by_one(walk, cell, at):
+def _off_by_one(walk, at):
     """The row walk ``walk`` with its integer at cell ``at`` one too large,
-    and the rest of the walk, below and beyond that cell, unchanged."""
+    and the rest of the walk, below and beyond that cell, unchanged: the
+    k-th integer of ``walk(i, n)`` is cell (i, i + 2k)."""
 
-    def corrupted(first, *rest):
-        for k, value in enumerate(walk(first, *rest)):
-            yield value + (cell(first, k) == at)
-
-    return corrupted
-
-
-def _numerator_off_by_one(walk, cell, at):
-    """The column walk ``walk`` with its numerator at cell ``at`` one too
-    large over the column's denominator, and the rest unchanged."""
-
-    def corrupted(j, n):
-        nums, den = walk(j, n)
-        return [num + (cell(j, k) == at) for k, num in enumerate(nums)], den
+    def corrupted(i, n):
+        for k, value in enumerate(walk(i, n)):
+            yield value + ((i, i + 2 * k) == at)
 
     return corrupted
 
 
-# the walk that gives each matrix's entries, the 1-based cell of the k-th
-# integer a walk gives for its first argument, and how to corrupt one
+def _cell_off_by_one(walk, at):
+    """The cell walk ``walk`` with the numerator of cell ``at`` one too
+    large over its denominator, and every other cell unchanged."""
+
+    def corrupted(order):
+        return [(i, j, num + ((i, j) == at), den) for i, j, num, den in walk(order)]
+
+    return corrupted
+
+
+# the walk that gives each matrix's entries, and how to make it give one
+# cell one too large
 WALKS = {
-    "f_entry": (
-        "_f_column",
-        lambda j, k: (2 - j % 2 + 2 * k, j),
-        _numerator_off_by_one,
-    ),
-    "g_entry": ("_b_row", lambda i, k: (i, i + 2 * k), _off_by_one),
+    "f_entry": ("_f_cells", _cell_off_by_one),
+    "g_entry": ("_b_row", _off_by_one),
 }
 
 
 def _assert_catches_off_by_one(monkeypatch, builder, name, at):
     right = getattr(moment_matrix, name)
     if name == "_b_row":
-        wrong = _off_by_one(right, WALKS["g_entry"][1], at)
+        wrong = _off_by_one(right, at)
     else:
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
@@ -316,9 +332,9 @@ def test_checks_catch_a_corrupted_entry(
     # with verify the reference checks of the tests, fail
     if name in WALKS:
         # the builders read F and G from the walks: corrupt the walked value
-        name, cell, off_by_one = WALKS[name]
+        name, off_by_one = WALKS[name]
         right = getattr(moment_matrix, name)
-        monkeypatch.setattr(moment_matrix, name, off_by_one(right, cell, at))
+        monkeypatch.setattr(moment_matrix, name, off_by_one(right, at))
     else:
         module = moment_matrix if hasattr(moment_matrix, name) else references
         right = getattr(module, name)
