@@ -313,11 +313,13 @@ def cmd_solve(args):
 def cmd_matrix(args):
     if args.order < 1 or args.order > 200:
         raise ProblemError("--order must lie in 1..200")
-    rows = [["0"] * args.order for _ in range(args.order)]
-    for i, j, num, den in matrix_cells(args.which, args.order):
-        rows[i - 1][j - 1] = str(num) if den == 1 else f"{num}/{den}"
-    if args.which == "D":
-        rows = [[row[i] for i, row in enumerate(rows)]]  # diagonal as one row
+    cells = matrix_cells(args.which, args.order)
+    if args.which == "D":  # the diagonal as one row
+        rows = [[str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]]
+    else:
+        rows = [["0"] * args.order for _ in range(args.order)]
+        for i, j, num, den in cells:
+            rows[i - 1][j - 1] = str(num) if den == 1 else f"{num}/{den}"
     sep = "," if args.format == "csv" else " "
     # a rational prints as '-', digits and '/': no field needs quoting
     _emit("".join(sep.join(row) + "\n" for row in rows), None)

@@ -31,13 +31,16 @@ Construction walks, verification evaluates entries:
     for the integer moment sums of ``electrostatics``); each row of the
     integers 2**(j-1) B_ij is walked by the integer ratio of its neighbours
     (``_b_row``): one small multiply and one exact division per entry.
-    The cells of B and G = B D^{-1} both come from the row walk, with
-    their common power of two shifted out, and ``solve_charge_density``
-    and the closed multipole sum read the walks;
+    The cells of B and G = B D^{-1} both come from the row walk, each
+    with the power of two that Kummer's theorem counts in its binomials,
+    popcount(i-1) + popcount((j-i)/2), shifted out of num and den; and
+    ``solve_charge_density`` and the closed multipole sum read the walks;
   * verification: ``matrix_cells`` compares every walked integer of B and
-    G with ``beta_numerator``, its binomial closed form, in ints, on every
-    build and every print; the Rodrigues alternating sum
-    ``f_entry_closed_form`` is an independent path to every F entry.
+    G with ``beta_numerator``, its binomial closed form, in ints, a row at
+    a time as one list comparison, on every build and every print, and
+    names the first cell of a row that disagrees; the Rodrigues
+    alternating sum ``f_entry_closed_form`` is an independent path to
+    every F entry.
 
 The entry functions (``f_entry``, ``g_entry``, ``beta_entry``,
 ``beta_numerator``) give any single entry from its closed form; the tests
@@ -200,22 +203,40 @@ def _b_cells(order, inverse):
     """The triangle cells of B, or of G = B D^{-1} when ``inverse``, as
     (i, j, num, den) in lowest terms, row by row from ``_b_row``:
     h / 2**(j-1) for B and (2j - 1) h / 2**j for G, where
-    h = 2**(j-1) B_ij, with the power of two shifted out of both.
+    h = 2**(j-1) B_ij = +-C(2m, m) C(m, q) with q = (j-i)/2 and
+    m = (i+j)/2 - 1.  By Kummer's theorem the power of two in C(a+b, a) is
+    the number of carries in adding a and b in base 2: popcount(m) for
+    C(2m, m), and popcount(q) + popcount(i-1) - popcount(m) for C(m, q),
+    as m - q = i - 1.  So h, and (2j - 1) h, hold exactly
+    k = popcount(i-1) + popcount(q) factors of two; k never exceeds j - 1,
+    so num and den lose 2**k whole.
 
-    Every walked h must equal ``beta_numerator(i, j)``, compared in ints.
+    Each walked row must equal ``beta_numerator`` at every cell, compared
+    in ints as one list; a row that does not names its first bad cell.
     """
+    popcount = [m.bit_count() for m in range(order)]
+    powers = [1 << e for e in range(order + 1)]
     cells = []
     for i in range(1, order + 1):
-        for j, h in zip(range(i, order + 1, 2), _b_row(i, order)):
-            if h != beta_numerator(i, j):
-                raise ArithmeticError(
-                    f"row walk disagrees with beta_numerator at ({i}, {j})"
-                )
-            num = (2 * j - 1) * h if inverse else h
-            e = j - 1 + inverse
-            # den is 2**e: shift out min(v2(num), e), v2 the trailing zeros
-            k = min((num & -num).bit_length() - 1, e)
-            cells.append((i, j, num >> k, 1 << (e - k)))
+        js = range(i, order + 1, 2)
+        row = list(_b_row(i, order))
+        closed = [beta_numerator(i, j) for j in js]
+        if row != closed:
+            pairs = enumerate(zip(row, closed))
+            at = next((k for k, (h, c) in pairs if h != c), min(len(row), len(js)))
+            raise ArithmeticError(
+                f"row walk disagrees with beta_numerator at ({i}, {i + 2 * at})"
+            )
+        ks = [popcount[i - 1] + popcount[q] for q in range(len(js))]
+        if inverse:
+            cells += [
+                (i, j, (2 * j - 1) * h >> k, powers[j - k])
+                for j, h, k in zip(js, row, ks)
+            ]
+        else:
+            cells += [
+                (i, j, h >> k, powers[j - 1 - k]) for j, h, k in zip(js, row, ks)
+            ]
     return cells
 
 

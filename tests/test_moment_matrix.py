@@ -203,6 +203,27 @@ def test_matrix_cells_are_the_entries_in_lowest_terms(order):
             assert Fraction(num, den) == entry(i, j), (which, i, j)
 
 
+# every n in 1..200 takes about 4 s on a 2-CPU host; a stride of 3 takes
+# about 1.2 s and still meets odd and even n alike
+@pytest.mark.parametrize("which", ["F", "G", "B", "D"])
+def test_matrix_cells_do_not_depend_on_the_order(which):
+    # so the order-200 case above holds every cell any --order prints
+    full = moment_matrix.matrix_cells(which, 200)
+    for n in range(1, 201, 3):
+        assert moment_matrix.matrix_cells(which, n) == [c for c in full if c[1] <= n], n
+
+
+def test_binomial_valuation_is_kummers_count():
+    # 2**(j-1) B_ij and 2**j G_ij = (2j-1) 2**(j-1) B_ij hold exactly
+    # popcount(i-1) + popcount((j-i)/2) factors of two, at most j - 1:
+    # what matrix_cells shifts out of B's and G's cells
+    for j in range(1, 201):
+        for i in range(2 - j % 2, j + 1, 2):
+            k = bin(i - 1).count("1") + bin((j - i) // 2).count("1")
+            for num in (beta_numerator(i, j), (2 * j - 1) * beta_numerator(i, j)):
+                assert (num & -num).bit_length() - 1 == k <= j - 1, (i, j)
+
+
 # multipole_moments reads columns up to 1001 (moment orders up to 1000),
 # past build_f(200), which the test above holds to f_entry
 @pytest.mark.parametrize("j", [*range(1, 65), 201, 202, 500, 999, 1000, 1001])
@@ -310,6 +331,27 @@ def test_matrix_command_catches_any_off_by_one_numerator(monkeypatch, which, nam
         return main(["matrix", "--order", str(order), "--which", which])
 
     _assert_catches_off_by_one(monkeypatch, command, name, at)
+
+
+def _short_row(walk, i):
+    """The row walk ``walk`` with row ``i`` one cell short."""
+    return lambda row, n: list(walk(row, n))[: -1 if row == i else None]
+
+
+@pytest.mark.parametrize(
+    "corrupt, at",
+    [
+        # two bad cells in one row: the error names the first
+        (lambda walk: _off_by_one(_off_by_one(walk, (2, 6)), (2, 4)), (2, 4)),
+        # a row that stops early: the error names the cell it left out
+        (lambda walk: _short_row(walk, 2), (2, 6)),
+    ],
+)
+def test_row_check_names_the_first_bad_cell(monkeypatch, corrupt, at):
+    monkeypatch.setattr(moment_matrix, "_b_row", corrupt(moment_matrix._b_row))
+    for which in ("B", "G"):
+        with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
+            moment_matrix.matrix_cells(which, 6)
 
 
 @pytest.mark.parametrize(
