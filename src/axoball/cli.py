@@ -17,15 +17,18 @@ back.  A quantity's float is ``float(x)``, its exact value rounded once,
 and null where that overflows or a nonzero value underflows to 0.0.
 ``matrix`` prints each cell of ``matrix_cells``, the integers num/den in
 lowest terms that the library's walks give and the builders wrap in
-Fractions, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; the walk
-checks every B and G cell it prints.  Every command writes its output
-through ``_emit``.
+Fractions, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; every
+row of B and G it prints is checked against its closed form, on every
+print.  Every command writes its output through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
-parses.  Commands dispatch by name at call time, through the module's
-``cmd_*`` globals, so rebinding one of them at module level (a tracer or
-a test does) changes what ``main`` runs.
+parses.  The library keeps one table across calls, the integer rows of
+the Legendre coefficients (``moment_matrix._b_rows``), which only grows:
+a later ``solve`` or ``matrix --which B|G`` reads it instead of walking
+those rows again.  Commands dispatch by name at call time, through the
+module's ``cmd_*`` globals, so rebinding one of them at module level (a
+tracer or a test does) changes what ``main`` runs.
 
 Exit codes: 0 on success (and for --help), 2 on input/validation errors
 and bad arguments, 3 when --verify finds a tolerance breach; ``main``

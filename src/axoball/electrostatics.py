@@ -36,10 +36,12 @@ the order-m sum gives their closed forms above.
 Every exact path sums plain ints over one common denominator, by Horner's
 rule in p^2 for r = p/s, and builds one reduced Fraction per value; every
 path but the solve sums through ``_in_r2``.  The solve sums row i of
-G = B D^{-1} from the integers 2^(j-1) B_ij as ``moment_matrix._b_row``
-walks them, with the factor 2j - 1 of 1/D_jj folded into b_j's weight.
-``multipole_moments`` takes the numerators of b and of c once for all its
-orders: the closed sum of order m reads column m+1 of F as the integers
+G = B D^{-1} from the integers 2^(j-1) B_ij as they stand in
+``moment_matrix._b_rows``, the one process-wide table of the row walks,
+which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
+weight.  ``multipole_moments`` takes the numerators of b and of c once for
+all its orders, and ``build_report`` once for its moments and its force:
+the closed sum of order m reads column m+1 of F as the integers
 ``moment_matrix._f_column`` walks over one denominator, and the integrated
 path runs through the private ``_integral``, which no closed form uses.
 The force's closed sum is one integer over b's numerators; its integral
@@ -66,7 +68,7 @@ import contextlib
 import math
 from fractions import Fraction
 
-from .moment_matrix import _b_row, _f_column, f_entry_closed_form
+from .moment_matrix import _b_rows, _f_column, f_entry_closed_form
 from .rational import parse_rational
 
 # CODATA 2018 vacuum permittivity, F/m; rendering only, never exact math
@@ -247,8 +249,8 @@ def solve_charge_density(spec):
     with nonzero diagonal, so it is always solvable and the solution is
     exact.  With r = p/s, b_j = B_j / L over the least common denominator
     L of b, and 2^j G_ij = (2j-1) h_j for the integers h_j = 2^(j-1) B_ij
-    walked along row i, each c_i is one integer sum over the denominator
-    2^n s^(n-i) L, n = len(b).
+    of row i of the table ``_b_rows``, each c_i is one integer sum over the
+    denominator 2^n s^(n-i) L, n = len(b).
     """
     p, s = spec.radius.numerator, spec.radius.denominator
     big_b, lcd = _numerators(spec.coeffs_b)
@@ -259,9 +261,10 @@ def solve_charge_density(spec):
         (2 * j - 1) * (2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)
     ]
     p2 = p * p
+    table = _b_rows(n1)
     coeffs = []
     for i in range(1, n1 + 1):
-        terms = [h * weight[j - 1] for j, h in zip(range(i, n1 + 1, 2), _b_row(i, n1))]
+        terms = [h * w for h, w in zip(table[i - 1], weight[i - 1 :: 2])]
         # Horner in p^2, not _in_r2: s's powers sit in weights every row shares
         acc = 0
         for term in reversed(terms):
@@ -475,13 +478,24 @@ def multipole_moments(density, orders):
     integral from c as one integer each.  The orders are evaluated in turn,
     so the first order whose two paths disagree raises ConsistencyError.
     """
+    orders = _orders(orders)
+    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
+    return _moments(density, b, c, orders)
+
+
+def _orders(orders):
+    """The moment orders as a list, once each is a non-negative int."""
     orders = list(orders)
     for m in orders:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
+    return orders
+
+
+def _moments(density, b, c, orders):
+    """``multipole_moments`` from the numerators b and c of the density's
+    b and c, each with its denominator, as ``_numerators`` gives them."""
     r = density.radius
-    b = _numerators(density.coeffs_b)
-    c = _numerators(density.coeffs_c)
     return {
         m: _agreed(
             "moment",
@@ -505,13 +519,15 @@ def axial_force(density):
     polynomial by one big-int product (``_product``).  Both paths are exact
     and must agree.
     """
+    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
+    return _force(density, b, c)
+
+
+def _force(density, b, c):
+    """``axial_force`` from the numerators b and c, as for ``_moments``."""
     r = density.radius
     return _agreed(
-        "force",
-        None,
-        _integrated_force(*_numerators(density.coeffs_c), r),
-        _closed_force(*_numerators(density.coeffs_b), r),
-        density,
+        "force", None, _integrated_force(*c, r), _closed_force(*b, r), density
     )
 
 
@@ -588,9 +604,13 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
     The charge and the dipole are the moments of orders 0 and 1, so each
     order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.
+    the requested orders in their order.  The numerators of b and c are
+    taken once, for the moments and the force alike.
     """
     density = solve_charge_density(spec)
-    values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
+    orders = _orders(dict.fromkeys([*moments, 0, 1]))
+    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
+    values = _moments(density, b, c, orders)
     multipoles = {m: values[m] for m in moments}
-    return BallReport(density, values[0], values[1], multipoles, axial_force(density))
+    force = _force(density, b, c)
+    return BallReport(density, values[0], values[1], multipoles, force)

@@ -31,16 +31,20 @@ Construction walks, verification evaluates entries:
     for the integer moment sums of ``electrostatics``); each row of the
     integers 2**(j-1) B_ij is walked by the integer ratio of its neighbours
     (``_b_row``): one small multiply and one exact division per entry.
-    The cells of B and G = B D^{-1} both come from the row walk, each
-    with the power of two that Kummer's theorem counts in its binomials,
-    popcount(i-1) + popcount((j-i)/2), shifted out of num and den; and
-    ``solve_charge_density`` and the closed multipole sum read the walks;
-  * verification: ``matrix_cells`` compares every walked integer of B and
-    G with ``beta_numerator``, its binomial closed form, in ints, a row at
-    a time as one list comparison, on every build and every print, and
-    names the first cell of a row that disagrees; the Rodrigues
-    alternating sum ``f_entry_closed_form`` is an independent path to
-    every F entry.
+    The integers depend on (i, j) alone, so the walked rows are kept in
+    one process-wide table, ``_b_rows``, rebuilt only when a call needs it
+    wider; it only grows, to about 4 MB at the solve's 401 rows.  The
+    cells of B and G = B D^{-1} both come from the table, each with the
+    power of two that Kummer's theorem counts in its binomials,
+    popcount(i-1) + popcount((j-i)/2), shifted out of num and den;
+    ``solve_charge_density`` reads the table, and the closed multipole sum
+    the column walk;
+  * verification: ``matrix_cells`` compares every integer of B and G that
+    it reads from the table with ``beta_numerator``, its binomial closed
+    form, in ints, a row at a time as one list comparison, on every build
+    and every print, and names the first cell of a row that disagrees;
+    the Rodrigues alternating sum ``f_entry_closed_form`` is an
+    independent path to every F entry.
 
 The entry functions (``f_entry``, ``g_entry``, ``beta_entry``,
 ``beta_numerator``) give any single entry from its closed form; the tests
@@ -146,6 +150,28 @@ def _b_row(i, n):
         h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
 
 
+# the widest table of the row integers built so far; see ``_b_rows``
+_B_ROWS = ()
+
+
+def _b_rows(n):
+    """The widest table of the row integers built so far, built first to
+    width n when it is narrower: a tuple of N >= n rows, row i - 1 the
+    tuple ``_b_row(i, N)``, so entry k of it is h_j at j = i + 2k.  The
+    integers depend on (i, j) alone, so one table serves every later call
+    in the process; it only grows, to 40401 ints (about 4 MB) at order
+    401.  A new table is published by one assignment and returned from a
+    local, with no lock: two threads that widen it at once each build a
+    table, and the narrower may be published last, but no caller ever
+    gets a table narrower than it asked for."""
+    global _B_ROWS
+    table = _B_ROWS
+    if len(table) < n:
+        table = tuple(tuple(_b_row(i, n)) for i in range(1, n + 1))
+        _B_ROWS = table
+    return table
+
+
 def beta_entry(k, i):
     """Coefficient of eta**(k-1) in the Legendre polynomial P_{i-1}:
 
@@ -201,8 +227,8 @@ def _f_cells(order):
 
 def _b_cells(order, inverse):
     """The triangle cells of B, or of G = B D^{-1} when ``inverse``, as
-    (i, j, num, den) in lowest terms, row by row from ``_b_row``:
-    h / 2**(j-1) for B and (2j - 1) h / 2**j for G, where
+    (i, j, num, den) in lowest terms, row by row from the table
+    ``_b_rows``: h / 2**(j-1) for B and (2j - 1) h / 2**j for G, where
     h = 2**(j-1) B_ij = +-C(2m, m) C(m, q) with q = (j-i)/2 and
     m = (i+j)/2 - 1.  By Kummer's theorem the power of two in C(a+b, a) is
     the number of carries in adding a and b in base 2: popcount(m) for
@@ -211,15 +237,17 @@ def _b_cells(order, inverse):
     k = popcount(i-1) + popcount(q) factors of two; k never exceeds j - 1,
     so num and den lose 2**k whole.
 
-    Each walked row must equal ``beta_numerator`` at every cell, compared
-    in ints as one list; a row that does not names its first bad cell.
+    Each row, cut at the order, must equal ``beta_numerator`` at every
+    cell, compared in ints as one list; a row that does not names its
+    first bad cell.
     """
     popcount = [m.bit_count() for m in range(order)]
     powers = [1 << e for e in range(order + 1)]
+    table = _b_rows(order)
     cells = []
     for i in range(1, order + 1):
         js = range(i, order + 1, 2)
-        row = list(_b_row(i, order))
+        row = list(table[i - 1][: len(js)])
         closed = [beta_numerator(i, j) for j in js]
         if row != closed:
             pairs = enumerate(zip(row, closed))
@@ -273,7 +301,8 @@ def build_f(order):
 
 def build_b(order):
     """The Legendre basis matrix B: column i holds the monomial
-    coefficients of P_{i-1}.  Row by row from ``_b_row``, checked."""
+    coefficients of P_{i-1}.  Row by row from the table of ``_b_row``'s
+    rows, checked."""
     return _dense("B", order)
 
 
@@ -285,5 +314,5 @@ def build_d(order):
 def build_g(order):
     """The inverse matrix G = F^{-1} = B D^{-1}: entry (i, j) is
     (2j - 1) h / 2**j for the integer h = 2**(j-1) B_ij, row by row from
-    ``_b_row``, checked."""
+    the table of ``_b_row``'s rows, checked."""
     return _dense("G", order)

@@ -6,7 +6,10 @@ denominator positive, arithmetic exact and closed).  This module pins the
 text encoding used at the I/O boundary: ``"p/q"`` or integer or decimal
 strings in, canonical ``"p"`` / ``"p/q"`` strings out.  Decimal input
 converts exactly through power-of-ten denominators, never through binary
-floats.
+floats.  Plain ASCII text of at most 40 characters, ``-?[0-9]+``, with
+``/[0-9]+`` (a nonzero denominator) or ``.[0-9]+`` after it, is read
+straight into ints; every other text goes through ``Fraction``'s own
+parser, which gives the same value.
 """
 
 import re
@@ -21,6 +24,30 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _DECIMAL_EXPONENT = re.compile(
     r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
 )
+
+
+# plain ASCII text, read straight into ints: an integer, p/q, or a decimal
+# with digits on both sides of its point; short enough that no digit limit
+# applies (Python's is at least 640)
+_PLAIN = re.compile(r"(-?[0-9]+)(?:([./])([0-9]+))?")
+_PLAIN_LENGTH = 40
+
+
+def _plain(text):
+    """The value of plain text as ``Fraction(text)`` reads it, or None for
+    any other text, a zero denominator among it."""
+    if len(text) > _PLAIN_LENGTH:
+        return None
+    match = _PLAIN.fullmatch(text)
+    if match is None:
+        return None
+    whole, point, digits = match.groups()
+    if point is None:
+        return Fraction(int(whole))
+    if point == ".":
+        return Fraction(int(whole + digits), 10 ** len(digits))
+    den = int(digits)
+    return Fraction(int(whole), den) if den else None
 
 
 def _exponent_past(text, limit):
@@ -63,6 +90,9 @@ def parse_rational(value):
         )
     if not isinstance(value, str):
         raise ValueError(f"expected a rational number, got {type(value).__name__}")
+    plain = _plain(value)
+    if plain is not None:
+        return plain
     text = value.strip()
     limit = _digit_limit()
     past_limit = limit and _exponent_past(text, limit)

@@ -25,11 +25,13 @@ from axoball import (
     total_charge,
 )
 from axoball import electrostatics as es_mod
+from axoball import moment_matrix
 from axoball.electrostatics import reconstruct_potential
 from axoball.moment_matrix import g_entry
 from axoball.oracle import CollocationSolution, QuadratureRule
 from conftest import random_coeffs, random_radius, random_spec
 import references
+from pins import problem
 from references import brute_force_axis_potential, solve_by_entries
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -468,6 +470,63 @@ def test_solve_equals_the_per_entry_sum_at_high_degree(degree):
     )
     assert spec.degree == degree
     assert solve_charge_density(spec).coeffs_c == solve_by_entries(spec)
+
+
+def test_a_wrong_table_cell_never_reaches_a_report(monkeypatch):
+    # each cell of the degree-24 row table one too large, in turn: the
+    # report comes back right only where the cell meets a zero b_j (or a
+    # j past the spec's, whose trailing zero is dropped), and is refused
+    # with ConsistencyError everywhere else
+    body = problem(24)
+    spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
+    right = build_report(spec)
+    b = spec.coeffs_b
+    table = [list(moment_matrix._b_row(i, 25)) for i in range(1, 26)]
+    unread = set()
+    for i, row in enumerate(table, start=1):
+        for k in range(len(row)):
+            row[k] += 1
+            monkeypatch.setattr(moment_matrix, "_B_ROWS", tuple(map(tuple, table)))
+            row[k] -= 1
+            try:
+                report = build_report(spec)
+            except ConsistencyError:
+                continue
+            assert report == right, (i, i + 2 * k)
+            unread.add(i + 2 * k)
+    assert unread == {j for j in range(1, 26) if j > len(b) or b[j - 1] == 0}
+    assert unread == {4, 11, 18, 25}
+
+
+def test_one_wrong_c_is_refused_by_the_first_moment_that_reads_it(monkeypatch):
+    # c_i is read by the integrals of the orders m with m + i - 1 even, so
+    # the report's first order, 0 or 1, refuses it
+    body = problem(24)
+    spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
+    good = solve_charge_density(spec)
+    for i in range(1, len(good.coeffs_c) + 1):
+        c = list(good.coeffs_c)
+        c[i - 1] += 1
+        wrong = ChargeDensity(spec, tuple(c))
+        monkeypatch.setattr(es_mod, "solve_charge_density", lambda spec: wrong)
+        _assert_disagrees(lambda: build_report(spec), "moment", (i - 1) % 2)
+
+
+def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
+    calls = []
+    numerators = es_mod._numerators
+
+    def counted(values):
+        calls.append(values)
+        return numerators(values)
+
+    monkeypatch.setattr(es_mod, "_numerators", counted)
+    body = problem(24, range(8))
+    spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
+    report = build_report(spec, body["moments"])
+    # the solve's b, and the b and c that the moments and the force share
+    assert len(calls) <= 3
+    assert calls[-2:] == [spec.coeffs_b, report.density.coeffs_c]
 
 
 def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):

@@ -1,13 +1,17 @@
+import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import factorial, gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references
-from axoball import moment_matrix
+from axoball import PotentialSpec, moment_matrix, solve_charge_density
 from axoball.cli import main
 from axoball.moment_matrix import (
     beta_entry,
@@ -224,6 +228,89 @@ def test_binomial_valuation_is_kummers_count():
                 assert (num & -num).bit_length() - 1 == k <= j - 1, (i, j)
 
 
+def test_the_row_table_only_grows(monkeypatch):
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    table = moment_matrix._b_rows(10)
+    assert table is moment_matrix._B_ROWS
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert table == tuple(tuple(moment_matrix._b_row(i, 10)) for i in range(1, 11))
+    # a narrower call, or one as wide, returns the same table
+    assert moment_matrix._b_rows(3) is table and moment_matrix._b_rows(10) is table
+    # a wider call publishes a wider table, whose rows extend the old ones
+    wider = moment_matrix._b_rows(13)
+    assert wider is moment_matrix._B_ROWS and len(wider) == 13
+    assert all(type(row) is tuple for row in wider)
+    assert all(new[: len(old)] == old for new, old in zip(wider, table))
+    assert moment_matrix._b_rows(10) is wider
+
+
+def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    full = tuple(tuple(moment_matrix._b_row(i, 40)) for i in range(1, 41))
+    failures = []
+
+    def widen(seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            table = moment_matrix._b_rows(n)
+            if len(table) < n or any(
+                row != whole[: len(row)] for row, whole in zip(table, full)
+            ):
+                failures.append((seed, n, len(table)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=widen, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def _cells_from_an_empty_table(which, order):
+    with mock.patch.object(moment_matrix, "_B_ROWS", ()):
+        return moment_matrix.matrix_cells(which, order)
+
+
+nonzero_fractions = st.fractions(
+    min_value=-9, max_value=9, max_denominator=9
+).filter(bool)
+radii = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(["solve", "B", "G"]), st.integers(0, 64)),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_table_serves_solves_and_prints_in_any_order(steps, data):
+    # in one process, from an empty table: whatever width each call finds
+    # the table at, it gives what it gives from an empty table
+    with mock.patch.object(moment_matrix, "_B_ROWS", ()):
+        for step, degree in steps:
+            if step == "solve":
+                size = degree + 1
+                coeffs = data.draw(
+                    st.lists(nonzero_fractions, min_size=size, max_size=size)
+                )
+                spec = PotentialSpec(data.draw(radii), coeffs, epsilon0=1.0)
+                c = solve_charge_density(spec).coeffs_c
+                assert c == references.solve_by_entries(spec)
+            else:
+                cells = moment_matrix.matrix_cells(step, degree + 1)
+                assert cells == _cells_from_an_empty_table(step, degree + 1)
+
+
 # multipole_moments reads columns up to 1001 (moment orders up to 1000),
 # past build_f(200), which the test above holds to f_entry
 @pytest.mark.parametrize("j", [*range(1, 65), 201, 202, 500, 999, 1000, 1001])
@@ -301,6 +388,9 @@ def _assert_catches_off_by_one(monkeypatch, builder, name, at):
     else:
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
+    # from an empty table, so that the walk above builds the one the
+    # builder reads
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
         builder(6)
 
@@ -349,6 +439,7 @@ def _short_row(walk, i):
 )
 def test_row_check_names_the_first_bad_cell(monkeypatch, corrupt, at):
     monkeypatch.setattr(moment_matrix, "_b_row", corrupt(moment_matrix._b_row))
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     for which in ("B", "G"):
         with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
             moment_matrix.matrix_cells(which, 6)
@@ -377,6 +468,7 @@ def test_checks_catch_a_corrupted_entry(
         name, off_by_one = WALKS[name]
         right = getattr(moment_matrix, name)
         monkeypatch.setattr(moment_matrix, name, off_by_one(right, at))
+        monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     else:
         module = moment_matrix if hasattr(moment_matrix, name) else references
         right = getattr(module, name)

@@ -1,10 +1,12 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axoball import rational as rational_mod
 from axoball.rational import format_rational, parse_rational
 from conftest import DIGIT_LIMIT, needs_digit_limit
 
@@ -15,6 +17,11 @@ def test_accepts_ints_fractions_and_strings():
     assert parse_rational("3") == 3
     assert parse_rational("-7/2") == Fraction(-7, 2)
     assert parse_rational("  4/6 ") == Fraction(2, 3)
+    assert parse_rational("007") == 7
+    assert parse_rational("-0") == 0
+    assert parse_rational("-12/0035") == Fraction(-12, 35)
+    # digits of another script, which the plain path leaves to Fraction
+    assert parse_rational("\u0663/\u0664") == Fraction(3, 4)
 
 
 def test_decimal_strings_convert_exactly():
@@ -23,6 +30,10 @@ def test_decimal_strings_convert_exactly():
     assert parse_rational("1.25") == Fraction(5, 4)
     assert parse_rational("2e-3") == Fraction(1, 500)
     assert parse_rational("-2.5e-3") == Fraction(-1, 400)
+    assert parse_rational("-0.50") == Fraction(-1, 2)
+    assert parse_rational("+1.5") == Fraction(3, 2)
+    assert parse_rational("5.") == 5
+    assert parse_rational(".5") == Fraction(1, 2)
 
 
 def test_binary_floats_are_refused():
@@ -36,13 +47,15 @@ def test_booleans_are_refused():
 
 
 def test_zero_denominator_is_named():
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_rational("1/0")
+    for text in ("1/0", "-3/000", " 1/0 ", "+1/0"):
+        with pytest.raises(ValueError, match=re.escape(f"zero denominator in {text!r}")):
+            parse_rational(text)
 
 
 def test_malformed_text():
-    with pytest.raises(ValueError, match="not a rational number"):
-        parse_rational("three halves")
+    for text in ("three halves", "1/-2", "--1", "1..2", "1/2/3", "1/2.5", "-"):
+        with pytest.raises(ValueError, match=re.escape(f"number: {text!r}")):
+            parse_rational(text)
     with pytest.raises(ValueError, match="got NoneType"):
         parse_rational(None)
 
@@ -90,6 +103,55 @@ def test_format_is_canonical():
     assert format_rational(Fraction(4, 8)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3"
     assert format_rational(0) == "0"
+
+
+def _outcome(text):
+    """parse_rational's value for text, or the message it refuses it with."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# text that the plain path reads: an integer, p/q, or a decimal with
+# digits on both sides of its point, at most 40 characters
+plain_texts = st.from_regex(
+    r"-?[0-9]{1,24}(?:/[0-9]{1,14}|\.[0-9]{1,14})?", fullmatch=True
+)
+# text that it leaves to Fraction: signs, spaces, exponents, underscores,
+# other scripts' digits, zero denominators, longer text
+odd_texts = st.one_of(
+    st.text(alphabet="0123456789-+/._eE \t\n\u0663\uff11", max_size=14),
+    plain_texts.map(lambda text: f" {text}\n"),
+    plain_texts.map(lambda text: "+" + text),
+    plain_texts.map(lambda text: text + "e-3"),
+    st.from_regex(r"-?[0-9]{1,9}/0+", fullmatch=True),
+    st.from_regex(r"-?[0-9]{41,80}(?:/[1-9][0-9]{0,9})?", fullmatch=True),
+)
+
+
+@given(st.one_of(plain_texts, odd_texts))
+@settings(max_examples=400)
+def test_plain_path_reads_what_fraction_reads(text):
+    got = _outcome(text)
+    # with the plain path off, parse_rational is Fraction's path alone
+    with mock.patch.object(rational_mod, "_plain", lambda text: None):
+        assert _outcome(text) == got
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        assert isinstance(got, str)
+    else:
+        assert type(got) is Fraction and got == expected
+
+
+@given(plain_texts)
+def test_plain_text_takes_the_plain_path(text):
+    value = rational_mod._plain(text)
+    if re.fullmatch(r"-?[0-9]+/0+", text):
+        assert value is None
+    else:
+        assert type(value) is Fraction and value == Fraction(text)
 
 
 @given(st.fractions())
