@@ -8,61 +8,56 @@ floating-point oracle solves the same boundary integral equation
 numerically and cross-checks every closed form.  Only the oracle logs,
 to the ``axoball.oracle`` logger; once it loads, the ``axoball`` logger
 drops every record until the application gives it a handler.
+
+``import axoball`` loads no submodule.  Each public name is looked up in
+its defining module on each access (PEP 562), so that a program that
+imports the package, or one of its modules, loads only the layers it
+uses: ``axoball matrix`` loads ``moment_matrix`` alone, with no
+``electrostatics`` or ``fractions``.  A public name read here is always
+the object its defining module holds.
 """
 
-from .electrostatics import (
-    VACUUM_PERMITTIVITY,
-    BallReport,
-    ChargeDensity,
-    ConsistencyError,
-    ExactPhysical,
-    PotentialSpec,
-    axial_force,
-    build_report,
-    charge_legendre_moments,
-    dipole_moment,
-    induced_axis_potential,
-    multipole_moment,
-    multipole_moments,
-    solve_charge_density,
-    total_charge,
-)
-from .moment_matrix import (
-    beta_entry,
-    build_b,
-    build_d,
-    build_f,
-    build_g,
-    d_diagonal,
-    f_entry,
-)
-from .rational import format_rational, parse_rational
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "VACUUM_PERMITTIVITY",
-    "BallReport",
-    "ChargeDensity",
-    "ConsistencyError",
-    "ExactPhysical",
-    "PotentialSpec",
-    "axial_force",
-    "beta_entry",
-    "build_b",
-    "build_d",
-    "build_f",
-    "build_g",
-    "build_report",
-    "charge_legendre_moments",
-    "d_diagonal",
-    "dipole_moment",
-    "f_entry",
-    "format_rational",
-    "induced_axis_potential",
-    "multipole_moment",
-    "multipole_moments",
-    "parse_rational",
-    "solve_charge_density",
-    "total_charge",
-]
+# the public names, each with its defining module
+_HOME = {
+    "VACUUM_PERMITTIVITY": "electrostatics",
+    "BallReport": "electrostatics",
+    "ChargeDensity": "electrostatics",
+    "ConsistencyError": "electrostatics",
+    "ExactPhysical": "electrostatics",
+    "PotentialSpec": "electrostatics",
+    "axial_force": "electrostatics",
+    "beta_entry": "moment_matrix",
+    "build_b": "moment_matrix",
+    "build_d": "moment_matrix",
+    "build_f": "moment_matrix",
+    "build_g": "moment_matrix",
+    "build_report": "electrostatics",
+    "charge_legendre_moments": "electrostatics",
+    "d_diagonal": "moment_matrix",
+    "dipole_moment": "electrostatics",
+    "f_entry": "moment_matrix",
+    "format_rational": "rational",
+    "induced_axis_potential": "electrostatics",
+    "multipole_moment": "electrostatics",
+    "multipole_moments": "electrostatics",
+    "parse_rational": "rational",
+    "solve_charge_density": "electrostatics",
+    "total_charge": "electrostatics",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -30,12 +30,24 @@ those rows again.  Commands dispatch by name at call time, through the
 module's ``cmd_*`` globals, so rebinding one of them at module level (a
 tracer or a test does) changes what ``main`` runs.
 
+Each command imports the library layers it runs, when it runs them; at
+module level this module imports only the standard library, so that a
+one-shot command pays at start-up only for what it uses.  ``matrix``
+loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
+``decimal`` and ``numbers`` that ``fractions`` loads).  ``solve`` and
+``profile`` load ``electrostatics`` and ``rational`` once per call, in
+``load_problem`` and in the command, never per value.  The oracle, and
+with it numpy and logging, is imported only when --verify runs it.  As
+every library name is read from its defining module at call time,
+rebinding it there (a tracer or a test does) changes what the commands
+run.
+
 Exit codes: 0 on success (and for --help), 2 on input/validation errors
 and bad arguments, 3 when --verify finds a tolerance breach; ``main``
 returns each of them and raises no SystemExit.  Only ``main`` maps bad
 input (ProblemError, or the float stages' OutOfRangeError from
-``electrostatics``) to exit 2.  The oracle, and with it numpy and
-logging, is imported only when --verify runs it.
+``electrostatics``) to exit 2; it imports OutOfRangeError only when a
+ValueError reaches it.
 """
 
 import argparse
@@ -43,31 +55,12 @@ import contextlib
 import functools
 import json
 import sys
-from fractions import Fraction
-
-from .electrostatics import (
-    VACUUM_PERMITTIVITY,
-    OutOfRangeError,
-    PotentialSpec,
-    build_report,
-    induced_axis_potential,
-    solve_charge_density,
-)
-from .moment_matrix import matrix_cells
-from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
 
 
 class ProblemError(Exception):
     """Bad problem file or bad arguments; message names the field."""
-
-
-def _parse_field(value, field):
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ProblemError(f"field '{field}': {exc}") from None
 
 
 def _reject_nonfinite(token):
@@ -97,6 +90,15 @@ class ProblemInput:
 
 
 def load_problem(path):
+    from .electrostatics import VACUUM_PERMITTIVITY, PotentialSpec
+    from .rational import parse_rational
+
+    def parse_field(value, field):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ProblemError(f"field '{field}': {exc}") from None
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -118,9 +120,9 @@ def load_problem(path):
     if "radius" in data and "r" in data:
         raise ProblemError("give the radius once, as 'radius' or 'r'")
     if "radius" in data:
-        radius = _parse_field(data["radius"], "radius")
+        radius = parse_field(data["radius"], "radius")
     elif "r" in data:
-        radius = _parse_field(data["r"], "r")
+        radius = parse_field(data["r"], "r")
     else:
         raise ProblemError("missing field 'radius'")
 
@@ -143,14 +145,14 @@ def load_problem(path):
     if len(raw_coeffs) > 401:
         raise ProblemError(f"field '{fieldname}': must hold at most 401 entries")
     coeffs = [
-        _parse_field(value, f"{fieldname}[{idx}]")
+        parse_field(value, f"{fieldname}[{idx}]")
         for idx, value in enumerate(raw_coeffs)
     ]
 
     # float rendering only; PotentialSpec checks the range
     epsilon0 = VACUUM_PERMITTIVITY
     if "epsilon0" in data:
-        epsilon0 = _parse_field(data["epsilon0"], "epsilon0")
+        epsilon0 = parse_field(data["epsilon0"], "epsilon0")
 
     # -phi0 = b: a phi0 file's coefficients flip sign here
     coeffs_b = coeffs if kind == "coeffs_b" else [-a for a in coeffs]
@@ -181,7 +183,7 @@ def load_problem(path):
             raise ProblemError("field 'profile.samples': must be an integer >= 2")
         if samples > 100001:
             raise ProblemError("field 'profile.samples': must be at most 100001")
-        span = _parse_field(block.get("span", 2), "profile.span")
+        span = parse_field(block.get("span", 2), "profile.span")
         if span <= 0:
             raise ProblemError("field 'profile.span': must be positive")
         profile = (samples, span)
@@ -197,6 +199,8 @@ def _profile_arrays(density, samples, span):
     one correctly rounded true division, so the endpoints land exactly on
     +-r and +-span*r; distinct points must stay distinct.
     """
+    from .electrostatics import OutOfRangeError, induced_axis_potential
+
     p, q = density.radius.numerator, density.radius.denominator
     ps, qs = p * span.numerator, q * span.denominator
     m = samples - 1
@@ -214,12 +218,14 @@ def _profile_arrays(density, samples, span):
 
 
 def _text(value, section):
-    """The report text of an exact value in the named report section.
-    Python turns no integer longer than its int_max_str_digits limit (4300
-    digits by default) into text; an exact value that long is bad input,
-    reported by section.  The limit itself is left alone."""
+    """The report text of an exact value in the named report section: its
+    ``str``, the canonical ``"p"`` or ``"p/q"`` that
+    ``rational.format_rational`` also gives.  Python turns no integer
+    longer than its int_max_str_digits limit (4300 digits by default) into
+    text; an exact value that long is bad input, reported by section.  The
+    limit itself is left alone."""
     try:
-        return format_rational(value)
+        return str(value)
     except ValueError:
         raise ProblemError(f"the {section} has too many digits to print") from None
 
@@ -272,6 +278,8 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
+    from .electrostatics import build_report
+
     prob = load_problem(args.problem)
     spec = prob.spec
     # echoed first: an input the report cannot print is refused unsolved
@@ -316,6 +324,8 @@ def cmd_solve(args):
 def cmd_matrix(args):
     if args.order < 1 or args.order > 200:
         raise ProblemError("--order must lie in 1..200")
+    from .moment_matrix import matrix_cells
+
     cells = matrix_cells(args.which, args.order)
     if args.which == "D":  # the diagonal as one row
         rows = [[str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]]
@@ -330,6 +340,8 @@ def cmd_matrix(args):
 
 
 def cmd_profile(args):
+    from .electrostatics import solve_charge_density
+
     prob = load_problem(args.problem)
     if prob.profile is None:
         raise ProblemError("problem file has no 'profile' section")
@@ -350,6 +362,8 @@ def parse_report(text):
     Only known fields are interpreted; anything else is ignored so that
     reports from newer schema versions still parse.
     """
+    from fractions import Fraction
+
     data = json.loads(text)
     out = {"schema_version": data.get("schema_version")}
     block = data.get("input", {})
@@ -412,9 +426,17 @@ def main(argv=None):
     command = {"solve": cmd_solve, "matrix": cmd_matrix, "profile": cmd_profile}
     try:
         return command[args.command](args)
-    except (ProblemError, OutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ProblemError as exc:
+        error = exc
+    except ValueError as exc:
+        # imported only here, so that a matrix op never loads electrostatics
+        from .electrostatics import OutOfRangeError
+
+        if not isinstance(exc, OutOfRangeError):
+            raise
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

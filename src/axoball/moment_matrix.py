@@ -21,7 +21,10 @@ G, B or D as integers (i, j, num, den) in lowest terms, from one walk per
 matrix; the builders wrap those same cells in Fractions and return plain
 dense rows, ``list[list[Fraction]]``, so entry (i, j) sits at
 ``rows[i - 1][j - 1]``, and ``axoball matrix`` prints them as text with no
-gcd and no Fraction.
+gcd and no Fraction.  ``fractions`` is imported only inside the functions
+that return Fractions (the entry functions and the builders' ``_dense``);
+``matrix_cells`` and the walks use ints alone, so ``axoball matrix``
+starts without ``fractions`` and the ``decimal`` and ``numbers`` it loads.
 
 Construction walks, verification evaluates entries:
 
@@ -56,7 +59,6 @@ these entries, not construction steps; the tests check them
 Every entry and every walk is order-independent.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
 
@@ -69,6 +71,8 @@ def f_entry(i, j):
     for i <= j with i + j even; structurally zero otherwise.  ``_f_column``
     walks the same product down a column.
     """
+    from fractions import Fraction
+
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
     if i > j or (i + j) % 2:
@@ -102,6 +106,8 @@ def f_entry_closed_form(i, j):
     integrating each monomial.  Total over all i, j >= 1: structural zeros
     (i > j, or i + j odd) are returned as Fraction(0).
     """
+    from fractions import Fraction
+
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
     if i > j or (i + j) % 2:
@@ -181,6 +187,8 @@ def beta_entry(k, i):
     that is ``beta_numerator(k, i) / 2**(i-1)``, for k <= i with k + i
     even; structurally zero otherwise.
     """
+    from fractions import Fraction
+
     if k < 1 or i < 1:
         raise ValueError("indices are 1-based")
     return Fraction(beta_numerator(k, i), 2 ** (i - 1))
@@ -189,6 +197,8 @@ def beta_entry(k, i):
 def d_diagonal(i):
     """Diagonal entry D_ii = 2/(2i - 1) of D = F B (the squared Legendre
     norm on [-1, 1])."""
+    from fractions import Fraction
+
     if i < 1:
         raise ValueError("indices are 1-based")
     return Fraction(2, 2 * i - 1)
@@ -286,6 +296,8 @@ def matrix_cells(which, order):
 
 def _dense(which, order):
     """Dense Fraction rows of ``matrix_cells(which, order)``."""
+    from fractions import Fraction
+
     zero = Fraction(0)
     rows = [[zero] * order for _ in range(order)]
     for i, j, num, den in matrix_cells(which, order):

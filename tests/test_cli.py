@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import fractions
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axoball
-from axoball import cli, moment_matrix
+from axoball import cli
 from axoball import (
     ExactPhysical,
     PotentialSpec,
@@ -462,8 +463,9 @@ def test_matrix_builds_no_fraction(monkeypatch, capsys):
     def no_fraction(*args):
         raise AssertionError("a matrix op built a Fraction")
 
-    monkeypatch.setattr(cli, "Fraction", no_fraction)
-    monkeypatch.setattr(moment_matrix, "Fraction", no_fraction)
+    # neither cli nor moment_matrix binds Fraction at module level: both
+    # import it from fractions where they need it
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     for which, text in expected.items():
         code, out, _ = run_cli(capsys, "matrix", "--order", "12", "--which", which)
         assert (code, out) == (0, text)
@@ -782,6 +784,61 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
     assert verified == ["numpy"]
 
 
+LAYER_FOOTPRINT = """
+import contextlib, importlib, io, json, sys
+before = set(sys.modules)
+import axoball
+
+package = sorted(name for name in set(sys.modules) - before if "axoball" in name)
+from axoball.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["matrix", "--order", "6", "--which", w]) for w in "FGBD"]
+    codes += [main(["matrix", "--order", order, "--which", "F"]) for order in "0x"]
+exact = {"axoball.electrostatics", "axoball.rational", "fractions", "decimal"}
+matrix = sorted(exact & set(sys.modules) - before)
+
+layers = [
+    importlib.import_module(f"axoball.{name}")
+    for name in ("electrostatics", "moment_matrix", "rational")
+]
+mismatched = []
+for name in axoball.__all__:
+    value = getattr(axoball, name)
+    holders = [vars(layer) for layer in layers if name in vars(layer)]
+    if not holders or any(held[name] is not value for held in holders):
+        mismatched.append(name)
+unlisted = sorted(set(axoball.__all__) - set(dir(axoball)))
+try:
+    axoball.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([package, codes, matrix, mismatched, unlisted, unknown]))
+"""
+
+
+def test_each_command_imports_only_the_layers_it_runs():
+    # one fresh interpreter: import axoball loads no submodule, and matrix,
+    # bad --order included, loads neither the exact-rational layers nor
+    # fractions and the decimal it loads; every public name resolves, on
+    # first access, to the object its defining module holds
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_FOOTPRINT],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, codes, matrix, mismatched, unlisted, unknown = json.loads(proc.stdout)
+    assert package == ["axoball"]
+    assert codes == [0, 0, 0, 0, 2, 2]
+    assert matrix == []
+    assert mismatched == []
+    assert unlisted == []
+    assert unknown == "module 'axoball' has no attribute 'no_such_name'"
+
+
 def test_out_of_range_error_is_one_class():
     import axoball.electrostatics as es_mod
     import axoball.oracle as oracle_mod
@@ -790,7 +847,6 @@ def test_out_of_range_error_is_one_class():
 
 
 def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch):
-    import axoball.cli as cli_mod
     import axoball.electrostatics as es_mod
 
     calls = {}
@@ -804,8 +860,8 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
 
         monkeypatch.setattr(module, name, counted)
 
+    # the CLI reads solve_charge_density from electrostatics at call time
     count(es_mod, "solve_charge_density")
-    count(cli_mod, "solve_charge_density")
     count(es_mod, "reconstruct_potential")
     count(es_mod, "f_entry_closed_form")
     body = dict(BASIC, profile={"samples": 11, "span": "3"})
@@ -818,7 +874,7 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
 
     calls.clear()
     count(es_mod.ChargeDensity, "sigma")
-    count(cli_mod, "induced_axis_potential")
+    count(es_mod, "induced_axis_potential")
     count(es_mod, "charge_legendre_moments")
     code, _, _ = run_cli(capsys, "profile", path)
     assert code == 0
@@ -879,7 +935,6 @@ def test_profile_samples_are_capped(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("key", ["coeffs_b", "phi0_coeffs"])
 def test_coefficient_lists_are_capped(tmp_path, capsys, monkeypatch, key):
-    import axoball.cli as cli_mod
     import axoball.electrostatics as es_mod
 
     # 401 entries, degree 400 at most, still solve (trailing zeros keep
@@ -891,7 +946,6 @@ def test_coefficient_lists_are_capped(tmp_path, capsys, monkeypatch, key):
     def no_solving(*args):
         raise AssertionError("solved a refused problem")
 
-    monkeypatch.setattr(cli_mod, "solve_charge_density", no_solving)
     monkeypatch.setattr(es_mod, "solve_charge_density", no_solving)
     body[key].append("1")
     path = write_problem(tmp_path, dict(body, profile={"samples": 2}))
@@ -1037,12 +1091,12 @@ def test_radius_with_a_huge_exponent_exits_2_unsolved(tmp_path, capsys, monkeypa
 @needs_digit_limit
 def test_unprintable_echo_exits_2_unsolved(tmp_path, capsys, monkeypatch):
     # ten to the limit has one digit too many to echo; nothing is solved
-    import axoball.cli as cli_mod
+    import axoball.electrostatics as es_mod
 
     def no_solve(*args):
         raise AssertionError("solved a problem the report cannot echo")
 
-    monkeypatch.setattr(cli_mod, "build_report", no_solve)
+    monkeypatch.setattr(es_mod, "build_report", no_solve)
     radius = f"1e{DIGIT_LIMIT}"
     body = {"radius": radius, "coeffs_b": ["1", "2", "3"]}
     code, out, err = run_cli(capsys, "solve", write_problem(tmp_path, body))
