@@ -30,23 +30,13 @@ _HOME = {
     "ExactPhysical": "electrostatics",
     "PotentialSpec": "electrostatics",
     "axial_force": "electrostatics",
-    "beta_entry": "moment_matrix",
-    "build_b": "moment_matrix",
-    "build_d": "moment_matrix",
-    "build_f": "moment_matrix",
-    "build_g": "moment_matrix",
     "build_report": "electrostatics",
     "charge_legendre_moments": "electrostatics",
-    "d_diagonal": "moment_matrix",
-    "dipole_moment": "electrostatics",
-    "f_entry": "moment_matrix",
-    "format_rational": "rational",
     "induced_axis_potential": "electrostatics",
-    "multipole_moment": "electrostatics",
     "multipole_moments": "electrostatics",
-    "parse_rational": "rational",
     "solve_charge_density": "electrostatics",
-    "total_charge": "electrostatics",
+    "matrix_cells": "moment_matrix",
+    "parse_rational": "rational",
 }
 
 __all__ = list(_HOME)

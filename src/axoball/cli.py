@@ -10,14 +10,13 @@ Problem files are JSON.  Rational values travel as strings ("p/q", integer
 or decimal text); decimals are converted exactly through power-of-ten
 denominators, never through binary floats (json parse_float is redirected
 to str for the same reason).  Reports are JSON with a schema_version
-field; parsers ignore unknown fields so the schema can grow.  This module
-alone writes and reads report text: the library returns exact values,
-``_text`` and ``_quantity`` write them, and ``parse_report`` reads them
-back.  A quantity's float is ``float(x)``, its exact value rounded once,
-and null where that overflows or a nonzero value underflows to 0.0.
-``matrix`` prints each cell of ``matrix_cells``, the integers num/den in
-lowest terms that the library's walks give and the builders wrap in
-Fractions, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; every
+field; readers should ignore unknown fields so the schema can grow.  This
+module alone writes report text: the library returns exact values, and
+``_text`` and ``_quantity`` write them.  A quantity's float is
+``float(x)``, its exact value rounded once, and null where that overflows
+or a nonzero value underflows to 0.0.  ``matrix`` prints each cell of
+``matrix_cells``, the integers num/den in lowest terms that the library's
+walks give, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; every
 row of B and G it prints is checked against its closed form, on every
 print.  Every command writes its output through ``_emit``.
 
@@ -219,11 +218,11 @@ def _profile_arrays(density, samples, span):
 
 def _text(value, section):
     """The report text of an exact value in the named report section: its
-    ``str``, the canonical ``"p"`` or ``"p/q"`` that
-    ``rational.format_rational`` also gives.  Python turns no integer
-    longer than its int_max_str_digits limit (4300 digits by default) into
-    text; an exact value that long is bad input, reported by section.  The
-    limit itself is left alone."""
+    ``str``, the canonical ``"p"`` or ``"p/q"``, which ``parse_rational``
+    reads back exactly.  Python turns no integer longer than its
+    int_max_str_digits limit (4300 digits by default) into text; an exact
+    value that long is bad input, reported by section.  The limit itself
+    is left alone."""
     try:
         return str(value)
     except ValueError:
@@ -354,35 +353,6 @@ def cmd_profile(args):
     body = "".join(row % point for point in zip(*arrays.values()))
     _emit(",".join(arrays) + "\n" + body, args.out)
     return 0
-
-
-def parse_report(text):
-    """Read a solve report back; exact fields come back as Fractions.
-
-    Only known fields are interpreted; anything else is ignored so that
-    reports from newer schema versions still parse.
-    """
-    from fractions import Fraction
-
-    data = json.loads(text)
-    out = {"schema_version": data.get("schema_version")}
-    block = data.get("input", {})
-    if "radius" in block:
-        out["radius"] = Fraction(block["radius"])
-    if "coeffs_b" in block:
-        out["coeffs_b"] = tuple(Fraction(b) for b in block["coeffs_b"])
-    density = data.get("charge_density", {})
-    if "coeffs_c" in density:
-        out["coeffs_c"] = tuple(Fraction(c) for c in density["coeffs_c"])
-    for key in ("charge", "dipole", "force"):
-        if key in data:
-            out[key] = Fraction(data[key]["coeff"])
-    if "multipoles" in data:
-        out["multipoles"] = {
-            int(m): Fraction(entry["coeff"])
-            for m, entry in data["multipoles"].items()
-        }
-    return out
 
 
 @functools.cache

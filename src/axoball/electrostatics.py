@@ -94,13 +94,31 @@ class ConsistencyError(ArithmeticError):
 
 
 class _Value:
-    """Base of the value classes, whose ``__init__`` sets each field in
-    ``__slots__`` once; see the module docstring."""
+    """Base of the value classes: ``__init__`` takes one value per field,
+    by position or by name, and sets each field once; see the module
+    docstring."""
 
     __slots__ = ()
+    # the fields: the ``__slots__`` of the class that declares them, which
+    # a subclass with empty ``__slots__`` inherits
+    _names = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._names = cls.__slots__ or cls._names
+
+    def __init__(self, *fields, **named):
+        names = self._names
+        if named:
+            rest = names[len(fields) :]
+            fields += tuple(named.pop(name) for name in rest if name in named)
+        if named or len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -111,7 +129,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__name__}({', '.join(fields)})"
 
     def __setattr__(self, name, value):
@@ -136,8 +154,7 @@ class ExactPhysical(_Value):
     __slots__ = ("coeff", "epsilon0")
 
     def __init__(self, coeff, epsilon0=VACUUM_PERMITTIVITY):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "epsilon0", epsilon0)
+        super().__init__(coeff, epsilon0)
 
     def __float__(self):
         pi_num, pi_den = math.pi.as_integer_ratio()
@@ -178,9 +195,7 @@ class PotentialSpec(_Value):
             raise ValueError(
                 "field 'epsilon0': must be positive and within float range"
             )
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "coeffs_b", tuple(coeffs))
-        object.__setattr__(self, "epsilon0", eps)
+        super().__init__(radius, tuple(coeffs), eps)
 
     @property
     def degree(self):
@@ -195,10 +210,6 @@ class ChargeDensity(_Value):
     also builds a density that does not solve its spec."""
 
     __slots__ = ("spec", "coeffs_c")
-
-    def __init__(self, spec, coeffs_c):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs_c", coeffs_c)
 
     @property
     def radius(self):
@@ -234,13 +245,6 @@ class BallReport(_Value):
 
     __slots__ = ("density", "charge_Q", "dipole_D", "multipoles", "force_F")
 
-    def __init__(self, density, charge_Q, dipole_D, multipoles, force_F):
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "charge_Q", charge_Q)
-        object.__setattr__(self, "dipole_D", dipole_D)
-        object.__setattr__(self, "multipoles", multipoles)
-        object.__setattr__(self, "force_F", force_F)
-
 
 def solve_charge_density(spec):
     """Induced surface density for the given potential.
@@ -273,6 +277,7 @@ def solve_charge_density(spec):
     return ChargeDensity(spec, tuple(coeffs))
 
 
+# kept for the benchmark's per-layer metrics, which name it
 def reconstruct_potential(density):
     """Invert the density map: b_k = sum_j r^(j-k) F_kj c_j.
 
@@ -445,6 +450,8 @@ def _agreed(quantity, order, integrated, closed, density):
     return ExactPhysical(closed, density.epsilon0)
 
 
+# total_charge, dipole_moment and multipole_moment are kept for the
+# benchmark's per-layer metrics, which name them
 def total_charge(density):
     """Total induced charge Q = 2 pi r int sigma dz = 4 pi eps0 r b_1, the
     multipole moment of order 0."""

@@ -9,22 +9,19 @@ monomials makes F upper triangular, and the parity of the Legendre
 polynomials zeroes every entry with i + j odd.  Three companion matrices
 share that rarefied triangle:
 
-  * B, whose column i holds the monomial coefficients of P_{i-1}
-    (entries ``beta_entry``), so that F B pairs P_{i-1} with P_{j-1},
+  * B, whose column i holds the monomial coefficients of P_{i-1}, so that
+    F B pairs P_{i-1} with P_{j-1}; its entries are
+    ``beta_numerator(i, j) / 2**(j-1)``,
   * D = F B, diagonal with D_ii = 2/(2i - 1),
   * G = F^{-1} = B D^{-1} (entries ``g_entry``).
 
-All quantities are Fractions or ints; there is no floating point in this
-module.  Entry functions are 1-based to match the usual F_11, G_13, ...
-convention.  ``matrix_cells(which, order)`` gives the nonzero cells of F,
-G, B or D as integers (i, j, num, den) in lowest terms, from one walk per
-matrix; the builders wrap those same cells in Fractions and return plain
-dense rows, ``list[list[Fraction]]``, so entry (i, j) sits at
-``rows[i - 1][j - 1]``, and ``axoball matrix`` prints them as text with no
-gcd and no Fraction.  ``fractions`` is imported only inside the functions
-that return Fractions (the entry functions and the builders' ``_dense``);
-``matrix_cells`` and the walks use ints alone, so ``axoball matrix``
-starts without ``fractions`` and the ``decimal`` and ``numbers`` it loads.
+There is no floating point in this module.  Indices are 1-based to match
+the usual F_11, G_13, ... convention.  ``matrix_cells(which, order)``
+gives the nonzero cells of F, G, B or D as integers (i, j, num, den) in
+lowest terms, from one walk per matrix, and ``axoball matrix`` prints
+them as text with no gcd and no Fraction.  Only the functions that return
+Fractions import ``fractions``, inside themselves, so ``axoball matrix``
+starts without it and the ``decimal`` and ``numbers`` it loads.
 
 Construction walks, verification evaluates entries:
 
@@ -49,10 +46,8 @@ Construction walks, verification evaluates entries:
     the Rodrigues alternating sum ``f_entry_closed_form`` is an
     independent path to every F entry.
 
-The entry functions (``f_entry``, ``g_entry``, ``beta_entry``,
-``beta_numerator``) give any single entry from its closed form; the tests
-hold the builders to them cell by cell.  The row recurrence, the diagonal
-and superdiagonal factorial formulas and F G = G F = I are proofs about
+The row recurrence, the diagonal and superdiagonal factorial formulas,
+the product formula of every F entry and F G = G F = I are proofs about
 these entries, not construction steps; the tests check them
 (``tests/references.py``).
 
@@ -61,26 +56,6 @@ Every entry and every walk is order-independent.
 
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
-
-
-def f_entry(i, j):
-    """Moment F_ij as one product (Gradshteyn & Ryzhik 7.126):
-
-        F_ij = 2**i (j-1)! ((i+j-2)/2)! / (((j-i)/2)! (i+j-1)!)
-
-    for i <= j with i + j even; structurally zero otherwise.  ``_f_column``
-    walks the same product down a column.
-    """
-    from fractions import Fraction
-
-    if i < 1 or j < 1:
-        raise ValueError("indices are 1-based")
-    if i > j or (i + j) % 2:
-        return Fraction(0)
-    return Fraction(
-        2**i * factorial(j - 1) * factorial((i + j) // 2 - 1),
-        factorial((j - i) // 2) * factorial(i + j - 1),
-    )
 
 
 def _f_column(j, n):
@@ -99,8 +74,8 @@ def _f_column(j, n):
 
 
 def f_entry_closed_form(i, j):
-    """Moment F_ij as a finite alternating sum; a verification path for
-    ``f_entry``.
+    """Moment F_ij as a finite alternating sum, a path to every F entry
+    independent of the walks.
 
     The sum comes from expanding P_{i-1} through the Rodrigues formula and
     integrating each monomial.  Total over all i, j >= 1: structural zeros
@@ -178,32 +153,7 @@ def _b_rows(n):
     return table
 
 
-def beta_entry(k, i):
-    """Coefficient of eta**(k-1) in the Legendre polynomial P_{i-1}:
-
-        beta_ki = (-1)**((i-k)/2) (i+k-2)!
-                  / (2**(i-1) (k-1)! ((i-k)/2)! ((i+k)/2 - 1)!),
-
-    that is ``beta_numerator(k, i) / 2**(i-1)``, for k <= i with k + i
-    even; structurally zero otherwise.
-    """
-    from fractions import Fraction
-
-    if k < 1 or i < 1:
-        raise ValueError("indices are 1-based")
-    return Fraction(beta_numerator(k, i), 2 ** (i - 1))
-
-
-def d_diagonal(i):
-    """Diagonal entry D_ii = 2/(2i - 1) of D = F B (the squared Legendre
-    norm on [-1, 1])."""
-    from fractions import Fraction
-
-    if i < 1:
-        raise ValueError("indices are 1-based")
-    return Fraction(2, 2 * i - 1)
-
-
+# kept for the benchmark's per-layer metrics, which name it
 def g_entry(i, j):
     """Entry of the inverse matrix G = F^{-1} = B D^{-1}:
 
@@ -211,7 +161,11 @@ def g_entry(i, j):
 
     structurally zero unless i <= j with i + j even.
     """
-    return beta_entry(i, j) / d_diagonal(j)
+    from fractions import Fraction
+
+    if i < 1 or j < 1:
+        raise ValueError("indices are 1-based")
+    return Fraction((2 * j - 1) * beta_numerator(i, j), 2**j)
 
 
 def _f_cells(order):
@@ -295,7 +249,8 @@ def matrix_cells(which, order):
 
 
 def _dense(which, order):
-    """Dense Fraction rows of ``matrix_cells(which, order)``."""
+    """Dense Fraction rows of ``matrix_cells(which, order)``, entry (i, j)
+    at ``rows[i - 1][j - 1]``."""
     from fractions import Fraction
 
     zero = Fraction(0)
@@ -305,22 +260,12 @@ def _dense(which, order):
     return rows
 
 
+# build_f and build_g are kept for the benchmark's per-layer metrics,
+# which name them
 def build_f(order):
     """The moment matrix F of the given order, column by column from
     ``_f_cells``."""
     return _dense("F", order)
-
-
-def build_b(order):
-    """The Legendre basis matrix B: column i holds the monomial
-    coefficients of P_{i-1}.  Row by row from the table of ``_b_row``'s
-    rows, checked."""
-    return _dense("B", order)
-
-
-def build_d(order):
-    """The diagonal matrix D = F B with D_ii = 2/(2i - 1)."""
-    return _dense("D", order)
 
 
 def build_g(order):

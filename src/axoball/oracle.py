@@ -90,10 +90,6 @@ class QuadratureRule(_Value):
 
     __slots__ = ("nodes", "weights")
 
-    def __init__(self, nodes, weights):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
     def integrate(self, values):
         """sum_k w_k values[k], for the integrand's values at the nodes."""
         return sum(w * v for v, w in zip(values, self.weights))
@@ -266,11 +262,6 @@ class CollocationSolution(_Value):
     """Least-squares density coefficients plus solve diagnostics."""
 
     __slots__ = ("coeffs", "residual_norm", "condition_estimate")
-
-    def __init__(self, coeffs, residual_norm, condition_estimate):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "residual_norm", residual_norm)
-        object.__setattr__(self, "condition_estimate", condition_estimate)
 
 
 def chebyshev_points(count):

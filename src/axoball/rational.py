@@ -111,6 +111,7 @@ def parse_rational(value):
     raise ValueError(f"{reason} {shown!r}")
 
 
+# kept for the benchmark's per-layer metrics, which name it; reports use str
 def format_rational(q):
     """Canonical text form of an int or a Fraction, ``"p"`` or ``"p/q"``;
     round-trips exactly."""

@@ -1,11 +1,13 @@
 """Reference paths for the moment matrix, the exact quantities and the
 oracle that only the tests run.
 
-The paper's Appendix proves a row recurrence for F, factorial formulas
-for its diagonal and second superdiagonal, and F G = G F = I.  These are
-checks of the entries ``axoball.moment_matrix`` builds from, not steps
-of any construction, so they live here with the exact matrix product and
-the alpha coefficients of the shifted first row.  ``check_f`` and
+``f_entry`` is the product formula of every F entry, the cell-by-cell
+reference for the library's column walks.  The paper's Appendix proves a
+row recurrence for F, factorial formulas for its diagonal and second
+superdiagonal, and F G = G F = I.  These are checks of the entries
+``axoball.moment_matrix`` builds from, not steps of any construction, so
+they live here with the exact matrix product and the alpha coefficients
+of the shifted first row.  ``check_f`` and
 ``check_inverse`` run the checks on built rows and raise ArithmeticError
 on the first disagreement.  ``solve_by_entries`` solves for the density
 from one G entry at a time, the reference for the library's row walks.
@@ -30,6 +32,25 @@ from fractions import Fraction
 from math import factorial, lcm, sqrt
 
 from axoball import electrostatics, moment_matrix, oracle
+
+
+def f_entry(i, j):
+    """Moment F_ij as one product (Gradshteyn & Ryzhik 7.126):
+
+        F_ij = 2**i (j-1)! ((i+j-2)/2)! / (((j-i)/2)! (i+j-1)!)
+
+    for i <= j with i + j even; structurally zero otherwise.  The library's
+    column walks step down the same product; this is their cell-by-cell
+    reference.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("indices are 1-based")
+    if i > j or (i + j) % 2:
+        return Fraction(0)
+    return Fraction(
+        2**i * factorial(j - 1) * factorial((i + j) // 2 - 1),
+        factorial((j - i) // 2) * factorial(i + j - 1),
+    )
 
 
 def f_entry_recurrence(i, j):
@@ -157,7 +178,7 @@ def closed_moment(b, r, m):
     delta = 1 if m % 2 == 0 else 2
     acc = Fraction(0)
     for i in range(delta, min(m + 1, len(b)) + 1, 2):
-        f = moment_matrix.f_entry(i, m + 1)
+        f = f_entry(i, m + 1)
         acc += (2 * i - 1) * r ** (i - 1) * f * b[i - 1]
     return 2 * r ** (m + 1) * acc
 

@@ -17,16 +17,18 @@ from axoball import (
     axial_force,
     build_report,
     charge_legendre_moments,
-    dipole_moment,
     induced_axis_potential,
-    multipole_moment,
     multipole_moments,
     solve_charge_density,
-    total_charge,
 )
 from axoball import electrostatics as es_mod
 from axoball import moment_matrix
-from axoball.electrostatics import reconstruct_potential
+from axoball.electrostatics import (
+    dipole_moment,
+    multipole_moment,
+    reconstruct_potential,
+    total_charge,
+)
 from axoball.moment_matrix import g_entry
 from axoball.oracle import CollocationSolution, QuadratureRule
 from conftest import random_coeffs, random_radius, random_spec
@@ -794,3 +796,35 @@ def test_value_class_contract(cls):
     text = repr(value)
     assert text.startswith(f"{cls.__name__}(")
     assert all(f"{name}=" in text for name in names)
+
+
+# the value classes whose constructor is the base's, one value per field
+BASE_CONSTRUCTED = (
+    ChargeDensity,
+    es_mod.BallReport,
+    QuadratureRule,
+    CollocationSolution,
+)
+
+
+@pytest.mark.parametrize("cls", BASE_CONSTRUCTED, ids=lambda cls: cls.__name__)
+def test_value_constructor_takes_each_field_once(cls):
+    build, names = VALUE_CLASSES[cls]
+    value = build()
+    fields = [getattr(value, name) for name in names]
+    # by position, by name, or the first by position and the rest by name
+    assert cls(*fields) == cls(**dict(zip(names, fields))) == value
+    assert cls(fields[0], **dict(zip(names[1:], fields[1:]))) == value
+    for args, named in [
+        (fields[:-1], {}),  # a field missing
+        ([*fields, 0], {}),  # one too many
+        (fields, {names[0]: fields[0]}),  # a field given twice
+        (fields[:-1], {"unknown": 0}),  # a name that is no field
+        (fields[1:], {names[0]: fields[0]}),  # the first by name, the rest not
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **named)
+    # a subclass with empty __slots__ keeps its base's fields
+    other = type("Other", (cls,), {"__slots__": ()})(*fields)
+    assert [getattr(other, name) for name in names] == fields
+    assert repr(other) == "Other" + repr(value)[len(cls.__name__) :]

@@ -14,20 +14,16 @@ import references
 from axoball import PotentialSpec, moment_matrix, solve_charge_density
 from axoball.cli import main
 from axoball.moment_matrix import (
-    beta_entry,
     beta_numerator,
-    build_b,
-    build_d,
     build_f,
     build_g,
-    d_diagonal,
-    f_entry,
     f_entry_closed_form,
     g_entry,
 )
 from references import (
     alpha_coefficients,
     f_diagonal,
+    f_entry,
     f_entry_recurrence,
     f_second_superdiagonal,
     moment_quadrature,
@@ -35,6 +31,11 @@ from references import (
 )
 
 indices = st.integers(min_value=1, max_value=25)
+
+
+def beta(k, i):
+    """B_ki, the coefficient of eta**(k-1) in P_{i-1}."""
+    return Fraction(beta_numerator(k, i), 2 ** (i - 1))
 
 
 def test_known_entries():
@@ -60,8 +61,8 @@ def test_structural_zeros():
     assert f_entry_recurrence(3, 4) == 0
     assert g_entry(4, 2) == 0
     assert g_entry(3, 4) == 0
-    assert beta_entry(4, 2) == 0
-    assert beta_entry(3, 4) == 0
+    assert beta(4, 2) == 0
+    assert beta(3, 4) == 0
 
 
 def test_index_validation():
@@ -111,18 +112,18 @@ def test_second_superdiagonal_formula(i):
 
 
 def test_beta_entries():
-    assert beta_entry(1, 1) == 1
-    assert beta_entry(2, 2) == 1
-    assert beta_entry(1, 3) == Fraction(-1, 2)
+    assert beta(1, 1) == 1
+    assert beta(2, 2) == 1
+    assert beta(1, 3) == Fraction(-1, 2)
     for i in range(1, 12):
         expected = Fraction(factorial(2 * i - 2), 2 ** (i - 1) * factorial(i - 1) ** 2)
-        assert beta_entry(i, i) == expected
+        assert beta(i, i) == expected
 
 
 def test_d_is_product_of_f_and_b_diagonals():
-    for i in range(1, 20):
-        assert d_diagonal(i) == Fraction(2, 2 * i - 1)
-        assert d_diagonal(i) == f_diagonal(i) * beta_entry(i, i)
+    for i, _, num, den in moment_matrix.matrix_cells("D", 19):
+        assert Fraction(num, den) == Fraction(2, 2 * i - 1)
+        assert Fraction(num, den) == f_diagonal(i) * beta(i, i)
 
 
 def test_g_known_entries():
@@ -142,8 +143,8 @@ def test_matrix_identities_order_20():
     f = build_f(20)
     references.check_f(f)
     g = build_g(20)
-    b = build_b(20)
-    d = build_d(20)
+    b = moment_matrix._dense("B", 20)
+    d = moment_matrix._dense("D", 20)
     eye = [[int(i == j) for j in range(20)] for i in range(20)]
     assert multiply(f, g) == eye
     assert multiply(g, f) == eye
@@ -178,14 +179,14 @@ def test_walked_matrices_equal_the_entries_at_order_200():
     order = 200
     f = build_f(order)
     g = build_g(order)
-    b = build_b(order)
-    d = build_d(order)
+    b = moment_matrix._dense("B", order)
+    d = moment_matrix._dense("D", order)
     for i in range(1, order + 1):
         for j in range(1, order + 1):
             assert f[i - 1][j - 1] == f_entry(i, j)
             assert g[i - 1][j - 1] == g_entry(i, j)
-            assert b[i - 1][j - 1] == beta_entry(i, j)
-            assert d[i - 1][j - 1] == (d_diagonal(i) if i == j else 0)
+            assert b[i - 1][j - 1] == beta(i, j)
+            assert d[i - 1][j - 1] == (Fraction(2, 2 * i - 1) if i == j else 0)
 
 
 # the cells ``axoball matrix`` prints as "p" or "p/q" with no gcd
@@ -195,8 +196,8 @@ def test_matrix_cells_are_the_entries_in_lowest_terms(order):
     entries = {
         "F": f_entry,
         "G": g_entry,
-        "B": beta_entry,
-        "D": lambda i, j: d_diagonal(i),
+        "B": beta,
+        "D": lambda i, j: Fraction(2, 2 * i - 1),
     }
     for which, entry in entries.items():
         cells = moment_matrix.matrix_cells(which, order)
@@ -409,6 +410,9 @@ def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
 @pytest.mark.parametrize("at", TRIANGLE_6)
 @pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
 def test_build_b_catches_any_off_by_one_numerator(monkeypatch, name, at):
+    def build_b(order):
+        return moment_matrix._dense("B", order)
+
     _assert_catches_off_by_one(monkeypatch, build_b, name, at)
 
 
@@ -493,7 +497,7 @@ def test_alpha_small_orders():
 def test_alpha_solves_the_expansion_system(m):
     alpha = alpha_coefficients(m)
     for k in range(1, m + 2):
-        dot = sum(beta_entry(k, i) * a for i, a in enumerate(alpha, start=1))
+        dot = sum(beta(k, i) * a for i, a in enumerate(alpha, start=1))
         assert dot == (1 if k == m + 1 else 0)
 
 
