@@ -17,8 +17,9 @@ module alone writes report text: the library returns exact values, and
 or a nonzero value underflows to 0.0.  ``matrix`` prints each cell of
 ``matrix_cells``, the integers num/den in lowest terms that the library's
 walks give, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; every
-row of B and G it prints is checked against its closed form, on every
-print.  Every command writes its output through ``_emit``.
+row of B and G it prints is checked against its closed form before it is
+first printed from a given table, once per table and width.  Every
+command writes its output through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
@@ -33,7 +34,8 @@ Each command imports the library layers it runs, when it runs them; at
 module level this module imports only the standard library, so that a
 one-shot command pays at start-up only for what it uses.  ``matrix``
 loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
-``decimal`` and ``numbers`` that ``fractions`` loads).  ``solve`` and
+``decimal`` and ``numbers`` that ``fractions`` loads) and no ``json``,
+which only ``load_problem`` and ``cmd_solve`` import.  ``solve`` and
 ``profile`` load ``electrostatics`` and ``rational`` once per call, in
 ``load_problem`` and in the command, never per value.  The oracle, and
 with it numpy and logging, is imported only when --verify runs it.  As
@@ -52,7 +54,6 @@ ValueError reaches it.
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 SCHEMA_VERSION = 1
@@ -89,6 +90,8 @@ class ProblemInput:
 
 
 def load_problem(path):
+    import json
+
     from .electrostatics import VACUUM_PERMITTIVITY, PotentialSpec
     from .rational import parse_rational
 
@@ -277,6 +280,8 @@ def _emit(text, out_path):
 
 
 def cmd_solve(args):
+    import json
+
     from .electrostatics import build_report
 
     prob = load_problem(args.problem)

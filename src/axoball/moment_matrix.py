@@ -41,10 +41,13 @@ Construction walks, verification evaluates entries:
     the column walk;
   * verification: ``matrix_cells`` compares every integer of B and G that
     it reads from the table with ``beta_numerator``, its binomial closed
-    form, in ints, a row at a time as one list comparison, on every build
-    and every print, and names the first cell of a row that disagrees;
-    the Rodrigues alternating sum ``f_entry_closed_form`` is an
-    independent path to every F entry.
+    form, in ints, a row at a time as one list comparison, and names the
+    first cell of a row that disagrees.  The table is immutable, so each
+    table object is compared once to each width it is printed at: a
+    repeat or narrower print of the same table compares nothing, and a
+    wider print, or one of a replaced table, compares before it returns
+    any cell.  The Rodrigues alternating sum ``f_entry_closed_form`` is
+    an independent path to every F entry.
 
 The row recurrence, the diagonal and superdiagonal factorial formulas,
 the product formula of every F entry and F G = G F = I are proofs about
@@ -134,6 +137,11 @@ def _b_row(i, n):
 # the widest table of the row integers built so far; see ``_b_rows``
 _B_ROWS = ()
 
+# (table, width): the last table that ``_b_cells`` compared with
+# beta_numerator, and the width it compared to; replaced by one assignment,
+# and holding the table itself, so that no other table can match it
+_B_COMPARED = ((), 0)
+
 
 def _b_rows(n):
     """The widest table of the row integers built so far, built first to
@@ -144,7 +152,12 @@ def _b_rows(n):
     401.  A new table is published by one assignment and returned from a
     local, with no lock: two threads that widen it at once each build a
     table, and the narrower may be published last, but no caller ever
-    gets a table narrower than it asked for."""
+    gets a table narrower than it asked for.
+
+    Reading the table does not compare it with ``beta_numerator``: the
+    solve reads it unchecked, and ``_b_cells`` compares what it prints,
+    recording in ``_B_COMPARED`` the table it compared and to what
+    width."""
     global _B_ROWS
     table = _B_ROWS
     if len(table) < n:
@@ -203,22 +216,28 @@ def _b_cells(order, inverse):
 
     Each row, cut at the order, must equal ``beta_numerator`` at every
     cell, compared in ints as one list; a row that does not names its
-    first bad cell.
+    first bad cell.  The comparison runs unless ``_B_COMPARED`` holds this
+    very table, compared to at least this order, and it records
+    (table, order) once every row has passed, before any cell is returned.
     """
+    global _B_COMPARED
     popcount = [m.bit_count() for m in range(order)]
     powers = [1 << e for e in range(order + 1)]
     table = _b_rows(order)
+    compared, width = _B_COMPARED
+    check = compared is not table or width < order
     cells = []
     for i in range(1, order + 1):
         js = range(i, order + 1, 2)
-        row = list(table[i - 1][: len(js)])
-        closed = [beta_numerator(i, j) for j in js]
-        if row != closed:
-            pairs = enumerate(zip(row, closed))
-            at = next((k for k, (h, c) in pairs if h != c), min(len(row), len(js)))
-            raise ArithmeticError(
-                f"row walk disagrees with beta_numerator at ({i}, {i + 2 * at})"
-            )
+        row = table[i - 1][: len(js)]
+        if check:
+            closed = [beta_numerator(i, j) for j in js]
+            if list(row) != closed:
+                bad = (k for k, (h, c) in enumerate(zip(row, closed)) if h != c)
+                at = next(bad, min(len(row), len(js)))
+                raise ArithmeticError(
+                    f"row walk disagrees with beta_numerator at ({i}, {i + 2 * at})"
+                )
         ks = [popcount[i - 1] + popcount[q] for q in range(len(js))]
         if inverse:
             cells += [
@@ -229,6 +248,8 @@ def _b_cells(order, inverse):
             cells += [
                 (i, j, h >> k, powers[j - 1 - k]) for j, h, k in zip(js, row, ks)
             ]
+    if check:
+        _B_COMPARED = (table, order)
     return cells
 
 

@@ -774,7 +774,7 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
 
 
 LAYER_FOOTPRINT = """
-import contextlib, importlib, io, json, sys
+import contextlib, importlib, io, sys
 before = set(sys.modules)
 import axoball
 
@@ -785,7 +785,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["matrix", "--order", "6", "--which", w]) for w in "FGBD"]
     codes += [main(["matrix", "--order", order, "--which", "F"]) for order in "0x"]
 exact = {"axoball.electrostatics", "axoball.rational", "fractions", "decimal"}
-matrix = sorted(exact & set(sys.modules) - before)
+matrix = sorted((exact | {"json"}) & set(sys.modules) - before)
 
 layers = [
     importlib.import_module(f"axoball.{name}")
@@ -803,6 +803,8 @@ try:
     unknown = "no error"
 except AttributeError as exc:
     unknown = str(exc)
+import json
+
 print(json.dumps([package, codes, matrix, mismatched, unlisted, unknown]))
 """
 
@@ -810,8 +812,8 @@ print(json.dumps([package, codes, matrix, mismatched, unlisted, unknown]))
 def test_each_command_imports_only_the_layers_it_runs():
     # one fresh interpreter: import axoball loads no submodule, and matrix,
     # bad --order included, loads neither the exact-rational layers nor
-    # fractions and the decimal it loads; every public name resolves, on
-    # first access, to the object its defining module holds
+    # fractions and the decimal it loads, nor json; every public name
+    # resolves, on first access, to the object its defining module holds
     proc = subprocess.run(
         [sys.executable, "-c", LAYER_FOOTPRINT],
         capture_output=True,

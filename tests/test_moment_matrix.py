@@ -2,6 +2,7 @@ import random
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial, gcd
 from unittest import mock
@@ -248,22 +249,39 @@ def test_the_row_table_only_grows(monkeypatch):
 def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     full = tuple(tuple(moment_matrix._b_row(i, 40)) for i in range(1, 41))
+    printed = {which: _cells_from_an_empty_table(which, 40) for which in "BG"}
+    monkeypatch.setattr(moment_matrix, "_B_COMPARED", ((), 0))
     failures = []
 
     def widen(seed):
+        # each step widens the table, or prints B or G from it, which
+        # widens and compares it
         rng = random.Random(seed)
         for _ in range(60):
             n = rng.randint(1, 40)
+            step = rng.choice(["widen", "B", "G"])
+            if step != "widen":
+                cells = moment_matrix.matrix_cells(step, n)
+                if cells != [c for c in printed[step] if c[1] <= n]:
+                    failures.append((seed, step, n))
+                continue
             table = moment_matrix._b_rows(n)
             if len(table) < n or any(
                 row != whole[: len(row)] for row, whole in zip(table, full)
             ):
                 failures.append((seed, n, len(table)))
 
+    _run_threads(widen, 4)
+    assert failures == []
+
+
+def _run_threads(work, count):
+    """Run ``work(k)`` for k in range(count) on as many threads at once,
+    switching between them as often as the interpreter allows."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=widen, args=(k,)) for k in range(4)]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -271,12 +289,134 @@ def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
 
 
 def _cells_from_an_empty_table(which, order):
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
         return moment_matrix.matrix_cells(which, order)
+
+
+def _from_an_empty_table(monkeypatch):
+    """Start from an empty row table, and no table compared."""
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    monkeypatch.setattr(moment_matrix, "_B_COMPARED", ((), 0))
+
+
+def _count_closed_forms(monkeypatch):
+    """The (i, j) of every ``beta_numerator`` call from here on."""
+    calls = []
+    right = moment_matrix.beta_numerator
+
+    def counted(i, j):
+        calls.append((i, j))
+        return right(i, j)
+
+    monkeypatch.setattr(moment_matrix, "beta_numerator", counted)
+    return calls
+
+
+def test_each_table_is_compared_once_to_each_width(monkeypatch):
+    printed = {which: _cells_from_an_empty_table(which, 14) for which in "BG"}
+    _from_an_empty_table(monkeypatch)
+    calls = _count_closed_forms(monkeypatch)
+    # the first print compares every cell of its order, once
+    g_10 = [c for c in printed["G"] if c[1] <= 10]
+    assert moment_matrix.matrix_cells("G", 10) == g_10
+    assert calls == [(i, j) for i, j, _, _ in g_10]
+    # a repeat print, of either matrix, or a narrower one compares nothing
+    calls.clear()
+    for which, order in [("G", 10), ("B", 10), ("G", 4), ("B", 1)]:
+        cells = moment_matrix.matrix_cells(which, order)
+        assert cells == [c for c in printed[which] if c[1] <= order]
+    assert calls == []
+    # a wider one compares every cell it prints, then none again
+    assert moment_matrix.matrix_cells("B", 14) == printed["B"]
+    assert calls == [(i, j) for i, j, _, _ in printed["B"]]
+    calls.clear()
+    assert moment_matrix.matrix_cells("G", 14) == printed["G"]
+    assert calls == []
+
+
+# a solve may have widened the table past both prints: the wider print
+# reads the same table, compared only to the narrower width
+@pytest.mark.parametrize("solved", [0, 20])
+@pytest.mark.parametrize("which", ["B", "G"])
+def test_a_wider_print_compares_the_cells_it_adds(monkeypatch, solved, which):
+    printed = _cells_from_an_empty_table(which, 6)
+    _from_an_empty_table(monkeypatch)
+    moment_matrix._b_rows(solved)
+    moment_matrix.matrix_cells("G", 6)
+    right = moment_matrix.beta_numerator
+    wrong = lambda *args: right(*args) - (args == (2, 10))  # noqa: E731
+    monkeypatch.setattr(moment_matrix, "beta_numerator", wrong)
+    # (2, 10) lies past order 6: the cells of order 6 still print
+    assert moment_matrix.matrix_cells(which, 6) == printed
+    bad_cell = re.escape("beta_numerator at (2, 10)")
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=bad_cell):
+            moment_matrix.matrix_cells(which, 12)
+
+
+def test_a_replaced_table_is_compared_again(monkeypatch):
+    _from_an_empty_table(monkeypatch)
+    moment_matrix.matrix_cells("G", 12)
+    moment_matrix.matrix_cells("B", 12)
+    # the same integers in a new table, one of them wrong: row 3 at j = 5
+    table = [list(row) for row in moment_matrix._B_ROWS]
+    table[2][1] += 1
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", tuple(map(tuple, table)))
+    bad_cell = re.escape("beta_numerator at (3, 5)")
+    for which in ("B", "G"):
+        with pytest.raises(ArithmeticError, match=bad_cell):
+            moment_matrix.matrix_cells(which, 8)
+
+
+def test_the_solve_compares_nothing(monkeypatch):
+    # the solve reads the table unchecked, to any width; the report's
+    # second exact paths check what it gives
+    _from_an_empty_table(monkeypatch)
+    calls = _count_closed_forms(monkeypatch)
+    coeffs = [Fraction(k % 5 - 2, k + 1) for k in range(40)]
+    solve_charge_density(PotentialSpec(Fraction(3, 2), coeffs, epsilon0=1.0))
+    assert len(moment_matrix._B_ROWS) >= 40
+    assert calls == []
+
+
+def test_concurrent_prints_return_only_compared_cells(monkeypatch):
+    # while three threads print, a fourth keeps replacing the table, now by
+    # one with a wrong integer at (5, 11), as a monkeypatch of _B_ROWS
+    # would, now by an empty one: a print either raises, naming that cell,
+    # or returns the right cells, whatever table was compared before
+    printed = {which: _cells_from_an_empty_table(which, 30) for which in "BG"}
+    _from_an_empty_table(monkeypatch)
+    rows = [list(row) for row in moment_matrix._b_rows(30)]
+    rows[4][3] += 1
+    corrupt = tuple(map(tuple, rows))
+    failures, raised, finished = [], [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            while len(finished) < 3:
+                moment_matrix._B_ROWS = rng.choice([corrupt, ()])
+                time.sleep(1e-4)
+            return
+        for _ in range(80):
+            which, n = rng.choice("BG"), rng.randint(1, 30)
+            try:
+                cells = moment_matrix.matrix_cells(which, n)
+            except ArithmeticError as exc:
+                raised.append(n)
+                if n < 11 or "beta_numerator at (5, 11)" not in str(exc):
+                    failures.append((seed, which, n, str(exc)))
+                continue
+            if cells != [c for c in printed[which] if c[1] <= n]:
+                failures.append((seed, which, n))
+        finished.append(seed)
+
+    _run_threads(work, 4)
+    assert failures == []
+    assert raised, "no print read the wrong table"
 
 
 nonzero_fractions = st.fractions(
@@ -466,13 +606,14 @@ def test_checks_catch_a_corrupted_entry(
     monkeypatch, name, at, builder, verify, message
 ):
     # one wrong entry on one side of a cross-check must make the build, or
-    # with verify the reference checks of the tests, fail
+    # with verify the reference checks of the tests, fail; from an empty
+    # table, so that the build walks and compares every cell it reads
+    _from_an_empty_table(monkeypatch)
     if name in WALKS:
         # the builders read F and G from the walks: corrupt the walked value
         name, off_by_one = WALKS[name]
         right = getattr(moment_matrix, name)
         monkeypatch.setattr(moment_matrix, name, off_by_one(right, at))
-        monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     else:
         module = moment_matrix if hasattr(moment_matrix, name) else references
         right = getattr(module, name)
