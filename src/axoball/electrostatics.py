@@ -49,10 +49,10 @@ squares c's numerator polynomial as one big-int product (Kronecker
 substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
 
 The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
-and the oracle's two) are plain immutable classes on one base, ``_Value``:
-equal within one class and hashed by their fields, pickled and copied
-through their constructors, which also build a changed copy.  Assigning or
-deleting a field raises AttributeError.
+and the oracle's QuadratureRule) are plain immutable classes on one base,
+``_Value``: equal within one class and hashed by their fields, pickled and
+copied through their constructors, which also build a changed copy.
+Assigning or deleting a field raises AttributeError.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact

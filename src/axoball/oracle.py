@@ -22,19 +22,19 @@ its float errors instead of warning, and the guards of
 only module that imports numpy or logs; the CLI loads it only for
 ``--verify``.
 
-The settings are module constants: COLLOCATION_POINTS (for the solve and
-the equation residual), COLLOCATION_RESIDUAL_TOL, KERNEL_TOL and
-COLLOCATION_MAX_DEGREE.
+The settings are module constants: COLLOCATION_POINTS and its
+CHEBYSHEV_POINTS (for the solve and the equation residual),
+COLLOCATION_RESIDUAL_TOL, KERNEL_TOL and COLLOCATION_MAX_DEGREE.
 
 The kernel above is smooth for |xi| < 1: xi^2 + 1 - 2 xi eta >=
 (1 - |xi|)^2 > 0, asserted before every evaluation.  Near |xi| -> 1 it
 develops a boundary layer at eta = sign(xi), which the adaptive panel
 subdivision in ``axis_kernel_integral`` resolves.  That function returns
 the whole table K_j(xi), j = 1..count, at a tuple of points in one call:
-``check_report`` takes one table per run, of degree + 1 columns at the
-COLLOCATION_POINTS Chebyshev points, and hands it to both the collocation
-solve and the equation residual.  Each (point, column) is integrated on
-its own, so a table is, bit for bit, the first columns of any wider one:
+``check_report`` takes one table per run, of degree + 1 columns at
+CHEBYSHEV_POINTS, and hands it to both the collocation solve and the
+equation residual.  Each (point, column) is integrated on its own, so a
+table is, bit for bit, the first columns of any wider one:
 ``check_report`` keeps the widest table built so far in the process and
 hands out a copy of its first columns, building a wider one only when a
 run needs more.  The first table is COLLOCATION_POINTS columns wide, so
@@ -69,20 +69,16 @@ COLLOCATION_MAX_DEGREE = 10
 COLLOCATION_POINTS = 32
 COLLOCATION_RESIDUAL_TOL = 1e-9
 KERNEL_TOL = 1e-13
+# cos((2k - 1) pi / (2 COLLOCATION_POINTS)), k = 1..COLLOCATION_POINTS
+CHEBYSHEV_POINTS = tuple(
+    math.cos((2 * k - 1) * math.pi / (2 * COLLOCATION_POINTS))
+    for k in range(1, COLLOCATION_POINTS + 1)
+)
 
 _log = logging.getLogger(__name__)
 # the oracle is the package's only module that logs: the axoball logger
 # drops every record until the application gives it a handler
 logging.getLogger(__package__).addHandler(logging.NullHandler())
-
-
-class CollocationError(RuntimeError):
-    """The collocation residual exceeded tolerance.
-
-    This signals disagreement between the oracle and the analytic solution
-    (or an under-resolved solve) and is a test failure, not a state the
-    caller recovers from.
-    """
 
 
 class QuadratureRule(_Value):
@@ -137,9 +133,6 @@ def gauss_legendre(order):
 _PANEL_RULE = gauss_legendre(16)
 _PANEL_NODES = np.array(_PANEL_RULE.nodes)
 _PANEL_WEIGHTS = np.array(_PANEL_RULE.weights)[:, None]
-# libm pow, as Python's float power reaches it; a module name, so that the
-# tests can count its calls
-_pow = math.pow
 
 
 def _panel_sums(level, index, task, count, near, slope):
@@ -175,10 +168,11 @@ def _panel_sums(level, index, task, count, near, slope):
     # left panel's node 15 - k
     etas = (pairs // count) * width - 1.0 + half + half * nodes
     exponents = exponent.astype(float).tolist()
-    # one node's bases at a time as Python floats
+    # one node's bases at a time as Python floats, by libm pow as Python's
+    # float power reaches it
     sizes = np.array(
         [
-            np.fromiter(map(_pow, row.tolist(), exponents), float, len(pairs))
+            np.fromiter(map(math.pow, row.tolist(), exponents), float, len(pairs))
             for row in np.abs(etas)
         ]
     )
@@ -258,34 +252,23 @@ def axis_kernel_integral(count, xis):
     return values.reshape(len(xis), count)
 
 
-class CollocationSolution(_Value):
-    """Least-squares density coefficients plus solve diagnostics."""
-
-    __slots__ = ("coeffs", "residual_norm", "condition_estimate")
-
-
-def chebyshev_points(count):
-    """count Chebyshev points cos((2k-1) pi / (2 count)), k = 1..count."""
-    return [math.cos((2 * k - 1) * math.pi / (2 * count)) for k in range(1, count + 1)]
-
-
 # the widest kernel table built so far at the Chebyshev points
 _widest_kernel = None
 
 
 def _chebyshev_kernel(count):
     """A fresh C-contiguous copy of the first count columns of the widest
-    kernel table at the COLLOCATION_POINTS Chebyshev points, built wider
-    first when it has fewer columns.  A table is built at least
-    COLLOCATION_POINTS columns wide, so a process's first run builds the
-    one table that every degree below COLLOCATION_POINTS slices, whatever
-    order the degrees come in.  The slice is taken from a local, so a
-    concurrent run that swaps in another table cannot narrow this one."""
+    kernel table at CHEBYSHEV_POINTS, built wider first when it has fewer
+    columns.  A table is built at least COLLOCATION_POINTS columns wide,
+    so a process's first run builds the one table that every degree below
+    COLLOCATION_POINTS slices, whatever order the degrees come in.  The
+    slice is taken from a local, so a concurrent run that swaps in another
+    table cannot narrow this one."""
     global _widest_kernel
     table = _widest_kernel
     if table is None or table.shape[1] < count:
         width = max(count, COLLOCATION_POINTS)
-        table = axis_kernel_integral(width, tuple(chebyshev_points(COLLOCATION_POINTS)))
+        table = axis_kernel_integral(width, CHEBYSHEV_POINTS)
         _widest_kernel = table
     return table[:, :count].copy()
 
@@ -293,46 +276,34 @@ def _chebyshev_kernel(count):
 def collocation_solve(spec, kernel):
     """Solve the boundary integral equation directly, bypassing all the
     closed forms.  ``kernel`` is the table ``axis_kernel_integral(degree +
-    1, points)`` at the COLLOCATION_POINTS Chebyshev points.
+    1, CHEBYSHEV_POINTS)``.
 
     The dimensionless density s(eta) = (r / 2 eps0) sigma(r eta) is
     expanded over monomials eta^(j-1); enforcing
 
         sum_j gamma_j K_j(xi) = sum_i b_i (r xi)^(i-1)
 
-    at COLLOCATION_POINTS Chebyshev points and solving in the least-squares
-    sense yields gamma_j = c_j r^(j-1).  Raises CollocationError when the
-    residual stays above COLLOCATION_RESIDUAL_TOL (relative to the right
-    side), and FloatingPointError when its floats leave their range.  Keep
-    the degree at or below COLLOCATION_MAX_DEGREE, where the monomial basis
-    still gives coefficients good to ~1e-8.
+    at CHEBYSHEV_POINTS and solving in the least-squares sense yields
+    gamma_j = c_j r^(j-1).  Returns the coefficients gamma_j / r^(j-1),
+    the largest residual relative to the right side, the condition
+    estimate and the kernel table's rank; raises FloatingPointError when
+    its floats leave their range.  Keep the degree at or below
+    COLLOCATION_MAX_DEGREE, where the monomial basis still gives
+    coefficients good to ~1e-8.
     """
     b = [float(x) for x in spec.coeffs_b]
     r = float(spec.radius)
-    n1 = len(b)
-    if COLLOCATION_POINTS < n1:
-        raise ValueError("need at least degree+1 collocation points")
-    if kernel.shape != (COLLOCATION_POINTS, n1):
-        raise ValueError("need the kernel table with one column per coefficient")
-    points = chebyshev_points(COLLOCATION_POINTS)
     rhs = np.array(
-        [sum(bi * (r * xi) ** i for i, bi in enumerate(b)) for xi in points]
+        [sum(bi * (r * xi) ** i for i, bi in enumerate(b)) for xi in CHEBYSHEV_POINTS]
     )
     gamma, _, rank, singular = np.linalg.lstsq(kernel, rhs, rcond=None)
-    if rank < n1:
-        raise CollocationError(f"collocation matrix rank {rank} < {n1}")
     # an inf in gamma raises here, as in check_report, instead of warning
     with np.errstate(over="raise", invalid="raise"):
         residual = _finite(float(np.max(np.abs(kernel @ gamma - rhs))))
     residual /= max(1.0, float(np.max(np.abs(rhs))))
     condition = float(singular[0] / singular[-1]) if singular.size else math.inf
-    if residual > COLLOCATION_RESIDUAL_TOL:
-        raise CollocationError(
-            f"collocation residual {residual:.3e} above "
-            f"{COLLOCATION_RESIDUAL_TOL:.1e}"
-        )
     coeffs = tuple(float(g) / r**j for j, g in enumerate(gamma))
-    return CollocationSolution(coeffs, residual, condition)
+    return coeffs, residual, condition, rank
 
 
 def equation_residual(density, kernel):
@@ -340,15 +311,15 @@ def equation_residual(density, kernel):
 
     Substitutes sigma back into the kernel integral and compares against
     the potential it was solved from (recovered through the Legendre charge
-    moments), at the COLLOCATION_POINTS Chebyshev points, whose ``kernel``
-    table has at least degree + 1 columns.
+    moments), at CHEBYSHEV_POINTS, whose ``kernel`` table has at least
+    degree + 1 columns.
     """
     r = float(density.radius)
     gammas = [float(c) * r**j for j, c in enumerate(density.coeffs_c)]
     moments = [float(m) for m in charge_legendre_moments(density)]
     worst = 0.0
     scale = 1.0
-    for xi, row in zip(chebyshev_points(COLLOCATION_POINTS), kernel.tolist()):
+    for xi, row in zip(CHEBYSHEV_POINTS, kernel.tolist()):
         lhs = sum(g * k for g, k in zip(gammas, row))
         rhs = _horner(moments, xi)
         worst = max(worst, _finite(abs(lhs - rhs)))
@@ -401,21 +372,27 @@ def _collocation_check(density, kernel):
     if density.degree > COLLOCATION_MAX_DEGREE:
         # past the basis's reach this is no failure
         return {"skipped": f"degree above {COLLOCATION_MAX_DEGREE}", "passed": True}
-    try:
-        sol = collocation_solve(density.spec, kernel)
-    except CollocationError as exc:
-        return {"error": str(exc), "passed": False}
+    coeffs, residual, condition, rank = collocation_solve(density.spec, kernel)
+    if rank < len(coeffs):
+        error = f"collocation matrix rank {rank} < {len(coeffs)}"
+        return {"error": error, "passed": False}
+    if residual > COLLOCATION_RESIDUAL_TOL:
+        error = (
+            f"collocation residual {residual:.3e} above "
+            f"{COLLOCATION_RESIDUAL_TOL:.1e}"
+        )
+        return {"error": error, "passed": False}
     scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
     deviation = max(
         _finite(abs(float(exact) - got) / scale)
-        for exact, got in zip(density.coeffs_c, sol.coeffs)
+        for exact, got in zip(density.coeffs_c, coeffs)
     )
     return _check(
         "max_coeff_deviation",
         deviation,
         1e-8,
-        residual_norm=sol.residual_norm,
-        condition_estimate=sol.condition_estimate,
+        residual_norm=residual,
+        condition_estimate=condition,
     )
 
 

@@ -49,5 +49,4 @@ def random_spec(rng, max_degree=20, max_radius=10, epsilon0=1.0):
 
 def collocation_kernel(count):
     """The oracle's kernel table at its collocation points, count columns."""
-    points = tuple(oracle.chebyshev_points(oracle.COLLOCATION_POINTS))
-    return oracle.axis_kernel_integral(count, points)
+    return oracle.axis_kernel_integral(count, oracle.CHEBYSHEV_POINTS)

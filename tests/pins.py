@@ -7,7 +7,8 @@ pin in table order, through the ``axoball`` on PATH and then through
 empty stderr.  A bad argv runs once between the csv and the table matrix
 pins, so every command also runs after it; it must exit 2 with an empty
 stdout and argparse's usage on stderr, with no traceback.  The script
-exits non-zero naming the first pin that differs.
+exits non-zero naming the first pin that differs, and exits 1 with one
+line, before any pin, when there is no ``axoball`` on PATH.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -116,6 +118,8 @@ def check(run, where, directory):
 
 
 if __name__ == "__main__":
+    if shutil.which("axoball") is None:
+        sys.exit("no axoball console script on PATH: install the package first")
     with tempfile.TemporaryDirectory() as directory:
         sys.exit(
             check(run_script, "through the axoball on PATH", directory)

@@ -20,6 +20,17 @@ integrated moment, the closed force sum and the integrated force from the
 pair products of the density's numerators.  ``schoolbook_product`` is the
 pair loop that the library's Kronecker product must equal.
 
+The grounded ball in the field of a point charge is a third path that
+shares no code with the library: no F, no G and no Legendre moment.  A
+charge q at s = a > r on the axis has phi0(s) = q / (4 pi eps0 (a - s)),
+so b_k = -a^(-k) in units where q / (4 pi eps0) = 1, and each truncation
+to degree n is a valid input.  The untruncated field has Kelvin's image,
+a charge -q r / a at r^2 / a (Jackson, *Classical Electrodynamics*,
+section 2.2).  Every moment of order m <= n reads only b_1..b_{m+1}, so it
+equals the image density's moment exactly; the force is the image force's
+partial sum.  In floats the truncation is (r / a)^n off, relative, which
+is below roundoff at the degrees the tests use.
+
 The float references below them are built from the oracle's Legendre
 recurrence, Gauss-Legendre rules and axis kernel: Legendre values, the
 moment integrals F_ij by quadrature, the recursive one-value-at-a-time
@@ -29,7 +40,7 @@ quadrature.
 """
 
 from fractions import Fraction
-from math import factorial, lcm, sqrt
+from math import comb, factorial, lcm, sqrt
 
 from axoball import electrostatics, moment_matrix, oracle
 
@@ -234,6 +245,63 @@ def schoolbook_product(u, v):
         for e, y in enumerate(v):
             out[a + e] += x * y
     return out
+
+
+def point_charge_field(a, n):
+    """b_1..b_{n+1} of a unit point charge's field at s = a: -a^(-k)."""
+    return tuple(-(Fraction(a) ** -k) for k in range(1, n + 2))
+
+
+def image_charge(r, a):
+    """The induced charge -4 r / a, in units of pi eps0."""
+    return -4 * Fraction(r) / a
+
+
+def image_dipole(r, a):
+    """The induced dipole -4 r^3 / a^2, in units of pi eps0."""
+    return -4 * Fraction(r) ** 3 / Fraction(a) ** 2
+
+
+def image_moment(r, a, m):
+    """The order-m moment of the image density, in units of pi eps0:
+
+        -2 r^(m+1) (a^2 - r^2) int_{-1}^{1} eta^m (a^2 + r^2 - 2 a r eta)^(-3/2) d eta.
+
+    With w^2 = a^2 + r^2 - 2 a r eta the integral is (1 / (a r)) times
+    int_{a-r}^{a+r} eta(w)^m w^(-2) dw, eta(w) = (a^2 + r^2 - w^2) / (2 a r);
+    expanding eta(w)^m binomially leaves the powers w^(2k-2), each
+    integrated in closed form, the k = 0 term included."""
+    r, a = Fraction(r), Fraction(a)
+    total = Fraction(0)
+    for k in range(m + 1):
+        e = 2 * k - 1
+        power = ((a + r) ** e - (a - r) ** e) / e
+        total += comb(m, k) * (-1) ** k * (a * a + r * r) ** (m - k) * power
+    integral = total / ((2 * a * r) ** m * a * r)
+    return -2 * r ** (m + 1) * (a * a - r * r) * integral
+
+
+def image_force(r, a, n):
+    """The closed force sum of the degree-n truncation, in units of pi eps0:
+    4 r a^(-3) (1 - (n+1) x^n + n x^(n+1)) / (1 - x)^2, x = r^2 / a^2."""
+    r, a = Fraction(r), Fraction(a)
+    x = r * r / (a * a)
+    return 4 * r / a**3 * (1 - (n + 1) * x**n + n * x ** (n + 1)) / (1 - x) ** 2
+
+
+def image_axis_potential(r, a, s):
+    """The untruncated induced axis potential at s, a float: -1 / (a - s)
+    inside the ball, which cancels phi0 there, and the image charge's
+    -(r / a) / |s - r^2 / a| outside it."""
+    if abs(s) <= r:
+        return -1.0 / (a - s)
+    return -(r / a) / abs(s - r * r / a)
+
+
+def image_density(r, a, z, epsilon0):
+    """The untruncated induced density at z, a float, in SI units:
+    -eps0 (a^2 - r^2) / (r (a^2 + r^2 - 2 a z)^(3/2))."""
+    return -epsilon0 * (a * a - r * r) / (r * (a * a + r * r - 2 * a * z) ** 1.5)
 
 
 def legendre_eval(n, x):

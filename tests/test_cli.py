@@ -148,11 +148,10 @@ def test_verify_skips_collocation_past_degree_10(tmp_path, capsys):
 def test_verify_breach_exits_3(tmp_path, capsys, monkeypatch):
     # force a bogus oracle answer to prove the exit-code contract
     import axoball.oracle as oracle_mod
-    from axoball.oracle import CollocationSolution
 
     def bogus(spec, kernel):
         n1 = len(spec.coeffs_b)
-        return CollocationSolution((123.0,) * n1, 1e-15, 1.0)
+        return (123.0,) * n1, 1e-15, 1.0, n1
 
     monkeypatch.setattr(oracle_mod, "collocation_solve", bogus)
     path = write_problem(tmp_path, BASIC)
@@ -403,6 +402,19 @@ def test_pin_script_checks_the_axoball_on_path(tmp_path):
         "pin 0 (axoball matrix --order 200 --which F --format csv) "
         "differs through the axoball on PATH"
     )
+
+
+def test_pin_script_names_a_missing_console_script(tmp_path):
+    # an empty directory as PATH: one line on stderr, before any pin
+    script = os.path.join(os.path.dirname(__file__), "pins.py")
+    run = subprocess.run(
+        [sys.executable, script], capture_output=True, text=True,
+        env=dict(CHILD_ENV, PATH=str(tmp_path)),
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.splitlines() == [
+        "no axoball console script on PATH: install the package first"
+    ]
 
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
@@ -730,6 +742,7 @@ solve, profile, tiny = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["solve", solve]),
+        main(["solve", profile]),
         main(["profile", profile]),
         main(["profile", tiny]),
         main(["solve", tiny + ".missing"]),
@@ -745,8 +758,9 @@ print(json.dumps([codes, unverified, added({"numpy", "dataclasses"})]))
 
 
 def test_only_verify_loads_numpy_and_logging(tmp_path):
-    # one fresh interpreter: solve, profile and matrix, bad input included,
-    # import neither the oracle nor numpy, logging, dataclasses or inspect;
+    # one fresh interpreter: solve (of a problem with a profile block too),
+    # profile and matrix, bad input included, import neither the oracle nor
+    # numpy, logging, dataclasses or inspect;
     # --verify loads numpy and logging (numpy itself loads inspect), but
     # not dataclasses
     tiny_span = {"samples": 3, "span": "1e-400"}
@@ -768,7 +782,7 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
     assert errors[-1].startswith("axoball matrix: error: argument --order")
     assert "Traceback" not in proc.stderr
     codes, unverified, verified = json.loads(proc.stdout)
-    assert codes == [0, 0, 2, 2, 0, 2, 0]
+    assert codes == [0, 0, 0, 2, 2, 0, 2, 0]
     assert unverified == []
     assert verified == ["numpy"]
 

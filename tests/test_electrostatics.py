@@ -30,7 +30,7 @@ from axoball.electrostatics import (
     total_charge,
 )
 from axoball.moment_matrix import g_entry
-from axoball.oracle import CollocationSolution, QuadratureRule
+from axoball.oracle import QuadratureRule
 from conftest import random_coeffs, random_radius, random_spec
 import references
 from pins import problem
@@ -753,15 +753,10 @@ VALUE_CLASSES = {
         lambda: QuadratureRule((-0.5, 0.5), (1.0, 1.0)),
         ("nodes", "weights"),
     ),
-    CollocationSolution: (
-        lambda: CollocationSolution((1.0, -2.0), 1e-15, 3.0),
-        ("coeffs", "residual_norm", "condition_estimate"),
-    ),
 }
 # the value classes whose constructors take any field values, by field count
 ANY_FIELDS = {
     2: (ExactPhysical, ChargeDensity, QuadratureRule),
-    3: (CollocationSolution,),
 }
 
 
@@ -803,7 +798,6 @@ BASE_CONSTRUCTED = (
     ChargeDensity,
     es_mod.BallReport,
     QuadratureRule,
-    CollocationSolution,
 )
 
 

@@ -9,13 +9,13 @@ from axoball import PotentialSpec, build_report, solve_charge_density
 from axoball.electrostatics import axial_force, multipole_moment
 from axoball.moment_matrix import f_entry_closed_form
 from axoball.oracle import (
+    CHEBYSHEV_POINTS,
+    COLLOCATION_MAX_DEGREE,
     COLLOCATION_POINTS,
-    CollocationError,
     OutOfRangeError,
     axis_kernel_integral,
     brute_force_force,
     brute_force_moment,
-    chebyshev_points,
     check_report,
     collocation_solve,
     equation_residual,
@@ -127,7 +127,7 @@ def test_kernel_integral_matches_legendre_expansion():
 
 def test_kernel_table_is_the_recursive_rule_bit_for_bit():
     # every column at every collocation point, for each table width
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    points = CHEBYSHEV_POINTS
     reference = [[axis_kernel(j, xi) for j in range(1, 26)] for xi in points]
     for count in range(1, 26):
         table = axis_kernel_integral(count, points)
@@ -136,7 +136,7 @@ def test_kernel_table_is_the_recursive_rule_bit_for_bit():
 
 
 def test_wide_kernel_table_is_the_recursive_rule_bit_for_bit():
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))[::15]
+    points = CHEBYSHEV_POINTS[::15]
     table = axis_kernel_integral(201, points)
     reference = [[axis_kernel(j, xi) for j in range(1, 202)] for xi in points]
     assert table.tolist() == reference
@@ -167,17 +167,15 @@ def test_mirrored_points_keep_the_recursive_rule_bit_for_bit(xis, count):
 
 
 def test_kernel_takes_one_pow_per_mirrored_pair_of_panels(monkeypatch):
-    import axoball.oracle as oracle_mod
-
     calls = []
+    libm_pow = math.pow
 
     def counted(base, exponent):
         calls.append((base, exponent))
-        return math.pow(base, exponent)
+        return libm_pow(base, exponent)
 
-    monkeypatch.setattr(oracle_mod, "_pow", counted)
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))
-    axis_kernel_integral(25, points)
+    monkeypatch.setattr(math, "pow", counted)
+    axis_kernel_integral(25, CHEBYSHEV_POINTS)
     # only level 0's whole-interval panel, its own mirror, repeats a
     # (|eta|, power) pair: its nodes k and 15 - k
     whole = {abs(x) for x in gauss_legendre(16).nodes}
@@ -193,6 +191,7 @@ def test_kernel_table_logs_its_work(monkeypatch, caplog):
     pows = []
     panels = []
     panel_sums = oracle_mod._panel_sums
+    libm_pow = math.pow
 
     def spy(level, index, *args):
         panels.append((level, len(index)))
@@ -200,10 +199,10 @@ def test_kernel_table_logs_its_work(monkeypatch, caplog):
 
     def counted(base, exponent):
         pows.append(exponent)
-        return math.pow(base, exponent)
+        return libm_pow(base, exponent)
 
     monkeypatch.setattr(oracle_mod, "_panel_sums", spy)
-    monkeypatch.setattr(oracle_mod, "_pow", counted)
+    monkeypatch.setattr(math, "pow", counted)
     caplog.set_level(logging.DEBUG, logger="axoball")
     axis_kernel_integral(3, (0.5, -0.9))
     [record] = caplog.records
@@ -238,7 +237,7 @@ def test_kernel_table_at_no_points_is_empty(count):
 
 def test_kernel_table_is_a_prefix_of_any_wider_one():
     # each (point, column) is integrated on its own, whatever the width
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    points = CHEBYSHEV_POINTS
     wide = axis_kernel_integral(25, points)
     for count in range(1, 26):
         table = axis_kernel_integral(count, points)
@@ -285,7 +284,7 @@ def test_check_report_builds_one_kernel_table(monkeypatch, degree):
     monkeypatch.setattr(oracle_mod, "axis_kernel_integral", counted)
     spy("collocation_solve")
     spy("equation_residual")
-    points = tuple(chebyshev_points(COLLOCATION_POINTS))
+    points = CHEBYSHEV_POINTS
     block = check_report(build_report(PotentialSpec(1, tuple(range(1, degree + 2)))))
     assert ("skipped" in block["checks"]["collocation"]) == (degree > 10)
     assert calls == [(COLLOCATION_POINTS, points)]
@@ -369,53 +368,77 @@ def test_check_report_hashes_no_value(monkeypatch):
 
 
 def test_chebyshev_points_lie_inside():
-    pts = chebyshev_points(32)
-    assert len(pts) == 32
-    assert all(-1 < p < 1 for p in pts)
-    assert len(set(pts)) == 32
+    assert len(CHEBYSHEV_POINTS) == 32
+    assert all(-1 < p < 1 for p in CHEBYSHEV_POINTS)
+    assert len(set(CHEBYSHEV_POINTS)) == 32
 
 
 def test_collocation_recovers_constant_density():
-    sol = collocation_solve(PotentialSpec(1, (1,), epsilon0=1.0), collocation_kernel(1))
-    assert sol.coeffs[0] == pytest.approx(0.5, abs=1e-9)
-    assert sol.residual_norm < 1e-9
+    spec = PotentialSpec(1, (1,), epsilon0=1.0)
+    coeffs, residual, _, rank = collocation_solve(spec, collocation_kernel(1))
+    assert coeffs[0] == pytest.approx(0.5, abs=1e-9)
+    assert residual < 1e-9
+    assert rank == 1
 
 
 def test_collocation_recovers_linear_density():
     spec = PotentialSpec(1, (0, 1), epsilon0=1.0)
-    sol = collocation_solve(spec, collocation_kernel(2))
-    assert sol.coeffs[0] == pytest.approx(0.0, abs=1e-9)
-    assert sol.coeffs[1] == pytest.approx(1.5, abs=1e-9)
+    coeffs, residual, _, rank = collocation_solve(spec, collocation_kernel(2))
+    assert coeffs[0] == pytest.approx(0.0, abs=1e-9)
+    assert coeffs[1] == pytest.approx(1.5, abs=1e-9)
+    assert residual < 1e-9 and rank == 2
 
 
 def test_collocation_quadratic_with_radius():
     r = 2.0
     spec = PotentialSpec(2, (0, 0, 1), epsilon0=1.0)
-    sol = collocation_solve(spec, collocation_kernel(3))
-    assert sol.coeffs[0] == pytest.approx(-1.25 * r * r, rel=1e-8)
-    assert sol.coeffs[1] == pytest.approx(0.0, abs=1e-8)
-    assert sol.coeffs[2] == pytest.approx(3.75, rel=1e-8)
-    assert sol.condition_estimate < 1e6
-
-
-def test_collocation_needs_enough_points():
-    # degree 32 has 33 coefficients, one more than the 32 points
-    with pytest.raises(ValueError, match="collocation points"):
-        collocation_solve(PotentialSpec(1, (1,) * 33), collocation_kernel(33))
-
-
-def test_collocation_needs_one_kernel_column_per_coefficient():
-    with pytest.raises(ValueError, match="one column per coefficient"):
-        collocation_solve(PotentialSpec(1, (1, 2, 3)), collocation_kernel(4))
+    coeffs, residual, condition, rank = collocation_solve(spec, collocation_kernel(3))
+    assert coeffs[0] == pytest.approx(-1.25 * r * r, rel=1e-8)
+    assert coeffs[1] == pytest.approx(0.0, abs=1e-8)
+    assert coeffs[2] == pytest.approx(3.75, rel=1e-8)
+    assert condition < 1e6
+    assert residual < 1e-9 and rank == 3
 
 
 def test_collocation_reports_residual_breach(monkeypatch):
-    # an honest solve cannot reach an absurd tolerance
+    # an honest solve cannot reach an absurd tolerance, and the run fails
+    import axoball.oracle as oracle_mod
+
+    spec = PotentialSpec(1, (1, 2, 3))
+    _, residual, _, _ = collocation_solve(spec, collocation_kernel(3))
+    monkeypatch.setattr(oracle_mod, "COLLOCATION_RESIDUAL_TOL", 1e-30)
+    block = check_report(build_report(spec))
+    assert block["checks"]["collocation"] == {
+        "error": f"collocation residual {residual:.3e} above 1.0e-30",
+        "passed": False,
+    }
+    assert block["passed"] is False
+
+
+def test_collocation_judges_the_rank_before_the_residual(monkeypatch):
     import axoball.oracle as oracle_mod
 
     monkeypatch.setattr(oracle_mod, "COLLOCATION_RESIDUAL_TOL", 1e-30)
-    with pytest.raises(CollocationError, match="above 1.0e-30"):
-        collocation_solve(PotentialSpec(1, (1, 2, 3)), collocation_kernel(3))
+    monkeypatch.setattr(
+        oracle_mod, "collocation_solve", lambda *args: ((0.5, 1.0, 1.5), 1.0, 1.0, 2)
+    )
+    block = check_report(build_report(PotentialSpec(1, (1, 2, 3))))
+    assert block["checks"]["collocation"] == {
+        "error": "collocation matrix rank 2 < 3",
+        "passed": False,
+    }
+    assert block["passed"] is False
+
+
+def test_collocation_pass_block_keys():
+    block = check_report(ball_report(COLLOCATION_MAX_DEGREE))["checks"]["collocation"]
+    assert list(block) == CHECK_KEYS["collocation"]
+    assert block["passed"] is True
+
+
+def test_collocation_skip_block_at_degree_11():
+    block = check_report(ball_report(COLLOCATION_MAX_DEGREE + 1))["checks"]
+    assert block["collocation"] == {"skipped": "degree above 10", "passed": True}
 
 
 def test_equation_residual_small_for_exact_solutions(rng):
