@@ -19,10 +19,11 @@ from fractions import Fraction
 # Python's int-to-str digit limit as it stands, or 0 on a Python without one
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-# decimal text with an exponent, as Fraction reads it; group 1 is the
-# exponent, whose power of ten Fraction builds before anything can fail
+# decimal text with an exponent, as Fraction reads it; group 1 is the part
+# before the exponent, group 2 the exponent, whose power of ten Fraction
+# builds before anything can fail
 _DECIMAL_EXPONENT = re.compile(
-    r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
+    r"([-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)[eE]([-+]?\d+(?:_\d+)*)"
 )
 
 
@@ -51,17 +52,19 @@ def _plain(text):
 
 
 def _exponent_past(text, limit):
-    """Whether ``text`` is decimal text whose exponent's magnitude is past
-    ``limit``: its value has more digits than that either way."""
+    """The part before the exponent of decimal text whose exponent's
+    magnitude is past ``limit``, or None for any other text.  Unless that
+    part is zero, the value has more digits than ``limit`` either way."""
     if "e" not in text and "E" not in text:  # cheaper than the match
-        return False
+        return None
     match = _DECIMAL_EXPONENT.fullmatch(text)
     if match is None:
-        return False
+        return None
     try:
-        return abs(int(match.group(1))) > limit
+        past = abs(int(match.group(2))) > limit
     except ValueError:  # the exponent alone has more digits than int reads
-        return True
+        past = True
+    return match.group(1) if past else None
 
 
 def parse_rational(value):
@@ -77,6 +80,7 @@ def parse_rational(value):
     int_max_str_digits limit, 4300 by default, which is left alone).  A
     decimal exponent past that limit is refused before any Fraction is
     built: ten to that power would be carried through the whole solve.
+    Zero with such an exponent is zero, read without building the power.
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational number, got a boolean")
@@ -95,7 +99,13 @@ def parse_rational(value):
         return plain
     text = value.strip()
     limit = _digit_limit()
-    past_limit = limit and _exponent_past(text, limit)
+    mantissa = _exponent_past(text, limit) if limit else None
+    if mantissa is not None and not any(
+        ch.isdecimal() and int(ch) for ch in mantissa
+    ):
+        # zero times ten to any power, the power never built
+        return Fraction(0)
+    past_limit = mantissa is not None
     if not past_limit:
         try:
             return Fraction(text)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axoball import rational as rational_mod
@@ -67,6 +67,14 @@ class NoFraction(Fraction):
         raise AssertionError("built a Fraction from a refused exponent")
 
 
+class ZeroOnly(Fraction):
+    """Stands in for ``rational.Fraction``: only zero can be built."""
+
+    def __new__(cls, *args, **kwargs):
+        assert args == (0,), "built a Fraction from text past the digit limit"
+        return Fraction(0)
+
+
 @needs_digit_limit
 @pytest.mark.parametrize(
     "text",
@@ -87,6 +95,18 @@ def test_exponent_past_the_digit_limit_is_refused_unbuilt(monkeypatch, text):
     message = re.escape(f"more than {DIGIT_LIMIT} digits (Python's int-to-str limit) in")
     with pytest.raises(ValueError, match=message):
         parse_rational(text)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text",
+    ["0E5000", f"-0.00e{DIGIT_LIMIT + 1}", "0e-" + "9" * (DIGIT_LIMIT + 1)],
+    ids=["zero", "negative-zero", "long-exponent"],
+)
+def test_zero_with_an_exponent_past_the_digit_limit_is_zero(monkeypatch, text):
+    # zero times ten to any power, the power never built
+    monkeypatch.setattr(rational_mod, "Fraction", ZeroOnly)
+    assert parse_rational(text) == 0
 
 
 @needs_digit_limit
@@ -113,6 +133,13 @@ def _outcome(text):
         return str(exc)
 
 
+def _past_digit_limit(exponent):
+    try:
+        return abs(int(exponent)) > DIGIT_LIMIT
+    except ValueError:  # no exponent Fraction reads
+        return False
+
+
 # text that the plain path reads: an integer, p/q, or a decimal with
 # digits on both sides of its point, at most 40 characters
 plain_texts = st.from_regex(
@@ -131,12 +158,28 @@ odd_texts = st.one_of(
 
 
 @given(st.one_of(plain_texts, odd_texts))
+@example("0E5000")
+@example("1e5000")
 @settings(max_examples=400)
 def test_plain_path_reads_what_fraction_reads(text):
     got = _outcome(text)
     # with the plain path off, parse_rational is Fraction's path alone
     with mock.patch.object(rational_mod, "_plain", lambda text: None):
         assert _outcome(text) == got
+    decimal = re.fullmatch(r"(.*)[eE]([-+]?[\d_]+)", text.strip())
+    if DIGIT_LIMIT and decimal and _past_digit_limit(decimal.group(2)):
+        # ten to such a power is built by neither side: a stand-in exponent
+        # says whether the text is a decimal, and whether it is zero
+        try:
+            head = Fraction(decimal.group(1) + "e0")
+        except ValueError:
+            assert isinstance(got, str)
+        else:
+            if head == 0:
+                assert type(got) is Fraction and got == 0
+            else:
+                assert got.startswith(f"more than {DIGIT_LIMIT} digits")
+        return
     try:
         expected = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
