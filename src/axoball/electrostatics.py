@@ -39,20 +39,24 @@ path but the solve sums through ``_in_r2``.  The solve sums row i of
 G = B D^{-1} from the integers 2^(j-1) B_ij as they stand in
 ``moment_matrix._b_rows``, the one process-wide table of the row walks,
 which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
-weight.  ``multipole_moments`` takes the numerators of b and of c once for
-all its orders, and ``build_report`` once for its moments and its force:
-the closed sum of order m reads column m+1 of F as the integers
-``moment_matrix._f_column`` walks over one denominator, and the integrated
-path runs through the private ``_integral``, which no closed form uses.
-The force's closed sum is one integer over b's numerators; its integral
-squares c's numerator polynomial as one big-int product (Kronecker
-substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
+weight.  The integers are taken on the values that hold them: a
+PotentialSpec takes b's numerators over their least common denominator
+when it is built, and a ChargeDensity takes c's when a quantity first
+reads them, each kept in a private slot that is no field.  The closed sum
+of order m reads column m+1 of F as the integers ``moment_matrix._f_column``
+walks over one denominator, and the integrated path runs through the
+private ``_integral``, which no closed form uses.  The force's closed sum
+is one integer over b's numerators; its integral squares c's numerator
+polynomial as one big-int product (Kronecker substitution, ``_product``),
+so CPython's Karatsuba multiplies the pairs.
 
 The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
 and the oracle's QuadratureRule) are plain immutable classes on one base,
 ``_Value``: equal within one class and hashed by their fields, pickled and
 copied through their constructors, which also build a changed copy.
-Assigning or deleting a field raises AttributeError.
+Assigning or deleting a field raises AttributeError.  A slot named with a
+leading underscore is no field: it holds what a value derives from its
+fields, and equality, hashing, repr and copies ignore it.
 
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact
@@ -99,13 +103,13 @@ class _Value:
     docstring."""
 
     __slots__ = ()
-    # the fields: the ``__slots__`` of the class that declares them, which
-    # a subclass with empty ``__slots__`` inherits
+    # the fields: the public ``__slots__`` of the class that declares them,
+    # which a subclass with empty ``__slots__`` inherits
     _names = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._names = cls.__slots__ or cls._names
+        cls._names = tuple(n for n in cls.__slots__ if n[0] != "_") or cls._names
 
     def __init__(self, *fields, **named):
         names = self._names
@@ -173,10 +177,11 @@ class PotentialSpec(_Value):
     normalized away (the degree is the index of the last nonzero
     coefficient); the all-zero potential collapses to a single 0.
 
-    ``epsilon0`` is a plain float used only for float rendering.
+    ``epsilon0`` is a plain float used only for float rendering.  b's
+    numerators over their least common denominator are taken here, once.
     """
 
-    __slots__ = ("radius", "coeffs_b", "epsilon0")
+    __slots__ = ("radius", "coeffs_b", "epsilon0", "_b")
 
     def __init__(self, radius, coeffs_b, epsilon0=VACUUM_PERMITTIVITY):
         radius = parse_rational(radius)
@@ -196,6 +201,7 @@ class PotentialSpec(_Value):
                 "field 'epsilon0': must be positive and within float range"
             )
         super().__init__(radius, tuple(coeffs), eps)
+        object.__setattr__(self, "_b", _numerators(coeffs))
 
     @property
     def degree(self):
@@ -209,7 +215,7 @@ class ChargeDensity(_Value):
     The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
     also builds a density that does not solve its spec."""
 
-    __slots__ = ("spec", "coeffs_c")
+    __slots__ = ("spec", "coeffs_c", "_c")
 
     @property
     def radius(self):
@@ -226,6 +232,13 @@ class ChargeDensity(_Value):
     @property
     def degree(self):
         return len(self.coeffs_c) - 1
+
+    def _numerators_c(self):
+        """c's numerators over their least common denominator, taken on
+        the first call and kept."""
+        if not hasattr(self, "_c"):
+            object.__setattr__(self, "_c", _numerators(self.coeffs_c))
+        return self._c
 
     def sigma(self, points):
         """Density at each axial coordinate in ``points``, in SI units
@@ -257,7 +270,7 @@ def solve_charge_density(spec):
     denominator 2^n s^(n-i) L, n = len(b).
     """
     p, s = spec.radius.numerator, spec.radius.denominator
-    big_b, lcd = _numerators(spec.coeffs_b)
+    big_b, lcd = spec._b
     n1 = len(big_b)
     # b_j's factor over the common denominator with G's (2j - 1), all but
     # the power of p
@@ -480,29 +493,16 @@ def multipole_moments(density, orders):
     """The multipole moments of the given orders, as a dict from each order
     to its ExactPhysical, in the order requested.
 
-    The numerators of b and of c over their common denominators are taken
-    once; each order then sums its closed form from b and its defining
-    integral from c as one integer each.  The orders are evaluated in turn,
-    so the first order whose two paths disagree raises ConsistencyError.
+    Each order sums its closed form from the numerators of b its spec took
+    and its defining integral from the numerators of c the density keeps,
+    as one integer each.  The orders are evaluated in turn, so the first
+    order whose two paths disagree raises ConsistencyError.
     """
-    orders = _orders(orders)
-    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
-    return _moments(density, b, c, orders)
-
-
-def _orders(orders):
-    """The moment orders as a list, once each is a non-negative int."""
     orders = list(orders)
     for m in orders:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
-    return orders
-
-
-def _moments(density, b, c, orders):
-    """``multipole_moments`` from the numerators b and c of the density's
-    b and c, each with its denominator, as ``_numerators`` gives them."""
-    r = density.radius
+    r, b, c = density.radius, density.spec._b, density._numerators_c()
     return {
         m: _agreed(
             "moment",
@@ -526,13 +526,7 @@ def axial_force(density):
     polynomial by one big-int product (``_product``).  Both paths are exact
     and must agree.
     """
-    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
-    return _force(density, b, c)
-
-
-def _force(density, b, c):
-    """``axial_force`` from the numerators b and c, as for ``_moments``."""
-    r = density.radius
+    r, b, c = density.radius, density.spec._b, density._numerators_c()
     return _agreed(
         "force", None, _integrated_force(*c, r), _closed_force(*b, r), density
     )
@@ -611,13 +605,12 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
     The charge and the dipole are the moments of orders 0 and 1, so each
     order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.  The numerators of b and c are
-    taken once, for the moments and the force alike.
+    the requested orders in their order.  The moments and the force read
+    the numerators of b that spec took when it was built, and those of c
+    that the density takes for the first of them.
     """
     density = solve_charge_density(spec)
-    orders = _orders(dict.fromkeys([*moments, 0, 1]))
-    b, c = _numerators(density.coeffs_b), _numerators(density.coeffs_c)
-    values = _moments(density, b, c, orders)
+    values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
     multipoles = {m: values[m] for m in moments}
-    force = _force(density, b, c)
+    force = axial_force(density)
     return BallReport(density, values[0], values[1], multipoles, force)

@@ -19,6 +19,10 @@ from fractions import Fraction
 # Python's int-to-str digit limit as it stands, or 0 on a Python without one
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+# Python's default digit limit, which bounds a decimal exponent where the
+# limit is 0 (switched off, or a Python without one)
+_DEFAULT_DIGITS = 4300
+
 # decimal text with an exponent, as Fraction reads it; group 1 is the part
 # before the exponent, group 2 the exponent, whose power of ten Fraction
 # builds before anything can fail
@@ -78,9 +82,10 @@ def parse_rational(value):
     Raises ValueError with a readable message on malformed input, a zero
     denominator, or more digits than Python turns into an integer (its
     int_max_str_digits limit, 4300 by default, which is left alone).  A
-    decimal exponent past that limit is refused before any Fraction is
-    built: ten to that power would be carried through the whole solve.
-    Zero with such an exponent is zero, read without building the power.
+    decimal exponent past that limit, or past 4300 where the limit is 0, is
+    refused before any Fraction is built: ten to that power would be
+    carried through the whole solve.  Zero with such an exponent is zero,
+    read without building the power.
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational number, got a boolean")
@@ -99,7 +104,8 @@ def parse_rational(value):
         return plain
     text = value.strip()
     limit = _digit_limit()
-    mantissa = _exponent_past(text, limit) if limit else None
+    bound = limit or _DEFAULT_DIGITS
+    mantissa = _exponent_past(text, bound)
     if mantissa is not None and not any(
         ch.isdecimal() and int(ch) for ch in mantissa
     ):
@@ -115,7 +121,8 @@ def parse_rational(value):
             past_limit = limit and sum(ch.isdigit() for ch in text) > limit
             reason = "not a rational number:"
     if past_limit:
-        reason = f"more than {limit} digits (Python's int-to-str limit) in"
+        which = "" if limit else "default "
+        reason = f"more than {bound} digits (Python's {which}int-to-str limit) in"
     # a huge input is echoed only by its first 40 characters
     shown = value if len(value) <= 40 else value[:40] + "..."
     raise ValueError(f"{reason} {shown!r}")

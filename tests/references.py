@@ -289,6 +289,29 @@ def image_force(r, a, n):
     return 4 * r / a**3 * (1 - (n + 1) * x**n + n * x ** (n + 1)) / (1 - x) ** 2
 
 
+def source_charges(b, r):
+    """Point charges whose field, truncated to degree n = len(b) - 1, is b:
+    (a_l, q_l) pairs at s = a_l = r + l, l = 1..n+1.  The field of q at a
+    has b_k = -q a^(-k), so with x_l = 1/a_l and y_l = q_l x_l the
+    strengths solve the Vandermonde system sum_l y_l x_l^(k-1) = -b_k,
+    k = 1..n+1, whose inverse holds the coefficients of the Lagrange
+    polynomials of the nodes x_l."""
+    r = Fraction(r)
+    spots = [r + l for l in range(1, len(b) + 1)]
+    nodes = [1 / a for a in spots]
+    charges = []
+    for a, x in zip(spots, nodes):
+        # prod over the other nodes of (t - x_j) / (x - x_j), low order first
+        poly, scale = [Fraction(1)], Fraction(1)
+        for other in nodes:
+            if other != x:
+                poly = [lo - other * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+                scale *= x - other
+        y = -sum(c * bk for c, bk in zip(poly, b)) / scale
+        charges.append((a, y / x))
+    return charges
+
+
 def image_axis_potential(r, a, s):
     """The untruncated induced axis potential at s, a float: -1 / (a - s)
     inside the ball, which cancels phi0 there, and the image charge's

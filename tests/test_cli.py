@@ -188,6 +188,14 @@ def bad(id, argv, content, text, marks=()):
     return pytest.param(argv, content, text, id=id, marks=marks)
 
 
+# past cli.WORK_BOUND: (40 + 100) x 14281 bits for 41 + 101 values, which
+# would run for about 40 s before the charge density failed to print
+TOO_LARGE = bad("too-large-to-solve", "solve {file}",
+                {"radius": "1e4299", "coeffs_b": ["1"] * 41, "moments": list(range(101))},
+                "error: too large to solve: the radius has 14281 bits, and degree + "
+                "max order is 140\n")
+
+
 BAD_INPUT = [
     bad("no-command", "", None, "axoball: error: the following arguments are required"),
     bad("order-x", "matrix --order x --which F", None,
@@ -233,6 +241,7 @@ BAD_INPUT = [
     bad("moment-past-1000", "solve {file}",
         dict(ONE, coeffs_b=["1", "2"], moments=[0, 1001]),
         "error: field 'moments[1]': must be at most 1000\n"),
+    TOO_LARGE,
     bad("no-profile", "profile {file}", ONE, "problem file has no 'profile' section"),
     bad("profile-not-an-object", "solve {file}", dict(ONE, profile=5),
         "field 'profile': must be an object"),
@@ -313,6 +322,27 @@ def assert_refused(tmp_path, capsys, argv, content, text):
 @pytest.mark.parametrize("argv, content, text", BAD_INPUT)
 def test_bad_input_exits_2(tmp_path, capsys, argv, content, text):
     assert_refused(tmp_path, capsys, argv, content, text)
+
+
+def test_the_work_bound_lies_between_a_3_and_a_4_bit_radius(tmp_path):
+    # degree 400 with every order 0..1000, the largest problem of the other
+    # caps, is served with the radius 7/3 and refused with 15/13
+    body = {"radius": "7/3", "coeffs_b": ["1"] * 401, "moments": list(range(1001))}
+    assert load_problem(write_problem(tmp_path, body)).spec.degree == 400
+    with pytest.raises(ProblemError, match="the radius has 4 bits, and degree \\+ max"):
+        load_problem(write_problem(tmp_path, dict(body, radius="15/13")))
+
+
+def test_a_problem_past_the_work_bound_is_refused_unsolved(
+    tmp_path, capsys, monkeypatch
+):
+    import axoball.electrostatics as es_mod
+
+    def unsolvable(spec):
+        raise AssertionError("solved a problem past the work bound")
+
+    monkeypatch.setattr(es_mod, "solve_charge_density", unsolvable)
+    assert_refused(tmp_path, capsys, *TOO_LARGE.values)
 
 
 # rows for the files that JSON cannot decode; each text is the whole

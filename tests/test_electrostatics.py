@@ -526,9 +526,12 @@ def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
     body = problem(24, range(8))
     spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
     report = build_report(spec, body["moments"])
-    # the solve's b, and the b and c that the moments and the force share
-    assert len(calls) <= 3
-    assert calls[-2:] == [spec.coeffs_b, report.density.coeffs_c]
+    # b when the spec is built, and c when the first moment reads it
+    assert calls == [list(spec.coeffs_b), report.density.coeffs_c]
+    # a density that already served a quantity takes neither again
+    multipole_moments(report.density, range(8))
+    axial_force(report.density)
+    assert len(calls) == 2
 
 
 def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
@@ -822,3 +825,15 @@ def test_value_constructor_takes_each_field_once(cls):
     other = type("Other", (cls,), {"__slots__": ()})(*fields)
     assert [getattr(other, name) for name in names] == fields
     assert repr(other) == "Other" + repr(value)[len(cls.__name__) :]
+
+
+def test_the_numerators_a_value_keeps_are_no_field():
+    # a density that served a quantity keeps c's numerators in a private
+    # slot, which equality, hashing, repr and copies do not see
+    fresh, served = solve_charge_density(_spec()), solve_charge_density(_spec())
+    axial_force(served)
+    assert served == fresh and hash(served) == hash(fresh)
+    assert repr(served) == repr(fresh)
+    for copied in (pickle.loads(pickle.dumps(served)), copy.copy(served)):
+        assert copied == fresh and not hasattr(copied, "_c")
+    assert served.spec._b == es_mod._numerators(served.coeffs_b)

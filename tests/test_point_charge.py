@@ -1,7 +1,8 @@
 """The grounded ball in a point charge's field against ``build_report``:
 the exact charge, dipole, moments and force of every truncation, and the
 float samplers against Kelvin's image at degrees where the truncation is
-below roundoff."""
+below roundoff.  Any potential of moderate degree is the truncated field
+of as many point charges, so its moments are their image moments summed."""
 
 from fractions import Fraction
 
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axoball import PotentialSpec, build_report, induced_axis_potential
+from axoball import (
+    PotentialSpec,
+    build_report,
+    induced_axis_potential,
+    multipole_moments,
+    solve_charge_density,
+)
+from pins import problem
 from references import (
     image_axis_potential,
     image_charge,
@@ -18,6 +26,7 @@ from references import (
     image_force,
     image_moment,
     point_charge_field,
+    source_charges,
 )
 
 R, A = Fraction(7, 3), Fraction(5)
@@ -54,6 +63,38 @@ def image_problems(draw):
 @settings(max_examples=10, deadline=None)
 def test_any_point_charge_report_is_the_image_report(problem):
     assert_image_report(*problem)
+
+
+def assert_source_moments(spec):
+    """Every moment of order m <= n of the degree-n spec is the sum of the
+    image moments of the point charges whose truncated field is its b."""
+    r, b, n = spec.radius, spec.coeffs_b, spec.degree
+    charges = source_charges(b, r)
+    fields = [point_charge_field(a, n) for a, _ in charges]
+    assert tuple(
+        sum(q * field[k] for (_, q), field in zip(charges, fields)) for k in range(n + 1)
+    ) == b
+    moments = multipole_moments(solve_charge_density(spec), range(n + 1))
+    for m in range(n + 1):
+        assert moments[m].coeff == sum(q * image_moment(r, a, m) for a, q in charges)
+
+
+@given(
+    r=st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+    b=st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        min_size=1,
+        max_size=13,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_any_potential_has_the_moments_of_its_source_charges(r, b):
+    assert_source_moments(PotentialSpec(r, tuple(b)))
+
+
+def test_the_degree_30_pin_has_the_moments_of_its_source_charges():
+    body = problem(30)
+    assert_source_moments(PotentialSpec(body["radius"], body["coeffs_b"]))
 
 
 def samples(r, span, count=101):

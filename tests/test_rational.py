@@ -75,25 +75,36 @@ class ZeroOnly(Fraction):
         return Fraction(0)
 
 
-@needs_digit_limit
 @pytest.mark.parametrize(
-    "text",
+    "text, limit",
     [
-        f"1e{DIGIT_LIMIT + 1}",
-        f"-2.5E-{DIGIT_LIMIT + 1}",
-        ".5e+2000000",
-        "1e2_000_000",
-        "1e" + "9" * (DIGIT_LIMIT + 1),
+        pytest.param(f"1e{DIGIT_LIMIT + 1}", None, marks=needs_digit_limit),
+        pytest.param(f"-2.5E-{DIGIT_LIMIT + 1}", None, marks=needs_digit_limit),
+        pytest.param(".5e+2000000", None, marks=needs_digit_limit),
+        pytest.param("1e2_000_000", None, marks=needs_digit_limit),
+        pytest.param("1e" + "9" * (DIGIT_LIMIT + 1), None, marks=needs_digit_limit),
+        # a limit of 0, where Python reads integers of any length: the
+        # exponent is bounded by the default limit, 4300
+        ("1e4301", 0),
     ],
-    ids=["past-limit", "negative", "two-million", "underscores", "long-exponent"],
+    ids=[
+        "past-limit",
+        "negative",
+        "two-million",
+        "underscores",
+        "long-exponent",
+        "no-limit",
+    ],
 )
-def test_exponent_past_the_digit_limit_is_refused_unbuilt(monkeypatch, text):
+def test_exponent_past_the_digit_limit_is_refused_unbuilt(monkeypatch, text, limit):
     # ten to such a power is never built: the refusal comes first
-    import axoball.rational as rational_mod
-
     monkeypatch.setattr(rational_mod, "Fraction", NoFraction)
-    message = re.escape(f"more than {DIGIT_LIMIT} digits (Python's int-to-str limit) in")
-    with pytest.raises(ValueError, match=message):
+    if limit is None:
+        message = f"more than {DIGIT_LIMIT} digits (Python's int-to-str limit) in"
+    else:
+        monkeypatch.setattr(rational_mod, "_digit_limit", lambda: limit)
+        message = "more than 4300 digits (Python's default int-to-str limit) in"
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_rational(text)
 
 
