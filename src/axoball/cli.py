@@ -58,16 +58,28 @@ import sys
 
 SCHEMA_VERSION = 1
 
-# The work bound of a problem.  With bits = max(bitlen p, bitlen s) for
-# the radius p/s, its exact values have up to size = (degree + max order)
-# x bits bits.  Each of its values, the degree + 1 density coefficients and
-# the requested moments, costs about size x (degree + 1 + size / 2^10): a
-# sum of up to degree + 1 terms of that size, and a gcd whose cost grows
-# as the square of the size.  A problem whose values times that cost pass
-# this bound is refused before it is solved.  The slowest accepted inputs,
-# such as degree 400 with every order 0..1000 and the radius 7/3, run in
-# about 2 s cold (2-core Xeon, CPython 3.11).
+# The work bounds of a problem, read from its parsed values before any of
+# their integers is taken.  Let bits = max(bitlen p, bitlen s) for the
+# radius p/s, and coeff_bits = the largest bit length of a coefficient's
+# numerator plus bitlen(d) - 1 for the largest denominator and for each
+# other that does not divide it: the bits of b's numerators over their
+# least common denominator, to within a bit per denominator counted, found
+# with no lcm.  The problem's exact values have up to size = (degree + max
+# order) x bits + 2 x coeff_bits bits: the force's closed sum and its
+# integral carry the coefficients' bits twice.  Each of its values, the
+# degree + 1 density coefficients and the requested moments, costs about
+# size x (degree + 1 + size / 2^10): a sum of up to degree + 1 terms of
+# that size, and a gcd whose cost grows as the square of the size.  A
+# problem whose values times that cost pass WORK_BOUND is refused before
+# it is solved.  So is one whose force integral multiplies two integers of
+# more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
+# coeff_bits), whatever its orders: Karatsuba's time grows as that to the
+# power 1.58.  The slowest accepted inputs, such as degree 400 with every
+# order 0..1000 and the radius 7/3, degree 400 with one order and a 31-bit
+# radius, or degree 12 with coefficients 1/d for thirteen 4300-digit d,
+# run in about 2 s cold (2-core Xeon, CPython 3.11).
 WORK_BOUND = 25 * 10**8
+PRODUCT_BOUND = 5 * 10**6
 
 
 class ProblemError(Exception):
@@ -185,15 +197,23 @@ def load_problem(path):
         if m > 1000:
             raise ProblemError(f"field 'moments[{idx}]': must be at most 1000")
     moments = list(dict.fromkeys(moments_raw))  # first of each order, in order
+    degree = spec.degree
     bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
-    top = spec.degree + max(moments)
-    size = top * bits
-    cost = size * (spec.degree + 1 + size // 2**10)
-    if (spec.degree + 1 + len(moments)) * cost > WORK_BOUND:
-        raise ProblemError(
-            f"too large to solve: the radius has {bits} bits, and degree + max "
-            f"order is {top}"
-        )
+    dens = {b.denominator for b in spec.coeffs_b}
+    largest = max(dens)
+    coeff_bits = max(abs(b.numerator).bit_length() for b in spec.coeffs_b) + sum(
+        d.bit_length() - 1 for d in dens if d == largest or largest % d
+    )
+    top = degree + max(moments)
+    size = top * bits + 2 * coeff_bits
+    cost = size * (degree + 1 + size // 2**10)
+    product = (degree + 1) * (degree * bits + coeff_bits)
+    if (degree + 1 + len(moments)) * cost > WORK_BOUND or product > PRODUCT_BOUND:
+        if 2 * coeff_bits > top * bits:
+            which = f"the coefficients have {coeff_bits} bits, and degree {degree}"
+        else:
+            which = f"the radius has {bits} bits, and degree + max order is {top}"
+        raise ProblemError(f"too large to solve: {which}")
 
     profile = None
     if "profile" in data:

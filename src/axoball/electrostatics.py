@@ -39,14 +39,15 @@ path but the solve sums through ``_in_r2``.  The solve sums row i of
 G = B D^{-1} from the integers 2^(j-1) B_ij as they stand in
 ``moment_matrix._b_rows``, the one process-wide table of the row walks,
 which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
-weight.  The integers are taken on the values that hold them: a
-PotentialSpec takes b's numerators over their least common denominator
-when it is built, and a ChargeDensity takes c's when a quantity first
-reads them, each kept in a private slot that is no field.  The closed sum
-of order m reads column m+1 of F as the integers ``moment_matrix._f_column``
-walks over one denominator, and the integrated path runs through the
-private ``_integral``, which no closed form uses.  The force's closed sum
-is one integer over b's numerators; its integral squares c's numerator
+weight.  The integers are taken on the values that hold them, by one
+rule, in ``_Value._integers``: the numerators of a PotentialSpec's b or a
+ChargeDensity's c over their least common denominator are taken when the
+solve or a quantity first reads them, never by a constructor, and kept in
+a private slot that is no field.  The closed sum of order m reads column
+m+1 of F as the integers ``moment_matrix._f_column`` walks over one
+denominator, and the integrated path runs through the private
+``_integral``, which no closed form uses.  The force's closed sum is one
+integer over b's numerators; its integral squares c's numerator
 polynomial as one big-int product (Kronecker substitution, ``_product``),
 so CPython's Karatsuba multiplies the pairs.
 
@@ -124,6 +125,15 @@ class _Value:
     def _fields(self):
         return tuple(getattr(self, name) for name in self._names)
 
+    def _integers(self):
+        """The numerators of the exact coefficients in the field that the
+        class attribute ``_exact`` names, over their least common
+        denominator, and that denominator: taken on the first call and kept
+        in the slot ``_ints``."""
+        if not hasattr(self, "_ints"):
+            object.__setattr__(self, "_ints", _numerators(getattr(self, self._exact)))
+        return self._ints
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -177,11 +187,13 @@ class PotentialSpec(_Value):
     normalized away (the degree is the index of the last nonzero
     coefficient); the all-zero potential collapses to a single 0.
 
-    ``epsilon0`` is a plain float used only for float rendering.  b's
-    numerators over their least common denominator are taken here, once.
+    ``epsilon0`` is a plain float used only for float rendering.  The
+    constructor takes no integers from b: its numerators over their least
+    common denominator are taken when the solve first reads them.
     """
 
-    __slots__ = ("radius", "coeffs_b", "epsilon0", "_b")
+    __slots__ = ("radius", "coeffs_b", "epsilon0", "_ints")
+    _exact = "coeffs_b"
 
     def __init__(self, radius, coeffs_b, epsilon0=VACUUM_PERMITTIVITY):
         radius = parse_rational(radius)
@@ -201,7 +213,6 @@ class PotentialSpec(_Value):
                 "field 'epsilon0': must be positive and within float range"
             )
         super().__init__(radius, tuple(coeffs), eps)
-        object.__setattr__(self, "_b", _numerators(coeffs))
 
     @property
     def degree(self):
@@ -215,7 +226,8 @@ class ChargeDensity(_Value):
     The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
     also builds a density that does not solve its spec."""
 
-    __slots__ = ("spec", "coeffs_c", "_c")
+    __slots__ = ("spec", "coeffs_c", "_ints")
+    _exact = "coeffs_c"
 
     @property
     def radius(self):
@@ -232,13 +244,6 @@ class ChargeDensity(_Value):
     @property
     def degree(self):
         return len(self.coeffs_c) - 1
-
-    def _numerators_c(self):
-        """c's numerators over their least common denominator, taken on
-        the first call and kept."""
-        if not hasattr(self, "_c"):
-            object.__setattr__(self, "_c", _numerators(self.coeffs_c))
-        return self._c
 
     def sigma(self, points):
         """Density at each axial coordinate in ``points``, in SI units
@@ -270,7 +275,7 @@ def solve_charge_density(spec):
     denominator 2^n s^(n-i) L, n = len(b).
     """
     p, s = spec.radius.numerator, spec.radius.denominator
-    big_b, lcd = spec._b
+    big_b, lcd = spec._integers()
     n1 = len(big_b)
     # b_j's factor over the common denominator with G's (2j - 1), all but
     # the power of p
@@ -453,13 +458,8 @@ def _agreed(quantity, order, integrated, closed, density):
     """The closed form as an ExactPhysical, once both exact paths agree."""
     if integrated != closed:
         label = quantity if order is None else f"order-{order} {quantity}"
-        raise ConsistencyError(
-            f"{label} paths disagree: integrated {integrated}, closed {closed}",
-            quantity,
-            order,
-            integrated,
-            closed,
-        )
+        message = f"{label} paths disagree: integrated {integrated}, closed {closed}"
+        raise ConsistencyError(message, quantity, order, integrated, closed)
     return ExactPhysical(closed, density.epsilon0)
 
 
@@ -493,16 +493,17 @@ def multipole_moments(density, orders):
     """The multipole moments of the given orders, as a dict from each order
     to its ExactPhysical, in the order requested.
 
-    Each order sums its closed form from the numerators of b its spec took
-    and its defining integral from the numerators of c the density keeps,
-    as one integer each.  The orders are evaluated in turn, so the first
-    order whose two paths disagree raises ConsistencyError.
+    Each order sums its closed form from the numerators of b and its
+    defining integral from those of c, as one integer each; both are read
+    through ``_integers``, which takes each once per value.  The orders are
+    evaluated in turn, so the first order whose two paths disagree raises
+    ConsistencyError.
     """
     orders = list(orders)
     for m in orders:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
-    r, b, c = density.radius, density.spec._b, density._numerators_c()
+    r, b, c = density.radius, density.spec._integers(), density._integers()
     return {
         m: _agreed(
             "moment",
@@ -526,7 +527,7 @@ def axial_force(density):
     polynomial by one big-int product (``_product``).  Both paths are exact
     and must agree.
     """
-    r, b, c = density.radius, density.spec._b, density._numerators_c()
+    r, b, c = density.radius, density.spec._integers(), density._integers()
     return _agreed(
         "force", None, _integrated_force(*c, r), _closed_force(*b, r), density
     )
@@ -605,9 +606,9 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
     The charge and the dipole are the moments of orders 0 and 1, so each
     order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.  The moments and the force read
-    the numerators of b that spec took when it was built, and those of c
-    that the density takes for the first of them.
+    the requested orders in their order.  The solve takes the numerators
+    of b, and the first moment those of c; the other moments and the force
+    read them as kept.
     """
     density = solve_charge_density(spec)
     values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -196,6 +197,14 @@ TOO_LARGE = bad("too-large-to-solve", "solve {file}",
                 "max order is 140\n")
 
 
+def big_denominators(n):
+    """A problem whose n + 1 coefficients 1/d have 4300-digit denominators
+    that share few factors: their least common denominator takes seconds
+    to find, and at degree 40 the solve about a minute."""
+    coeffs = [f"1/{10**4299 + 2 * k + 1}" for k in range(n + 1)]
+    return {"radius": "7/3", "coeffs_b": coeffs}
+
+
 BAD_INPUT = [
     bad("no-command", "", None, "axoball: error: the following arguments are required"),
     bad("order-x", "matrix --order x --which F", None,
@@ -242,6 +251,9 @@ BAD_INPUT = [
         dict(ONE, coeffs_b=["1", "2"], moments=[0, 1001]),
         "error: field 'moments[1]': must be at most 1000\n"),
     TOO_LARGE,
+    bad("coefficients-too-large-to-solve", "solve {file}", big_denominators(20),
+        "error: too large to solve: the coefficients have 299881 bits, and "
+        "degree 20\n"),
     bad("no-profile", "profile {file}", ONE, "problem file has no 'profile' section"),
     bad("profile-not-an-object", "solve {file}", dict(ONE, profile=5),
         "field 'profile': must be an object"),
@@ -343,6 +355,82 @@ def test_a_problem_past_the_work_bound_is_refused_unsolved(
 
     monkeypatch.setattr(es_mod, "solve_charge_density", unsolvable)
     assert_refused(tmp_path, capsys, *TOO_LARGE.values)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_large_coefficients_are_refused_before_their_integers_are_taken(
+    tmp_path, monkeypatch, n
+):
+    import axoball.electrostatics as es_mod
+
+    def unreachable(*args):
+        raise AssertionError("took the integers of a problem past the work bound")
+
+    monkeypatch.setattr(es_mod, "_numerators", unreachable)
+    monkeypatch.setattr(es_mod, "solve_charge_density", unreachable)
+    with pytest.raises(ProblemError, match="too large to solve: the coefficients have"):
+        load_problem(write_problem(tmp_path, big_denominators(n)))
+    # the largest of the family that is served, at about the work bound
+    assert load_problem(write_problem(tmp_path, big_denominators(12))).spec.degree == 12
+    # denominators that divide the largest add no bits: exp's Taylor
+    # series is served to degree 400, as it runs in well under a second
+    body = {"radius": "1", "coeffs_b": [f"1/{math.factorial(k)}" for k in range(401)]}
+    assert load_problem(write_problem(tmp_path, body)).spec.degree == 400
+
+
+def test_the_force_product_bound_lies_between_a_31_and_a_32_bit_radius(tmp_path):
+    # degree 400 with one order: the force integral's Kronecker product,
+    # not the orders, sets the cost; 2^35 + 1 over 2^35 passes the work
+    # bound alone at about 2.40e9
+    body = {"radius": f"{2**30 + 1}/{2**30}", "coeffs_b": ["1"] * 401, "moments": [0]}
+    assert load_problem(write_problem(tmp_path, body)).spec.degree == 400
+    for radius in (f"{2**31 + 1}/{2**31}", "34359738369/34359738368"):
+        with pytest.raises(ProblemError, match="too large to solve: the radius has"):
+            load_problem(write_problem(tmp_path, dict(body, radius=radius)))
+
+
+@st.composite
+def capped_problems(draw):
+    """A problem at or near every cap: degree up to 400, up to 1001 orders
+    of at most 1000, and a radius and coefficients of up to 14280 bits,
+    whose decimal text is within the digit limit.  Big values are drawn as
+    bit lengths and built from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    near = st.one_of(st.integers(0, 14280), st.sampled_from([1, 2, 3, 4, 14280]))
+
+    def value(bits):
+        return rng.getrandbits(bits) | (1 << max(bits - 1, 0))
+
+    degree = draw(st.one_of(st.integers(0, 400), st.sampled_from([399, 400])))
+    num_bits, den_bits = draw(near), draw(near)
+    # how many of the coefficients take the drawn bit lengths; the others are 1
+    big = draw(st.integers(0, degree + 1))
+    coeffs = [f"{value(num_bits)}/{value(den_bits)}" for _ in range(big)]
+    coeffs += ["1"] * (degree + 1 - big)
+    orders = draw(st.integers(1, 1001))
+    return {
+        "radius": f"{value(draw(near))}/{value(draw(near))}",
+        "coeffs_b": coeffs,
+        "moments": rng.sample(range(1001), orders),
+    }
+
+
+@given(body=capped_problems())
+@settings(max_examples=40, deadline=2000)
+def test_admission_is_cheap_for_every_input(tmp_path_factory, body):
+    import axoball.electrostatics as es_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("started a computation while admitting a problem")
+
+    tmp_path = tmp_path_factory.mktemp("capped")
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_numerators", "solve_charge_density", "build_report"):
+            patch.setattr(es_mod, name, unreachable)
+        try:
+            load_problem(write_problem(tmp_path, body))
+        except ProblemError as exc:
+            assert "too large to solve" in str(exc)
 
 
 # rows for the files that JSON cannot decode; each text is the whole

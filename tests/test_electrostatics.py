@@ -525,13 +525,18 @@ def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
     monkeypatch.setattr(es_mod, "_numerators", counted)
     body = problem(24, range(8))
     spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
+    # building the spec takes nothing
+    assert calls == []
     report = build_report(spec, body["moments"])
-    # b when the spec is built, and c when the first moment reads it
-    assert calls == [list(spec.coeffs_b), report.density.coeffs_c]
+    # b when the solve reads it, and c when the first moment reads it
+    assert calls == [spec.coeffs_b, report.density.coeffs_c]
     # a density that already served a quantity takes neither again
     multipole_moments(report.density, range(8))
     axial_force(report.density)
     assert len(calls) == 2
+    # a second solve of the spec reads b as kept, and takes the new c
+    build_report(spec, body["moments"])
+    assert calls[2:] == [report.density.coeffs_c]
 
 
 def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
@@ -828,12 +833,33 @@ def test_value_constructor_takes_each_field_once(cls):
 
 
 def test_the_numerators_a_value_keeps_are_no_field():
-    # a density that served a quantity keeps c's numerators in a private
-    # slot, which equality, hashing, repr and copies do not see
+    # a spec that was solved and a density that served a quantity keep
+    # b's and c's numerators in a private slot, which equality, hashing,
+    # repr and copies do not see
     fresh, served = solve_charge_density(_spec()), solve_charge_density(_spec())
     axial_force(served)
-    assert served == fresh and hash(served) == hash(fresh)
-    assert repr(served) == repr(fresh)
-    for copied in (pickle.loads(pickle.dumps(served)), copy.copy(served)):
-        assert copied == fresh and not hasattr(copied, "_c")
-    assert served.spec._b == es_mod._numerators(served.coeffs_b)
+    assert (served._integers(), served.spec._integers()) == (
+        es_mod._numerators(served.coeffs_c),
+        es_mod._numerators(served.coeffs_b),
+    )
+    assert not hasattr(fresh, "_ints") and hasattr(fresh.spec, "_ints")
+    for kept, unread in ((served, fresh), (served.spec, _spec())):
+        assert kept == unread and hash(kept) == hash(unread)
+        assert repr(kept) == repr(unread)
+        for copied in (pickle.loads(pickle.dumps(kept)), copy.copy(kept)):
+            assert copied == unread and not hasattr(copied, "_ints")
+
+
+def test_building_a_spec_takes_no_integers(monkeypatch):
+    # 81 coefficients with 4300-digit denominators, whose least common
+    # denominator has over a million bits and takes seconds to find
+    def untaken(values):
+        raise AssertionError("took the integers of a spec when it was built")
+
+    monkeypatch.setattr(es_mod, "_numerators", untaken)
+    coeffs = [f"1/{10**4299 + 2 * k + 1}" for k in range(81)]
+    spec, twin = PotentialSpec("7/3", coeffs), PotentialSpec("7/3", coeffs)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert repr(spec) == repr(twin)
+    assert repr(spec).startswith("PotentialSpec(radius=Fraction(7, 3), coeffs_b=(")
+    assert pickle.loads(pickle.dumps(spec)) == spec
