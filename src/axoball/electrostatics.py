@@ -63,10 +63,13 @@ Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact
 product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
 ``induced_axis_potential``, take a sequence of axial coordinates and
-return a list of floats, floating their coefficients once per call.  A
-float stage that cannot run on its input raises ``OutOfRangeError``, bad
-input rather than a bug; its ``guard`` maps the float errors of a stage
-to it.
+return a list of floats.  They, and the oracle, read a density's two
+float views, c and the Legendre charge moments: each is taken on the
+first float read from the integers the values keep, by one correctly
+rounded int true division per entry, and kept in a private slot; a view
+whose division raises is not kept.  A float stage that cannot run on its
+input raises ``OutOfRangeError``, bad input rather than a bug; its
+``guard`` maps the float errors of a stage to it.
 """
 
 import contextlib
@@ -125,14 +128,20 @@ class _Value:
     def _fields(self):
         return tuple(getattr(self, name) for name in self._names)
 
+    def _kept(self, slot, derive):
+        """``derive(self)``, taken on the first call and kept in the private
+        slot ``slot``.  A derive that raises keeps nothing, so the next call
+        derives, and raises, again."""
+        if not hasattr(self, slot):
+            object.__setattr__(self, slot, derive(self))
+        return getattr(self, slot)
+
     def _integers(self):
         """The numerators of the exact coefficients in the field that the
         class attribute ``_exact`` names, over their least common
         denominator, and that denominator: taken on the first call and kept
         in the slot ``_ints``."""
-        if not hasattr(self, "_ints"):
-            object.__setattr__(self, "_ints", _numerators(getattr(self, self._exact)))
-        return self._ints
+        return self._kept("_ints", lambda v: _numerators(getattr(v, v._exact)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -226,7 +235,7 @@ class ChargeDensity(_Value):
     The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
     also builds a density that does not solve its spec."""
 
-    __slots__ = ("spec", "coeffs_c", "_ints")
+    __slots__ = ("spec", "coeffs_c", "_ints", "_c_floats", "_m_floats")
     _exact = "coeffs_c"
 
     @property
@@ -245,15 +254,25 @@ class ChargeDensity(_Value):
     def degree(self):
         return len(self.coeffs_c) - 1
 
+    def _c_view(self):
+        """c in floats, ``_float_coeffs``: taken on the first float read and
+        kept in the slot ``_c_floats``."""
+        return self._kept("_c_floats", _float_coeffs)
+
+    def _m_view(self):
+        """The Legendre charge moments in floats, ``_float_moments``: taken
+        on the first float read and kept in the slot ``_m_floats``."""
+        return self._kept("_m_floats", _float_moments)
+
     def sigma(self, points):
         """Density at each axial coordinate in ``points``, in SI units
-        (floats); c is floated once per call.
+        (floats), from c's float view, taken once per density.
 
         Meaningful for |z| <= r, the axial range covered by the surface.
         Raises OverflowError, ZeroDivisionError or FloatingPointError when
         a value leaves float range, the errors ``OutOfRangeError.guard`` maps.
         """
-        coeffs = [float(c) for c in self.coeffs_c]
+        coeffs = self._c_view()
         prefactor = 2.0 * self.epsilon0 / float(self.radius)
         return [_finite(prefactor * _horner(coeffs, float(z))) for z in points]
 
@@ -320,11 +339,35 @@ def charge_legendre_moments(density):
 
     m_k = integral of (r/(2 eps0)) sigma(r eta) P_{k-1}(eta) d eta
     = sum_j F_kj c_j r^(j-1), which is identically r^(k-1) b_k (the F c
-    sum is ``reconstruct_potential``).  These drive the axis potential of
-    the induced charge.
+    sum is ``reconstruct_potential``).  Exact; the axis potential and the
+    oracle read them as the density's float view, ``_float_moments``,
+    which takes them from b's integers and never calls this.
     """
     r = density.radius
     return [r**k * b for k, b in enumerate(density.coeffs_b)]
+
+
+def _float_coeffs(density):
+    """c_j = C_j / L_c, for the numerators C_j of c over their denominator
+    L_c: one int true division each, correctly rounded, so each is
+    ``float(c_j)`` bit for bit and raises where it raises."""
+    big_c, lcd = density._integers()
+    return tuple(c / lcd for c in big_c)
+
+
+def _float_moments(density):
+    """The Legendre charge moments m_k = r^(k-1) b_k in floats: for r = p/s
+    and the numerators B_k of b over their denominator L_b, m_k =
+    p^(k-1) B_k / (s^(k-1) L_b), one int true division each, so each is
+    ``float`` of ``charge_legendre_moments``' entry bit for bit and raises
+    where it raises."""
+    p, s = density.radius.numerator, density.radius.denominator
+    big_b, den = density.spec._integers()
+    num, moments = 1, []
+    for b in big_b:
+        moments.append(num * b / den)
+        num, den = num * p, den * s
+    return tuple(moments)
 
 
 def _numerators(values):
@@ -581,15 +624,16 @@ def induced_axis_potential(density, points):
         u(s) = (1/|xi|) sum_k m_k xi^-(k-1),    xi = s/r, |xi| > 1,
 
     finite because the moment matrix is triangular.  The two branches agree
-    exactly at |s| = r.  The moments are derived and floated once per call;
-    evaluation is in floats, for physical sanity checks, not exact results.
+    exactly at |s| = r.  The moments are the density's float view, taken
+    once per density; evaluation is in floats, for physical sanity checks,
+    not exact results.
     Raises OverflowError, ZeroDivisionError or FloatingPointError when a
     value leaves float range, the errors ``OutOfRangeError.guard`` maps.
     """
     xs = [float(s) for s in points]
     if not all(map(math.isfinite, xs)):
         raise ValueError("axial coordinate must be finite")
-    moments = [float(m) for m in charge_legendre_moments(density)]
+    moments = density._m_view()
     r = float(density.radius)
     values = []
     for sf in xs:

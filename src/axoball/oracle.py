@@ -42,15 +42,20 @@ below that degree a process builds once, on its first run, and no later
 run's time depends on which degrees came before it.
 ``axis_kernel_integral`` itself keeps nothing, and the oracle keeps
 nothing per density: across calls it holds only that table and the
-Gauss-Legendre rules.  At each level of the bisection the table takes one
-libm pow per node and power for each mirrored pair of panels (eta ->
--eta), and one sqrt per point, panel and node.  It equals, bit for bit, the one-value-at-a-time
-recursive rule kept in the tests as its reference, and it logs its size
-and work as one DEBUG record to the ``axoball.oracle`` logger.
+Gauss-Legendre rules.  It reads c and the Legendre charge moments as the
+float views the density keeps itself, taken once per density, and its
+quadratures and the residual's row sums take their products and sum them
+in C, ``sum(map(operator.mul, ...))``.  At each level of the bisection
+the table takes one libm pow per node and power for each mirrored pair
+of panels (eta -> -eta), and one sqrt per point, panel and node.  It
+equals, bit for bit, the one-value-at-a-time recursive rule kept in the
+tests as its reference, and it logs its size and work as one DEBUG
+record to the ``axoball.oracle`` logger.
 """
 
 import logging
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +65,6 @@ from .electrostatics import (
     _finite,
     _Value,
     _horner,
-    charge_legendre_moments,
     induced_axis_potential,
 )
 
@@ -88,7 +92,7 @@ class QuadratureRule(_Value):
 
     def integrate(self, values):
         """sum_k w_k values[k], for the integrand's values at the nodes."""
-        return sum(w * v for v, w in zip(values, self.weights))
+        return sum(map(operator.mul, self.weights, values))
 
 
 def _legendre_pair(n, x):
@@ -312,15 +316,15 @@ def equation_residual(density, kernel):
     Substitutes sigma back into the kernel integral and compares against
     the potential it was solved from (recovered through the Legendre charge
     moments), at CHEBYSHEV_POINTS, whose ``kernel`` table has at least
-    degree + 1 columns.
+    degree + 1 columns.  c and the moments are the density's float views.
     """
     r = float(density.radius)
-    gammas = [float(c) * r**j for j, c in enumerate(density.coeffs_c)]
-    moments = [float(m) for m in charge_legendre_moments(density)]
+    gammas = [c * r**j for j, c in enumerate(density._c_view())]
+    moments = density._m_view()
     worst = 0.0
     scale = 1.0
     for xi, row in zip(CHEBYSHEV_POINTS, kernel.tolist()):
-        lhs = sum(g * k for g, k in zip(gammas, row))
+        lhs = sum(map(operator.mul, gammas, row))
         rhs = _horner(moments, xi)
         worst = max(worst, _finite(abs(lhs - rhs)))
         scale = max(scale, abs(rhs))
@@ -341,8 +345,8 @@ def brute_force_moment(density, m):
     zs = [r * eta for eta in rule.nodes]
     total = rule.integrate([z**m * v for z, v in zip(zs, density.sigma(zs))])
     magnitude = 8.0 * sum(
-        abs(float(c)) * r ** (m + j) / (m + j)
-        for j, c in enumerate(density.coeffs_c, start=1)
+        abs(c) * r ** (m + j) / (m + j)
+        for j, c in enumerate(density._c_view(), start=1)
     )
     return 2.0 * math.pi * r * r * total, math.pi * density.epsilon0 * magnitude
 
@@ -382,10 +386,10 @@ def _collocation_check(density, kernel):
             f"{COLLOCATION_RESIDUAL_TOL:.1e}"
         )
         return {"error": error, "passed": False}
-    scale = max(abs(float(c)) for c in density.coeffs_c) or 1.0
+    exact = density._c_view()
+    scale = max(map(abs, exact)) or 1.0
     deviation = max(
-        _finite(abs(float(exact) - got) / scale)
-        for exact, got in zip(density.coeffs_c, coeffs)
+        _finite(abs(c - got) / scale) for c, got in zip(exact, coeffs)
     )
     return _check(
         "max_coeff_deviation",

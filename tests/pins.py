@@ -65,6 +65,10 @@ PINS = [
      "ae47cb6728befc2455e94d0fcd35cc184e6ae0e6e7a5dd99a6b52394a63ebe54"),
     (["solve", "--verify", "degree-16.json"], problem(16),
      "3e8e5535934359f4dcf922cb111e8c0936da5b263b9c7ff4846a23b1cb2613b2"),
+    # every oracle float byte for byte, where the benchmark allows 1e-9:
+    # the highest pinned degree whose checks all pass
+    (["solve", "--verify", "degree-18.json"], problem(18),
+     "4a6441167ea3493d7f51dd5287abae52eda44d2c778c64f5fd5af65001250350"),
     (["profile", "readme.json"], README_PROFILE,
      "4b761da574bc094ae15e13525fe8937a6fe712ce90f6a83a1b73d07f7bec70de"),
 ]

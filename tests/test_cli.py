@@ -999,14 +999,40 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
     count(es_mod.ChargeDensity, "sigma")
     count(es_mod, "induced_axis_potential")
     count(es_mod, "charge_legendre_moments")
+    count(es_mod, "_float_coeffs")
+    count(es_mod, "_float_moments")
     code, _, _ = run_cli(capsys, "profile", path)
     assert code == 0
     assert calls.get("solve_charge_density") == 1
     assert calls.get("f_entry_closed_form", 0) == 0
-    # one call per column, not one per sample
+    # one derivation per column, not one per sample: the samplers read the
+    # density's float views, each built once, and no exact moments
     assert calls.get("sigma") == 1
     assert calls.get("induced_axis_potential") == 1
-    assert calls.get("charge_legendre_moments") == 1
+    assert calls.get("charge_legendre_moments", 0) == 0
+    assert calls.get("_float_coeffs") == 1
+    assert calls.get("_float_moments") == 1
+
+
+@pytest.mark.parametrize("command", [["solve", "--verify"], ["profile"]])
+def test_an_op_builds_each_float_view_once(tmp_path, capsys, monkeypatch, command):
+    # the oracle's checks and the profile's samplers read the one density's
+    # float views of c and of the Legendre moments, each built once an op
+    import axoball.electrostatics as es_mod
+
+    built = []
+    for name in ("_float_coeffs", "_float_moments"):
+        monkeypatch.setattr(
+            es_mod,
+            name,
+            lambda density, build=getattr(es_mod, name), name=name: (
+                built.append(name) or build(density)
+            ),
+        )
+    body = dict(BASIC, profile={"samples": 11, "span": "3"})
+    code, _, _ = run_cli(capsys, *command, write_problem(tmp_path, body))
+    assert code == 0
+    assert sorted(built) == ["_float_coeffs", "_float_moments"]
 
 
 exact_scales = st.builds(

@@ -108,6 +108,55 @@ def test_samplers_raise_what_the_guard_maps(sampler, spec, error):
             SAMPLERS[sampler](density)
 
 
+scaled = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+    st.integers(-300, 300),
+)
+
+
+@given(
+    radius=st.builds(
+        lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.integers(-300, 300),
+    ),
+    coeffs_b=st.lists(scaled, min_size=1, max_size=61),
+    coeffs_c=st.lists(scaled, min_size=1, max_size=61),
+)
+@settings(max_examples=300, deadline=None)
+@example(radius=Fraction(1), coeffs_b=[Fraction(10) ** 400], coeffs_c=[Fraction(1)])
+@example(radius=Fraction(10) ** 300, coeffs_b=[1, 1], coeffs_c=[Fraction(10) ** 309])
+# a subnormal c_1, and a c_2 that underflows to -0.0
+@example(
+    radius=Fraction(1),
+    coeffs_b=[1],
+    coeffs_c=[Fraction(1, 10**320), Fraction(-3, 10**400)],
+)
+def test_float_views_are_the_floated_exact_values(radius, coeffs_b, coeffs_c):
+    # each entry of a view is float() of its exact value, bit for bit; where
+    # float() raises, the view raises the same error, keeps nothing, and
+    # raises again on the next read
+    density = ChargeDensity(PotentialSpec(radius, coeffs_b), tuple(coeffs_c))
+    for view, slot, exact in [
+        (density._c_view, "_c_floats", density.coeffs_c),
+        (density._m_view, "_m_floats", charge_legendre_moments(density)),
+    ]:
+        try:
+            floated = [float(x).hex() for x in exact]
+        except (OverflowError, ZeroDivisionError) as error:
+            for _ in range(2):
+                with pytest.raises(type(error)) as raised:
+                    view()
+                assert type(raised.value) is type(error)
+                assert not hasattr(density, slot)
+        else:
+            assert [x.hex() for x in view()] == floated
+            assert view() is view()
+
+
 def test_exact_physical_rendering():
     q = ExactPhysical(Fraction(4), epsilon0=1.0)
     assert float(q) == 4 * math.pi
