@@ -74,10 +74,13 @@ SCHEMA_VERSION = 1
 # it is solved.  So is one whose force integral multiplies two integers of
 # more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
 # coeff_bits), whatever its orders: Karatsuba's time grows as that to the
-# power 1.58.  The slowest accepted inputs, such as degree 400 with every
-# order 0..1000 and the radius 7/3, degree 400 with one order and a 31-bit
-# radius, or degree 12 with coefficients 1/d for thirteen 4300-digit d,
-# run in about 2 s cold (2-core Xeon, CPython 3.11).
+# power 1.58.  The slowest accepted inputs run in about 2 s cold (2-core
+# Xeon, CPython 3.11), and only the first of these prints a report: degree
+# 400 with every order 0..1000 and the radius 7/3 exits 0 in 1.5 s; degree
+# 400 with one order and a 31-bit radius exits 2 in 1.9 s, "the force has
+# too many digits to print"; degree 12 with coefficients 1/d for thirteen
+# 4300-digit d exits 2 in 2.1 s, "the charge density has too many digits
+# to print".  The last two do all their work before they are refused.
 WORK_BOUND = 25 * 10**8
 PRODUCT_BOUND = 5 * 10**6
 

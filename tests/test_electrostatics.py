@@ -377,6 +377,38 @@ def test_density_scaling_law(lam, r, data):
         assert b == a / lam**j
 
 
+@pytest.mark.parametrize("degree", [0, 1, 24, 400])
+def test_report_keeps_both_exact_symmetries(degree):
+    # the report is linear in b; and r -> lam r with b_k -> lam^(1-k) b_k is
+    # the same field scaled in space, so the charge scales by lam, the
+    # order-m moment by lam^(m+1) and the force not at all.  Only Fraction
+    # arithmetic on the reports, none of the closed forms
+    body = problem(degree)
+    r = Fraction(body["radius"])
+    b = [Fraction(x) for x in body["coeffs_b"]]
+    orders = sorted({0, 1, 2, 5, degree, degree + 1})
+
+    def quantities(radius, coeffs_b):
+        report = build_report(PotentialSpec(radius, coeffs_b), orders)
+        moments = {m: value.coeff for m, value in report.multipoles.items()}
+        return report.charge_Q.coeff, moments, report.force_F.coeff
+
+    charge, moments, force = quantities(r, b)
+    assert charge != 0 and (force != 0) == (degree > 0)
+    lam = Fraction(-5, 3)
+    assert quantities(r, [lam * x for x in b]) == (
+        lam * charge,
+        {m: lam * d for m, d in moments.items()},
+        lam**2 * force,
+    )
+    lam = Fraction(5, 2)
+    assert quantities(lam * r, [x / lam**i for i, x in enumerate(b)]) == (
+        lam * charge,
+        {m: lam ** (m + 1) * d for m, d in moments.items()},
+        force,
+    )
+
+
 def test_legendre_moments_equal_scaled_potential_coeffs(rng):
     for _ in range(20):
         spec = random_spec(rng, max_degree=10)

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axoball import PotentialSpec, build_report, solve_charge_density
 from axoball.electrostatics import axial_force, multipole_moment
@@ -575,6 +577,14 @@ def test_check_report_passes_a_good_degree_3_report():
     )
 
 
+def test_check_report_takes_the_zero_potentials_gaps_as_its_deviations():
+    # every scale is 0, so each deviation is its gap, and every gap is 0
+    block = check_report(build_report(PotentialSpec(3, (0,))))
+    assert block["passed"] is True and block["max_relative_deviation"] == 0.0
+    for entry in block["checks"].values():
+        assert next(iter(entry.values())) == 0.0
+
+
 def test_check_report_cannot_check_floats_out_of_range():
     report = build_report(PotentialSpec("1e200", (1, 2, 3)))
     with pytest.raises(OutOfRangeError, match="floats leave their range"):
@@ -608,3 +618,66 @@ def test_equation_residual_refuses_nan():
         equation_residual(density, kernel)
     with pytest.raises(FloatingPointError):
         collocation_solve(density.spec, kernel)
+
+
+# the verify pool's problems: radii p/q with p in 1..30 and q in 1..10,
+# coefficients n/d with |n|, d <= 9, degrees 0..24, orders 0..5
+pool_radii = st.builds(Fraction, st.integers(1, 30), st.integers(1, 10))
+pool_coeffs = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    min_size=1,
+    max_size=25,
+)
+
+
+def verify_block(radius, coeffs_b):
+    """check_report's block at orders 0..5, or None where a check cannot
+    run on the problem."""
+    try:
+        return check_report(build_report(PotentialSpec(radius, coeffs_b), range(6)))
+    except OutOfRangeError:
+        return None
+
+
+def assert_same_verdict(block, scaled, k):
+    """Both blocks are None, or every deviation and verdict of ``scaled``
+    is block's bit for bit, and its continuity gap and tolerance are
+    block's times 2^k."""
+    if block is None or scaled is None:
+        assert block is scaled
+        return
+    continuity = scaled["checks"]["continuity"]
+    for key in ("gap", "tolerance"):
+        continuity[key] = math.ldexp(continuity[key], -k)
+    assert repr(scaled) == repr(block)
+
+
+@given(radius=pool_radii, coeffs_b=pool_coeffs, k=st.integers(-200, 200))
+@example(radius=Fraction(7, 3), coeffs_b=problem(19)["coeffs_b"], k=-60)
+@settings(max_examples=60, deadline=None)
+def test_verify_is_independent_of_the_units_of_b(radius, coeffs_b, k):
+    # the charge and every moment are linear in b, and the force quadratic,
+    # so b -> 2^k b scales every float of both sides exactly: each deviation
+    # is a gap over its own scale, with no absolute floor, and the force's
+    # brute force squares sigma in one rounding.  With |k| <= 200, sigma^2
+    # stays far from overflow and from the subnormals
+    scaled = [Fraction(b) * Fraction(2) ** k for b in coeffs_b]
+    assert_same_verdict(verify_block(radius, coeffs_b), verify_block(radius, scaled), k)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15b: the oracle floats r^j, so a ball scaled far "
+    "enough leaves float range on one side only",
+)
+@given(radius=pool_radii, coeffs_b=pool_coeffs, e=st.integers(-200, 200))
+@example(radius=Fraction(7, 3), coeffs_b=problem(8)["coeffs_b"], e=200)
+@settings(max_examples=60, deadline=None)
+def test_verify_is_independent_of_the_units_of_length(radius, coeffs_b, e):
+    # r -> 2^e r with b_j -> 2^(e (1 - j)) b_j is the same field, scaled in
+    # space: each deviation is scale-free, and the continuity gap and its
+    # tolerance do not change
+    lam = Fraction(2) ** e
+    scaled = [Fraction(b) / lam**i for i, b in enumerate(coeffs_b)]
+    block = verify_block(radius, coeffs_b)
+    assert_same_verdict(block, verify_block(lam * radius, scaled), 0)
