@@ -6,20 +6,22 @@ Three subcommands:
     axoball matrix --order N --which F|G|B|D [--format table|csv]
     axoball profile <file> [--out path]
 
-Problem files are JSON.  Rational values travel as strings ("p/q", integer
-or decimal text); decimals are converted exactly through power-of-ten
-denominators, never through binary floats (json parse_float is redirected
-to str for the same reason).  Reports are JSON with a schema_version
-field; readers should ignore unknown fields so the schema can grow.  This
-module alone writes report text: the library returns exact values, and
-``_text`` and ``_quantity`` write them.  A quantity's float is
-``float(x)``, its exact value rounded once, and null where that overflows
-or a nonzero value underflows to 0.0.  ``matrix`` prints each cell of
-``matrix_cells``, the integers num/den in lowest terms that the library's
-walks give, as ``"p"`` or ``"p/q"``, with no gcd and no Fraction; every
-row of B and G it prints is checked against its closed form before it is
-first printed from a given table, once per table and width.  Every
-command writes its output through ``_emit``.
+Problem files are JSON.  Rational values travel as strings in
+``rational``'s ASCII grammar ("p/q", integer or decimal text, with an
+optional sign and exponent; no whitespace or underscores); decimals are
+converted exactly through power-of-ten denominators, never through binary
+floats.  json parse_float is redirected to str for the same reason, and
+every JSON number's text is in the grammar.  Reports are JSON with a
+schema_version field; readers should ignore unknown fields so the schema
+can grow.  This module alone writes report text: the library returns
+exact values, and ``_text`` and ``_quantity`` write them.  A quantity's
+float is ``float(x)``, its exact value rounded once, and null where that
+overflows or a nonzero value underflows to 0.0.  ``matrix`` prints each
+cell of ``matrix_cells``, the integers num/den in lowest terms that the
+library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
+Fraction; every row of B and G it prints is checked against its closed
+form before it is first printed from a given table, once per table and
+width.  Every command writes its output through ``_emit``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only

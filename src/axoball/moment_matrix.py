@@ -33,7 +33,7 @@ Construction walks, verification evaluates entries:
     (``_b_row``): one small multiply and one exact division per entry.
     The integers depend on (i, j) alone, so the walked rows are kept in
     one process-wide table, ``_b_rows``, rebuilt only when a call needs it
-    wider; it only grows, to about 4 MB at the solve's 401 rows.  The
+    wider; it only grows, to about 4 MB at the CLI's cap of 401 rows.  The
     cells of B and G = B D^{-1} both come from the table, each with the
     power of two that Kummer's theorem counts in its binomials,
     popcount(i-1) + popcount((j-i)/2), shifted out of num and den;

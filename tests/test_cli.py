@@ -227,6 +227,17 @@ BAD_INPUT = [
     bad("radius-past-digit-limit", "solve {file}", dict(ONE, radius="1" * 5000),
         f"error: field 'radius': more than {DIGIT_LIMIT} digits (Python's int-to-str "
         f"limit) in '{'1' * 40}...'\n", needs_digit_limit),
+    # texts outside the number grammar that Fraction reads on some Python
+    *(bad(id, "solve {file}", body,
+          f"error: field '{field}': not a rational number: {text!r}\n")
+      for id, field, text, body in (
+          ("radius-spaces", "radius", " 1 ", dict(ONE, radius=" 1 ")),
+          ("coefficient-underscore", "coeffs_b[0]", "1_000",
+           dict(ONE, coeffs_b=["1_000"])),
+          ("radius-arabic-indic", "radius", "١", dict(ONE, radius="١")),
+          ("coefficient-fullwidth", "coeffs_b[0]", "１/２",
+           dict(ONE, coeffs_b=["１/２"])),
+      )),
     bad("potential-not-an-object", "solve {file}", {"radius": "1", "potential": []},
         "field 'potential': must be an object"),
     bad("two-coefficient-lists", "solve {file}",
