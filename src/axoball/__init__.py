@@ -31,6 +31,7 @@ _HOME = {
     "PotentialSpec": "electrostatics",
     "axial_force": "electrostatics",
     "build_report": "electrostatics",
+    "check_exact": "electrostatics",
     "charge_legendre_moments": "electrostatics",
     "induced_axis_potential": "electrostatics",
     "multipole_moments": "electrostatics",

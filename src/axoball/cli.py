@@ -21,7 +21,12 @@ cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
 Fraction; every row of B and G it prints is checked against its closed
 form before it is first printed from a given table, once per table and
-width.  Every command writes its output through ``_emit``.
+width.  Every command writes its output through ``_emit``.  ``solve``
+constructs the report, turns every value into text, verifies it with
+``electrostatics.check_exact``, and only then samples the profile, runs
+--verify and writes: a report too long to print is refused before its
+integrals run, and a ConsistencyError, a bug, propagates with nothing
+written.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
@@ -76,13 +81,14 @@ SCHEMA_VERSION = 1
 # it is solved.  So is one whose force integral multiplies two integers of
 # more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
 # coeff_bits), whatever its orders: Karatsuba's time grows as that to the
-# power 1.58.  The slowest accepted inputs run in about 2 s cold (2-core
-# Xeon, CPython 3.11), and only the first of these prints a report: degree
-# 400 with every order 0..1000 and the radius 7/3 exits 0 in 1.5 s; degree
-# 400 with one order and a 31-bit radius exits 2 in 1.9 s, "the force has
-# too many digits to print"; degree 12 with coefficients 1/d for thirteen
-# 4300-digit d exits 2 in 2.1 s, "the charge density has too many digits
-# to print".  The last two do all their work before they are refused.
+# power 1.58.  The slowest accepted input, degree 400 with every order
+# 0..1000 and the radius 7/3, exits 0 in 1.5-2.2 s cold (2-core Xeon,
+# CPython 3.11).  A report with more digits than Python prints is refused
+# once its closed forms are built, before check_exact integrates: degree
+# 400 with one order and a 31-bit radius exits 2 in 0.4-0.6 s, "the force
+# has too many digits to print", and degree 12 with coefficients 1/d for
+# thirteen 4300-digit d in 1.0-1.2 s, "the charge density has too many
+# digits to print".
 WORK_BOUND = 25 * 10**8
 PRODUCT_BOUND = 5 * 10**6
 
@@ -327,7 +333,7 @@ def _emit(text, out_path):
 def cmd_solve(args):
     import json
 
-    from .electrostatics import build_report
+    from .electrostatics import build_report, check_exact
 
     prob = load_problem(args.problem)
     spec = prob.spec
@@ -357,6 +363,9 @@ def cmd_solve(args):
         },
         "force": _quantity(report.force_F, "force"),
     }
+    # verified once every value is text: an unprintable report is refused
+    # before its integrals run, and a ConsistencyError writes nothing
+    check_exact(report)
     if prob.profile is not None:
         samples, span = prob.profile
         doc["profile"] = _profile_arrays(report.density, samples, span)

@@ -21,14 +21,18 @@ closed form in the b coefficients:
     multipole, order m  D_m = 2 pi eps0 r^(m+1) sum_i (2i-1) r^(i-1) F_{i,m+1} b_i
     axial force         F   = 4 pi eps0 sum_i i r^(2i-1) b_i b_{i+1}
 
-Each of those is also evaluated a second, independent way by exact
-polynomial integration of its defining integral (2 pi r int z^m sigma dz
-for the moments, (pi/eps0) int z sigma^2 dz for the force on the surface),
-and the two results are required to match identically.  A mismatch raises
-ConsistencyError and indicates a bug, never bad input.
-
-Every quantity takes the density ``solve_charge_density`` returns: its
-closed form reads the b the density was solved from, its integrated path c.
+Construction and verification are two separate paths.  The solve and
+those closed forms construct a report: ``build_report`` is
+``solve_charge_density``, then ``multipole_moments`` and ``axial_force``,
+and each quantity reads only the b its density was solved from.
+``check_exact(report)`` verifies it: it evaluates each value the report
+holds a second, independent way, by exact polynomial integration of its
+defining integral from c (2 pi r int z^m sigma dz for the moments,
+(pi/eps0) int z sigma^2 dz for the force on the surface), and requires
+the two to match identically.  A mismatch raises ConsistencyError and
+indicates a bug, never bad input.  The CLI constructs a report, turns
+every value into text, and only then verifies it, so an unprintable
+report is refused before its integrals run.
 
 The charge and the dipole are the multipole moments of orders 0 and 1;
 the order-m sum gives their closed forms above.
@@ -42,14 +46,14 @@ which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
 weight.  The integers are taken on the values that hold them, by one
 rule, in ``_Value._integers``: the numerators of a PotentialSpec's b or a
 ChargeDensity's c over their least common denominator are taken when the
-solve or a quantity first reads them, never by a constructor, and kept in
-a private slot that is no field.  The closed sum of order m reads column
-m+1 of F as the integers ``moment_matrix._f_column`` walks over one
-denominator, and the integrated path runs through the private
-``_integral``, which no closed form uses.  The force's closed sum is one
-integer over b's numerators; its integral squares c's numerator
-polynomial as one big-int product (Kronecker substitution, ``_product``),
-so CPython's Karatsuba multiplies the pairs.
+solve, a check or a float view first reads them, never by a constructor,
+and kept in a private slot that is no field.  The closed sum of order m
+reads column m+1 of F as the integers ``moment_matrix._f_column`` walks
+over one denominator, and the integrated paths of ``check_exact`` run
+through the private ``_integral``, which no closed form uses.  The
+force's closed sum is one integer over b's numerators; its integral
+squares c's numerator polynomial as one big-int product (Kronecker
+substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
 
 The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
 and the oracle's QuadratureRule) are plain immutable classes on one base,
@@ -197,7 +201,9 @@ class PotentialSpec(_Value):
     zeros are normalized away (the degree is the index of the last nonzero
     coefficient); the all-zero potential collapses to a single 0.
 
-    ``epsilon0`` is a plain float used only for float rendering.  The
+    ``epsilon0`` is a plain float used only for float rendering; a value
+    that is not a float is read by ``parse_rational`` first, so ``"1/2"``
+    gives 0.5 and text outside its grammar is refused.  The
     constructor takes no integers from b: its numerators over their least
     common denominator are taken when the solve first reads them.
     """
@@ -214,8 +220,9 @@ class PotentialSpec(_Value):
             raise ValueError("coeffs_b must not be empty")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
+        eps = epsilon0 if isinstance(epsilon0, float) else parse_rational(epsilon0)
         try:
-            eps = float(epsilon0)
+            eps = float(eps)
         except OverflowError:
             eps = math.inf
         if not 0 < eps < math.inf:
@@ -502,15 +509,6 @@ def _unpack(z, width, count):
     return _unpack(low, width, half) + _unpack((z - low) >> shift, width, count - half)
 
 
-def _agreed(quantity, order, integrated, closed, density):
-    """The closed form as an ExactPhysical, once both exact paths agree."""
-    if integrated != closed:
-        label = quantity if order is None else f"order-{order} {quantity}"
-        message = f"{label} paths disagree: integrated {integrated}, closed {closed}"
-        raise ConsistencyError(message, quantity, order, integrated, closed)
-    return ExactPhysical(closed, density.epsilon0)
-
-
 # total_charge, dipole_moment and multipole_moment are kept for the
 # benchmark's per-layer metrics, which name them
 def total_charge(density):
@@ -541,27 +539,16 @@ def multipole_moments(density, orders):
     """The multipole moments of the given orders, as a dict from each order
     to its ExactPhysical, in the order requested.
 
-    Each order sums its closed form from the numerators of b and its
-    defining integral from those of c, as one integer each; both are read
-    through ``_integers``, which takes each once per value.  The orders are
-    evaluated in turn, so the first order whose two paths disagree raises
-    ConsistencyError.
+    Each order sums its closed form from the numerators of b as one
+    integer; they are read through ``_integers``, which takes them once
+    per spec.  ``check_exact`` integrates the same moments from c.
     """
     orders = list(orders)
     for m in orders:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
-    r, b, c = density.radius, density.spec._integers(), density._integers()
-    return {
-        m: _agreed(
-            "moment",
-            m,
-            _integrated_moment(*c, r, m),
-            _closed_moment(*b, r, m),
-            density,
-        )
-        for m in orders
-    }
+    r, b, eps = density.radius, density.spec._integers(), density.epsilon0
+    return {m: ExactPhysical(_closed_moment(*b, r, m), eps) for m in orders}
 
 
 def axial_force(density):
@@ -571,14 +558,11 @@ def axial_force(density):
     its axial component integrates to F = (pi/eps0) int z sigma^2 dz, which
     has the closed form 4 pi eps0 sum_i i r^(2i-1) b_i b_{i+1}.  Positive
     values point along +z (increasing s).  The closed form is one integer
-    sum over b's numerators; the integral squares sigma's numerator
-    polynomial by one big-int product (``_product``).  Both paths are exact
-    and must agree.
+    sum over b's numerators; ``check_exact`` integrates the same force
+    from c.
     """
-    r, b, c = density.radius, density.spec._integers(), density._integers()
-    return _agreed(
-        "force", None, _integrated_force(*c, r), _closed_force(*b, r), density
-    )
+    b = density.spec._integers()
+    return ExactPhysical(_closed_force(*b, density.radius), density.epsilon0)
 
 
 def _horner(coeffs, x):
@@ -655,12 +639,42 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
     The charge and the dipole are the moments of orders 0 and 1, so each
     order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.  The solve takes the numerators
-    of b, and the first moment those of c; the other moments and the force
-    read them as kept.
+    the requested orders in their order.  Every value is a closed form:
+    the solve takes the numerators of b, and the moments and the force read
+    them as kept.  ``check_exact`` checks the report from c.
     """
     density = solve_charge_density(spec)
     values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
     multipoles = {m: values[m] for m in moments}
     force = axial_force(density)
     return BallReport(density, values[0], values[1], multipoles, force)
+
+
+def check_exact(report):
+    """Check every exact value of a report against the integral that
+    defines it, summed exactly from the numerators of c; return None.
+
+    Each order of the report is integrated once, in the order
+    ``build_report`` evaluates them.  Each value the report holds is then
+    compared with its integral: the multipoles in their order, the charge,
+    the dipole, and then the force, whose integral is taken last.  The
+    first value that differs raises ConsistencyError, whose ``integrated``
+    is the integral and ``closed`` the report's value.  A report of
+    ``build_report`` holds the closed forms in b, so a disagreement is a
+    bug, never bad input.
+    """
+    r, c = report.density.radius, report.density._integers()
+    orders = dict.fromkeys([*report.multipoles, 0, 1])
+    integrals = {m: _integrated_moment(*c, r, m) for m in orders}
+    held = [*report.multipoles.items(), (0, report.charge_Q), (1, report.dipole_D)]
+    for m, value in held:
+        _compare("moment", m, integrals[m], value.coeff)
+    _compare("force", None, _integrated_force(*c, r), report.force_F.coeff)
+
+
+def _compare(quantity, order, integrated, closed):
+    """Raise ConsistencyError unless the two exact values are equal."""
+    if integrated != closed:
+        label = quantity if order is None else f"order-{order} {quantity}"
+        message = f"{label} paths disagree: integrated {integrated}, closed {closed}"
+        raise ConsistencyError(message, quantity, order, integrated, closed)

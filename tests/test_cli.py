@@ -285,6 +285,11 @@ BAD_INPUT = [
           ("dipole", {"radius": "1e1500", "coeffs_b": ["0", "1"]}),
           ("force", {"radius": "1e400", "coeffs_b": ["1e2000", "1e2000"]}),
       )),
+    # the slowest such input the work bounds admit: degree 400 with the
+    # 31-bit radius, whose force alone has too many digits
+    bad("force-at-degree-400-too-long-to-print", "solve {file}",
+        {"radius": f"{2**30 + 1}/{2**30}", "coeffs_b": ["1"] * 401, "moments": [0]},
+        "error: the force has too many digits to print\n", needs_digit_limit),
     # floats that leave their range; every s = k * 1e-400 floats to 0, a
     # constant, degenerate u column
     *(bad(f"{id}-{command}", f"{command} {{file}}", body,
@@ -343,7 +348,16 @@ def assert_refused(tmp_path, capsys, argv, content, text):
 
 
 @pytest.mark.parametrize("argv, content, text", BAD_INPUT)
-def test_bad_input_exits_2(tmp_path, capsys, argv, content, text):
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, content, text):
+    import axoball.electrostatics as es_mod
+
+    def unreachable(*args):
+        raise AssertionError("integrated a report that cannot print")
+
+    if "too many digits to print" in text:
+        # every value is text before check_exact integrates any of them
+        for name in ("_integrated_moment", "_integrated_force"):
+            monkeypatch.setattr(es_mod, name, unreachable)
     assert_refused(tmp_path, capsys, argv, content, text)
 
 
@@ -1263,6 +1277,29 @@ def test_unprintable_echo_exits_2_unsolved(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: the echoed input has too many digits to print\n"
+
+
+def test_a_consistency_error_writes_no_output(tmp_path, capsys, monkeypatch):
+    # check_exact runs once every value is text, before the profile, the
+    # oracle and the output: a report whose force disagrees with its
+    # integral is never written, to stdout or to --out
+    import axoball.electrostatics as es_mod
+    from axoball import ConsistencyError
+
+    def unreachable(*args):
+        raise AssertionError("went on past a failed exact check")
+
+    force = es_mod._integrated_force
+    monkeypatch.setattr(es_mod, "_integrated_force", lambda *args: force(*args) + 1)
+    monkeypatch.setattr(cli, "_profile_arrays", unreachable)
+    monkeypatch.setattr(cli, "run_verification", unreachable)
+    path = write_problem(tmp_path, dict(BASIC, profile={"samples": 3}))
+    out = tmp_path / "report.json"
+    for extra in ([], ["--verify"], ["--out", str(out)]):
+        with pytest.raises(ConsistencyError, match="^force paths disagree"):
+            main(["solve", path, *extra])
+        assert capsys.readouterr() == ("", "")
+    assert not out.exists()
 
 
 def test_a_bug_inside_a_check_is_no_input_error(tmp_path, capsys, monkeypatch):

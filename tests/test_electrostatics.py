@@ -17,6 +17,7 @@ from axoball import (
     axial_force,
     build_report,
     charge_legendre_moments,
+    check_exact,
     induced_axis_potential,
     multipole_moments,
     solve_charge_density,
@@ -59,6 +60,11 @@ def test_spec_validation():
         PotentialSpec(1, (0.5,))
     with pytest.raises(ValueError, match="epsilon0"):
         PotentialSpec(1, (1,), epsilon0=0.0)
+    # epsilon0 text is read by the number grammar, as a coefficient is
+    for text in ("1_000", " 1 ", "\u0661"):
+        with pytest.raises(ValueError, match="not a rational number:"):
+            PotentialSpec(1, (1,), epsilon0=text)
+    assert PotentialSpec(1, (1,), epsilon0="1/2").epsilon0 == 0.5
 
 
 def test_spec_epsilon0_past_float_range_is_a_value_error():
@@ -316,28 +322,34 @@ def test_force_vanishes_without_gradient_coupling():
     assert axial_force(solve_charge_density(PotentialSpec(5, (0, 3)))).coeff == 0
 
 
-def test_density_that_does_not_solve_its_spec_is_caught():
-    # closed forms read the spec's b, integrated paths the density's c
+def _report_over(monkeypatch, density, moments):
+    """``build_report``'s report of the given orders, over a density that
+    the solve did not give: its closed forms read the density's spec."""
+    monkeypatch.setattr(es_mod, "solve_charge_density", lambda spec: density)
+    return build_report(density.spec, moments)
+
+
+def test_density_that_does_not_solve_its_spec_is_caught(monkeypatch):
+    # a report's closed forms read the spec's b, and check_exact integrates
+    # the density's c: each quantity refuses a c that does not solve b
     good = solve_charge_density(PotentialSpec(2, (1, 2, 3)))
-    bad = ChargeDensity(good.spec, tuple(c + 1 for c in good.coeffs_c))
+    c = good.coeffs_c
+    shifted = tuple(x + 1 for x in c)
+    # 4 more in c_1 and 3 less in c_3 keep the integrals of orders 0 and 1,
+    # 8 sum c_j r^(m+j) / (m+j) at r = 2, so only the force reads them
+    balanced = (c[0] + 4, c[1], c[2] - 3)
     cases = [
-        (total_charge, ("moment", 0)),
-        (dipole_moment, ("moment", 1)),
-        (axial_force, ("force", None)),
-        (lambda density: multipole_moment(density, 2), ("moment", 2)),
+        (shifted, (0,), ("moment", 0), total_charge),
+        (shifted, (1,), ("moment", 1), dipole_moment),
+        (shifted, (2,), ("moment", 2), lambda density: multipole_moment(density, 2)),
+        (balanced, (0,), ("force", None), axial_force),
     ]
-    for quantity, (name, order) in cases:
-        with pytest.raises(ConsistencyError) as caught:
-            quantity(bad)
-        error = caught.value
-        assert (error.quantity, error.order) == (name, order)
-        label = name if order is None else f"order-{order} {name}"
-        assert str(error) == (
-            f"{label} paths disagree: "
-            f"integrated {error.integrated}, closed {error.closed}"
-        )
+    for coeffs_c, moments, (name, order), quantity in cases:
+        bad = ChargeDensity(good.spec, coeffs_c)
+        report = _report_over(monkeypatch, bad, moments)
+        error = _assert_disagrees(lambda: check_exact(report), name, order)
         # the closed form reads b, so it is the good density's value
-        assert error.closed == quantity(good).coeff != error.integrated
+        assert error.closed == quantity(good).coeff
 
 
 def test_parity_of_density_matches_potential(rng):
@@ -502,13 +514,9 @@ def test_build_report_collects_requested_orders(rng):
 )
 @settings(max_examples=60)
 def test_dual_paths_never_disagree(r, data, m):
-    # every op recomputes itself by exact integration and self-checks
+    # every closed form of a report equals its exact integral from c
     spec = PotentialSpec(r, tuple(data), epsilon0=1.0)
-    density = solve_charge_density(spec)
-    total_charge(density)
-    dipole_moment(density)
-    multipole_moment(density, m)
-    axial_force(density)
+    check_exact(build_report(spec, (m,)))
 
 
 # the exact kernels sum in integers; they must equal the plain Fraction sums
@@ -559,7 +567,7 @@ def test_a_wrong_table_cell_never_reaches_a_report(monkeypatch):
     # each cell of the degree-24 row table one too large, in turn: the
     # report comes back right only where the cell meets a zero b_j (or a
     # j past the spec's, whose trailing zero is dropped), and is refused
-    # with ConsistencyError everywhere else
+    # by check_exact with ConsistencyError everywhere else
     body = problem(24)
     spec = PotentialSpec(body["radius"], body["coeffs_b"], epsilon0=1.0)
     right = build_report(spec)
@@ -573,6 +581,7 @@ def test_a_wrong_table_cell_never_reaches_a_report(monkeypatch):
             row[k] -= 1
             try:
                 report = build_report(spec)
+                check_exact(report)
             except ConsistencyError:
                 continue
             assert report == right, (i, i + 2 * k)
@@ -590,9 +599,8 @@ def test_one_wrong_c_is_refused_by_the_first_moment_that_reads_it(monkeypatch):
     for i in range(1, len(good.coeffs_c) + 1):
         c = list(good.coeffs_c)
         c[i - 1] += 1
-        wrong = ChargeDensity(spec, tuple(c))
-        monkeypatch.setattr(es_mod, "solve_charge_density", lambda spec: wrong)
-        _assert_disagrees(lambda: build_report(spec), "moment", (i - 1) % 2)
+        report = _report_over(monkeypatch, ChargeDensity(spec, tuple(c)), (0, 1, 2, 3))
+        _assert_disagrees(lambda: check_exact(report), "moment", (i - 1) % 2)
 
 
 def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
@@ -609,20 +617,25 @@ def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
     # building the spec takes nothing
     assert calls == []
     report = build_report(spec, body["moments"])
-    # b when the solve reads it, and c when the first moment reads it
+    # b when the solve reads it: the closed forms read it as kept
+    assert calls == [spec.coeffs_b]
+    # and c when check_exact first reads it
+    check_exact(report)
     assert calls == [spec.coeffs_b, report.density.coeffs_c]
-    # a density that already served a quantity takes neither again
+    # a density that already served a quantity and a check takes neither again
     multipole_moments(report.density, range(8))
     axial_force(report.density)
+    check_exact(report)
     assert len(calls) == 2
-    # a second solve of the spec reads b as kept, and takes the new c
-    build_report(spec, body["moments"])
+    # a second solve of the spec reads b as kept, and its check the new c
+    check_exact(build_report(spec, body["moments"]))
     assert calls[2:] == [report.density.coeffs_c]
 
 
 def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
     # the closed multipole sum reads F from the column walk; the integrated
-    # path does not, so one wrong walked entry must raise ConsistencyError
+    # path of check_exact does not, so one wrong walked entry must raise
+    # ConsistencyError
     walk = es_mod._f_column
 
     def column(j, n):
@@ -632,10 +645,10 @@ def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
         return nums, den
 
     monkeypatch.setattr(es_mod, "_f_column", column)
-    density = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0))
-    multipole_moment(density, 1)
+    spec = PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0)
+    check_exact(build_report(spec, (1,)))
     with pytest.raises(ConsistencyError, match="order-2 moment"):
-        multipole_moment(density, 2)
+        check_exact(build_report(spec, (2,)))
 
 
 @given(spec=kernel_specs(max_degree=30))
@@ -649,11 +662,14 @@ def test_integrated_paths_equal_the_fraction_sums(spec):
         for e, ce in enumerate(c):
             q[a + e] += ca * ce
     force = 8 * sum((q[d] * r**d / (d + 2) for d in range(1, len(q), 2)), Fraction(0))
-    assert axial_force(density).coeff == force
+    # check_exact holds the integer integrals to the report's values
+    report = build_report(spec, range(5))
+    check_exact(report)
+    assert report.force_F.coeff == force
     for m in range(5):
         odd = range(1 + m % 2, len(c) + 1, 2)
         moment = 8 * sum((c[j - 1] * r ** (m + j) / (m + j) for j in odd), Fraction(0))
-        assert multipole_moment(density, m).coeff == moment
+        assert report.multipoles[m].coeff == moment
 
 
 def test_multipole_moments_keep_the_requested_orders():
@@ -681,30 +697,39 @@ def _assert_disagrees(call, quantity, order):
     return error
 
 
-def test_consistency_error_is_raised_per_order():
+def test_consistency_error_is_raised_per_order(monkeypatch):
     good = solve_charge_density(PotentialSpec(2, (1, 2, 3, 4, 5), epsilon0=1.0))
     right = multipole_moments(good, range(6))
+
+    def check(density, moments):
+        return lambda: check_exact(_report_over(monkeypatch, density, moments))
+
     # c_2, the coefficient of z, is read by the integrals of odd order only
     c = list(good.coeffs_c)
     c[1] += 1
     bad_c = ChargeDensity(good.spec, tuple(c))
-    error = _assert_disagrees(
-        lambda: multipole_moments(bad_c, [0, 3, 1]), "moment", 3
-    )
+    error = _assert_disagrees(check(bad_c, [0, 3, 1]), "moment", 3)
     assert error.closed == right[3].coeff
-    assert multipole_moments(bad_c, [0, 2, 4]) == {m: right[m] for m in (0, 2, 4)}
+    # the even orders agree, so the dipole, checked after them, refuses it
+    error = _assert_disagrees(check(bad_c, [0, 2, 4]), "moment", 1)
+    assert error.closed == right[1].coeff
     # b_2 is read by the closed sums of odd order only, and by the force
     b = list(good.coeffs_b)
     b[1] += 1
     bad_b = ChargeDensity(
         PotentialSpec(good.radius, tuple(b), good.epsilon0), good.coeffs_c
     )
-    error = _assert_disagrees(
-        lambda: multipole_moments(bad_b, [0, 2, 3, 1]), "moment", 3
-    )
+    error = _assert_disagrees(check(bad_b, [0, 2, 3, 1]), "moment", 3)
     assert error.integrated == right[3].coeff
     assert multipole_moments(bad_b, [4, 0]) == {m: right[m] for m in (4, 0)}
-    error = _assert_disagrees(lambda: axial_force(bad_b), "force", None)
+    # b_3 is read by the closed sums of even order 2 and up, and by the
+    # force, so a report of orders 0 and 1 is refused by its force
+    b = list(good.coeffs_b)
+    b[2] += 1
+    bad_b = ChargeDensity(
+        PotentialSpec(good.radius, tuple(b), good.epsilon0), good.coeffs_c
+    )
+    error = _assert_disagrees(check(bad_b, [0, 1]), "force", None)
     assert error.integrated == axial_force(good).coeff
 
 

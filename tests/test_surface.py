@@ -26,6 +26,7 @@ SURFACE = {
     "VACUUM_PERMITTIVITY",
     "solve_charge_density",
     "build_report",
+    "check_exact",
     "multipole_moments",
     "axial_force",
     "induced_axis_potential",
