@@ -33,7 +33,11 @@ parser is built once per process, on the first call; each call only
 parses.  The library keeps one table across calls, the integer rows of
 the Legendre coefficients (``moment_matrix._b_rows``), which only grows:
 a later ``solve`` or ``matrix --which B|G`` reads it instead of walking
-those rows again.  Commands dispatch by name at call time, through the
+those rows again.  It also keeps the cells of each matrix's widest print
+so far, about 1.4-1.6 MiB a matrix at order 200 (tracemalloc): a
+``matrix`` print they cover is cut from them and compares nothing, and a
+wider F print walks only the columns it adds; a wider B or G print, or
+one of a new table, reads and compares every row again.  Commands dispatch by name at call time, through the
 module's ``cmd_*`` globals, so rebinding one of them at module level (a
 tracer or a test does) changes what ``main`` runs.
 

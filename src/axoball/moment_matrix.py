@@ -54,7 +54,17 @@ the product formula of every F entry and F G = G F = I are proofs about
 these entries, not construction steps; the tests check them
 (``tests/references.py``).
 
-Every entry and every walk is order-independent.
+Every entry and every walk is order-independent, so the cells of an
+order are a cut of any wider print's.  ``matrix_cells`` keeps, per matrix,
+the cells of the widest print so far: F's column by column (``_F_KEPT``),
+B's and G's row by row (``_BG_KEPT``), and cuts each print it covers from
+them as a fresh list, with no walk and no comparison.  A wider F print
+walks only the columns it adds.  B's and G's kept rows are tied to the
+table they were read from and to the order of the print that read them:
+a wider print, or a print of a replaced table, reads every row again
+through ``_b_cells``, which compares them as above.  Measured with
+tracemalloc, the kept cells at order 200, the CLI's cap, take 1.6 MiB for
+F and 1.4 MiB each for B and G.
 """
 
 from functools import lru_cache
@@ -181,15 +191,16 @@ def g_entry(i, j):
     return Fraction((2 * j - 1) * beta_numerator(i, j), 2**j)
 
 
-def _f_cells(order):
-    """F's triangle cells as (i, j, num, den) in lowest terms, column by
-    column.  Column j starts from F_1j = 2/j (j odd) or F_2j = 2/(j+1)
-    (j even), both reduced, and steps down by F_{i+2,j} = F_ij a/b with
-    a/b = (j-i)/(i+j+1), after cancelling gcd(a, b), then gcd(a, den) and
-    gcd(num, b) (Knuth, TAOCP 2, 4.5.1): each product stays in lowest
-    terms, and every gcd has one small operand."""
+def _f_cells(first, last):
+    """F's triangle cells in columns first..last, as (i, j, num, den) in
+    lowest terms, column by column.  Column j starts from F_1j = 2/j (j odd)
+    or F_2j = 2/(j+1) (j even), both reduced, and steps down by
+    F_{i+2,j} = F_ij a/b with a/b = (j-i)/(i+j+1), after cancelling
+    gcd(a, b), then gcd(a, den) and gcd(num, b) (Knuth, TAOCP 2, 4.5.1):
+    each product stays in lowest terms, and every gcd has one small
+    operand.  No column depends on another."""
     cells = []
-    for j in range(1, order + 1):
+    for j in range(first, last + 1):
         num, den = 2, j + 1 - j % 2
         for i in range(2 - j % 2, j, 2):
             cells.append((i, j, num, den))
@@ -212,7 +223,8 @@ def _b_cells(order, inverse):
     C(2m, m), and popcount(q) + popcount(i-1) - popcount(m) for C(m, q),
     as m - q = i - 1.  So h, and (2j - 1) h, hold exactly
     k = popcount(i-1) + popcount(q) factors of two; k never exceeds j - 1,
-    so num and den lose 2**k whole.
+    so num and den lose 2**k whole.  Returns the table it read and a tuple
+    of rows, row i - 1 the tuple of row i's cells.
 
     Each row, cut at the order, must equal ``beta_numerator`` at every
     cell, compared in ints as one list; a row that does not names its
@@ -226,7 +238,7 @@ def _b_cells(order, inverse):
     table = _b_rows(order)
     compared, width = _B_COMPARED
     check = compared is not table or width < order
-    cells = []
+    rows = []
     for i in range(1, order + 1):
         js = range(i, order + 1, 2)
         row = table[i - 1][: len(js)]
@@ -240,33 +252,58 @@ def _b_cells(order, inverse):
                 )
         ks = [popcount[i - 1] + popcount[q] for q in range(len(js))]
         if inverse:
-            cells += [
+            cells = [
                 (i, j, (2 * j - 1) * h >> k, powers[j - k])
                 for j, h, k in zip(js, row, ks)
             ]
         else:
-            cells += [
-                (i, j, h >> k, powers[j - 1 - k]) for j, h, k in zip(js, row, ks)
-            ]
+            cells = [(i, j, h >> k, powers[j - 1 - k]) for j, h, k in zip(js, row, ks)]
+        rows.append(tuple(cells))
     if check:
         _B_COMPARED = (table, order)
-    return cells
+    return table, tuple(rows)
+
+
+# the cells of F's widest print so far, as (order, cells): its cells
+# column by column in one tuple, so that the cells of any order n up to
+# ``order`` are its first (n + 1)**2 // 4; replaced by one assignment
+_F_KEPT = (0, ())
+
+# the cells of B's and G's widest print so far from one table, each as
+# (table, order, rows): the rows that ``_b_cells`` returned from the
+# ``_b_rows`` table ``table`` at the print's ``order``, compared to that
+# order; each value replaced by one assignment
+_BG_KEPT = {"B": ((), 0, ()), "G": ((), 0, ())}
 
 
 def matrix_cells(which, order):
     """The nonzero cells of the matrix ``which`` (``"F"``, ``"G"``, ``"B"``
     or ``"D"``) of the given order, as tuples (i, j, num, den) with entry
     (i, j) = num/den in lowest terms, den > 0; every other cell is zero.
-    B and G are checked as they are walked."""
+    B and G are checked as they are walked.  Each call returns a fresh
+    list, cut from the cells kept from the widest print so far, which a
+    wider print first widens (see the module docstring)."""
+    global _F_KEPT
     if order < 1:
         raise ValueError("order must be >= 1")
     if which == "F":
-        return _f_cells(order)
+        width, cells = _F_KEPT
+        if width < order:
+            cells += tuple(_f_cells(width + 1, order))
+            _F_KEPT = (order, cells)
+        return list(cells[: (order + 1) ** 2 // 4])
     if which == "D":
         return [(i, i, 2, 2 * i - 1) for i in range(1, order + 1)]
     if which not in ("B", "G"):
         raise ValueError(f"no matrix named {which!r}")
-    return _b_cells(order, which == "G")
+    table, width, rows = _BG_KEPT[which]
+    if table is not _B_ROWS or width < order:
+        table, rows = _b_cells(order, which == "G")
+        _BG_KEPT[which] = (table, order, rows)
+    cells = []
+    for i in range(order):
+        cells += rows[i][: (order - i + 1) // 2]
+    return cells
 
 
 def _dense(which, order):

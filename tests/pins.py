@@ -53,6 +53,14 @@ PINS = [
      "a8cd3990e10fe84e64acc2c6dbc3a4a1e644ddea5e5fa76a81f68a4d0527f1fe"),
     (["matrix", "--order", "200", "--which", "D"], None,
      "f096b23885a14fe42a19df0a143f75a32bc75b94ee4c367d59e50b4e8f84aeab"),
+    # the matrix pool's widest order: run through main in one process, these
+    # are cut from the cells kept by the order-200 prints above
+    (["matrix", "--order", "120", "--which", "F"], None,
+     "cb7bc96fe3768b86fb7d717b8cb7ae842226d8ca6b390deb09ac9b3247764a14"),
+    (["matrix", "--order", "120", "--which", "G"], None,
+     "9f346f34eff4a6ac09eb0239190dd2122376a24cb15fd468f2958e38457012e0"),
+    (["matrix", "--order", "120", "--which", "B"], None,
+     "e448183df242e16b43d151371af416a010035519239c220ad237f34e44d39443"),
     (["solve", "degree-200-moments-200.json"], problem(200, range(201)),
      "4d4674df755429d974a30100e81b6e4ef2d970dcb82663358545820a21b71d85"),
     (["solve", "degree-400.json"], problem(400),

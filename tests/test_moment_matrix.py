@@ -156,11 +156,12 @@ def test_matrix_identities_order_20():
 def test_zero_pattern_is_structural(monkeypatch):
     # each parity-triangle cell is walked once, column by column, and no
     # other cell is walked
+    _no_kept_cells(monkeypatch)
     walked = []
     walk = moment_matrix._f_cells
 
-    def cells(order):
-        result = walk(order)
+    def cells(*columns):
+        result = walk(*columns)
         walked.extend((i, j) for i, j, _, _ in result)
         return result
 
@@ -296,10 +297,20 @@ def _cells_from_an_empty_table(which, order):
         return moment_matrix.matrix_cells(which, order)
 
 
+def _no_kept_cells(monkeypatch):
+    """Start from no kept cells of any matrix, and put back the kept cells
+    of before when the test ends, so that no cells of a corrupted walk
+    outlive it."""
+    monkeypatch.setattr(moment_matrix, "_F_KEPT", (0, ()))
+    monkeypatch.setattr(moment_matrix, "_BG_KEPT", {"B": ((), 0, ()), "G": ((), 0, ())})
+
+
 def _from_an_empty_table(monkeypatch):
-    """Start from an empty row table, and no table compared."""
+    """Start from an empty row table, no table compared, and no kept
+    cells."""
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     monkeypatch.setattr(moment_matrix, "_B_COMPARED", ((), 0))
+    _no_kept_cells(monkeypatch)
 
 
 def _count_closed_forms(monkeypatch):
@@ -419,6 +430,74 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
     assert raised, "no print read the wrong table"
 
 
+def _fresh_walk(which, order):
+    """The cells of ``which`` at ``order`` from a walk of their own, past
+    any kept cells and from an empty row table."""
+    if which == "F":
+        return moment_matrix._f_cells(1, order)
+    with mock.patch.object(moment_matrix, "_B_ROWS", ()):
+        _, rows = moment_matrix._b_cells(order, which == "G")
+    return [cell for row in rows for cell in row]
+
+
+@pytest.mark.parametrize("which", ["F", "B", "G"])
+def test_a_narrower_print_is_a_fresh_list_cut_from_the_kept_cells(
+    monkeypatch, which
+):
+    _from_an_empty_table(monkeypatch)
+    walks = {order: _fresh_walk(which, order) for order in range(1, 41)}
+    moment_matrix.matrix_cells(which, 40)
+    # no print below walks anything
+    monkeypatch.setattr(moment_matrix, "_f_cells", None)
+    monkeypatch.setattr(moment_matrix, "_b_cells", None)
+    for order in [*range(40, 0, -1), *range(1, 41)]:
+        cells = moment_matrix.matrix_cells(which, order)
+        assert cells == walks[order], order
+        # the list is the caller's: emptying it changes no later print
+        cells.clear()
+
+
+def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch):
+    _no_kept_cells(monkeypatch)
+    walked = []
+    walk = moment_matrix._f_cells
+
+    def cells(first, last):
+        walked.append((first, last))
+        return walk(first, last)
+
+    monkeypatch.setattr(moment_matrix, "_f_cells", cells)
+    for order in [10, 4, 10, 17, 1, 12, 30]:
+        assert moment_matrix.matrix_cells("F", order) == walk(1, order), order
+    assert walked == [(1, 10), (11, 17), (18, 30)]
+
+
+def test_threads_print_f_while_its_kept_cells_are_emptied(monkeypatch):
+    # three threads print F at random orders, each widening or cutting the
+    # kept cells that a fourth keeps emptying: every print is right
+    _no_kept_cells(monkeypatch)
+    full = moment_matrix._f_cells(1, 60)
+    failures, finished = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            while len(finished) < 3:
+                moment_matrix._F_KEPT = (0, ())
+                time.sleep(1e-4)
+            return
+        try:
+            for _ in range(300):
+                n = rng.randint(1, 60)
+                if moment_matrix.matrix_cells("F", n) != [c for c in full if c[1] <= n]:
+                    failures.append((seed, n))
+        finally:
+            finished.append(seed)
+
+    _run_threads(work, 4)
+    assert failures == []
+
+
 nonzero_fractions = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
 ).filter(bool)
@@ -508,8 +587,8 @@ def _cell_off_by_one(walk, at):
     """The cell walk ``walk`` with the numerator of cell ``at`` one too
     large over its denominator, and every other cell unchanged."""
 
-    def corrupted(order):
-        return [(i, j, num + ((i, j) == at), den) for i, j, num, den in walk(order)]
+    def corrupted(*columns):
+        return [(i, j, num + ((i, j) == at), den) for i, j, num, den in walk(*columns)]
 
     return corrupted
 
