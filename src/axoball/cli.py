@@ -19,10 +19,10 @@ float is ``float(x)``, its exact value rounded once, and null where that
 overflows or a nonzero value underflows to 0.0.  ``matrix`` prints each
 cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
-Fraction; every row of B and G it prints is checked against its closed
-form before it is first printed from a given table, once per table and
-width.  Every command writes its output through ``_emit``.  ``solve``
-constructs the report, turns every value into text, verifies it with
+Fraction; every cell of B and G is checked against its closed form, a
+column at a time, before the process first prints it.  Every command
+writes its output through ``_emit``.  ``solve`` constructs the report,
+turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
 --verify and writes: a report too long to print is refused before its
 integrals run, and a ConsistencyError, a bug, propagates with nothing
@@ -36,10 +36,10 @@ a later ``solve`` or ``matrix --which B|G`` reads it instead of walking
 those rows again.  It also keeps the cells of each matrix's widest print
 so far, about 1.4-1.6 MiB a matrix at order 200 (tracemalloc): a
 ``matrix`` print they cover is cut from them and compares nothing, and a
-wider F print walks only the columns it adds; a wider B or G print, or
-one of a new table, reads and compares every row again.  Commands dispatch by name at call time, through the
-module's ``cmd_*`` globals, so rebinding one of them at module level (a
-tracer or a test does) changes what ``main`` runs.
+wider print walks, and for B and G compares, only the columns it adds.
+Commands dispatch by name at call time, through the module's ``cmd_*``
+globals, so rebinding one of them at module level (a tracer or a test
+does) changes what ``main`` runs.
 
 Each command imports the library layers it runs, when it runs them; at
 module level this module imports only the standard library, so that a

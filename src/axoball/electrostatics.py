@@ -197,7 +197,8 @@ class PotentialSpec(_Value):
     ``coeffs_b`` holds b_1..b_{n+1} with -phi0(s) = sum b_i s^(i-1).
     Entries pass through ``parse_rational``, so ints, Fractions and strings
     in its ASCII grammar (``"-7/2"``, ``"0.25"``, ``"2e-3"``; no whitespace
-    or underscores) are accepted and binary floats are rejected.  Trailing
+    or underscores) are accepted and binary floats are rejected; a text
+    ``coeffs_b`` is refused, not read one character at a time.  Trailing
     zeros are normalized away (the degree is the index of the last nonzero
     coefficient); the all-zero potential collapses to a single 0.
 
@@ -215,6 +216,8 @@ class PotentialSpec(_Value):
         radius = parse_rational(radius)
         if radius <= 0:
             raise ValueError("radius must be positive")
+        if isinstance(coeffs_b, (str, bytes)):
+            raise ValueError("coeffs_b must be a sequence of coefficients, not text")
         coeffs = [parse_rational(b) for b in coeffs_b]
         if not coeffs:
             raise ValueError("coeffs_b must not be empty")

@@ -41,30 +41,27 @@ Construction walks, verification evaluates entries:
     the column walk;
   * verification: ``matrix_cells`` compares every integer of B and G that
     it reads from the table with ``beta_numerator``, its binomial closed
-    form, in ints, a row at a time as one list comparison, and names the
-    first cell of a row that disagrees.  The table is immutable, so each
-    table object is compared once to each width it is printed at: a
-    repeat or narrower print of the same table compares nothing, and a
-    wider print, or one of a replaced table, compares before it returns
-    any cell.  The Rodrigues alternating sum ``f_entry_closed_form`` is
-    an independent path to every F entry.
+    form, in ints, a column at a time as one list comparison, before it
+    builds any cell of that column, and names the first cell of the first
+    column that disagrees.  The Rodrigues alternating sum
+    ``f_entry_closed_form`` is an independent path to every F entry.
 
 The row recurrence, the diagonal and superdiagonal factorial formulas,
 the product formula of every F entry and F G = G F = I are proofs about
 these entries, not construction steps; the tests check them
 (``tests/references.py``).
 
-Every entry and every walk is order-independent, so the cells of an
-order are a cut of any wider print's.  ``matrix_cells`` keeps, per matrix,
-the cells of the widest print so far: F's column by column (``_F_KEPT``),
-B's and G's row by row (``_BG_KEPT``), and cuts each print it covers from
-them as a fresh list, with no walk and no comparison.  A wider F print
-walks only the columns it adds.  B's and G's kept rows are tied to the
-table they were read from and to the order of the print that read them:
-a wider print, or a print of a replaced table, reads every row again
-through ``_b_cells``, which compares them as above.  Measured with
-tracemalloc, the kept cells at order 200, the CLI's cap, take 1.6 MiB for
-F and 1.4 MiB each for B and G.
+Every entry and every walk is order-independent, and F, B and G share one
+triangle, so the cells of an order, column by column, are the first
+(order + 1)**2 // 4 cells of any wider print's.  ``matrix_cells`` keeps,
+per matrix, the cells of the widest print so far in one tuple (``_KEPT``)
+by one rule: a print they cover is a fresh list cut from them, with no
+walk and no comparison, and a wider print walks, and for B and G
+compares, only the columns it adds.  So each B or G cell is compared
+once per process, before any print first returns it; B and G keep apart
+and compare apart, so a B print after a G print of the same order walks
+and compares its own cells.  Measured with tracemalloc, the kept cells at
+order 200, the CLI's cap, take 1.6 MiB for F and 1.4 MiB each for B and G.
 """
 
 from functools import lru_cache
@@ -114,7 +111,10 @@ def f_entry_closed_form(i, j):
     return total / Fraction(2) ** (i - 2)
 
 
-# 256 entries hold every m that a matrix of order up to 200 reads
+# 256 entries hold every m that a matrix of order up to 200 reads.  Its
+# measured consumer is one B or G print, which reads each m for up to
+# order / 2 cells: it took the check of an order-200 print from 35 to 8 ms
+# on a 2-CPU Xeon, so a one-shot ``axoball matrix`` gains it in full
 @lru_cache(maxsize=256)
 def _central_binomial(m):
     """C(2m, m), kept for the most recent m."""
@@ -144,13 +144,12 @@ def _b_row(i, n):
         h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
 
 
-# the widest table of the row integers built so far; see ``_b_rows``
+# the widest table of the row integers built so far; see ``_b_rows``.  Its
+# measured consumer is a process that solves more than once: on a 2-CPU
+# Xeon a solve that finds it wide enough took 0.07 / 3.5 / 18.5 ms at
+# degrees 24 / 200 / 400, against 0.11 / 6.4 / 36.1 ms with the walk; a
+# one-shot ``axoball solve`` builds it once and gains nothing from it
 _B_ROWS = ()
-
-# (table, width): the last table that ``_b_cells`` compared with
-# beta_numerator, and the width it compared to; replaced by one assignment,
-# and holding the table itself, so that no other table can match it
-_B_COMPARED = ((), 0)
 
 
 def _b_rows(n):
@@ -165,9 +164,8 @@ def _b_rows(n):
     gets a table narrower than it asked for.
 
     Reading the table does not compare it with ``beta_numerator``: the
-    solve reads it unchecked, and ``_b_cells`` compares what it prints,
-    recording in ``_B_COMPARED`` the table it compared and to what
-    width."""
+    solve reads it unchecked, and ``_b_cells`` compares each column it
+    reads, before it builds any cell of that column."""
     global _B_ROWS
     table = _B_ROWS
     if len(table) < n:
@@ -213,97 +211,76 @@ def _f_cells(first, last):
     return cells
 
 
-def _b_cells(order, inverse):
-    """The triangle cells of B, or of G = B D^{-1} when ``inverse``, as
-    (i, j, num, den) in lowest terms, row by row from the table
-    ``_b_rows``: h / 2**(j-1) for B and (2j - 1) h / 2**j for G, where
-    h = 2**(j-1) B_ij = +-C(2m, m) C(m, q) with q = (j-i)/2 and
-    m = (i+j)/2 - 1.  By Kummer's theorem the power of two in C(a+b, a) is
-    the number of carries in adding a and b in base 2: popcount(m) for
-    C(2m, m), and popcount(q) + popcount(i-1) - popcount(m) for C(m, q),
-    as m - q = i - 1.  So h, and (2j - 1) h, hold exactly
-    k = popcount(i-1) + popcount(q) factors of two; k never exceeds j - 1,
-    so num and den lose 2**k whole.  Returns the table it read and a tuple
-    of rows, row i - 1 the tuple of row i's cells.
+def _b_cells(first, last, inverse):
+    """Yield the triangle cells of B, or of G = B D^{-1} when ``inverse``,
+    in columns first..last, as (i, j, num, den) in lowest terms, column by
+    column from the table ``_b_rows(last)``: h / 2**(j-1) for B and
+    (2j - 1) h / 2**j for G, where h = 2**(j-1) B_ij = +-C(2m, m) C(m, q)
+    with q = (j-i)/2 and m = (i+j)/2 - 1.  By Kummer's theorem the power
+    of two in C(a+b, a) is the number of carries in adding a and b in
+    base 2: popcount(m) for C(2m, m), and popcount(q) + popcount(i-1) -
+    popcount(m) for C(m, q), as m - q = i - 1.  So h, and (2j - 1) h, hold
+    exactly k = popcount(i-1) + popcount(q) factors of two; k never
+    exceeds j - 1, so num and den lose 2**k whole.
 
-    Each row, cut at the order, must equal ``beta_numerator`` at every
-    cell, compared in ints as one list; a row that does not names its
-    first bad cell.  The comparison runs unless ``_B_COMPARED`` holds this
-    very table, compared to at least this order, and it records
-    (table, order) once every row has passed, before any cell is returned.
-    """
-    global _B_COMPARED
-    popcount = [m.bit_count() for m in range(order)]
-    powers = [1 << e for e in range(order + 1)]
-    table = _b_rows(order)
-    compared, width = _B_COMPARED
-    check = compared is not table or width < order
-    rows = []
-    for i in range(1, order + 1):
-        js = range(i, order + 1, 2)
-        row = table[i - 1][: len(js)]
-        if check:
-            closed = [beta_numerator(i, j) for j in js]
-            if list(row) != closed:
-                bad = (k for k, (h, c) in enumerate(zip(row, closed)) if h != c)
-                at = next(bad, min(len(row), len(js)))
-                raise ArithmeticError(
-                    f"row walk disagrees with beta_numerator at ({i}, {i + 2 * at})"
-                )
-        ks = [popcount[i - 1] + popcount[q] for q in range(len(js))]
-        if inverse:
-            cells = [
-                (i, j, (2 * j - 1) * h >> k, powers[j - k])
-                for j, h, k in zip(js, row, ks)
-            ]
-        else:
-            cells = [(i, j, h >> k, powers[j - 1 - k]) for j, h, k in zip(js, row, ks)]
-        rows.append(tuple(cells))
-    if check:
-        _B_COMPARED = (table, order)
-    return table, tuple(rows)
+    Each column must equal ``beta_numerator`` at every cell, compared in
+    ints as one list before any cell of it is built; a column that does
+    not names its first bad cell, and a row too short to reach the column
+    disagrees there."""
+    table = _b_rows(last)
+    popcount = [m.bit_count() for m in range(last)]
+    powers = [1 << e for e in range(last + 1)]
+    for j in range(first, last + 1):
+        rows = range(2 - j % 2, j + 1, 2)
+        # row i holds column j at entry q = (j - i) / 2; a row too short to
+        # reach the column reads None, which is no int
+        qs = range(len(rows) - 1, -1, -1)
+        reads = zip(table[1 - j % 2 : j : 2], qs)
+        column = [row[q] if q < len(row) else None for row, q in reads]
+        closed = [beta_numerator(i, j) for i in rows]
+        if column != closed:
+            at = next((i, j) for i, h, c in zip(rows, column, closed) if h != c)
+            raise ArithmeticError(f"row walk disagrees with beta_numerator at {at}")
+        odd, top = (2 * j - 1, j) if inverse else (1, j - 1)
+        for i, q, h in zip(rows, qs, column):
+            k = popcount[i - 1] + popcount[q]
+            yield i, j, odd * h >> k, powers[top - k]
 
 
-# the cells of F's widest print so far, as (order, cells): its cells
-# column by column in one tuple, so that the cells of any order n up to
-# ``order`` are its first (n + 1)**2 // 4; replaced by one assignment
-_F_KEPT = (0, ())
-
-# the cells of B's and G's widest print so far from one table, each as
-# (table, order, rows): the rows that ``_b_cells`` returned from the
-# ``_b_rows`` table ``table`` at the print's ``order``, compared to that
-# order; each value replaced by one assignment
-_BG_KEPT = {"B": ((), 0, ()), "G": ((), 0, ())}
+# the cells of each matrix's widest print so far, as (order, cells): its
+# cells column by column in one tuple, so that the cells of any order n up
+# to ``order`` are its first (n + 1)**2 // 4; each value replaced by one
+# assignment.  Its measured consumer is a process that prints many orders:
+# the benchmark's ``matrix`` client, where 81% of prints are covered by an
+# earlier, wider one, went from 399 to 586 commands a second on a 2-CPU
+# Xeon; a one-shot ``axoball matrix`` walks once and gains nothing from it
+_KEPT = {"F": (0, ()), "B": (0, ()), "G": (0, ())}
 
 
 def matrix_cells(which, order):
     """The nonzero cells of the matrix ``which`` (``"F"``, ``"G"``, ``"B"``
     or ``"D"``) of the given order, as tuples (i, j, num, den) with entry
-    (i, j) = num/den in lowest terms, den > 0; every other cell is zero.
-    B and G are checked as they are walked.  Each call returns a fresh
-    list, cut from the cells kept from the widest print so far, which a
-    wider print first widens (see the module docstring)."""
-    global _F_KEPT
+    (i, j) = num/den in lowest terms, den > 0, column by column; every
+    other cell is zero.  B and G are checked as they are walked.  Each
+    call returns a fresh list, cut from the cells kept from the widest
+    print so far, which a wider print first widens by the columns it adds
+    (see the module docstring)."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise ValueError("order must be an integer")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if which == "F":
-        width, cells = _F_KEPT
-        if width < order:
-            cells += tuple(_f_cells(width + 1, order))
-            _F_KEPT = (order, cells)
-        return list(cells[: (order + 1) ** 2 // 4])
     if which == "D":
         return [(i, i, 2, 2 * i - 1) for i in range(1, order + 1)]
-    if which not in ("B", "G"):
+    if which not in ("F", "B", "G"):
         raise ValueError(f"no matrix named {which!r}")
-    table, width, rows = _BG_KEPT[which]
-    if table is not _B_ROWS or width < order:
-        table, rows = _b_cells(order, which == "G")
-        _BG_KEPT[which] = (table, order, rows)
-    cells = []
-    for i in range(order):
-        cells += rows[i][: (order - i + 1) // 2]
-    return cells
+    width, cells = _KEPT[which]
+    if width < order:
+        if which == "F":
+            cells += tuple(_f_cells(width + 1, order))
+        else:
+            cells += tuple(_b_cells(width + 1, order, which == "G"))
+        _KEPT[which] = (order, cells)
+    return list(cells[: (order + 1) ** 2 // 4])
 
 
 def _dense(which, order):

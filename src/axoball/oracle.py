@@ -113,6 +113,11 @@ def _legendre_pair(n, x):
     return cur, prev
 
 
+# measured on a 2-CPU Xeon: a rule takes 0.08 ms at 8 nodes and 5.7 ms at
+# 110, and a ``solve --verify`` at degree 64 with moments 0..40 asks for 42
+# rules, 20 of them one it asked for before, since orders m and m + 1
+# often share one; so a one-shot run gains within itself, and a process
+# that verifies again at a degree it has seen gains each rule
 @lru_cache(maxsize=None)
 def gauss_legendre(order):
     """Gauss-Legendre rule with the given node count.
@@ -264,7 +269,12 @@ def axis_kernel_integral(count, xis):
     return values.reshape(len(xis), count)
 
 
-# the widest kernel table built so far at the Chebyshev points
+# the widest kernel table built so far at the Chebyshev points.  Its
+# measured consumer is a process that verifies more than once: in the
+# benchmark's ``verify`` client, where the untimed first run builds the
+# one table, the median run went from 20.5 to 2.5 ms on a 2-CPU Xeon; a
+# one-shot ``axoball solve --verify`` builds its table, 32 columns or more
+# (about 27 ms), and gains nothing from keeping it
 _widest_kernel = None
 
 

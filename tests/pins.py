@@ -4,8 +4,8 @@ is (argv, problem body or None, sha256 of stdout); a body is written to
 the file the last argv entry names.  ``python tests/pins.py`` checks every
 pin in table order, through the ``axoball`` on PATH and then through
 ``main`` in one process: each must exit 0 with the pinned stdout and an
-empty stderr.  A bad argv runs once between the csv and the table matrix
-pins, so every command also runs after it; it must exit 2 with an empty
+empty stderr.  A bad argv runs once between the order-200 csv and table
+matrix pins, so every command also runs after it; it must exit 2 with an empty
 stdout and argparse's usage on stderr, with no traceback.  The script
 exits non-zero naming the first pin that differs, and exits 1 with one
 line, before any pin, when there is no ``axoball`` on PATH.
@@ -37,6 +37,15 @@ README_PROFILE = {"radius": "3/2", "potential": {"coeffs_b": ["1", "-2/3", "0.5"
                   "moments": [0, 1, 2, 3, 4], "profile": {"samples": 101, "span": "3"}}
 
 PINS = [
+    # the matrix pool's widest order, first: run through main in one
+    # process, these walk columns 1..120, and the order-200 prints below
+    # widen the kept cells by the columns they add
+    (["matrix", "--order", "120", "--which", "F"], None,
+     "cb7bc96fe3768b86fb7d717b8cb7ae842226d8ca6b390deb09ac9b3247764a14"),
+    (["matrix", "--order", "120", "--which", "G"], None,
+     "9f346f34eff4a6ac09eb0239190dd2122376a24cb15fd468f2958e38457012e0"),
+    (["matrix", "--order", "120", "--which", "B"], None,
+     "e448183df242e16b43d151371af416a010035519239c220ad237f34e44d39443"),
     (["matrix", "--order", "200", "--which", "F", "--format", "csv"], None,
      "38d79c458abffc0fa9eaca7cd1ddb2f7a061f8c91e2a0772270c1e9a9ec64cb5"),
     (["matrix", "--order", "200", "--which", "G", "--format", "csv"], None,
@@ -53,14 +62,6 @@ PINS = [
      "a8cd3990e10fe84e64acc2c6dbc3a4a1e644ddea5e5fa76a81f68a4d0527f1fe"),
     (["matrix", "--order", "200", "--which", "D"], None,
      "f096b23885a14fe42a19df0a143f75a32bc75b94ee4c367d59e50b4e8f84aeab"),
-    # the matrix pool's widest order: run through main in one process, these
-    # are cut from the cells kept by the order-200 prints above
-    (["matrix", "--order", "120", "--which", "F"], None,
-     "cb7bc96fe3768b86fb7d717b8cb7ae842226d8ca6b390deb09ac9b3247764a14"),
-    (["matrix", "--order", "120", "--which", "G"], None,
-     "9f346f34eff4a6ac09eb0239190dd2122376a24cb15fd468f2958e38457012e0"),
-    (["matrix", "--order", "120", "--which", "B"], None,
-     "e448183df242e16b43d151371af416a010035519239c220ad237f34e44d39443"),
     (["solve", "degree-200-moments-200.json"], problem(200, range(201)),
      "4d4674df755429d974a30100e81b6e4ef2d970dcb82663358545820a21b71d85"),
     (["solve", "degree-400.json"], problem(400),
@@ -111,7 +112,7 @@ def run_main(argv):
 def check(run, where, directory):
     """The first pin, in table order, that ``run`` does not reproduce."""
     for index, (args, body, pinned) in enumerate(PINS):
-        if index == 4:
+        if index == 7:
             code, out, err = run(BAD_ARGV)
             usage = err.startswith(b"usage: axoball matrix") and b"Traceback" not in err
             if (code, out, usage) != (2, b"", True):

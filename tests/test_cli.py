@@ -542,7 +542,7 @@ def test_pin_script_checks_the_axoball_on_path(tmp_path):
     assert (runs[0].returncode, runs[0].stderr) == (0, "")
     assert runs[1].returncode == 1
     assert runs[1].stderr.startswith(
-        "pin 0 (axoball matrix --order 200 --which F --format csv) "
+        "pin 0 (axoball matrix --order 120 --which F) "
         "differs through the axoball on PATH"
     )
 

@@ -56,6 +56,10 @@ def test_spec_validation():
         PotentialSpec(-2, (1,))
     with pytest.raises(ValueError, match="empty"):
         PotentialSpec(1, ())
+    # text is not a sequence of coefficients: "12" is not (1, 2)
+    for text in ("12", b"12", ""):
+        with pytest.raises(ValueError, match="coeffs_b must be a sequence"):
+            PotentialSpec(1, text)
     with pytest.raises(ValueError, match="binary float"):
         PotentialSpec(1, (0.5,))
     with pytest.raises(ValueError, match="epsilon0"):

@@ -80,6 +80,13 @@ def test_index_validation():
             moment_matrix.matrix_cells(which, 0)
     with pytest.raises(ValueError, match="no matrix named 'X'"):
         moment_matrix.matrix_cells("X", 3)
+    with pytest.raises(ValueError, match=re.escape("no matrix named ['F']")):
+        moment_matrix.matrix_cells(["F"], 3)
+    # a bool or a float is no order: True would print order 1
+    for which in "FGBD":
+        for order in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                moment_matrix.matrix_cells(which, order)
 
 
 def test_construction_entry_equals_alternating_sum_to_order_80():
@@ -251,7 +258,7 @@ def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     full = tuple(tuple(moment_matrix._b_row(i, 40)) for i in range(1, 41))
     printed = {which: _cells_from_an_empty_table(which, 40) for which in "BG"}
-    monkeypatch.setattr(moment_matrix, "_B_COMPARED", ((), 0))
+    _no_kept_cells(monkeypatch)
     failures = []
 
     def widen(seed):
@@ -292,24 +299,28 @@ def _run_threads(work, count):
     assert not any(thread.is_alive() for thread in threads)
 
 
+def _empty_kept():
+    return {which: (0, ()) for which in "FBG"}
+
+
 def _cells_from_an_empty_table(which, order):
+    """The cells of ``which`` at ``order`` from an empty row table and no
+    kept cells, leaving both as they were."""
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
-        return moment_matrix.matrix_cells(which, order)
+        with mock.patch.object(moment_matrix, "_KEPT", _empty_kept()):
+            return moment_matrix.matrix_cells(which, order)
 
 
 def _no_kept_cells(monkeypatch):
     """Start from no kept cells of any matrix, and put back the kept cells
     of before when the test ends, so that no cells of a corrupted walk
     outlive it."""
-    monkeypatch.setattr(moment_matrix, "_F_KEPT", (0, ()))
-    monkeypatch.setattr(moment_matrix, "_BG_KEPT", {"B": ((), 0, ()), "G": ((), 0, ())})
+    monkeypatch.setattr(moment_matrix, "_KEPT", _empty_kept())
 
 
 def _from_an_empty_table(monkeypatch):
-    """Start from an empty row table, no table compared, and no kept
-    cells."""
+    """Start from an empty row table and no kept cells."""
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
-    monkeypatch.setattr(moment_matrix, "_B_COMPARED", ((), 0))
     _no_kept_cells(monkeypatch)
 
 
@@ -326,26 +337,39 @@ def _count_closed_forms(monkeypatch):
     return calls
 
 
-def test_each_table_is_compared_once_to_each_width(monkeypatch):
+def _cut(cells, order):
+    """The cells of ``cells``, column by column, in columns 1..order."""
+    return cells[: (order + 1) ** 2 // 4]
+
+
+def test_each_matrix_compares_each_cell_once(monkeypatch):
     printed = {which: _cells_from_an_empty_table(which, 14) for which in "BG"}
     _from_an_empty_table(monkeypatch)
     calls = _count_closed_forms(monkeypatch)
-    # the first print compares every cell of its order, once
-    g_10 = [c for c in printed["G"] if c[1] <= 10]
+    # the first print compares every cell of its order, once, column by
+    # column
+    g_10 = _cut(printed["G"], 10)
     assert moment_matrix.matrix_cells("G", 10) == g_10
     assert calls == [(i, j) for i, j, _, _ in g_10]
-    # a repeat print, of either matrix, or a narrower one compares nothing
+    # a repeat or narrower print compares nothing
     calls.clear()
-    for which, order in [("G", 10), ("B", 10), ("G", 4), ("B", 1)]:
-        cells = moment_matrix.matrix_cells(which, order)
-        assert cells == [c for c in printed[which] if c[1] <= order]
+    for order in (10, 4, 1):
+        assert moment_matrix.matrix_cells("G", order) == _cut(printed["G"], order)
     assert calls == []
-    # a wider one compares every cell it prints, then none again
-    assert moment_matrix.matrix_cells("B", 14) == printed["B"]
-    assert calls == [(i, j) for i, j, _, _ in printed["B"]]
-    calls.clear()
-    assert moment_matrix.matrix_cells("G", 14) == printed["G"]
-    assert calls == []
+    # B keeps and compares its own cells, after G as before it
+    b_10 = _cut(printed["B"], 10)
+    assert moment_matrix.matrix_cells("B", 10) == b_10
+    assert calls == [(i, j) for i, j, _, _ in b_10]
+    # a wider print compares only the cells of the columns it adds, then
+    # none again
+    for which in "BG":
+        calls.clear()
+        assert moment_matrix.matrix_cells(which, 14) == printed[which]
+        assert calls == [(i, j) for i, j, _, _ in printed[which] if j > 10]
+        calls.clear()
+        for order in (14, 12, 10):
+            moment_matrix.matrix_cells(which, order)
+        assert calls == []
 
 
 # a solve may have widened the table past both prints: the wider print
@@ -368,18 +392,44 @@ def test_a_wider_print_compares_the_cells_it_adds(monkeypatch, solved, which):
             moment_matrix.matrix_cells(which, 12)
 
 
-def test_a_replaced_table_is_compared_again(monkeypatch):
+def test_a_wrong_integer_past_the_kept_width_is_refused(monkeypatch):
+    printed = {which: _cells_from_an_empty_table(which, 12) for which in "BG"}
     _from_an_empty_table(monkeypatch)
-    moment_matrix.matrix_cells("G", 12)
-    moment_matrix.matrix_cells("B", 12)
-    # the same integers in a new table, one of them wrong: row 3 at j = 5
-    table = [list(row) for row in moment_matrix._B_ROWS]
-    table[2][1] += 1
+    for which in "BG":
+        moment_matrix.matrix_cells(which, 8)
+    # the same integers in a new table, one of them wrong past the kept
+    # width: row 3 at j = 11
+    table = [list(row) for row in moment_matrix._b_rows(12)]
+    table[2][4] += 1
     monkeypatch.setattr(moment_matrix, "_B_ROWS", tuple(map(tuple, table)))
-    bad_cell = re.escape("beta_numerator at (3, 5)")
-    for which in ("B", "G"):
-        with pytest.raises(ArithmeticError, match=bad_cell):
-            moment_matrix.matrix_cells(which, 8)
+    bad_cell = re.escape("beta_numerator at (3, 11)")
+    for which in "BG":
+        # a print the kept cells cover, or one that adds only right
+        # columns, is unaffected
+        assert moment_matrix.matrix_cells(which, 8) == _cut(printed[which], 8)
+        assert moment_matrix.matrix_cells(which, 10) == _cut(printed[which], 10)
+        # the first print that reads column 11 is refused, and so is every
+        # later one: a refused column is not kept
+        for order in (12, 11):
+            with pytest.raises(ArithmeticError, match=bad_cell):
+                moment_matrix.matrix_cells(which, order)
+        assert moment_matrix.matrix_cells(which, 9) == _cut(printed[which], 9)
+
+
+def test_a_solve_that_widens_the_table_leaves_the_kept_cells_serving(monkeypatch):
+    _from_an_empty_table(monkeypatch)
+    printed = {which: moment_matrix.matrix_cells(which, 12) for which in "BG"}
+    calls = _count_closed_forms(monkeypatch)
+    coeffs = [Fraction(k % 5 - 2, k + 1) for k in range(40)]
+    solve_charge_density(PotentialSpec(Fraction(3, 2), coeffs, epsilon0=1.0))
+    assert len(moment_matrix._B_ROWS) >= 40
+    # a covered print walks and compares nothing
+    monkeypatch.setattr(moment_matrix, "_b_cells", None)
+    for which in "BG":
+        for order in (12, 7, 1):
+            cells = moment_matrix.matrix_cells(which, order)
+            assert cells == _cut(printed[which], order)
+    assert calls == []
 
 
 def test_the_solve_compares_nothing(monkeypatch):
@@ -396,8 +446,11 @@ def test_the_solve_compares_nothing(monkeypatch):
 def test_concurrent_prints_return_only_compared_cells(monkeypatch):
     # while three threads print, a fourth keeps replacing the table, now by
     # one with a wrong integer at (5, 11), as a monkeypatch of _B_ROWS
-    # would, now by an empty one: a print either raises, naming that cell,
-    # or returns the right cells, whatever table was compared before
+    # would, now by an empty one, and keeps emptying B's and G's kept
+    # cells, so that prints read the table again: a print either raises,
+    # naming that cell, or returns the right cells.  The printers run until
+    # the fourth thread has replaced the table 60 times, as a print that
+    # the kept cells cover takes microseconds
     printed = {which: _cells_from_an_empty_table(which, 30) for which in "BG"}
     _from_an_empty_table(monkeypatch)
     rows = [list(row) for row in moment_matrix._b_rows(30)]
@@ -408,11 +461,16 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
     def work(seed):
         rng = random.Random(seed)
         if seed == 0:
-            while len(finished) < 3:
-                moment_matrix._B_ROWS = rng.choice([corrupt, ()])
-                time.sleep(1e-4)
+            try:
+                for _ in range(60):
+                    moment_matrix._B_ROWS = rng.choice([corrupt, ()])
+                    for which in "BG":
+                        moment_matrix._KEPT[which] = (0, ())
+                    time.sleep(1e-4)
+            finally:
+                finished.append(seed)
             return
-        for _ in range(80):
+        while not finished:
             which, n = rng.choice("BG"), rng.randint(1, 30)
             try:
                 cells = moment_matrix.matrix_cells(which, n)
@@ -423,7 +481,6 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
                 continue
             if cells != [c for c in printed[which] if c[1] <= n]:
                 failures.append((seed, which, n))
-        finished.append(seed)
 
     _run_threads(work, 4)
     assert failures == []
@@ -436,8 +493,7 @@ def _fresh_walk(which, order):
     if which == "F":
         return moment_matrix._f_cells(1, order)
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
-        _, rows = moment_matrix._b_cells(order, which == "G")
-    return [cell for row in rows for cell in row]
+        return list(moment_matrix._b_cells(1, order, which == "G"))
 
 
 @pytest.mark.parametrize("which", ["F", "B", "G"])
@@ -472,27 +528,53 @@ def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch):
     assert walked == [(1, 10), (11, 17), (18, 30)]
 
 
-def test_threads_print_f_while_its_kept_cells_are_emptied(monkeypatch):
-    # three threads print F at random orders, each widening or cutting the
-    # kept cells that a fourth keeps emptying: every print is right
+@pytest.mark.parametrize("which", ["B", "G"])
+def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(monkeypatch, which):
+    _from_an_empty_table(monkeypatch)
+    full = _fresh_walk(which, 30)
+    walked = []
+    walk = moment_matrix._b_cells
+
+    def cells(first, last, inverse):
+        walked.append((first, last))
+        return walk(first, last, inverse)
+
+    monkeypatch.setattr(moment_matrix, "_b_cells", cells)
+    calls = _count_closed_forms(monkeypatch)
+    compared = 0
+    for order in [10, 4, 10, 17, 1, 12, 30]:
+        assert moment_matrix.matrix_cells(which, order) == _cut(full, order), order
+        # the closed forms compared are the cells of the added columns
+        added = [(i, j) for i, j, _, _ in _cut(full, order)[compared:]]
+        assert calls == added, order
+        compared += len(added)
+        calls.clear()
+    assert walked == [(1, 10), (11, 17), (18, 30)]
+
+
+@pytest.mark.parametrize("which", ["F", "B", "G"])
+def test_threads_print_while_the_kept_cells_are_emptied(monkeypatch, which):
+    # three threads print at random orders, each widening or cutting the
+    # kept cells that a fourth empties 60 times, while they print: every
+    # print is right
     _no_kept_cells(monkeypatch)
-    full = moment_matrix._f_cells(1, 60)
+    full = _fresh_walk(which, 60)
     failures, finished = [], []
 
     def work(seed):
         rng = random.Random(seed)
         if seed == 0:
-            while len(finished) < 3:
-                moment_matrix._F_KEPT = (0, ())
-                time.sleep(1e-4)
+            try:
+                for _ in range(60):
+                    moment_matrix._KEPT[which] = (0, ())
+                    time.sleep(1e-4)
+            finally:
+                finished.append(seed)
             return
-        try:
-            for _ in range(300):
-                n = rng.randint(1, 60)
-                if moment_matrix.matrix_cells("F", n) != [c for c in full if c[1] <= n]:
-                    failures.append((seed, n))
-        finally:
-            finished.append(seed)
+        while not finished:
+            n = rng.randint(1, 60)
+            if moment_matrix.matrix_cells(which, n) != _cut(full, n):
+                failures.append((seed, n))
 
     _run_threads(work, 4)
     assert failures == []
@@ -514,21 +596,23 @@ radii = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12
 )
 @settings(max_examples=25, deadline=None)
 def test_one_table_serves_solves_and_prints_in_any_order(steps, data):
-    # in one process, from an empty table: whatever width each call finds
-    # the table at, it gives what it gives from an empty table
+    # in one process, from an empty table and no kept cells: whatever
+    # width each call finds the table at, it gives what it gives from an
+    # empty table
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
-        for step, degree in steps:
-            if step == "solve":
-                size = degree + 1
-                coeffs = data.draw(
-                    st.lists(nonzero_fractions, min_size=size, max_size=size)
-                )
-                spec = PotentialSpec(data.draw(radii), coeffs, epsilon0=1.0)
-                c = solve_charge_density(spec).coeffs_c
-                assert c == references.solve_by_entries(spec)
-            else:
-                cells = moment_matrix.matrix_cells(step, degree + 1)
-                assert cells == _cells_from_an_empty_table(step, degree + 1)
+        with mock.patch.object(moment_matrix, "_KEPT", _empty_kept()):
+            for step, degree in steps:
+                if step == "solve":
+                    size = degree + 1
+                    coeffs = data.draw(
+                        st.lists(nonzero_fractions, min_size=size, max_size=size)
+                    )
+                    spec = PotentialSpec(data.draw(radii), coeffs, epsilon0=1.0)
+                    c = solve_charge_density(spec).coeffs_c
+                    assert c == references.solve_by_entries(spec)
+                else:
+                    cells = moment_matrix.matrix_cells(step, degree + 1)
+                    assert cells == _cells_from_an_empty_table(step, degree + 1)
 
 
 # multipole_moments reads columns up to 1001 (moment orders up to 1000),
@@ -608,9 +692,9 @@ def _assert_catches_off_by_one(monkeypatch, builder, name, at):
     else:
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
-    # from an empty table, so that the walk above builds the one the
-    # builder reads
-    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    # from an empty table and no kept cells, so that the walk above builds
+    # the one the builder reads, and the builder compares every cell
+    _from_an_empty_table(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
         builder(6)
 
@@ -658,11 +742,13 @@ def _short_row(walk, i):
         (lambda walk: _off_by_one(_off_by_one(walk, (2, 6)), (2, 4)), (2, 4)),
         # a row that stops early: the error names the cell it left out
         (lambda walk: _short_row(walk, 2), (2, 6)),
+        # two bad cells in one column: the error names the first
+        (lambda walk: _off_by_one(_off_by_one(walk, (4, 6)), (2, 6)), (2, 6)),
     ],
 )
 def test_row_check_names_the_first_bad_cell(monkeypatch, corrupt, at):
     monkeypatch.setattr(moment_matrix, "_b_row", corrupt(moment_matrix._b_row))
-    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    _from_an_empty_table(monkeypatch)
     for which in ("B", "G"):
         with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
             moment_matrix.matrix_cells(which, 6)
