@@ -13,9 +13,11 @@ converted exactly through power-of-ten denominators, never through binary
 floats.  json parse_float is redirected to str for the same reason, and
 every JSON number's text is in the grammar.  Reports are JSON with a
 schema_version field; readers should ignore unknown fields so the schema
-can grow.  This module alone writes report text: the library returns
-exact values, and ``_text`` and ``_quantity`` write them.  A quantity's
-float is ``float(x)``, its exact value rounded once, and null where that
+can grow.  This module parses and prints; the library computes.  It
+alone writes report text: the library returns exact values, and ``_text``
+and ``_quantity`` write them, and the profile's columns, whose grids and
+samplers are ``electrostatics.profile``'s.  A quantity's float is
+``float(x)``, its exact value rounded once, and null where that
 overflows or a nonzero value underflows to 0.0.  ``matrix`` prints each
 cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
@@ -250,28 +252,11 @@ def load_problem(path):
 
 
 def _profile_arrays(density, samples, span):
-    """Sample sigma over [-r, r] and the axis potential over span*[-r, r].
+    """The profile's columns, ``electrostatics.profile``: the stage of
+    ``solve`` and ``profile`` that the benchmark's per-layer metrics name."""
+    from .electrostatics import profile
 
-    Point k of m + 1 is the integer quotient r (2k - m) / m, floated by
-    one correctly rounded true division, so the endpoints land exactly on
-    +-r and +-span*r; distinct points must stay distinct.
-    """
-    from .electrostatics import OutOfRangeError, induced_axis_potential
-
-    p, q = density.radius.numerator, density.radius.denominator
-    ps, qs = p * span.numerator, q * span.denominator
-    m = samples - 1
-    with OutOfRangeError.guard("sampling the profile"):
-        z = [p * (2 * k - m) / (q * m) for k in range(samples)]
-        s = [ps * (2 * k - m) / (qs * m) for k in range(samples)]
-        if len(set(z)) < samples or len(set(s)) < samples:
-            raise FloatingPointError("distinct sample points float to one value")
-        return {
-            "z": z,
-            "sigma": density.sigma(z),
-            "s": s,
-            "u": induced_axis_potential(density, s),
-        }
+    return profile(density, samples, span)
 
 
 def _text(value, section):
@@ -371,8 +356,7 @@ def cmd_solve(args):
     # before its integrals run, and a ConsistencyError writes nothing
     check_exact(report)
     if prob.profile is not None:
-        samples, span = prob.profile
-        doc["profile"] = _profile_arrays(report.density, samples, span)
+        doc["profile"] = _profile_arrays(report.density, *prob.profile)
 
     code = 0
     if args.verify:
@@ -407,9 +391,7 @@ def cmd_profile(args):
     prob = load_problem(args.problem)
     if prob.profile is None:
         raise ProblemError("problem file has no 'profile' section")
-    samples, span = prob.profile
-    density = solve_charge_density(prob.spec)
-    arrays = _profile_arrays(density, samples, span)
+    arrays = _profile_arrays(solve_charge_density(prob.spec), *prob.profile)
     # one "%.17g" format per row: 17 significant digits of each finite
     # float, no quoting needed, the lines a CSV writer would write
     row = ",".join(["%.17g"] * len(arrays)) + "\n"

@@ -46,14 +46,15 @@ which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
 weight.  The integers are taken on the values that hold them, by one
 rule, in ``_Value._integers``: the numerators of a PotentialSpec's b or a
 ChargeDensity's c over their least common denominator are taken when the
-solve, a check or a float view first reads them, never by a constructor,
-and kept in a private slot that is no field.  The closed sum of order m
-reads column m+1 of F as the integers ``moment_matrix._f_column`` walks
-over one denominator, and the integrated paths of ``check_exact`` run
-through the private ``_integral``, which no closed form uses.  The
-force's closed sum is one integer over b's numerators; its integral
-squares c's numerator polynomial as one big-int product (Kronecker
-substitution, ``_product``), so CPython's Karatsuba multiplies the pairs.
+solve, a check or the moments' float view first reads them, never by a
+constructor, and kept in a private slot that is no field.  The closed sum
+of order m reads column m+1 of F as the integers
+``moment_matrix._f_column`` walks over one denominator, and the
+integrated paths of ``check_exact`` run through the private
+``_integral``, which no closed form uses.  The force's closed sum is one
+integer over b's numerators; its integral squares c's numerator
+polynomial as one big-int product (Kronecker substitution,
+``_product``), so CPython's Karatsuba multiplies the pairs.
 
 The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
 and the oracle's QuadratureRule) are plain immutable classes on one base,
@@ -69,15 +70,18 @@ product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
 ``induced_axis_potential``, take a sequence of axial coordinates and
 return a list of floats.  They, and the oracle, read a density's two
 float views, c and the Legendre charge moments: each is taken on the
-first float read from the integers the values keep, by one correctly
-rounded int true division per entry, and kept in a private slot; a view
-whose division raises is not kept.  A float stage that cannot run on its
-input raises ``OutOfRangeError``, bad input rather than a bug; its
-``guard`` maps the float errors of a stage to it.
+first float read, ``float(c_j)`` for c and one correctly rounded int
+true division of b's integers per moment, and kept in a private slot; a
+view whose division raises is not kept.  ``profile(density, samples,
+span)`` is the CLI's profile: it owns the sample grids, checks that
+distinct points stay distinct, and calls both samplers.  A float stage
+that cannot run on its input raises ``OutOfRangeError``, bad input
+rather than a bug; its ``guard`` maps the float errors of a stage to it.
 """
 
 import contextlib
 import math
+from collections.abc import Mapping, Set
 from fractions import Fraction
 
 from .moment_matrix import _b_rows, _f_column, f_entry_closed_form
@@ -198,7 +202,8 @@ class PotentialSpec(_Value):
     Entries pass through ``parse_rational``, so ints, Fractions and strings
     in its ASCII grammar (``"-7/2"``, ``"0.25"``, ``"2e-3"``; no whitespace
     or underscores) are accepted and binary floats are rejected; a text
-    ``coeffs_b`` is refused, not read one character at a time.  Trailing
+    ``coeffs_b`` is refused, not read one character at a time, and so is
+    a mapping or a set, which has no order of its own.  Trailing
     zeros are normalized away (the degree is the index of the last nonzero
     coefficient); the all-zero potential collapses to a single 0.
 
@@ -218,6 +223,8 @@ class PotentialSpec(_Value):
             raise ValueError("radius must be positive")
         if isinstance(coeffs_b, (str, bytes)):
             raise ValueError("coeffs_b must be a sequence of coefficients, not text")
+        if isinstance(coeffs_b, (Mapping, Set)):
+            raise ValueError("coeffs_b must be ordered, not a mapping or a set")
         coeffs = [parse_rational(b) for b in coeffs_b]
         if not coeffs:
             raise ValueError("coeffs_b must not be empty")
@@ -266,9 +273,9 @@ class ChargeDensity(_Value):
         return len(self.coeffs_c) - 1
 
     def _c_view(self):
-        """c in floats, ``_float_coeffs``: taken on the first float read and
-        kept in the slot ``_c_floats``."""
-        return self._kept("_c_floats", _float_coeffs)
+        """c in floats, ``float(c_j)`` each, correctly rounded: taken on the
+        first float read and kept in the slot ``_c_floats``."""
+        return self._kept("_c_floats", lambda v: tuple(map(float, v.coeffs_c)))
 
     def _m_view(self):
         """The Legendre charge moments in floats, ``_float_moments``: taken
@@ -360,14 +367,6 @@ def charge_legendre_moments(density):
     """
     r = density.radius
     return [r**k * b for k, b in enumerate(density.coeffs_b)]
-
-
-def _float_coeffs(density):
-    """c_j = C_j / L_c, for the numerators C_j of c over their denominator
-    L_c: one int true division each, correctly rounded, so each is
-    ``float(c_j)`` bit for bit and raises where it raises."""
-    big_c, lcd = density._integers()
-    return tuple(c / lcd for c in big_c)
 
 
 def _float_moments(density):
@@ -635,6 +634,32 @@ def induced_axis_potential(density, points):
         else:
             values.append(_finite(_horner(moments, 1.0 / xi) / abs(xi)))
     return values
+
+
+def _grid(half_width, samples):
+    """The samples points half_width (2k - m) / m, k = 0..m, m = samples - 1,
+    of an exact positive half-width: each is one correctly rounded int true
+    division, so the endpoints land exactly on -+half_width.  Distinct
+    points that float to one value raise FloatingPointError."""
+    p, q = half_width.numerator, half_width.denominator
+    m = samples - 1
+    points = [p * (2 * k - m) / (q * m) for k in range(samples)]
+    if len(set(points)) < samples:
+        raise FloatingPointError("distinct sample points float to one value")
+    return points
+
+
+def profile(density, samples, span):
+    """The profile of a density, as four columns of ``samples`` floats: the
+    density sigma at z over [-r, r] and the induced axis potential u at s
+    over span * [-r, r], each on its grid of equally spaced points (see
+    ``_grid``).  Floats that leave their range, or distinct points that
+    float to one value, raise ``OutOfRangeError``."""
+    with OutOfRangeError.guard("sampling the profile"):
+        z = _grid(density.radius, samples)
+        s = _grid(density.radius * span, samples)
+        sigma, u = density.sigma(z), induced_axis_potential(density, s)
+        return {"z": z, "sigma": sigma, "s": s, "u": u}
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):

@@ -28,14 +28,8 @@ from axoball import (
     induced_axis_potential,
     solve_charge_density,
 )
-from axoball.cli import (
-    ProblemError,
-    _profile_arrays,
-    _quantity,
-    load_problem,
-    main,
-)
-from axoball.electrostatics import VACUUM_PERMITTIVITY, OutOfRangeError
+from axoball.cli import ProblemError, _quantity, load_problem, main
+from axoball.electrostatics import VACUUM_PERMITTIVITY
 from conftest import DIGIT_LIMIT, needs_digit_limit
 from pins import PINS, with_problem
 
@@ -833,13 +827,15 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 @given(st.lists(st.tuples(*[finite_floats] * 4), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_profile_rows_are_written_as_format_wrote_them(tmp_path_factory, points):
+    import axoball.electrostatics as es_mod
+
     arrays = dict(zip(("z", "sigma", "s", "u"), map(list, zip(*points))))
     problem = write_problem(
         tmp_path_factory.mktemp("rows"), dict(BASIC, profile={"samples": 2})
     )
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(cli, "_profile_arrays", lambda density, samples, span: arrays)
+        patch.setattr(es_mod, "profile", lambda density, samples, span: arrays)
         assert main(["profile", problem]) == 0
     assert out.getvalue() == _old_profile_csv(arrays)
 
@@ -1024,8 +1020,13 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
     count(es_mod.ChargeDensity, "sigma")
     count(es_mod, "induced_axis_potential")
     count(es_mod, "charge_legendre_moments")
-    count(es_mod, "_float_coeffs")
-    count(es_mod, "_float_moments")
+    derived = []
+    kept = es_mod._Value._kept
+
+    def counted_kept(value, slot, derive):
+        return kept(value, slot, lambda v: derived.append(slot) or derive(v))
+
+    monkeypatch.setattr(es_mod._Value, "_kept", counted_kept)
     code, _, _ = run_cli(capsys, "profile", path)
     assert code == 0
     assert calls.get("solve_charge_density") == 1
@@ -1035,66 +1036,39 @@ def test_solve_and_profile_solve_once_and_reuse_b(tmp_path, capsys, monkeypatch)
     assert calls.get("sigma") == 1
     assert calls.get("induced_axis_potential") == 1
     assert calls.get("charge_legendre_moments", 0) == 0
-    assert calls.get("_float_coeffs") == 1
-    assert calls.get("_float_moments") == 1
+    # each float view is derived once, and the only integers taken are b's,
+    # for the solve: nothing takes c's
+    assert sorted(derived) == ["_c_floats", "_ints", "_m_floats"]
 
 
 @pytest.mark.parametrize("command", [["solve", "--verify"], ["profile"]])
 def test_an_op_builds_each_float_view_once(tmp_path, capsys, monkeypatch, command):
     # the oracle's checks and the profile's samplers read the one density's
-    # float views of c and of the Legendre moments, each built once an op
+    # float views of c and of the Legendre moments, each built once an op:
+    # count the derivations of the value slots that hold them
     import axoball.electrostatics as es_mod
 
     built = []
-    for name in ("_float_coeffs", "_float_moments"):
-        monkeypatch.setattr(
-            es_mod,
-            name,
-            lambda density, build=getattr(es_mod, name), name=name: (
-                built.append(name) or build(density)
-            ),
-        )
+    kept = es_mod._Value._kept
+
+    def derived(value, slot, derive):
+        return kept(value, slot, lambda v: built.append(slot) or derive(v))
+
+    monkeypatch.setattr(es_mod._Value, "_kept", derived)
     body = dict(BASIC, profile={"samples": 11, "span": "3"})
     code, _, _ = run_cli(capsys, *command, write_problem(tmp_path, body))
     assert code == 0
-    assert sorted(built) == ["_float_coeffs", "_float_moments"]
-
-
-exact_scales = st.builds(
-    lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
-    st.integers(1, 10**6),
-    st.integers(1, 10**6),
-    st.integers(-300, 300),
-)
-
-
-@given(radius=exact_scales, span=exact_scales, samples=st.integers(2, 40))
-@settings(max_examples=200, deadline=None)
-def test_profile_points_are_the_floated_exact_points(radius, span, samples):
-    density = solve_charge_density(PotentialSpec(radius, (1,)))
-    m = samples - 1
-    try:
-        z = [float(radius * (2 * k - m) / m) for k in range(samples)]
-        s = [float(span * radius * (2 * k - m) / m) for k in range(samples)]
-    except OverflowError:
-        z = s = None
-    if z is None or len(set(z)) < samples or len(set(s)) < samples:
-        with pytest.raises(OutOfRangeError, match="sampling the profile"):
-            _profile_arrays(density, samples, span)
-    else:
-        arrays = _profile_arrays(density, samples, span)
-        # hex tells -0.0 from 0.0
-        assert [v.hex() for v in arrays["z"]] == [v.hex() for v in z]
-        assert [v.hex() for v in arrays["s"]] == [v.hex() for v in s]
+    views = sorted(slot for slot in built if slot.endswith("_floats"))
+    assert views == ["_c_floats", "_m_floats"]
 
 
 def test_profile_samples_are_capped(tmp_path, capsys, monkeypatch):
-    import axoball.cli as cli_mod
+    import axoball.electrostatics as es_mod
 
     def no_sampling(*args):
         raise AssertionError("sampled a refused profile")
 
-    monkeypatch.setattr(cli_mod, "_profile_arrays", no_sampling)
+    monkeypatch.setattr(es_mod, "profile", no_sampling)
     body = {"radius": "1", "coeffs_b": ["1"], "profile": {"samples": 100002}}
     path = write_problem(tmp_path, body)
     with pytest.raises(ProblemError, match=r"'profile\.samples'.*100001"):
@@ -1291,7 +1265,7 @@ def test_a_consistency_error_writes_no_output(tmp_path, capsys, monkeypatch):
 
     force = es_mod._integrated_force
     monkeypatch.setattr(es_mod, "_integrated_force", lambda *args: force(*args) + 1)
-    monkeypatch.setattr(cli, "_profile_arrays", unreachable)
+    monkeypatch.setattr(es_mod, "profile", unreachable)
     monkeypatch.setattr(cli, "run_verification", unreachable)
     path = write_problem(tmp_path, dict(BASIC, profile={"samples": 3}))
     out = tmp_path / "report.json"

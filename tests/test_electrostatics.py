@@ -27,6 +27,7 @@ from axoball import moment_matrix
 from axoball.electrostatics import (
     dipole_moment,
     multipole_moment,
+    profile,
     reconstruct_potential,
     total_charge,
 )
@@ -60,6 +61,12 @@ def test_spec_validation():
     for text in ("12", b"12", ""):
         with pytest.raises(ValueError, match="coeffs_b must be a sequence"):
             PotentialSpec(1, text)
+    # a mapping would be read by its keys, and a set in hash order
+    for unordered in ({"1": "x", "2": "y"}, {"1", "2"}, frozenset({"1", "2"})):
+        with pytest.raises(ValueError, match="coeffs_b must be ordered"):
+            PotentialSpec(1, unordered)
+    # any other iterable is read in its order
+    assert PotentialSpec(1, iter(["1", "2"])).coeffs_b == (1, 2)
     with pytest.raises(ValueError, match="binary float"):
         PotentialSpec(1, (0.5,))
     with pytest.raises(ValueError, match="epsilon0"):
@@ -165,6 +172,34 @@ def test_float_views_are_the_floated_exact_values(radius, coeffs_b, coeffs_c):
         else:
             assert [x.hex() for x in view()] == floated
             assert view() is view()
+
+
+exact_scales = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(-300, 300),
+)
+
+
+@given(radius=exact_scales, span=exact_scales, samples=st.integers(2, 40))
+@settings(max_examples=200, deadline=None)
+def test_profile_points_are_the_floated_exact_points(radius, span, samples):
+    density = solve_charge_density(PotentialSpec(radius, (1,)))
+    m = samples - 1
+    try:
+        z = [float(radius * (2 * k - m) / m) for k in range(samples)]
+        s = [float(span * radius * (2 * k - m) / m) for k in range(samples)]
+    except OverflowError:
+        z = s = None
+    if z is None or len(set(z)) < samples or len(set(s)) < samples:
+        with pytest.raises(es_mod.OutOfRangeError, match="sampling the profile"):
+            profile(density, samples, span)
+    else:
+        arrays = profile(density, samples, span)
+        # hex tells -0.0 from 0.0
+        assert [v.hex() for v in arrays["z"]] == [v.hex() for v in z]
+        assert [v.hex() for v in arrays["s"]] == [v.hex() for v in s]
 
 
 def test_exact_physical_rendering():
