@@ -28,17 +28,14 @@ turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
 --verify and writes: a report too long to print is refused before its
 integrals run, and a ConsistencyError, a bug, propagates with nothing
-written.
+written.  ``load_problem`` caps the degree, the orders and the profile's
+samples, and asks ``electrostatics.admit`` to price the rest: a problem
+too large to solve is refused before any of its integers is taken.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
-parses.  The library keeps one table across calls, the integer rows of
-the Legendre coefficients (``moment_matrix._b_rows``), which only grows:
-a later ``solve`` or ``matrix --which B|G`` reads it instead of walking
-those rows again.  It also keeps the cells of each matrix's widest print
-so far, about 1.4-1.6 MiB a matrix at order 200 (tracemalloc): a
-``matrix`` print they cover is cut from them and compares nothing, and a
-wider print walks, and for B and G compares, only the columns it adds.
+parses.  What the library keeps across calls, and what a later call
+reads from it, is told in ``moment_matrix``'s docstring.
 Commands dispatch by name at call time, through the module's ``cmd_*``
 globals, so rebinding one of them at module level (a tracer or a test
 does) changes what ``main`` runs.
@@ -70,33 +67,6 @@ import functools
 import sys
 
 SCHEMA_VERSION = 1
-
-# The work bounds of a problem, read from its parsed values before any of
-# their integers is taken.  Let bits = max(bitlen p, bitlen s) for the
-# radius p/s, and coeff_bits = the largest bit length of a coefficient's
-# numerator plus bitlen(d) - 1 for the largest denominator and for each
-# other that does not divide it: the bits of b's numerators over their
-# least common denominator, to within a bit per denominator counted, found
-# with no lcm.  The problem's exact values have up to size = (degree + max
-# order) x bits + 2 x coeff_bits bits: the force's closed sum and its
-# integral carry the coefficients' bits twice.  Each of its values, the
-# degree + 1 density coefficients and the requested moments, costs about
-# size x (degree + 1 + size / 2^10): a sum of up to degree + 1 terms of
-# that size, and a gcd whose cost grows as the square of the size.  A
-# problem whose values times that cost pass WORK_BOUND is refused before
-# it is solved.  So is one whose force integral multiplies two integers of
-# more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
-# coeff_bits), whatever its orders: Karatsuba's time grows as that to the
-# power 1.58.  The slowest accepted input, degree 400 with every order
-# 0..1000 and the radius 7/3, exits 0 in 1.5-2.2 s cold (2-core Xeon,
-# CPython 3.11).  A report with more digits than Python prints is refused
-# once its closed forms are built, before check_exact integrates: degree
-# 400 with one order and a 31-bit radius exits 2 in 0.4-0.6 s, "the force
-# has too many digits to print", and degree 12 with coefficients 1/d for
-# thirteen 4300-digit d in 1.0-1.2 s, "the charge density has too many
-# digits to print".
-WORK_BOUND = 25 * 10**8
-PRODUCT_BOUND = 5 * 10**6
 
 
 class ProblemError(Exception):
@@ -132,7 +102,7 @@ class ProblemInput:
 def load_problem(path):
     import json
 
-    from .electrostatics import VACUUM_PERMITTIVITY, PotentialSpec
+    from .electrostatics import VACUUM_PERMITTIVITY, PotentialSpec, admit
     from .rational import parse_rational
 
     def parse_field(value, field):
@@ -214,23 +184,10 @@ def load_problem(path):
         if m > 1000:
             raise ProblemError(f"field 'moments[{idx}]': must be at most 1000")
     moments = list(dict.fromkeys(moments_raw))  # first of each order, in order
-    degree = spec.degree
-    bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
-    dens = {b.denominator for b in spec.coeffs_b}
-    largest = max(dens)
-    coeff_bits = max(abs(b.numerator).bit_length() for b in spec.coeffs_b) + sum(
-        d.bit_length() - 1 for d in dens if d == largest or largest % d
-    )
-    top = degree + max(moments)
-    size = top * bits + 2 * coeff_bits
-    cost = size * (degree + 1 + size // 2**10)
-    product = (degree + 1) * (degree * bits + coeff_bits)
-    if (degree + 1 + len(moments)) * cost > WORK_BOUND or product > PRODUCT_BOUND:
-        if 2 * coeff_bits > top * bits:
-            which = f"the coefficients have {coeff_bits} bits, and degree {degree}"
-        else:
-            which = f"the radius has {bits} bits, and degree + max order is {top}"
-        raise ProblemError(f"too large to solve: {which}")
+    try:
+        admit(spec, moments)
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from None
 
     profile = None
     if "profile" in data:

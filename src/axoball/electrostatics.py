@@ -55,6 +55,9 @@ integrated paths of ``check_exact`` run through the private
 integer over b's numerators; its integral squares c's numerator
 polynomial as one big-int product (Kronecker substitution,
 ``_product``), so CPython's Karatsuba multiplies the pairs.
+``admit(spec, orders)`` prices those paths for a problem before any of its
+integers is taken, and refuses one too large to solve; nothing in the
+library calls it, so the library caps nothing unless a caller asks.
 
 The value classes (ExactPhysical, PotentialSpec, ChargeDensity, BallReport,
 and the oracle's QuadratureRule) are plain immutable classes on one base,
@@ -67,14 +70,15 @@ fields, and equality, hashing, repr and copies ignore it.
 Exact results are rational multiples of pi*eps0 (ExactPhysical); the
 numeric permittivity enters only when rendering floats, each the exact
 product rounded once.  The two float samplers, ``ChargeDensity.sigma`` and
-``induced_axis_potential``, take a sequence of axial coordinates and
-return a list of floats.  They, and the oracle, read a density's two
-float views, c and the Legendre charge moments: each is taken on the
-first float read, ``float(c_j)`` for c and one correctly rounded int
-true division of b's integers per moment, and kept in a private slot; a
-view whose division raises is not kept.  ``profile(density, samples,
+``induced_axis_potential``, take a sequence of finite axial coordinates,
+not text, and return a list of floats.  They, and the oracle, read a
+density's two float views, c and the Legendre charge moments: each is
+taken on the first float read, ``float(c_j)`` for c and one correctly
+rounded int true division of b's integers per moment, and kept in a
+private slot; a view whose division raises is not kept.  ``profile(density, samples,
 span)`` is the CLI's profile: it owns the sample grids, checks that
-distinct points stay distinct, and calls both samplers.  A float stage
+distinct points stay distinct, and calls both samplers; it takes an int
+``samples`` of at least 2 and a positive exact ``span``.  A float stage
 that cannot run on its input raises ``OutOfRangeError``, bad input
 rather than a bug; its ``guard`` maps the float errors of a stage to it.
 """
@@ -287,12 +291,14 @@ class ChargeDensity(_Value):
         (floats), from c's float view, taken once per density.
 
         Meaningful for |z| <= r, the axial range covered by the surface.
+        Text, or a point that is not finite, raises ValueError.
         Raises OverflowError, ZeroDivisionError or FloatingPointError when
         a value leaves float range, the errors ``OutOfRangeError.guard`` maps.
         """
+        zs = _points(points)
         coeffs = self._c_view()
         prefactor = 2.0 * self.epsilon0 / float(self.radius)
-        return [_finite(prefactor * _horner(coeffs, float(z))) for z in points]
+        return [_finite(prefactor * _horner(coeffs, z)) for z in zs]
 
 
 class BallReport(_Value):
@@ -311,8 +317,9 @@ def solve_charge_density(spec):
     of row i of the table ``_b_rows``, each c_i is one integer sum over the
     denominator 2^n s^(n-i) L, n = len(b).
 
-    The table only grows, and the library puts no cap on it (the CLI caps
-    the degree at 400): 401 rows hold about 4.1 MiB and 1001 rows about
+    The table only grows, and the solve caps nothing: ``admit`` prices a
+    problem only for a caller that asks, and the CLI, which asks, also caps
+    the degree at 400.  401 rows hold about 4.1 MiB and 1001 rows about
     50.6 MiB (tracemalloc), kept for the rest of the process.
     """
     p, s = spec.radius.numerator, spec.radius.denominator
@@ -511,6 +518,64 @@ def _unpack(z, width, count):
     return _unpack(low, width, half) + _unpack((z - low) >> shift, width, count - half)
 
 
+# The work bounds of a problem, read from its parsed values before any of
+# their integers is taken.  Let bits = max(bitlen p, bitlen s) for the
+# radius p/s, and coeff_bits = the largest bit length of a coefficient's
+# numerator plus bitlen(d) - 1 for the largest denominator and for each
+# other that does not divide it: the bits of b's numerators over their
+# least common denominator, to within a bit per denominator counted, found
+# with no lcm.  The problem's exact values have up to size = (degree + max
+# order) x bits + 2 x coeff_bits bits: the force's closed sum and its
+# integral carry the coefficients' bits twice.  Each of its values, the
+# degree + 1 density coefficients and the requested moments, costs about
+# size x (degree + 1 + size / 2^10): a sum of up to degree + 1 terms of
+# that size, and a gcd whose cost grows as the square of the size.  A
+# problem whose values times that cost pass WORK_BOUND is refused before
+# it is solved.  So is one whose force integral multiplies two integers of
+# more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
+# coeff_bits), whatever its orders: Karatsuba's time grows as that to the
+# power 1.58.  The slowest input the CLI accepts, degree 400 with every
+# order 0..1000 and the radius 7/3, exits 0 in 1.4-1.5 s cold (10 runs,
+# 2-core Xeon, CPython 3.11.7).  A report with more digits than Python
+# prints is refused once its closed forms are built, before check_exact
+# integrates: degree 400 with one order and a 31-bit radius exits 2 in
+# 0.34-0.38 s, "the force has too many digits to print", and degree 12
+# with coefficients 1/d for thirteen 4300-digit d in 0.9-1.1 s, "the
+# charge density has too many digits to print".
+WORK_BOUND = 25 * 10**8
+PRODUCT_BOUND = 5 * 10**6
+
+
+def admit(spec, orders):
+    """Refuse a problem too large to solve: raise ValueError, "too large to
+    solve: ..." naming the radius or the coefficients, where
+    ``build_report(spec, orders)`` and its ``check_exact`` would pass
+    ``WORK_BOUND`` or ``PRODUCT_BOUND``, and return None otherwise.
+
+    ``orders`` is a non-empty sequence of distinct orders.  Only the
+    radius, b and the degree of ``spec`` are read, and none of b's
+    integers is taken, so a problem is priced before any of its work
+    starts.  Nothing in the library calls it: a caller that wants the cap
+    asks for it, as the CLI does."""
+    degree, radius = spec.degree, spec.radius
+    bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
+    dens = {b.denominator for b in spec.coeffs_b}
+    largest = max(dens)
+    coeff_bits = max(abs(b.numerator).bit_length() for b in spec.coeffs_b) + sum(
+        d.bit_length() - 1 for d in dens if d == largest or largest % d
+    )
+    top = degree + max(orders)
+    size = top * bits + 2 * coeff_bits
+    cost = size * (degree + 1 + size // 2**10)
+    product = (degree + 1) * (degree * bits + coeff_bits)
+    if (degree + 1 + len(orders)) * cost > WORK_BOUND or product > PRODUCT_BOUND:
+        if 2 * coeff_bits > top * bits:
+            which = f"the coefficients have {coeff_bits} bits, and degree {degree}"
+        else:
+            which = f"the radius has {bits} bits, and degree + max order is {top}"
+        raise ValueError(f"too large to solve: {which}")
+
+
 # total_charge, dipole_moment and multipole_moment are kept for the
 # benchmark's per-layer metrics, which name them
 def total_charge(density):
@@ -603,6 +668,17 @@ def _finite(value):
     return value
 
 
+def _points(points):
+    """The samplers' axial coordinates as floats, each finite.  Text is
+    refused, not read one character at a time."""
+    if isinstance(points, (str, bytes)):
+        raise ValueError("points must be a sequence of coordinates, not text")
+    xs = [float(z) for z in points]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("axial coordinate must be finite")
+    return xs
+
+
 def induced_axis_potential(density, points):
     """Axis potential of the induced charge alone, at each axial
     coordinate s in ``points``; a list of floats.
@@ -618,12 +694,11 @@ def induced_axis_potential(density, points):
     exactly at |s| = r.  The moments are the density's float view, taken
     once per density; evaluation is in floats, for physical sanity checks,
     not exact results.
+    Text, or a point that is not finite, raises ValueError.
     Raises OverflowError, ZeroDivisionError or FloatingPointError when a
     value leaves float range, the errors ``OutOfRangeError.guard`` maps.
     """
-    xs = [float(s) for s in points]
-    if not all(map(math.isfinite, xs)):
-        raise ValueError("axial coordinate must be finite")
+    xs = _points(points)
     moments = density._m_view()
     r = float(density.radius)
     values = []
@@ -653,8 +728,15 @@ def profile(density, samples, span):
     """The profile of a density, as four columns of ``samples`` floats: the
     density sigma at z over [-r, r] and the induced axis potential u at s
     over span * [-r, r], each on its grid of equally spaced points (see
-    ``_grid``).  Floats that leave their range, or distinct points that
+    ``_grid``).  ``samples`` is an int of at least 2, and ``span`` is read
+    by ``parse_rational`` and must be positive; either raises ValueError
+    otherwise.  Floats that leave their range, or distinct points that
     float to one value, raise ``OutOfRangeError``."""
+    if not isinstance(samples, int) or samples < 2:  # a bool is below 2
+        raise ValueError("samples must be an integer >= 2")
+    span = parse_rational(span)
+    if span <= 0:
+        raise ValueError("span must be positive")
     with OutOfRangeError.guard("sampling the profile"):
         z = _grid(density.radius, samples)
         s = _grid(density.radius * span, samples)

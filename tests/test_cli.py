@@ -183,8 +183,9 @@ def bad(id, argv, content, text, marks=()):
     return pytest.param(argv, content, text, id=id, marks=marks)
 
 
-# past cli.WORK_BOUND: (40 + 100) x 14281 bits for 41 + 101 values, which
-# would run for about 40 s before the charge density failed to print
+# past electrostatics.WORK_BOUND: (40 + 100) x 14281 bits for 41 + 101
+# values, which would run for about 40 s before the charge density failed
+# to print
 TOO_LARGE = bad("too-large-to-solve", "solve {file}",
                 {"radius": "1e4299", "coeffs_b": ["1"] * 41, "moments": list(range(101))},
                 "error: too large to solve: the radius has 14281 bits, and degree + "

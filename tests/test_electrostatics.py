@@ -94,10 +94,8 @@ def test_samplers_refuse_values_past_float_range():
         induced_axis_potential(density, [1.0])
 
 
-SAMPLERS = {
-    "sigma": lambda density: density.sigma([0.0]),
-    "axis-potential": lambda density: induced_axis_potential(density, [0.0]),
-}
+# the two float samplers, each called as sampler(density, points)
+SAMPLERS = {"sigma": ChargeDensity.sigma, "axis-potential": induced_axis_potential}
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
@@ -118,11 +116,11 @@ def test_samplers_raise_what_the_guard_maps(sampler, spec, error):
     # floating an exact value; the guard reports all three as bad input
     density = solve_charge_density(PotentialSpec(*spec))
     with pytest.raises(error) as raised:
-        SAMPLERS[sampler](density)
+        SAMPLERS[sampler](density, [0.0])
     assert type(raised.value) is error
     with pytest.raises(es_mod.OutOfRangeError, match="floats leave their range in"):
         with es_mod.OutOfRangeError.guard("in a test"):
-            SAMPLERS[sampler](density)
+            SAMPLERS[sampler](density, [0.0])
 
 
 scaled = st.builds(
@@ -200,6 +198,37 @@ def test_profile_points_are_the_floated_exact_points(radius, span, samples):
         # hex tells -0.0 from 0.0
         assert [v.hex() for v in arrays["z"]] == [v.hex() for v in z]
         assert [v.hex() for v in arrays["s"]] == [v.hex() for v in s]
+
+
+@pytest.mark.parametrize(
+    "samples, span, text",
+    [
+        (1, 2, "samples must be an integer >= 2"),
+        (0, 2, "samples must be an integer >= 2"),
+        (-3, 2, "samples must be an integer >= 2"),
+        (True, 2, "samples must be an integer >= 2"),
+        (False, 2, "samples must be an integer >= 2"),
+        (2.5, 2, "samples must be an integer >= 2"),
+        ("5", 2, "samples must be an integer >= 2"),
+        (5, 0, "span must be positive"),
+        (5, -1, "span must be positive"),
+        (5, "-1/2", "span must be positive"),
+        (5, 2.5, "refusing to convert a binary float"),
+        (5, "2 ", "not a rational number"),
+    ],
+)
+def test_profile_checks_its_arguments(samples, span, text):
+    density = solve_charge_density(PotentialSpec("7/3", ("1", "2", "3")))
+    with pytest.raises(ValueError, match=text) as raised:
+        profile(density, samples, span)
+    assert not isinstance(raised.value, es_mod.OutOfRangeError)
+
+
+def test_profile_reads_its_span_as_an_exact_value():
+    density = solve_charge_density(PotentialSpec("7/3", ("1", "2", "3")))
+    expected = profile(density, 5, 2)
+    for span in ("2", Fraction(2), "4/2"):
+        assert profile(density, 5, span) == expected
 
 
 def test_exact_physical_rendering():
@@ -521,11 +550,21 @@ def test_even_potential_has_even_axis_potential():
 
 
 def test_nonfinite_coordinate_rejected():
+    # a ValueError, not the FloatingPointError that the guard maps to a range error
     density = solve_charge_density(PotentialSpec(1, (1,)))
-    with pytest.raises(ValueError):
-        induced_axis_potential(density, [0.5, math.nan])
-    with pytest.raises(ValueError):
-        induced_axis_potential(density, [math.inf])
+    for sample in SAMPLERS.values():
+        for points in ([0.5, math.nan], [math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match="axial coordinate must be finite"):
+                sample(density, points)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("text", ["12", b"12", ""])
+def test_samplers_refuse_text(sampler, text):
+    # "12" is not the points 1 and 2, nor b"12" the points 49 and 50
+    density = solve_charge_density(PotentialSpec("7/3", ("1", "2", "3")))
+    with pytest.raises(ValueError, match="points must be a sequence of coordinates"):
+        SAMPLERS[sampler](density, text)
 
 
 def test_zero_potential_means_zero_everything():
@@ -1008,3 +1047,25 @@ def test_building_a_spec_takes_no_integers(monkeypatch):
     assert repr(spec) == repr(twin)
     assert repr(spec).startswith("PotentialSpec(radius=Fraction(7, 3), coeffs_b=(")
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
+    # the work bound lies between the radii 7/3 and 15/13 at degree 400
+    # with every order 0..1000; 21 coefficients with 4300-digit
+    # denominators are refused by their bits, with no lcm taken
+    def untaken(values):
+        raise AssertionError("took the integers of a spec while pricing it")
+
+    monkeypatch.setattr(es_mod, "_numerators", untaken)
+    orders = range(1001)
+    assert es_mod.admit(PotentialSpec("7/3", ["1"] * 401), orders) is None
+    refusals = [
+        (PotentialSpec("15/13", ["1"] * 401), orders,
+         "too large to solve: the radius has 4 bits, and degree + max order is 1400"),
+        (PotentialSpec("7/3", [f"1/{10**4299 + 2 * k + 1}" for k in range(21)]), [0],
+         "too large to solve: the coefficients have 299881 bits, and degree 20"),
+    ]
+    for spec, orders, text in refusals:
+        with pytest.raises(ValueError) as raised:
+            es_mod.admit(spec, orders)
+        assert str(raised.value) == text
