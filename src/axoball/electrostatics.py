@@ -54,7 +54,10 @@ integrated paths of ``check_exact`` run through the private
 ``_integral``, which no closed form uses.  The force's closed sum is one
 integer over b's numerators; its integral squares c's numerator
 polynomial as one big-int product (Kronecker substitution,
-``_product``), so CPython's Karatsuba multiplies the pairs.
+``_product``), so CPython's Karatsuba multiplies the pairs: each
+coefficient, biased by half a field to an unsigned digit, is one
+fixed-width field of ``int.to_bytes``, and ``int.from_bytes`` reads the
+packed factors and the product's fields in linear time.
 ``admit(spec, orders)`` prices those paths for a problem before any of its
 integers is taken, and refuses one too large to solve; nothing in the
 library calls it, so the library caps nothing unless a caller asks.
@@ -482,40 +485,30 @@ def _field_width(u, v):
 
 def _product(u, v):
     """The coefficients of (sum u_k x^k)(sum v_k x^k) for integers u_k, v_k,
-    by Kronecker substitution: u and v are evaluated at x = 2^w, one field
-    of w = ``_field_width(u, v)`` bits per coefficient, the two integers
-    are multiplied once, and the product's fields are read back as signed
-    values.  Packing and unpacking split in halves, so each level touches
-    every bit once."""
+    by Kronecker substitution: u and v are evaluated at x = 2^(8 size), one
+    little-endian field of size = ``_field_width(u, v) // 8 + 1`` bytes per
+    coefficient, the two integers are multiplied once, and the product's
+    fields are read back.  Each field holds its coefficient plus the bias
+    half = 2^(8 size - 1), an unsigned digit; ``pack`` of zeros is that bias
+    over every field, which each factor subtracts and the product adds back
+    before it is read.  ``int.to_bytes`` and ``int.from_bytes`` take every
+    field in linear time."""
     if not u or not v:
         return []
-    width = _field_width(u, v)
-    return _unpack(_pack(u, width) * _pack(v, width), width, len(u) + len(v) - 1)
+    size = _field_width(u, v) // 8 + 1
+    half = 1 << (8 * size - 1)
+    count = len(u) + len(v) - 1
 
+    def pack(values):
+        fields = b"".join((x + half).to_bytes(size, "little") for x in values)
+        return int.from_bytes(fields, "little")
 
-def _pack(values, width):
-    """sum_k values[k] 2^(width k) for signed integers values[k]."""
-    if len(values) == 1:
-        return values[0]
-    half = len(values) // 2
-    return _pack(values[:half], width) + (
-        _pack(values[half:], width) << (width * half)
-    )
-
-
-def _unpack(z, width, count):
-    """The count signed fields of z = sum_k f_k 2^(width k), each with
-    -2^(width-1) <= f_k < 2^(width-1): the low half of the fields is the
-    signed residue of z modulo 2^(width half), the high half the exact
-    quotient."""
-    if count == 1:
-        return [z]
-    half = count // 2
-    shift = width * half
-    low = z & ((1 << shift) - 1)
-    if low >> (shift - 1):
-        low -= 1 << shift
-    return _unpack(low, width, half) + _unpack((z - low) >> shift, width, count - half)
+    big_u, big_v = (pack(f) - pack([0] * len(f)) for f in (u, v))
+    data = (big_u * big_v + pack([0] * count)).to_bytes(size * count, "little")
+    return [
+        int.from_bytes(data[k : k + size], "little") - half
+        for k in range(0, len(data), size)
+    ]
 
 
 # The work bounds of a problem, read from its parsed values before any of
@@ -552,11 +545,13 @@ def admit(spec, orders):
     ``build_report(spec, orders)`` and its ``check_exact`` would pass
     ``WORK_BOUND`` or ``PRODUCT_BOUND``, and return None otherwise.
 
-    ``orders`` is a non-empty sequence of distinct orders.  Only the
-    radius, b and the degree of ``spec`` are read, and none of b's
-    integers is taken, so a problem is priced before any of its work
-    starts.  Nothing in the library calls it: a caller that wants the cap
+    ``orders`` is read once and checked by ``multipole_moments``' rule; an
+    empty one is priced as [0, 1], the orders ``build_report`` always
+    evaluates.  Only the radius, b and the degree of ``spec`` are read, and
+    none of b's integers is taken, so a problem is priced before any of its
+    work starts.  Nothing in the library calls it: a caller that wants the cap
     asks for it, as the CLI does."""
+    orders = _orders(orders) or [0, 1]
     degree, radius = spec.degree, spec.radius
     bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
     dens = {b.denominator for b in spec.coeffs_b}
@@ -610,12 +605,19 @@ def multipole_moments(density, orders):
     integer; they are read through ``_integers``, which takes them once
     per spec.  ``check_exact`` integrates the same moments from c.
     """
+    orders = _orders(orders)
+    r, b, eps = density.radius, density.spec._integers(), density.epsilon0
+    return {m: ExactPhysical(_closed_moment(*b, r, m), eps) for m in orders}
+
+
+def _orders(orders):
+    """The moment orders as a list, read once: any iterable of them.  Each
+    must be a non-negative int, and a bool is none; ValueError otherwise."""
     orders = list(orders)
     for m in orders:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
-    r, b, eps = density.radius, density.spec._integers(), density.epsilon0
-    return {m: ExactPhysical(_closed_moment(*b, r, m), eps) for m in orders}
+    return orders
 
 
 def axial_force(density):
@@ -749,10 +751,13 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
     The charge and the dipole are the moments of orders 0 and 1, so each
     order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.  Every value is a closed form:
-    the solve takes the numerators of b, and the moments and the force read
-    them as kept.  ``check_exact`` checks the report from c.
+    the requested orders in their order.  ``moments`` is read once, so any
+    iterable of orders will do, and a bad order is refused before the
+    solve.  Every value is a closed form: the solve takes the numerators of
+    b, and the moments and the force read them as kept.  ``check_exact``
+    checks the report from c.
     """
+    moments = _orders(moments)
     density = solve_charge_density(spec)
     values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
     multipoles = {m: values[m] for m in moments}

@@ -583,6 +583,27 @@ def test_build_report_collects_requested_orders(rng):
     assert sorted(report.multipoles) == [0, 2, 7]
     assert report.charge_Q.coeff == report.multipoles[0].coeff
     assert report.charge_Q.epsilon0 == spec.epsilon0
+    # moments is read once: a one-shot iterable gives the orders a list gives
+    want = build_report(spec, [6, 4, 2]).multipoles
+    assert list(want) == [6, 4, 2]
+    for moments in (
+        (6, 4, 2),
+        range(6, 0, -2),
+        {6: "a", 4: "b", 2: "c"}.keys(),
+        (m for m in (6, 4, 2)),
+        iter([6, 4, 2]),
+    ):
+        assert build_report(spec, moments).multipoles == want
+
+
+def test_build_report_refuses_a_bad_order_before_the_solve(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError("solved a problem whose orders are refused")
+
+    monkeypatch.setattr(es_mod, "solve_charge_density", unreachable)
+    for moments in ([0, -1], iter([2, True])):
+        with pytest.raises(ValueError, match="moment order must be a non-negative"):
+            build_report(PotentialSpec(1, [1]), moments)
 
 
 @given(
@@ -757,8 +778,9 @@ def test_multipole_moments_keep_the_requested_orders():
     assert all(moments[m] == multipole_moment(density, m) for m in moments)
     assert multipole_moments(density, ()) == {}
     for order in (-1, True, 1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             multipole_moments(density, [0, order])
+        assert str(raised.value) == "moment order must be a non-negative integer"
 
 
 def _assert_disagrees(call, quantity, order):
@@ -909,16 +931,6 @@ def test_kronecker_product_at_the_edges_of_its_fields(k, n):
             _assert_product(u, v)
 
 
-def test_fields_unpack_up_to_their_signed_bounds():
-    width = es_mod._field_width([2**30 - 1, -(2**30)], [1, 2])
-    low, high = -(2 ** (width - 1)), 2 ** (width - 1) - 1
-    fields = [low, high, 0, -1, 1, high, low, low, high]
-    assert es_mod._unpack(es_mod._pack(fields, width), width, len(fields)) == fields
-    # one past the bound no longer fits its field
-    past = [high + 1, 0]
-    assert es_mod._unpack(es_mod._pack(past, width), width, 2) != past
-
-
 @given(
     u=st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=20),
     v=st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=20),
@@ -1052,18 +1064,35 @@ def test_building_a_spec_takes_no_integers(monkeypatch):
 def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
     # the work bound lies between the radii 7/3 and 15/13 at degree 400
     # with every order 0..1000; 21 coefficients with 4300-digit
-    # denominators are refused by their bits, with no lcm taken
+    # denominators are refused by their bits, with no lcm taken.  At degree
+    # 400 with a first coefficient 2^k - 1, it lies between k = 6872 and
+    # 6873 for the orders [0, 1], the orders an empty orders is priced as
     def untaken(values):
         raise AssertionError("took the integers of a spec while pricing it")
 
     monkeypatch.setattr(es_mod, "_numerators", untaken)
-    orders = range(1001)
-    assert es_mod.admit(PotentialSpec("7/3", ["1"] * 401), orders) is None
+    edge, past = (PotentialSpec("7/3", [2**k - 1] + [1] * 400) for k in (6872, 6873))
+    small = PotentialSpec("7/3", ["1", "2", "3"])
+    admitted = [
+        (PotentialSpec("7/3", ["1"] * 401), range(1001)),
+        (edge, [0, 1]), (edge, []), (past, [0]), (past, [1]),
+        (small, []), (small, iter([2])), (small, (m for m in (3, 2))),
+    ]
+    for spec, orders in admitted:
+        assert es_mod.admit(spec, orders) is None
+    bad_order = "moment order must be a non-negative integer"
+    wide = "too large to solve: the coefficients have"
     refusals = [
-        (PotentialSpec("15/13", ["1"] * 401), orders,
+        (PotentialSpec("15/13", ["1"] * 401), range(1001),
          "too large to solve: the radius has 4 bits, and degree + max order is 1400"),
         (PotentialSpec("7/3", [f"1/{10**4299 + 2 * k + 1}" for k in range(21)]), [0],
          "too large to solve: the coefficients have 299881 bits, and degree 20"),
+        (edge, [0, 2], f"{wide} 6872 bits, and degree 400"),
+        (past, [0, 1], f"{wide} 6873 bits, and degree 400"),
+        (past, [], f"{wide} 6873 bits, and degree 400"),
+        # multipole_moments' rule and text, with the orders read once
+        (small, [2.0], bad_order), (small, [True], bad_order), (small, [-5], bad_order),
+        (small, ["1"], bad_order), (small, iter([1, -1]), bad_order),
     ]
     for spec, orders, text in refusals:
         with pytest.raises(ValueError) as raised:
