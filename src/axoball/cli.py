@@ -255,6 +255,9 @@ def run_verification(report):
 
 
 def _emit(text, out_path):
+    # one text for both paths: the file gets the bytes stdout would
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
@@ -267,8 +270,6 @@ def _emit(text, out_path):
         # Python flushes stdout again at exit and its buffer would fail again
         try:
             sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
             sys.stdout.flush()
         except OSError as exc:
             with contextlib.suppress(OSError):

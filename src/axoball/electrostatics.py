@@ -38,26 +38,27 @@ The charge and the dipole are the multipole moments of orders 0 and 1;
 the order-m sum gives their closed forms above.
 
 Every exact path sums plain ints over one common denominator, by Horner's
-rule in p^2 for r = p/s, and builds one reduced Fraction per value; every
-path but the solve sums through ``_in_r2``.  The solve sums row i of
-G = B D^{-1} from the integers 2^(j-1) B_ij as they stand in
-``moment_matrix._b_rows``, the one process-wide table of the row walks,
-which only grows, with the factor 2j - 1 of 1/D_jj folded into b_j's
-weight.  The integers are taken on the values that hold them, by one
-rule, in ``_Value._integers``: the numerators of a PotentialSpec's b or a
-ChargeDensity's c over their least common denominator are taken when the
-solve, a check or the moments' float view first reads them, never by a
+rule in p^2 for r = p/s; every path but the solve sums through
+``_in_r2``.  Construction builds one reduced Fraction per value.  The
+solve sums row i of G = B D^{-1} from the integers 2^(j-1) B_ij as they
+stand in ``moment_matrix._b_rows``, the one process-wide table of the row
+walks, which only grows, with the factor 2j - 1 of 1/D_jj folded into
+b_j's weight.  Only a PotentialSpec keeps integers: the numerators of its
+b over their least common denominator are taken when the solve, a closed
+form or the moments' float view first reads them, never by the
 constructor, and kept in a private slot that is no field.  The closed sum
 of order m reads column m+1 of F as the integers
-``moment_matrix._f_column`` walks over one denominator, and the
-integrated paths of ``check_exact`` run through the private
-``_integral``, which no closed form uses.  The force's closed sum is one
-integer over b's numerators; its integral squares c's numerator
-polynomial as one big-int product (Kronecker substitution,
-``_product``), so CPython's Karatsuba multiplies the pairs: each
-coefficient, biased by half a field to an unsigned digit, is one
-fixed-width field of ``int.to_bytes``, and ``int.from_bytes`` reads the
-packed factors and the product's fields in linear time.
+``moment_matrix._f_column`` walks over one denominator.  ``check_exact``
+takes c's numerators on each call and keeps nothing; its integrated paths
+run through the private ``_integral``, which no closed form uses, and
+stay unreduced integer pairs (num, den), compared with the report's
+Fraction by cross-multiplication: a Fraction of the integral is built only
+to raise.  The force's closed sum is one integer over b's numerators; its
+integral squares c's numerator polynomial as one big-int product
+(Kronecker substitution, ``_product``), so CPython's Karatsuba multiplies
+the pairs: each coefficient, biased by half a field to an unsigned digit,
+is one fixed-width field of ``int.to_bytes``, and ``int.from_bytes``
+reads the packed factors and the product's fields in linear time.
 ``admit(spec, orders)`` prices those paths for a problem before any of its
 integers is taken, and refuses one too large to solve; nothing in the
 library calls it, so the library caps nothing unless a caller asks.
@@ -151,13 +152,6 @@ class _Value:
             object.__setattr__(self, slot, derive(self))
         return getattr(self, slot)
 
-    def _integers(self):
-        """The numerators of the exact coefficients in the field that the
-        class attribute ``_exact`` names, over their least common
-        denominator, and that denominator: taken on the first call and kept
-        in the slot ``_ints``."""
-        return self._kept("_ints", lambda v: _numerators(getattr(v, v._exact)))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -222,7 +216,6 @@ class PotentialSpec(_Value):
     """
 
     __slots__ = ("radius", "coeffs_b", "epsilon0", "_ints")
-    _exact = "coeffs_b"
 
     def __init__(self, radius, coeffs_b, epsilon0=VACUUM_PERMITTIVITY):
         radius = parse_rational(radius)
@@ -252,6 +245,12 @@ class PotentialSpec(_Value):
     def degree(self):
         return len(self.coeffs_b) - 1
 
+    def _integers(self):
+        """The numerators of b over their least common denominator, and that
+        denominator: taken on the first call and kept in the slot ``_ints``
+        for the solve, the closed forms and the moments' float view."""
+        return self._kept("_ints", lambda v: _numerators(v.coeffs_b))
+
 
 class ChargeDensity(_Value):
     """A solved problem: the spec and the coefficients c of its induced
@@ -260,8 +259,7 @@ class ChargeDensity(_Value):
     The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
     also builds a density that does not solve its spec."""
 
-    __slots__ = ("spec", "coeffs_c", "_ints", "_c_floats", "_m_floats")
-    _exact = "coeffs_c"
+    __slots__ = ("spec", "coeffs_c", "_c_floats", "_m_floats")
 
     @property
     def radius(self):
@@ -414,9 +412,12 @@ def _in_r2(terms, p, s):
 
 def _integral(a, r, m):
     """int_{-r}^{r} z^m sum_d a[d] z^d dz for integers a[d], as an
-    unreduced numerator and denominator: the sum over d with d + m even of
-    2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is one integer over
-    s^top M (top the largest e, M the lcm of the e), summed by ``_in_r2``."""
+    unreduced numerator and positive denominator: the sum over d with d + m
+    even of 2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is one integer
+    over s^top M (top the largest e, M the lcm of the e), summed by
+    ``_in_r2``.  ``check_exact`` compares the pair as it stands: order m's
+    multipole moment, in units of pi eps0, is 4 num / (den lcd) for the
+    numerators a of c over their denominator lcd."""
     p, s = r.numerator, r.denominator
     degrees = range(m % 2, len(a), 2)
     if not degrees:
@@ -425,14 +426,6 @@ def _integral(a, r, m):
     acc = _in_r2([a[d] * (lcm_e // (d + m + 1)) for d in degrees], p, s)
     first, top = degrees[0] + m + 1, degrees[-1] + m + 1
     return 2 * acc * p**first, s**top * lcm_e
-
-
-def _integrated_moment(c, lcd, r, m):
-    """2 pi r int z^m sigma dz over [-r, r], in units of pi eps0, from the
-    numerators c of sigma's coefficients over their denominator lcd:
-    8 sum over j with m + j odd of c_j r^(m+j) / (m+j)."""
-    num, den = _integral(c, r, m)
-    return Fraction(4 * num, den * lcd)
 
 
 def _closed_moment(b, lcd, r, m):
@@ -452,7 +445,8 @@ def _closed_moment(b, lcd, r, m):
 
 def _integrated_force(c, lcd, r):
     """(pi/eps0) int z sigma^2 dz over [-r, r], in units of pi eps0, from the
-    numerators c of sigma's coefficients over their denominator lcd.
+    numerators c of sigma's coefficients over their denominator lcd, as an
+    unreduced numerator and positive denominator.
 
     Only the odd coefficients of (sum c_j z^j)^2 survive the integral, and
     they are those of 2 z E(z^2) O(z^2), with E and O the polynomials of the
@@ -461,7 +455,7 @@ def _integrated_force(c, lcd, r):
     q[1::2] = _product(c[0::2], c[1::2])
     num, den = _integral(q, r, 1)
     p, s = r.numerator, r.denominator
-    return Fraction(8 * num * s * s, den * p * p * lcd * lcd)
+    return 8 * num * s * s, den * p * p * lcd * lcd
 
 
 def _closed_force(b, lcd, r):
@@ -545,13 +539,14 @@ def admit(spec, orders):
     ``build_report(spec, orders)`` and its ``check_exact`` would pass
     ``WORK_BOUND`` or ``PRODUCT_BOUND``, and return None otherwise.
 
-    ``orders`` is read once and checked by ``multipole_moments``' rule; an
-    empty one is priced as [0, 1], the orders ``build_report`` always
-    evaluates.  Only the radius, b and the degree of ``spec`` are read, and
-    none of b's integers is taken, so a problem is priced before any of its
-    work starts.  Nothing in the library calls it: a caller that wants the cap
-    asks for it, as the CLI does."""
-    orders = _orders(orders) or [0, 1]
+    ``orders`` is read once and checked by ``multipole_moments``' rule; a
+    repeated order is priced once, as ``build_report`` evaluates it once,
+    and an empty one is priced as [0, 1], the orders ``build_report``
+    always evaluates.  Only the radius, b and the degree of ``spec`` are
+    read, and none of b's integers is taken, so a problem is priced before
+    any of its work starts.  Nothing in the library calls it: a caller that
+    wants the cap asks for it, as the CLI does."""
+    orders = list(dict.fromkeys(_orders(orders))) or [0, 1]
     degree, radius = spec.degree, spec.radius
     bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
     dens = {b.denominator for b in spec.coeffs_b}
@@ -769,27 +764,33 @@ def check_exact(report):
     """Check every exact value of a report against the integral that
     defines it, summed exactly from the numerators of c; return None.
 
-    Each order of the report is integrated once, in the order
-    ``build_report`` evaluates them.  Each value the report holds is then
-    compared with its integral: the multipoles in their order, the charge,
-    the dipole, and then the force, whose integral is taken last.  The
-    first value that differs raises ConsistencyError, whose ``integrated``
-    is the integral and ``closed`` the report's value.  A report of
+    c's numerators are taken on each call, and nothing is kept on the
+    report or its density.  Each order of the report is integrated once,
+    in the order ``build_report`` evaluates them, as an unreduced integer
+    pair.  Each value the report holds is then compared with its integral
+    by ``_compare``: the multipoles in their order, the charge, the dipole,
+    and then the force, whose integral is taken last.  The first value that
+    differs raises ConsistencyError, whose ``integrated`` is the integral,
+    reduced to a Fraction, and ``closed`` the report's value.  A report of
     ``build_report`` holds the closed forms in b, so a disagreement is a
     bug, never bad input.
     """
-    r, c = report.density.radius, report.density._integers()
+    r, (c, lcd) = report.density.radius, _numerators(report.density.coeffs_c)
     orders = dict.fromkeys([*report.multipoles, 0, 1])
-    integrals = {m: _integrated_moment(*c, r, m) for m in orders}
+    integrals = {m: _integral(c, r, m) for m in orders}
     held = [*report.multipoles.items(), (0, report.charge_Q), (1, report.dipole_D)]
     for m, value in held:
-        _compare("moment", m, integrals[m], value.coeff)
-    _compare("force", None, _integrated_force(*c, r), report.force_F.coeff)
+        num, den = integrals[m]
+        _compare("moment", m, 4 * num, den * lcd, value.coeff)
+    _compare("force", None, *_integrated_force(c, lcd, r), report.force_F.coeff)
 
 
-def _compare(quantity, order, integrated, closed):
-    """Raise ConsistencyError unless the two exact values are equal."""
-    if integrated != closed:
+def _compare(quantity, order, num, den, closed):
+    """Raise ConsistencyError unless the integral num / den equals the
+    Fraction closed.  Equality is decided by cross-multiplication, so the
+    integral is reduced to a Fraction only to raise."""
+    if num * closed.denominator != closed.numerator * den:
+        integrated = Fraction(num, den)
         label = quantity if order is None else f"order-{order} {quantity}"
         message = f"{label} paths disagree: integrated {integrated}, closed {closed}"
         raise ConsistencyError(message, quantity, order, integrated, closed)

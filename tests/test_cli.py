@@ -93,6 +93,18 @@ def test_solve_writes_out_file(tmp_path, capsys):
     assert doc["charge"]["unit_factor"] == "pi*eps0"
 
 
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsysbinary, command):
+    # --out writes "instead of stdout": the same bytes, final newline included
+    path = write_problem(tmp_path, dict(BASIC, profile={"samples": 5}))
+    out_path = tmp_path / "out.txt"
+    assert main([command, path]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([command, path, "--out", str(out_path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out_path.read_bytes() == stdout and stdout.endswith(b"\n")
+
+
 def test_default_moments_are_first_four(tmp_path, capsys):
     path = write_problem(tmp_path, {"radius": "1", "coeffs_b": ["1"]})
     _, out, _ = run_cli(capsys, "solve", path)
@@ -351,7 +363,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, content, text):
 
     if "too many digits to print" in text:
         # every value is text before check_exact integrates any of them
-        for name in ("_integrated_moment", "_integrated_force"):
+        for name in ("_integral", "_integrated_force"):
             monkeypatch.setattr(es_mod, name, unreachable)
     assert_refused(tmp_path, capsys, argv, content, text)
 
@@ -1265,7 +1277,13 @@ def test_a_consistency_error_writes_no_output(tmp_path, capsys, monkeypatch):
         raise AssertionError("went on past a failed exact check")
 
     force = es_mod._integrated_force
-    monkeypatch.setattr(es_mod, "_integrated_force", lambda *args: force(*args) + 1)
+
+    def one_more(*args):
+        # the force's integral, plus 1, as its unreduced pair
+        num, den = force(*args)
+        return num + den, den
+
+    monkeypatch.setattr(es_mod, "_integrated_force", one_more)
     monkeypatch.setattr(es_mod, "profile", unreachable)
     monkeypatch.setattr(cli, "run_verification", unreachable)
     path = write_problem(tmp_path, dict(BASIC, profile={"samples": 3}))
@@ -1288,6 +1306,17 @@ def test_a_bug_inside_a_check_is_no_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oracle_mod, "brute_force_force", broken)
     with pytest.raises(ConsistencyError, match="injected"):
         main(["solve", write_problem(tmp_path, BASIC), "--verify"])
+
+
+def test_a_value_error_that_is_no_input_error_is_raised(tmp_path, monkeypatch):
+    # a ValueError is bad input only as an OutOfRangeError: a bug that
+    # raises another must surface, not exit 2
+    def bug(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "cmd_solve", bug)
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["solve", write_problem(tmp_path, BASIC)])
 
 
 # The exit contract on generated input: every problem file and every byte

@@ -718,17 +718,19 @@ def test_a_report_takes_the_numerators_of_b_and_c_once(monkeypatch):
     report = build_report(spec, body["moments"])
     # b when the solve reads it: the closed forms read it as kept
     assert calls == [spec.coeffs_b]
-    # and c when check_exact first reads it
+    # and c once in each check_exact call, which keeps nothing
     check_exact(report)
     assert calls == [spec.coeffs_b, report.density.coeffs_c]
-    # a density that already served a quantity and a check takes neither again
+    assert not hasattr(report.density, "_ints")
+    # a density that already served a quantity and a check takes b's
+    # numerators no more, and c's once more for the next check
     multipole_moments(report.density, range(8))
     axial_force(report.density)
     check_exact(report)
-    assert len(calls) == 2
+    assert calls == [spec.coeffs_b, report.density.coeffs_c, report.density.coeffs_c]
     # a second solve of the spec reads b as kept, and its check the new c
     check_exact(build_report(spec, body["moments"]))
-    assert calls[2:] == [report.density.coeffs_c]
+    assert calls[3:] == [report.density.coeffs_c]
 
 
 def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
@@ -857,17 +859,19 @@ def path_densities(draw, max_degree):
 
 
 def _assert_paths_equal_references(density, orders):
+    # the integrated paths are unreduced pairs: check_exact's moment of
+    # order m is _integral's pair scaled by 4 and by c's denominator
     r, b, c = density.radius, density.coeffs_b, density.coeffs_c
-    numerators_b, numerators_c = es_mod._numerators(b), es_mod._numerators(c)
+    numerators_b = es_mod._numerators(b)
+    numerators_c, lcd = es_mod._numerators(c)
     for m in orders:
         closed = es_mod._closed_moment(*numerators_b, r, m)
         assert closed == references.closed_moment(b, r, m)
-        integrated = es_mod._integrated_moment(*numerators_c, r, m)
-        assert integrated == references.integrated_moment(c, r, m)
+        num, den = es_mod._integral(numerators_c, r, m)
+        assert Fraction(4 * num, den * lcd) == references.integrated_moment(c, r, m)
     assert es_mod._closed_force(*numerators_b, r) == references.closed_force(b, r)
-    assert es_mod._integrated_force(*numerators_c, r) == references.integrated_force(
-        c, r
-    )
+    force = es_mod._integrated_force(numerators_c, lcd, r)
+    assert Fraction(*force) == references.integrated_force(c, r)
 
 
 @given(
@@ -1029,16 +1033,17 @@ def test_value_constructor_takes_each_field_once(cls):
 
 
 def test_the_numerators_a_value_keeps_are_no_field():
-    # a spec that was solved and a density that served a quantity keep
-    # b's and c's numerators in a private slot, which equality, hashing,
-    # repr and copies do not see
-    fresh, served = solve_charge_density(_spec()), solve_charge_density(_spec())
+    # a spec that was solved keeps b's numerators in a private slot, which
+    # equality, hashing, repr and copies do not see; a density keeps no
+    # integers, even once it served a quantity and a check
+    fresh = solve_charge_density(_spec())
+    report = build_report(_spec())
+    served = report.density
     axial_force(served)
-    assert (served._integers(), served.spec._integers()) == (
-        es_mod._numerators(served.coeffs_c),
-        es_mod._numerators(served.coeffs_b),
-    )
-    assert not hasattr(fresh, "_ints") and hasattr(fresh.spec, "_ints")
+    check_exact(report)
+    assert served.spec._integers() == es_mod._numerators(served.coeffs_b)
+    assert not hasattr(served, "_ints") and not hasattr(fresh, "_ints")
+    assert hasattr(fresh.spec, "_ints")
     for kept, unread in ((served, fresh), (served.spec, _spec())):
         assert kept == unread and hash(kept) == hash(unread)
         assert repr(kept) == repr(unread)
@@ -1066,7 +1071,9 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
     # with every order 0..1000; 21 coefficients with 4300-digit
     # denominators are refused by their bits, with no lcm taken.  At degree
     # 400 with a first coefficient 2^k - 1, it lies between k = 6872 and
-    # 6873 for the orders [0, 1], the orders an empty orders is priced as
+    # 6873 for the orders [0, 1], the orders an empty orders is priced as,
+    # and a repeated order is priced once: [0, 1, 1] is [0, 1], and
+    # [0, 1, 5, 5, 5] is [0, 1, 5], past the bound by its order 5
     def untaken(values):
         raise AssertionError("took the integers of a spec while pricing it")
 
@@ -1075,7 +1082,8 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
     small = PotentialSpec("7/3", ["1", "2", "3"])
     admitted = [
         (PotentialSpec("7/3", ["1"] * 401), range(1001)),
-        (edge, [0, 1]), (edge, []), (past, [0]), (past, [1]),
+        (edge, [0, 1]), (edge, []), (edge, [0, 1, 1]), (edge, [1, 0, 1, 0, 1]),
+        (past, [0]), (past, [1]),
         (small, []), (small, iter([2])), (small, (m for m in (3, 2))),
     ]
     for spec, orders in admitted:
@@ -1088,6 +1096,7 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
         (PotentialSpec("7/3", [f"1/{10**4299 + 2 * k + 1}" for k in range(21)]), [0],
          "too large to solve: the coefficients have 299881 bits, and degree 20"),
         (edge, [0, 2], f"{wide} 6872 bits, and degree 400"),
+        (edge, [0, 1, 5, 5, 5], f"{wide} 6872 bits, and degree 400"),
         (past, [0, 1], f"{wide} 6873 bits, and degree 400"),
         (past, [], f"{wide} 6873 bits, and degree 400"),
         # multipole_moments' rule and text, with the orders read once

@@ -70,6 +70,8 @@ def test_index_validation():
     with pytest.raises(ValueError):
         f_entry_closed_form(0, 1)
     with pytest.raises(ValueError):
+        g_entry(0, 1)
+    with pytest.raises(ValueError):
         f_diagonal(0)
     with pytest.raises(ValueError):
         f_second_superdiagonal(2)

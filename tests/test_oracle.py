@@ -54,6 +54,8 @@ def test_legendre_domain_and_degree_checks():
 
 
 def test_rule_weights_sum_to_two():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        gauss_legendre(0)
     for order in (1, 2, 3, 5, 8, 13, 21, 34, 40):
         rule = gauss_legendre(order)
         assert len(rule.nodes) == order

@@ -53,6 +53,7 @@ def _referenced_names():
 
 def test_the_surface_is_the_papers_results():
     assert sorted(axoball.__all__) == sorted(SURFACE)
+    assert set(axoball.__all__) <= set(dir(axoball))
     referenced = _referenced_names()
     pinned = set(declared_functions()) | {("cli", "main")}
     uncalled = []
