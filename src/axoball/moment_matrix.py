@@ -62,6 +62,8 @@ once per process, before any print first returns it; B and G keep apart
 and compare apart, so a B print after a G print of the same order walks
 and compares its own cells.  Measured with tracemalloc, the kept cells at
 order 200, the CLI's cap, take 1.6 MiB for F and 1.4 MiB each for B and G.
+``axoball matrix`` keeps its own text of each matrix (``cli``), so a print
+that text covers reads no cells, and a wider one reads the cells it adds.
 """
 
 from functools import lru_cache
@@ -250,10 +252,12 @@ def _b_cells(first, last, inverse):
 # the cells of each matrix's widest print so far, as (order, cells): its
 # cells column by column in one tuple, so that the cells of any order n up
 # to ``order`` are its first (n + 1)**2 // 4; each value replaced by one
-# assignment.  Its measured consumer is a process that prints many orders:
-# the benchmark's ``matrix`` client, where 81% of prints are covered by an
-# earlier, wider one, went from 399 to 586 commands a second on a 2-CPU
-# Xeon; a one-shot ``axoball matrix`` walks once and gains nothing from it
+# assignment.  Its measured consumer is a widening ``axoball matrix``
+# print, which walks, and for B and G compares, only the columns it adds:
+# G printed at orders 20, 40, ..., 200 in one process took 32 ms, against
+# 55 ms with each print walking from column 1, on a 2-CPU Xeon.  A print
+# that the CLI's kept text covers does not read it, and a one-shot
+# ``axoball matrix`` walks once and gains nothing from it
 _KEPT = {"F": (0, ()), "B": (0, ()), "G": (0, ())}
 
 

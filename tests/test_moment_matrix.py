@@ -1,3 +1,4 @@
+import argparse
 import random
 import re
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references
-from axoball import PotentialSpec, moment_matrix, solve_charge_density
+from axoball import PotentialSpec, cli, moment_matrix, solve_charge_density
 from axoball.cli import main
 from axoball.moment_matrix import (
     beta_numerator,
@@ -314,10 +315,11 @@ def _cells_from_an_empty_table(which, order):
 
 
 def _no_kept_cells(monkeypatch):
-    """Start from no kept cells of any matrix, and put back the kept cells
-    of before when the test ends, so that no cells of a corrupted walk
-    outlive it."""
+    """Start from no kept cells, and no kept cell text of the CLI, of any
+    matrix, and put back both of before when the test ends, so that no
+    cells or text of a corrupted walk outlive it."""
     monkeypatch.setattr(moment_matrix, "_KEPT", _empty_kept())
+    monkeypatch.setattr(cli, "_KEPT_TEXT", _empty_kept())
 
 
 def _from_an_empty_table(monkeypatch):
@@ -730,6 +732,106 @@ def test_matrix_command_catches_any_off_by_one_numerator(monkeypatch, which, nam
         return main(["matrix", "--order", str(order), "--which", which])
 
     _assert_catches_off_by_one(monkeypatch, command, name, at)
+
+
+def _printed(capsys, which, order, fmt="table"):
+    """What ``axoball matrix`` prints for ``which`` at ``order``, in this
+    process."""
+    argv = ["matrix", "--order", str(order), "--which", which, "--format", fmt]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _fresh_text(which, order, sep):
+    """The text of ``which`` at ``order``, formatted afresh from a walk of
+    its own from empty keeps: each nonzero cell through ``Fraction``'s
+    str, every other cell "0"."""
+    rows = [["0"] * order for _ in range(order)]
+    for i, j, num, den in _fresh_walk(which, order):
+        rows[i - 1][j - 1] = str(Fraction(num, den))
+    return "".join(sep.join(row) + "\n" for row in rows)
+
+
+def test_many_prints_in_one_process_print_what_fresh_walks_give(monkeypatch, capsys):
+    # every order 1..60 and 30 repeats, shuffled, each printed as F, G and
+    # B, table and csv alternating: each print widens the kept text or is
+    # covered by it, and prints what a fresh walk formats
+    _from_an_empty_table(monkeypatch)
+    rng = random.Random(46)
+    orders = [*range(1, 61), *rng.choices(range(1, 61), k=30)]
+    rng.shuffle(orders)
+    fresh = {}
+    for k, (order, which) in enumerate((n, w) for n in orders for w in "FGB"):
+        fmt, sep = (("table", " "), ("csv", ","))[k % 2]
+        if (which, order, sep) not in fresh:
+            fresh[which, order, sep] = _fresh_text(which, order, sep)
+        out = _printed(capsys, which, order, fmt)
+        assert out == fresh[which, order, sep], (which, order, fmt)
+    assert {cli._KEPT_TEXT[which][0] for which in "FGB"} == {60}
+
+
+@pytest.mark.parametrize("which", ["B", "G"])
+def test_a_failed_widening_keeps_no_text(monkeypatch, capsys, which):
+    _from_an_empty_table(monkeypatch)
+    right = moment_matrix._b_row
+    fresh = {order: _fresh_text(which, order, " ") for order in (7, 12, 20)}
+    assert _printed(capsys, which, 12) == fresh[12]
+    kept = dict(cli._KEPT_TEXT)
+    # a new table, wrong at (3, 15), past the kept width
+    monkeypatch.setattr(moment_matrix, "_b_row", _off_by_one(right, (3, 15)))
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    for order in (20, 15):
+        bad_cell = re.escape("beta_numerator at (3, 15)")
+        with pytest.raises(ArithmeticError, match=bad_cell):
+            main(["matrix", "--order", str(order), "--which", which])
+        assert capsys.readouterr().out == ""
+        assert all(cli._KEPT_TEXT[w] is kept[w] for w in "FBG")
+    # a covered print prints the old text, and takes no cells
+    with monkeypatch.context() as patch:
+        patch.setattr(moment_matrix, "matrix_cells", None)
+        for order in (12, 7):
+            assert _printed(capsys, which, order) == fresh[order]
+    # a print with a right walk widens the text, right
+    monkeypatch.setattr(moment_matrix, "_b_row", right)
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    assert _printed(capsys, which, 20) == fresh[20]
+    assert _printed(capsys, which, 12) == fresh[12]
+
+
+def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
+    # three threads print F, B and G at random orders, each widening the
+    # kept text or covered by it, while a fourth empties it 200 times:
+    # every print is right, so no print reads text another has published
+    # before it was whole
+    _no_kept_cells(monkeypatch)
+    fresh = {(w, n): _fresh_text(w, n, " ") for w in "FBG" for n in range(1, 61)}
+    printed = threading.local()
+    monkeypatch.setattr(cli, "_emit", lambda text, _: setattr(printed, "text", text))
+    failures, finished = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            try:
+                for _ in range(200):
+                    for which in "FBG":
+                        cli._KEPT_TEXT[which] = (0, ())
+                    time.sleep(1e-4)
+            finally:
+                finished.append(seed)
+            return
+        while not finished:
+            which, n = rng.choice("FBG"), rng.randint(1, 60)
+            try:
+                cli.cmd_matrix(argparse.Namespace(order=n, which=which, format="table"))
+            except Exception as exc:  # a print that raises fails, as a wrong one does
+                failures.append((seed, which, n, repr(exc)))
+                continue
+            if printed.text != fresh[which, n]:
+                failures.append((seed, which, n))
+
+    _run_threads(work, 4)
+    assert failures == []
 
 
 def _short_row(walk, i):
