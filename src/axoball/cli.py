@@ -23,12 +23,14 @@ cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
 Fraction; every cell of B and G is checked against its closed form, a
 column at a time, before the process first prints it.  It keeps, per
-matrix, the cell text of the widest print so far (``_KEPT_TEXT``), by
-cell, so table and csv share it: a print that text covers only joins
-rows, with no walk, no check and no int-to-text, and a wider print, a
-first one included, turns into text only the cells of the columns it
-adds.  At order 200, the cap, the kept text takes 1.4 MiB for F and
-1.9 MiB each for B and G (tracemalloc).  Every command
+matrix, the text of the widest print so far (``_KEPT_TEXT``): each row's
+cells joined by spaces, and the running character count of its cells.
+A print that text covers slices each row, with no walk, no check and no
+int-to-text, and a csv print replaces each space by a comma.  A wider
+print, a first one included, asks ``matrix_cells`` for only the columns
+it adds and appends their text to each row.  At order 200, the cap, the
+kept text and the row table it grows take 0.97 MiB for F and 2.2 MiB
+each for B and G (tracemalloc).  Every command
 writes its output through ``_emit``.  ``solve`` constructs the report,
 turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
@@ -52,7 +54,9 @@ module level this module imports only the standard library, so that a
 one-shot command pays at start-up only for what it uses.  ``matrix``
 loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
 ``decimal`` and ``numbers`` that ``fractions`` loads) and no ``json``,
-which only ``load_problem`` and ``cmd_solve`` import.  ``solve`` and
+which only ``load_problem`` and ``cmd_solve`` import; only a ``matrix``
+print that widens its kept text imports ``array``, an extension module
+that takes about 0.4 ms to load.  ``solve`` and
 ``profile`` load ``electrostatics`` and ``rational`` once per call, in
 ``load_problem`` and in the command, never per value.  The oracle, and
 with it numpy and logging, is imported only when --verify runs it.  As
@@ -72,6 +76,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from itertools import accumulate
 
 SCHEMA_VERSION = 1
 
@@ -332,43 +337,67 @@ def cmd_solve(args):
     return code
 
 
-# the cell text of each matrix's widest print so far, as (order, rows):
-# rows[i - 1] holds the texts of row i, "0" for a zero, order wide; each
-# value replaced by one assignment.  Its measured consumer is a process
-# that prints many orders, where a print the text covers only joins rows:
-# the benchmark's ``matrix`` client, 81% of whose prints are covered,
-# went from 634 to 1300 commands a second on a 2-CPU Xeon (main pool,
-# medians of 10 runs); a one-shot ``axoball matrix`` widens it once, from
-# width 0, and gains nothing from it
-_KEPT_TEXT = {"F": (0, ()), "B": (0, ()), "G": (0, ())}
+# the text of each matrix's widest print so far, as (order, rows, ends):
+# rows[i - 1] is row i's cells joined by single spaces, "0" for a zero, and
+# ends[i - 1] an array of the running character count of its cells, the
+# separators left out, so that row i's first n cells are
+# rows[i - 1][:ends[i - 1][n - 1] + n - 1]; each value replaced by one
+# assignment.  Its measured consumer is a process that prints many orders,
+# where a print the text covers only slices rows: the benchmark's
+# ``matrix`` client, 81% of whose prints are covered.  A covered print at
+# order 199 takes 0.1 ms for F and 0.2 ms for G, against 0.6 and 0.8 ms
+# with one str kept per cell, on a 2-CPU Xeon; a one-shot ``axoball
+# matrix`` widens it once, from width 0, and gains nothing from it
+_KEPT_TEXT = {"F": (0, (), ()), "B": (0, (), ()), "G": (0, (), ())}
+
+
+def _widened(which, n):
+    """The kept text of ``which`` widened to order n, published: only the
+    columns it adds are taken from ``matrix_cells``, which walks and checks
+    them, and turned into text.  The cells are taken before any row
+    changes, so a print whose check raises keeps nothing."""
+    from array import array
+
+    from .moment_matrix import matrix_cells
+
+    width, rows, ends = _KEPT_TEXT[which]
+    first = width + 1
+    added = [["0"] * (n - width) for _ in range(n)]
+    for i, j, num, den in matrix_cells(which, n, first=first):
+        added[i - 1][j - first] = str(num) if den == 1 else f"{num}/{den}"
+    zeros = array("I", range(1, n))
+    grown_rows, grown_ends = [], []
+    for i, texts in enumerate(added, 1):
+        if i <= width:
+            head, count = rows[i - 1] + " ", ends[i - 1]
+        else:  # a new row is zero in columns 1..i - 1, below the diagonal
+            head, count, texts = "0 " * (i - 1), zeros[: i - 1], texts[i - first :]
+        grown_rows.append(head + " ".join(texts))
+        more = accumulate(map(len, texts), initial=count[-1] if count else 0)
+        grown_ends.append(count + array("I", more)[1:])
+    kept = _KEPT_TEXT[which] = (n, tuple(grown_rows), tuple(grown_ends))
+    return kept
 
 
 def cmd_matrix(args):
     n = args.order
     if n < 1 or n > 200:
         raise ProblemError("--order must lie in 1..200")
-    from .moment_matrix import matrix_cells
-
     if args.which == "D":  # the diagonal as one row
+        from .moment_matrix import matrix_cells
+
         cells = matrix_cells("D", n)
-        rows = [[str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]]
+        texts = [str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]
+        rows = [" ".join(texts)]
     else:
-        width, rows = _KEPT_TEXT[args.which]
+        width, rows, ends = _KEPT_TEXT[args.which]
         if width < n:
-            # only the cells of the added columns, which matrix_cells walks
-            # and checks, become text; taken before any row changes, so a
-            # print whose check raises keeps nothing
-            cells = matrix_cells(args.which, n)[(width + 1) ** 2 // 4 :]
-            added = [["0"] * (n - width) for _ in range(n)]
-            for i, j, num, den in cells:
-                added[i - 1][j - 1 - width] = str(num) if den == 1 else f"{num}/{den}"
-            # a row below the old width is zero in the old columns
-            rows += (("0",) * width,) * (n - width)
-            rows = tuple(old + tuple(new) for old, new in zip(rows, added))
-            _KEPT_TEXT[args.which] = (n, rows)
-    sep = "," if args.format == "csv" else " "
-    # a rational prints as '-', digits and '/': no field needs quoting
-    _emit("".join(sep.join(row[:n]) + "\n" for row in rows[:n]), None)
+            _, rows, ends = _widened(args.which, n)
+        rows = [row[: count[n - 1] + n - 1] for row, count in zip(rows[:n], ends)]
+    text = "\n".join([*rows, ""])
+    # a rational prints as '-', digits and '/': no field needs quoting, and
+    # no cell holds a space or a comma
+    _emit(text.replace(" ", ",") if args.format == "csv" else text, None)
     return 0
 
 

@@ -58,7 +58,8 @@ integral squares c's numerator polynomial as one big-int product
 (Kronecker substitution, ``_product``), so CPython's Karatsuba multiplies
 the pairs: each coefficient, biased by half a field to an unsigned digit,
 is one fixed-width field of ``int.to_bytes``, and ``int.from_bytes``
-reads the packed factors and the product's fields in linear time.
+reads the packed factors and the product's fields in linear time.  The
+bias over k fields is one field's bytes repeated k times.
 ``admit(spec, orders)`` prices those paths for a problem before any of its
 integers is taken, and refuses one too large to solve; nothing in the
 library calls it, so the library caps nothing unless a caller asks.
@@ -483,22 +484,26 @@ def _product(u, v):
     little-endian field of size = ``_field_width(u, v) // 8 + 1`` bytes per
     coefficient, the two integers are multiplied once, and the product's
     fields are read back.  Each field holds its coefficient plus the bias
-    half = 2^(8 size - 1), an unsigned digit; ``pack`` of zeros is that bias
-    over every field, which each factor subtracts and the product adds back
-    before it is read.  ``int.to_bytes`` and ``int.from_bytes`` take every
-    field in linear time."""
+    half = 2^(8 size - 1), an unsigned digit; ``bias(k)`` is that bias over
+    k fields, one field's bytes repeated k times, which each factor
+    subtracts and the product adds back before it is read.
+    ``int.to_bytes`` and ``int.from_bytes`` take every field in linear
+    time."""
     if not u or not v:
         return []
     size = _field_width(u, v) // 8 + 1
     half = 1 << (8 * size - 1)
     count = len(u) + len(v) - 1
+    field = half.to_bytes(size, "little")
+
+    def bias(k):
+        return int.from_bytes(field * k, "little")
 
     def pack(values):
         fields = b"".join((x + half).to_bytes(size, "little") for x in values)
-        return int.from_bytes(fields, "little")
+        return int.from_bytes(fields, "little") - bias(len(values))
 
-    big_u, big_v = (pack(f) - pack([0] * len(f)) for f in (u, v))
-    data = (big_u * big_v + pack([0] * count)).to_bytes(size * count, "little")
+    data = (pack(u) * pack(v) + bias(count)).to_bytes(size * count, "little")
     return [
         int.from_bytes(data[k : k + size], "little") - half
         for k in range(0, len(data), size)

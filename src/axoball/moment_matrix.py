@@ -32,8 +32,10 @@ Construction walks, verification evaluates entries:
     integers 2**(j-1) B_ij is walked by the integer ratio of its neighbours
     (``_b_row``): one small multiply and one exact division per entry.
     The integers depend on (i, j) alone, so the walked rows are kept in
-    one process-wide table, ``_b_rows``, rebuilt only when a call needs it
-    wider; it only grows, to about 4 MB at the CLI's cap of 401 rows.  The
+    one process-wide table, ``_b_rows``, grown by the columns a call adds
+    when it needs it wider: each kept row continues from its last integer,
+    and only a new row is walked from its diagonal; it only grows, to
+    about 4 MB at the CLI's cap of 401 rows.  The
     cells of B and G = B D^{-1} both come from the table, each with the
     power of two that Kummer's theorem counts in its binomials,
     popcount(i-1) + popcount((j-i)/2), shifted out of num and den;
@@ -52,18 +54,13 @@ these entries, not construction steps; the tests check them
 (``tests/references.py``).
 
 Every entry and every walk is order-independent, and F, B and G share one
-triangle, so the cells of an order, column by column, are the first
-(order + 1)**2 // 4 cells of any wider print's.  ``matrix_cells`` keeps,
-per matrix, the cells of the widest print so far in one tuple (``_KEPT``)
-by one rule: a print they cover is a fresh list cut from them, with no
-walk and no comparison, and a wider print walks, and for B and G
-compares, only the columns it adds.  So each B or G cell is compared
-once per process, before any print first returns it; B and G keep apart
-and compare apart, so a B print after a G print of the same order walks
-and compares its own cells.  Measured with tracemalloc, the kept cells at
-order 200, the CLI's cap, take 1.6 MiB for F and 1.4 MiB each for B and G.
-``axoball matrix`` keeps its own text of each matrix (``cli``), so a print
-that text covers reads no cells, and a wider one reads the cells it adds.
+triangle, so the cells of columns first..order are those of any wider
+print in those columns.  ``matrix_cells(which, order, first)`` keeps no
+cells: each call walks, and for B and G compares, the columns it asks
+for, so a caller that has the cells of columns 1..w asks for only the
+columns past w.  ``axoball matrix`` does (``cli``): it keeps the text of
+each matrix's widest print, and a wider print asks for, and turns into
+text, only the columns it adds.
 """
 
 from functools import lru_cache
@@ -135,32 +132,37 @@ def beta_numerator(k, i):
     return -value if q % 2 else value
 
 
-def _b_row(i, n):
+def _b_row(i, n, kept=()):
     """The nonzero integers h_j = 2**(j-1) B_ij = ``beta_numerator(i, j)``
-    of row i, for j = i, i+2, ..., n: from h_i = C(2i-2, i-1), by the ratio
-    h_{j+2} = -2 h_j (i+j-1)/(q+1) with q = (j-i)/2, an exact integer
-    division."""
-    h = comb(2 * i - 2, i - 1)
-    for j in range(i, n + 1, 2):
+    of row i that follow its ``kept`` ones, for j = i + 2q up to n with
+    q = len(kept), len(kept) + 1, ...: from h_i = C(2i-2, i-1), or from
+    the last kept one, by the ratio h_{j+2} = -2 h_j (i+j-1)/(q+1) with
+    q = (j-i)/2, an exact integer division."""
+    h = kept[-1] if kept else None
+    for q in range(len(kept), (n - i) // 2 + 1):
+        h = -2 * h * (2 * i + 2 * q - 3) // q if q else comb(2 * i - 2, i - 1)
         yield h
-        h = -2 * h * (i + j - 1) // ((j - i) // 2 + 1)
 
 
 # the widest table of the row integers built so far; see ``_b_rows``.  Its
 # measured consumer is a process that solves more than once: on a 2-CPU
 # Xeon a solve that finds it wide enough took 0.07 / 3.5 / 18.5 ms at
 # degrees 24 / 200 / 400, against 0.11 / 6.4 / 36.1 ms with the walk; a
-# one-shot ``axoball solve`` builds it once and gains nothing from it
+# one-shot ``axoball solve`` builds it once and gains nothing from it.  A
+# wider call grows it by the columns it adds: each kept row continues from
+# its last integer, and only the new rows are walked from their diagonal.
+# G printed at orders 20, 40, ..., 200 in one process grows it in 3.3 ms,
+# against 10 ms when each widening walked every row from its diagonal
 _B_ROWS = ()
 
 
 def _b_rows(n):
-    """The widest table of the row integers built so far, built first to
+    """The widest table of the row integers built so far, grown first to
     width n when it is narrower: a tuple of N >= n rows, row i - 1 the
     tuple ``_b_row(i, N)``, so entry k of it is h_j at j = i + 2k.  The
     integers depend on (i, j) alone, so one table serves every later call
     in the process; it only grows, to 40401 ints (about 4 MB) at order
-    401.  A new table is published by one assignment and returned from a
+    401.  A grown table is published by one assignment and returned from a
     local, with no lock: two threads that widen it at once each build a
     table, and the narrower may be published last, but no caller ever
     gets a table narrower than it asked for.
@@ -171,7 +173,8 @@ def _b_rows(n):
     global _B_ROWS
     table = _B_ROWS
     if len(table) < n:
-        table = tuple(tuple(_b_row(i, n)) for i in range(1, n + 1))
+        rows = table + ((),) * (n - len(table))
+        table = tuple(row + tuple(_b_row(i, n, row)) for i, row in enumerate(rows, 1))
         _B_ROWS = table
     return table
 
@@ -249,42 +252,27 @@ def _b_cells(first, last, inverse):
             yield i, j, odd * h >> k, powers[top - k]
 
 
-# the cells of each matrix's widest print so far, as (order, cells): its
-# cells column by column in one tuple, so that the cells of any order n up
-# to ``order`` are its first (n + 1)**2 // 4; each value replaced by one
-# assignment.  Its measured consumer is a widening ``axoball matrix``
-# print, which walks, and for B and G compares, only the columns it adds:
-# G printed at orders 20, 40, ..., 200 in one process took 32 ms, against
-# 55 ms with each print walking from column 1, on a 2-CPU Xeon.  A print
-# that the CLI's kept text covers does not read it, and a one-shot
-# ``axoball matrix`` walks once and gains nothing from it
-_KEPT = {"F": (0, ()), "B": (0, ()), "G": (0, ())}
-
-
-def matrix_cells(which, order):
+def matrix_cells(which, order, first=1):
     """The nonzero cells of the matrix ``which`` (``"F"``, ``"G"``, ``"B"``
-    or ``"D"``) of the given order, as tuples (i, j, num, den) with entry
-    (i, j) = num/den in lowest terms, den > 0, column by column; every
-    other cell is zero.  B and G are checked as they are walked.  Each
-    call returns a fresh list, cut from the cells kept from the widest
-    print so far, which a wider print first widens by the columns it adds
-    (see the module docstring)."""
+    or ``"D"``) of the given order in columns first..order, as tuples
+    (i, j, num, den) with entry (i, j) = num/den in lowest terms, den > 0,
+    column by column; every other cell is zero.  Each call walks those
+    columns afresh, and checks those of B and G as it walks them."""
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError("order must be an integer")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if isinstance(first, bool) or not isinstance(first, int):
+        raise ValueError("first must be an integer")
+    if not 1 <= first <= order:
+        raise ValueError("first must lie in 1..order")
     if which == "D":
-        return [(i, i, 2, 2 * i - 1) for i in range(1, order + 1)]
-    if which not in ("F", "B", "G"):
+        return [(i, i, 2, 2 * i - 1) for i in range(first, order + 1)]
+    if which == "F":
+        return _f_cells(first, order)
+    if which not in ("B", "G"):
         raise ValueError(f"no matrix named {which!r}")
-    width, cells = _KEPT[which]
-    if width < order:
-        if which == "F":
-            cells += tuple(_f_cells(width + 1, order))
-        else:
-            cells += tuple(_b_cells(width + 1, order, which == "G"))
-        _KEPT[which] = (order, cells)
-    return list(cells[: (order + 1) ** 2 // 4])
+    return list(_b_cells(first, order, which == "G"))
 
 
 def _dense(which, order):

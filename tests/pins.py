@@ -39,7 +39,7 @@ README_PROFILE = {"radius": "3/2", "potential": {"coeffs_b": ["1", "-2/3", "0.5"
 PINS = [
     # the matrix pool's widest order, first: run through main in one
     # process, these walk columns 1..120, and the order-200 prints below
-    # widen the kept cells by the columns they add
+    # widen the kept text by the columns they add
     (["matrix", "--order", "120", "--which", "F"], None,
      "cb7bc96fe3768b86fb7d717b8cb7ae842226d8ca6b390deb09ac9b3247764a14"),
     (["matrix", "--order", "120", "--which", "G"], None,

@@ -166,7 +166,6 @@ def test_matrix_identities_order_20():
 def test_zero_pattern_is_structural(monkeypatch):
     # each parity-triangle cell is walked once, column by column, and no
     # other cell is walked
-    _no_kept_cells(monkeypatch)
     walked = []
     walk = moment_matrix._f_cells
 
@@ -230,6 +229,25 @@ def test_matrix_cells_do_not_depend_on_the_order(which):
         assert moment_matrix.matrix_cells(which, n) == [c for c in full if c[1] <= n], n
 
 
+@pytest.mark.parametrize("which", ["F", "B", "G", "D"])
+def test_cells_from_a_first_column_are_those_of_the_whole_order(which):
+    for order in range(1, 13):
+        cells = moment_matrix.matrix_cells(which, order)
+        for first in range(1, order + 1):
+            expected = [c for c in cells if c[1] >= first]
+            assert moment_matrix.matrix_cells(which, order, first) == expected
+            assert moment_matrix.matrix_cells(which, order, first=first) == expected
+        # a bool or a float is no column, and the first column lies in
+        # 1..order
+        for first in (True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match="first must be an integer"):
+                moment_matrix.matrix_cells(which, order, first)
+        for first in (0, order + 1, -1):
+            match = re.escape("first must lie in 1..order")
+            with pytest.raises(ValueError, match=match):
+                moment_matrix.matrix_cells(which, order, first)
+
+
 def test_binomial_valuation_is_kummers_count():
     # 2**(j-1) B_ij and 2**j G_ij = (2j-1) 2**(j-1) B_ij hold exactly
     # popcount(i-1) + popcount((j-i)/2) factors of two, at most j - 1:
@@ -257,11 +275,46 @@ def test_the_row_table_only_grows(monkeypatch):
     assert moment_matrix._b_rows(10) is wider
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_the_row_table_grows_by_the_columns_a_call_adds(monkeypatch, seed):
+    # seeded widths, with repeats and narrower calls: each widening
+    # continues every kept row from its last integer, and walks only each
+    # new row from its diagonal, so no entry of an earlier row changes
+    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    walks = []
+    walk = moment_matrix._b_row
+
+    def counted(i, n, kept=()):
+        walks.append((i, n, len(kept)))
+        return walk(i, n, kept)
+
+    monkeypatch.setattr(moment_matrix, "_b_row", counted)
+    rng = random.Random(seed)
+    widths = rng.choices(range(0, 71), k=10)
+    widths += rng.choices(widths, k=5)
+    rng.shuffle(widths)
+    before = ()
+    for n in widths:
+        walks.clear()
+        table = moment_matrix._b_rows(n)
+        if n <= len(before):
+            assert table is before and walks == [], n
+            continue
+        assert len(table) == n, n
+        kept = [len(row) for row in before] + [0] * (n - len(before))
+        assert walks == [(i, n, k) for i, k in enumerate(kept, 1)], n
+        # a kept row keeps its very integers
+        for row, old in zip(table, before):
+            assert all(x is y for x, y in zip(row, old))
+        before = table
+    widest = max(widths)
+    assert table == tuple(tuple(walk(i, widest)) for i in range(1, widest + 1))
+
+
 def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     full = tuple(tuple(moment_matrix._b_row(i, 40)) for i in range(1, 41))
     printed = {which: _cells_from_an_empty_table(which, 40) for which in "BG"}
-    _no_kept_cells(monkeypatch)
     failures = []
 
     def widen(seed):
@@ -303,27 +356,25 @@ def _run_threads(work, count):
 
 
 def _empty_kept():
-    return {which: (0, ()) for which in "FBG"}
+    return {which: (0, (), ()) for which in "FBG"}
 
 
 def _cells_from_an_empty_table(which, order):
-    """The cells of ``which`` at ``order`` from an empty row table and no
-    kept cells, leaving both as they were."""
+    """The cells of ``which`` at ``order`` from an empty row table, leaving
+    the table as it was."""
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
-        with mock.patch.object(moment_matrix, "_KEPT", _empty_kept()):
-            return moment_matrix.matrix_cells(which, order)
+        return moment_matrix.matrix_cells(which, order)
 
 
 def _no_kept_cells(monkeypatch):
-    """Start from no kept cells, and no kept cell text of the CLI, of any
-    matrix, and put back both of before when the test ends, so that no
-    cells or text of a corrupted walk outlive it."""
-    monkeypatch.setattr(moment_matrix, "_KEPT", _empty_kept())
+    """Start from no kept cell text of the CLI, of any matrix, and put back
+    the text of before when the test ends, so that no text of a corrupted
+    walk outlives it."""
     monkeypatch.setattr(cli, "_KEPT_TEXT", _empty_kept())
 
 
 def _from_an_empty_table(monkeypatch):
-    """Start from an empty row table and no kept cells."""
+    """Start from an empty row table and no kept cell text."""
     monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
     _no_kept_cells(monkeypatch)
 
@@ -346,33 +397,32 @@ def _cut(cells, order):
     return cells[: (order + 1) ** 2 // 4]
 
 
-def test_each_matrix_compares_each_cell_once(monkeypatch):
+def test_each_matrix_compares_each_cell_once(monkeypatch, capsys):
     printed = {which: _cells_from_an_empty_table(which, 14) for which in "BG"}
+    fresh = {(w, n): _fresh_text(w, n, " ") for w in "BG" for n in (1, 4, 10, 12, 14)}
     _from_an_empty_table(monkeypatch)
     calls = _count_closed_forms(monkeypatch)
     # the first print compares every cell of its order, once, column by
     # column
-    g_10 = _cut(printed["G"], 10)
-    assert moment_matrix.matrix_cells("G", 10) == g_10
-    assert calls == [(i, j) for i, j, _, _ in g_10]
+    assert _printed(capsys, "G", 10) == fresh["G", 10]
+    assert calls == [(i, j) for i, j, _, _ in _cut(printed["G"], 10)]
     # a repeat or narrower print compares nothing
     calls.clear()
     for order in (10, 4, 1):
-        assert moment_matrix.matrix_cells("G", order) == _cut(printed["G"], order)
+        assert _printed(capsys, "G", order) == fresh["G", order]
     assert calls == []
     # B keeps and compares its own cells, after G as before it
-    b_10 = _cut(printed["B"], 10)
-    assert moment_matrix.matrix_cells("B", 10) == b_10
-    assert calls == [(i, j) for i, j, _, _ in b_10]
+    assert _printed(capsys, "B", 10) == fresh["B", 10]
+    assert calls == [(i, j) for i, j, _, _ in _cut(printed["B"], 10)]
     # a wider print compares only the cells of the columns it adds, then
     # none again
     for which in "BG":
         calls.clear()
-        assert moment_matrix.matrix_cells(which, 14) == printed[which]
+        assert _printed(capsys, which, 14) == fresh[which, 14]
         assert calls == [(i, j) for i, j, _, _ in printed[which] if j > 10]
         calls.clear()
         for order in (14, 12, 10):
-            moment_matrix.matrix_cells(which, order)
+            assert _printed(capsys, which, order) == fresh[which, order]
         assert calls == []
 
 
@@ -396,11 +446,11 @@ def test_a_wider_print_compares_the_cells_it_adds(monkeypatch, solved, which):
             moment_matrix.matrix_cells(which, 12)
 
 
-def test_a_wrong_integer_past_the_kept_width_is_refused(monkeypatch):
-    printed = {which: _cells_from_an_empty_table(which, 12) for which in "BG"}
+def test_a_wrong_integer_past_the_kept_width_is_refused(monkeypatch, capsys):
+    fresh = {(w, n): _fresh_text(w, n, " ") for w in "BG" for n in (8, 9, 10)}
     _from_an_empty_table(monkeypatch)
     for which in "BG":
-        moment_matrix.matrix_cells(which, 8)
+        assert _printed(capsys, which, 8) == fresh[which, 8]
     # the same integers in a new table, one of them wrong past the kept
     # width: row 3 at j = 11
     table = [list(row) for row in moment_matrix._b_rows(12)]
@@ -408,31 +458,35 @@ def test_a_wrong_integer_past_the_kept_width_is_refused(monkeypatch):
     monkeypatch.setattr(moment_matrix, "_B_ROWS", tuple(map(tuple, table)))
     bad_cell = re.escape("beta_numerator at (3, 11)")
     for which in "BG":
-        # a print the kept cells cover, or one that adds only right
+        # a print the kept text covers, or one that adds only right
         # columns, is unaffected
-        assert moment_matrix.matrix_cells(which, 8) == _cut(printed[which], 8)
-        assert moment_matrix.matrix_cells(which, 10) == _cut(printed[which], 10)
+        assert _printed(capsys, which, 8) == fresh[which, 8]
+        assert _printed(capsys, which, 10) == fresh[which, 10]
         # the first print that reads column 11 is refused, and so is every
         # later one: a refused column is not kept
         for order in (12, 11):
             with pytest.raises(ArithmeticError, match=bad_cell):
-                moment_matrix.matrix_cells(which, order)
-        assert moment_matrix.matrix_cells(which, 9) == _cut(printed[which], 9)
+                main(["matrix", "--order", str(order), "--which", which])
+            assert capsys.readouterr().out == ""
+        assert _printed(capsys, which, 9) == fresh[which, 9]
 
 
-def test_a_solve_that_widens_the_table_leaves_the_kept_cells_serving(monkeypatch):
+def test_a_solve_that_widens_the_table_leaves_the_kept_cells_serving(
+    monkeypatch, capsys
+):
+    fresh = {(w, n): _fresh_text(w, n, " ") for w in "BG" for n in (12, 7, 1)}
     _from_an_empty_table(monkeypatch)
-    printed = {which: moment_matrix.matrix_cells(which, 12) for which in "BG"}
+    for which in "BG":
+        assert _printed(capsys, which, 12) == fresh[which, 12]
     calls = _count_closed_forms(monkeypatch)
     coeffs = [Fraction(k % 5 - 2, k + 1) for k in range(40)]
     solve_charge_density(PotentialSpec(Fraction(3, 2), coeffs, epsilon0=1.0))
     assert len(moment_matrix._B_ROWS) >= 40
-    # a covered print walks and compares nothing
-    monkeypatch.setattr(moment_matrix, "_b_cells", None)
+    # a covered print takes no cells, so it walks and compares nothing
+    monkeypatch.setattr(moment_matrix, "matrix_cells", None)
     for which in "BG":
         for order in (12, 7, 1):
-            cells = moment_matrix.matrix_cells(which, order)
-            assert cells == _cut(printed[which], order)
+            assert _printed(capsys, which, order) == fresh[which, order]
     assert calls == []
 
 
@@ -450,11 +504,9 @@ def test_the_solve_compares_nothing(monkeypatch):
 def test_concurrent_prints_return_only_compared_cells(monkeypatch):
     # while three threads print, a fourth keeps replacing the table, now by
     # one with a wrong integer at (5, 11), as a monkeypatch of _B_ROWS
-    # would, now by an empty one, and keeps emptying B's and G's kept
-    # cells, so that prints read the table again: a print either raises,
-    # naming that cell, or returns the right cells.  The printers run until
-    # the fourth thread has replaced the table 60 times, as a print that
-    # the kept cells cover takes microseconds
+    # would, now by an empty one: as every print reads the table, a print
+    # either raises, naming that cell, or returns the right cells.  The
+    # printers run until the fourth thread has replaced the table 60 times
     printed = {which: _cells_from_an_empty_table(which, 30) for which in "BG"}
     _from_an_empty_table(monkeypatch)
     rows = [list(row) for row in moment_matrix._b_rows(30)]
@@ -468,8 +520,6 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
             try:
                 for _ in range(60):
                     moment_matrix._B_ROWS = rng.choice([corrupt, ()])
-                    for which in "BG":
-                        moment_matrix._KEPT[which] = (0, ())
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
@@ -492,8 +542,8 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
 
 
 def _fresh_walk(which, order):
-    """The cells of ``which`` at ``order`` from a walk of their own, past
-    any kept cells and from an empty row table."""
+    """The cells of ``which`` at ``order`` from a walk of their own, from
+    an empty row table."""
     if which == "F":
         return moment_matrix._f_cells(1, order)
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
@@ -502,23 +552,23 @@ def _fresh_walk(which, order):
 
 @pytest.mark.parametrize("which", ["F", "B", "G"])
 def test_a_narrower_print_is_a_fresh_list_cut_from_the_kept_cells(
-    monkeypatch, which
+    monkeypatch, capsys, which
 ):
     _from_an_empty_table(monkeypatch)
-    walks = {order: _fresh_walk(which, order) for order in range(1, 41)}
-    moment_matrix.matrix_cells(which, 40)
-    # no print below walks anything
-    monkeypatch.setattr(moment_matrix, "_f_cells", None)
-    monkeypatch.setattr(moment_matrix, "_b_cells", None)
+    fresh = {order: _fresh_text(which, order, " ") for order in range(1, 41)}
+    assert _printed(capsys, which, 40) == fresh[40]
+    kept = cli._KEPT_TEXT[which]
+    # no print below takes cells, and none changes the kept text
+    monkeypatch.setattr(moment_matrix, "matrix_cells", None)
     for order in [*range(40, 0, -1), *range(1, 41)]:
-        cells = moment_matrix.matrix_cells(which, order)
-        assert cells == walks[order], order
-        # the list is the caller's: emptying it changes no later print
-        cells.clear()
+        assert _printed(capsys, which, order) == fresh[order], order
+    assert cli._KEPT_TEXT[which] is kept
 
 
-def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch):
+def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch, capsys):
     _no_kept_cells(monkeypatch)
+    orders = [10, 4, 10, 17, 1, 12, 30]
+    fresh = {order: _fresh_text("F", order, " ") for order in orders}
     walked = []
     walk = moment_matrix._f_cells
 
@@ -527,13 +577,17 @@ def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch):
         return walk(first, last)
 
     monkeypatch.setattr(moment_matrix, "_f_cells", cells)
-    for order in [10, 4, 10, 17, 1, 12, 30]:
-        assert moment_matrix.matrix_cells("F", order) == walk(1, order), order
+    for order in orders:
+        assert _printed(capsys, "F", order) == fresh[order], order
     assert walked == [(1, 10), (11, 17), (18, 30)]
 
 
 @pytest.mark.parametrize("which", ["B", "G"])
-def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(monkeypatch, which):
+def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(
+    monkeypatch, capsys, which
+):
+    orders = [10, 4, 10, 17, 1, 12, 30]
+    fresh = {order: _fresh_text(which, order, " ") for order in orders}
     _from_an_empty_table(monkeypatch)
     full = _fresh_walk(which, 30)
     walked = []
@@ -546,8 +600,8 @@ def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(monkeypatch, whi
     monkeypatch.setattr(moment_matrix, "_b_cells", cells)
     calls = _count_closed_forms(monkeypatch)
     compared = 0
-    for order in [10, 4, 10, 17, 1, 12, 30]:
-        assert moment_matrix.matrix_cells(which, order) == _cut(full, order), order
+    for order in orders:
+        assert _printed(capsys, which, order) == fresh[order], order
         # the closed forms compared are the cells of the added columns
         added = [(i, j) for i, j, _, _ in _cut(full, order)[compared:]]
         assert calls == added, order
@@ -558,11 +612,13 @@ def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(monkeypatch, whi
 
 @pytest.mark.parametrize("which", ["F", "B", "G"])
 def test_threads_print_while_the_kept_cells_are_emptied(monkeypatch, which):
-    # three threads print at random orders, each widening or cutting the
-    # kept cells that a fourth empties 60 times, while they print: every
-    # print is right
-    _no_kept_cells(monkeypatch)
-    full = _fresh_walk(which, 60)
+    # three threads print ``which`` at random orders, as a table or as csv,
+    # each widening the kept text or covered by it, while a fourth empties
+    # that text and the row table 60 times: every print is right
+    _from_an_empty_table(monkeypatch)
+    fresh = {(n, sep): _fresh_text(which, n, sep) for n in range(1, 61) for sep in " ,"}
+    printed = threading.local()
+    monkeypatch.setattr(cli, "_emit", lambda text, _: setattr(printed, "text", text))
     failures, finished = [], []
 
     def work(seed):
@@ -570,15 +626,22 @@ def test_threads_print_while_the_kept_cells_are_emptied(monkeypatch, which):
         if seed == 0:
             try:
                 for _ in range(60):
-                    moment_matrix._KEPT[which] = (0, ())
+                    cli._KEPT_TEXT[which] = (0, (), ())
+                    moment_matrix._B_ROWS = ()
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
             return
         while not finished:
             n = rng.randint(1, 60)
-            if moment_matrix.matrix_cells(which, n) != _cut(full, n):
-                failures.append((seed, n))
+            fmt, sep = rng.choice([("table", " "), ("csv", ",")])
+            try:
+                cli.cmd_matrix(argparse.Namespace(order=n, which=which, format=fmt))
+            except Exception as exc:  # a print that raises fails, as a wrong one does
+                failures.append((seed, n, repr(exc)))
+                continue
+            if printed.text != fresh[n, sep]:
+                failures.append((seed, n, fmt))
 
     _run_threads(work, 4)
     assert failures == []
@@ -600,23 +663,21 @@ radii = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12
 )
 @settings(max_examples=25, deadline=None)
 def test_one_table_serves_solves_and_prints_in_any_order(steps, data):
-    # in one process, from an empty table and no kept cells: whatever
-    # width each call finds the table at, it gives what it gives from an
-    # empty table
+    # in one process, from an empty table: whatever width each call finds
+    # the table at, it gives what it gives from an empty table
     with mock.patch.object(moment_matrix, "_B_ROWS", ()):
-        with mock.patch.object(moment_matrix, "_KEPT", _empty_kept()):
-            for step, degree in steps:
-                if step == "solve":
-                    size = degree + 1
-                    coeffs = data.draw(
-                        st.lists(nonzero_fractions, min_size=size, max_size=size)
-                    )
-                    spec = PotentialSpec(data.draw(radii), coeffs, epsilon0=1.0)
-                    c = solve_charge_density(spec).coeffs_c
-                    assert c == references.solve_by_entries(spec)
-                else:
-                    cells = moment_matrix.matrix_cells(step, degree + 1)
-                    assert cells == _cells_from_an_empty_table(step, degree + 1)
+        for step, degree in steps:
+            if step == "solve":
+                size = degree + 1
+                coeffs = data.draw(
+                    st.lists(nonzero_fractions, min_size=size, max_size=size)
+                )
+                spec = PotentialSpec(data.draw(radii), coeffs, epsilon0=1.0)
+                c = solve_charge_density(spec).coeffs_c
+                assert c == references.solve_by_entries(spec)
+            else:
+                cells = moment_matrix.matrix_cells(step, degree + 1)
+                assert cells == _cells_from_an_empty_table(step, degree + 1)
 
 
 # multipole_moments reads columns up to 1001 (moment orders up to 1000),
@@ -662,10 +723,11 @@ def test_identity_matrix():
 def _off_by_one(walk, at):
     """The row walk ``walk`` with its integer at cell ``at`` one too large,
     and the rest of the walk, below and beyond that cell, unchanged: the
-    k-th integer of ``walk(i, n)`` is cell (i, i + 2k)."""
+    k-th integer of ``walk(i, n, kept)``, counting the kept ones, is cell
+    (i, i + 2k)."""
 
-    def corrupted(i, n):
-        for k, value in enumerate(walk(i, n)):
+    def corrupted(i, n, kept=()):
+        for k, value in enumerate(walk(i, n, kept), start=len(kept)):
             yield value + ((i, i + 2 * k) == at)
 
     return corrupted
@@ -696,7 +758,7 @@ def _assert_catches_off_by_one(monkeypatch, builder, name, at):
     else:
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
-    # from an empty table and no kept cells, so that the walk above builds
+    # from an empty table and no kept text, so that the walk above builds
     # the one the builder reads, and the builder compares every cell
     _from_an_empty_table(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
@@ -753,12 +815,13 @@ def _fresh_text(which, order, sep):
 
 
 def test_many_prints_in_one_process_print_what_fresh_walks_give(monkeypatch, capsys):
-    # every order 1..60 and 30 repeats, shuffled, each printed as F, G and
-    # B, table and csv alternating: each print widens the kept text or is
-    # covered by it, and prints what a fresh walk formats
+    # every order 1..60, 120, 199 and 200, and 30 repeats, shuffled, each
+    # printed as F, G and B, table and csv alternating: each print widens
+    # the kept text or is covered by it, and prints what a fresh walk
+    # formats; past order 60 the cuts meet rows thousands of characters long
     _from_an_empty_table(monkeypatch)
     rng = random.Random(46)
-    orders = [*range(1, 61), *rng.choices(range(1, 61), k=30)]
+    orders = [*range(1, 61), 120, 199, 200, *rng.choices(range(1, 61), k=30)]
     rng.shuffle(orders)
     fresh = {}
     for k, (order, which) in enumerate((n, w) for n in orders for w in "FGB"):
@@ -767,7 +830,7 @@ def test_many_prints_in_one_process_print_what_fresh_walks_give(monkeypatch, cap
             fresh[which, order, sep] = _fresh_text(which, order, sep)
         out = _printed(capsys, which, order, fmt)
         assert out == fresh[which, order, sep], (which, order, fmt)
-    assert {cli._KEPT_TEXT[which][0] for which in "FGB"} == {60}
+    assert {cli._KEPT_TEXT[which][0] for which in "FGB"} == {200}
 
 
 @pytest.mark.parametrize("which", ["B", "G"])
@@ -815,7 +878,7 @@ def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
             try:
                 for _ in range(200):
                     for which in "FBG":
-                        cli._KEPT_TEXT[which] = (0, ())
+                        cli._KEPT_TEXT[which] = (0, (), ())
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
@@ -836,7 +899,7 @@ def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
 
 def _short_row(walk, i):
     """The row walk ``walk`` with row ``i`` one cell short."""
-    return lambda row, n: list(walk(row, n))[: -1 if row == i else None]
+    return lambda row, n, kept=(): list(walk(row, n, kept))[: -1 if row == i else None]
 
 
 @pytest.mark.parametrize(
