@@ -24,11 +24,12 @@ library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
 Fraction; every cell of B and G is checked against its closed form, a
 column at a time, before the process first prints it.  It keeps, per
 matrix, the text of the widest print so far (``_KEPT_TEXT``): each row's
-cells joined by spaces, and the running character count of its cells.
-A print that text covers slices each row, with no walk, no check and no
-int-to-text, and a csv print replaces each space by a comma.  A wider
-print, a first one included, asks ``matrix_cells`` for only the columns
-it adds and appends their text to each row.  At order 200, the cap, the
+cells joined by spaces, and, once a print it covers needs them, the
+running character count of its cells.  A print that text covers slices
+each row, with no walk, no check and no int-to-text, and a csv print
+replaces each space by a comma.  A wider print, a first one included,
+asks ``matrix_cells`` for only the columns it adds and appends their
+text to each row.  At order 200, the cap, the
 kept text and the row table it grows take 0.97 MiB for F and 2.2 MiB
 each for B and G (tracemalloc).  Every command
 writes its output through ``_emit``.  ``solve`` constructs the report,
@@ -55,8 +56,8 @@ one-shot command pays at start-up only for what it uses.  ``matrix``
 loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
 ``decimal`` and ``numbers`` that ``fractions`` loads) and no ``json``,
 which only ``load_problem`` and ``cmd_solve`` import; only a ``matrix``
-print that widens its kept text imports ``array``, an extension module
-that takes about 0.4 ms to load.  ``solve`` and
+print that counts the ends of its kept rows imports ``array``, an
+extension module that takes about 0.4 ms to load.  ``solve`` and
 ``profile`` load ``electrostatics`` and ``rational`` once per call, in
 ``load_problem`` and in the command, never per value.  The oracle, and
 with it numpy and logging, is imported only when --verify runs it.  As
@@ -341,41 +342,55 @@ def cmd_solve(args):
 # rows[i - 1] is row i's cells joined by single spaces, "0" for a zero, and
 # ends[i - 1] an array of the running character count of its cells, the
 # separators left out, so that row i's first n cells are
-# rows[i - 1][:ends[i - 1][n - 1] + n - 1]; each value replaced by one
-# assignment.  Its measured consumer is a process that prints many orders,
-# where a print the text covers only slices rows: the benchmark's
-# ``matrix`` client, 81% of whose prints are covered.  A covered print at
-# order 199 takes 0.1 ms for F and 0.2 ms for G, against 0.6 and 0.8 ms
-# with one str kept per cell, on a 2-CPU Xeon; a one-shot ``axoball
-# matrix`` widens it once, from width 0, and gains nothing from it
-_KEPT_TEXT = {"F": (0, (), ()), "B": (0, (), ()), "G": (0, (), ())}
+# rows[i - 1][:ends[i - 1][n - 1] + n - 1].  ends is None until a print
+# the text covers first needs it, and each later widening extends it by
+# the columns it adds; so a one-shot ``axoball matrix``, which only
+# widens, from width 0, never counts it.  Each value is replaced by one
+# assignment, and a print reads it once.  Its measured consumer is a
+# process that prints many orders, where a print the text covers only
+# slices rows: the benchmark's ``matrix`` client, 81% of whose prints are
+# covered.  A covered print at order 199 takes 0.1 ms for F and 0.2 ms for
+# G, against 0.6 and 0.8 ms with one str kept per cell, on a 2-CPU Xeon
+_KEPT_TEXT = {"F": (0, (), None), "B": (0, (), None), "G": (0, (), None)}
 
 
-def _widened(which, n):
-    """The kept text of ``which`` widened to order n, published: only the
-    columns it adds are taken from ``matrix_cells``, which walks and checks
-    them, and turned into text.  The cells are taken before any row
-    changes, so a print whose check raises keeps nothing."""
+def _counted(texts, count=None):
+    """The running character counts of the cell texts ``texts``, as an
+    array, continuing the array ``count`` if one is given."""
     from array import array
 
-    from .moment_matrix import matrix_cells
+    start = count[-1] if count else 0
+    more = array("I", accumulate(map(len, texts), initial=start))[1:]
+    return count + more if count else more
 
-    width, rows, ends = _KEPT_TEXT[which]
-    first = width + 1
-    added = [["0"] * (n - width) for _ in range(n)]
-    for i, j, num, den in matrix_cells(which, n, first=first):
-        added[i - 1][j - first] = str(num) if den == 1 else f"{num}/{den}"
-    zeros = array("I", range(1, n))
-    grown_rows, grown_ends = [], []
-    for i, texts in enumerate(added, 1):
-        if i <= width:
-            head, count = rows[i - 1] + " ", ends[i - 1]
-        else:  # a new row is zero in columns 1..i - 1, below the diagonal
-            head, count, texts = "0 " * (i - 1), zeros[: i - 1], texts[i - first :]
-        grown_rows.append(head + " ".join(texts))
-        more = accumulate(map(len, texts), initial=count[-1] if count else 0)
-        grown_ends.append(count + array("I", more)[1:])
-    kept = _KEPT_TEXT[which] = (n, tuple(grown_rows), tuple(grown_ends))
+
+def _kept(which, n):
+    """The kept text of ``which``, read once and covering order n.  A
+    narrower one is widened: only the columns it adds are taken from
+    ``matrix_cells``, which walks and checks them, and appended to each
+    row as text.  The cells are taken before any row changes, so a print
+    whose check raises keeps nothing.  A wider one without ``ends`` gets
+    them, counted from its rows.  A new value is published; one that
+    replaces a wider value another thread published meanwhile costs the
+    next wider print a widening, and no print a wrong text."""
+    kept = width, rows, ends = _KEPT_TEXT[which]
+    if width < n:
+        from .moment_matrix import matrix_cells
+
+        first = width + 1
+        added = [["0"] * (n - width) for _ in range(n)]
+        for i, j, num, den in matrix_cells(which, n, first=first):
+            added[i - 1][j - first] = str(num) if den == 1 else f"{num}/{den}"
+        # a new row is zero in columns 1..width, below the diagonal
+        heads = [row + " " for row in rows] + ["0 " * width] * (n - width)
+        rows = tuple(head + " ".join(texts) for head, texts in zip(heads, added))
+        if ends is not None:
+            zeros = _counted(["0"] * width)
+            ends = tuple(map(_counted, added, [*ends, *[zeros] * (n - width)]))
+        kept = _KEPT_TEXT[which] = (n, rows, ends)
+    elif width > n and ends is None:
+        ends = tuple(_counted(row.split(" ")) for row in rows)
+        kept = _KEPT_TEXT[which] = (width, rows, ends)
     return kept
 
 
@@ -390,14 +405,14 @@ def cmd_matrix(args):
         texts = [str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]
         rows = [" ".join(texts)]
     else:
-        width, rows, ends = _KEPT_TEXT[args.which]
-        if width < n:
-            _, rows, ends = _widened(args.which, n)
-        rows = [row[: count[n - 1] + n - 1] for row, count in zip(rows[:n], ends)]
-    text = "\n".join([*rows, ""])
-    # a rational prints as '-', digits and '/': no field needs quoting, and
-    # no cell holds a space or a comma
-    _emit(text.replace(" ", ",") if args.format == "csv" else text, None)
+        width, rows, ends = _kept(args.which, n)
+        if width > n:
+            rows = [row[: count[n - 1] + n - 1] for row, count in zip(rows[:n], ends)]
+    if args.format == "csv":
+        # a rational prints as '-', digits and '/': no field needs quoting,
+        # and no cell holds a space or a comma
+        rows = [row.replace(" ", ",") for row in rows]
+    _emit("\n".join([*rows, ""]), None)
     return 0
 
 

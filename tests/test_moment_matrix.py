@@ -356,7 +356,7 @@ def _run_threads(work, count):
 
 
 def _empty_kept():
-    return {which: (0, (), ()) for which in "FBG"}
+    return {which: (0, (), None) for which in "FBG"}
 
 
 def _cells_from_an_empty_table(which, order):
@@ -557,9 +557,14 @@ def test_a_narrower_print_is_a_fresh_list_cut_from_the_kept_cells(
     _from_an_empty_table(monkeypatch)
     fresh = {order: _fresh_text(which, order, " ") for order in range(1, 41)}
     assert _printed(capsys, which, 40) == fresh[40]
-    kept = cli._KEPT_TEXT[which]
-    # no print below takes cells, and none changes the kept text
+    width, rows, ends = cli._KEPT_TEXT[which]
+    # no print below takes cells or changes the kept rows; the first one
+    # the text covers counts their ends, and the others reuse them
     monkeypatch.setattr(moment_matrix, "matrix_cells", None)
+    assert _printed(capsys, which, 39) == fresh[39]
+    kept = cli._KEPT_TEXT[which]
+    assert (width, ends) == (40, None) and kept[:2] == (40, rows)
+    assert kept[1] is rows
     for order in [*range(40, 0, -1), *range(1, 41)]:
         assert _printed(capsys, which, order) == fresh[order], order
     assert cli._KEPT_TEXT[which] is kept
@@ -626,7 +631,7 @@ def test_threads_print_while_the_kept_cells_are_emptied(monkeypatch, which):
         if seed == 0:
             try:
                 for _ in range(60):
-                    cli._KEPT_TEXT[which] = (0, (), ())
+                    cli._KEPT_TEXT[which] = (0, (), None)
                     moment_matrix._B_ROWS = ()
                     time.sleep(1e-4)
             finally:
@@ -861,6 +866,29 @@ def test_a_failed_widening_keeps_no_text(monkeypatch, capsys, which):
     assert _printed(capsys, which, 12) == fresh[12]
 
 
+@pytest.mark.parametrize("which", ["F", "B", "G"])
+def test_a_print_uses_only_the_kept_text_it_read(monkeypatch, capsys, which):
+    # another print publishes a wider text right after this one reads the
+    # kept text, as a thread may: this print widens, or cuts, the text it
+    # read, and prints what a fresh walk formats
+    _from_an_empty_table(monkeypatch)
+    fresh = {order: _fresh_text(which, order, " ") for order in (5, 12, 30)}
+    racing = []
+
+    class Kept(dict):
+        def __getitem__(self, key):
+            value = super().__getitem__(key)
+            if racing:
+                _printed(capsys, which, racing.pop())
+            return value
+
+    monkeypatch.setattr(cli, "_KEPT_TEXT", Kept(_empty_kept()))
+    for order in (12, 5):  # widening from width 0, then covered by 12
+        racing.append(30)
+        assert _printed(capsys, which, order) == fresh[order], order
+        assert cli._KEPT_TEXT[which][0] == 12
+
+
 def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
     # three threads print F, B and G at random orders, each widening the
     # kept text or covered by it, while a fourth empties it 200 times:
@@ -878,7 +906,7 @@ def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
             try:
                 for _ in range(200):
                     for which in "FBG":
-                        cli._KEPT_TEXT[which] = (0, (), ())
+                        cli._KEPT_TEXT[which] = (0, (), None)
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
