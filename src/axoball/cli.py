@@ -29,10 +29,10 @@ running character count of its cells.  A print that text covers slices
 each row, with no walk, no check and no int-to-text, and a csv print
 replaces each space by a comma.  A wider print, a first one included,
 asks ``matrix_cells`` for only the columns it adds and appends their
-text to each row.  At order 200, the cap, the
-kept text and the row table it grows take 0.97 MiB for F and 2.2 MiB
-each for B and G (tracemalloc).  Every command
-writes its output through ``_emit``.  ``solve`` constructs the report,
+text to each row.  At order 200, the cap, the kept text and the row
+table it grows take 0.8 MiB for F and 2.0 MiB each for B and G, and the
+counts 0.17 MiB more (tracemalloc).  Every command writes its output
+through ``_emit``.  ``solve`` constructs the report,
 turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
 --verify and writes: a report too long to print is refused before its
