@@ -11,7 +11,8 @@ Problem files are JSON.  Rational values travel as strings in
 optional sign and exponent; no whitespace or underscores); decimals are
 converted exactly through power-of-ten denominators, never through binary
 floats.  json parse_float is redirected to str for the same reason, and
-every JSON number's text is in the grammar.  Reports are JSON with a
+every JSON number's text is in the grammar; a key repeated in one object
+is refused, not read as its last value.  Reports are JSON with a
 schema_version field; readers should ignore unknown fields so the schema
 can grow.  This module parses and prints; the library computes.  It
 alone writes report text: the library returns exact values, and ``_text``
@@ -24,14 +25,15 @@ library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
 Fraction; every cell of B and G is checked against its closed form, a
 column at a time, before the process first prints it.  It keeps, per
 matrix, the text of the widest print so far (``_KEPT_TEXT``): each row's
-cells joined by spaces, and, once a print it covers needs them, the
-running character count of its cells.  A print that text covers slices
-each row, with no walk, no check and no int-to-text, and a csv print
-replaces each space by a comma.  A wider print, a first one included,
-asks ``matrix_cells`` for only the columns it adds and appends their
-text to each row.  At order 200, the cap, the kept text and the row
-table it grows take 0.8 MiB for F and 2.0 MiB each for B and G, and the
-counts 0.17 MiB more (tracemalloc).  Every command writes its output
+cell text and the running character count of its cells.  Every print
+cuts each row at its order's count, and a csv print replaces each space
+by a comma; a print that text covers does only that, with no walk, no
+check and no int-to-text, and writes no keep.  A wider print, a first
+one included, asks ``matrix_cells`` for only the columns it adds,
+appends their text and counts to each row, and publishes the widened
+keep.  At order 200, the cap, the kept text and counts and the row
+table it grows take 0.84 MiB for F and 2.08 MiB each for B and G
+(tracemalloc).  Every command writes its output
 through ``_emit``.  ``solve`` constructs the report,
 turns every value into text, verifies it with
 ``electrostatics.check_exact``, and only then samples the profile, runs
@@ -56,8 +58,8 @@ one-shot command pays at start-up only for what it uses.  ``matrix``
 loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
 ``decimal`` and ``numbers`` that ``fractions`` loads) and no ``json``,
 which only ``load_problem`` and ``cmd_solve`` import; only a ``matrix``
-print that counts the ends of its kept rows imports ``array``, an
-extension module that takes about 0.4 ms to load.  ``solve`` and
+print that widens a kept text imports ``array``, an extension module
+that takes about 0.2 ms to load.  ``solve`` and
 ``profile`` load ``electrostatics`` and ``rational`` once per call, in
 ``load_problem`` and in the command, never per value.  The oracle, and
 with it numpy and logging, is imported only when --verify runs it.  As
@@ -88,6 +90,17 @@ class ProblemError(Exception):
 
 def _reject_nonfinite(token):
     raise ProblemError(f"non-finite number {token} is not allowed")
+
+
+def _unique_keys(pairs):
+    """A JSON object of a problem file as a dict.  A key given twice in one
+    object is refused, where ``json`` would keep its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ProblemError(f"key {key!r} is given more than once")
+        data[key] = value
+    return data
 
 
 def _parse_int(token):
@@ -135,6 +148,7 @@ def load_problem(path):
             parse_float=str,
             parse_int=_parse_int,
             parse_constant=_reject_nonfinite,
+            object_pairs_hook=_unique_keys,
         )
     except (ValueError, RecursionError) as exc:
         # malformed, an integer past Python's digit limit, or nested too deep
@@ -338,60 +352,20 @@ def cmd_solve(args):
     return code
 
 
-# the text of each matrix's widest print so far, as (order, rows, ends):
-# rows[i - 1] is row i's cells joined by single spaces, "0" for a zero, and
-# ends[i - 1] an array of the running character count of its cells, the
-# separators left out, so that row i's first n cells are
-# rows[i - 1][:ends[i - 1][n - 1] + n - 1].  ends is None until a print
-# the text covers first needs it, and each later widening extends it by
-# the columns it adds; so a one-shot ``axoball matrix``, which only
-# widens, from width 0, never counts it.  Each value is replaced by one
-# assignment, and a print reads it once.  Its measured consumer is a
-# process that prints many orders, where a print the text covers only
-# slices rows: the benchmark's ``matrix`` client, 81% of whose prints are
-# covered.  A covered print at order 199 takes 0.1 ms for F and 0.2 ms for
-# G, against 0.6 and 0.8 ms with one str kept per cell, on a 2-CPU Xeon
-_KEPT_TEXT = {"F": (0, (), None), "B": (0, (), None), "G": (0, (), None)}
-
-
-def _counted(texts, count=None):
-    """The running character counts of the cell texts ``texts``, as an
-    array, continuing the array ``count`` if one is given."""
-    from array import array
-
-    start = count[-1] if count else 0
-    more = array("I", accumulate(map(len, texts), initial=start))[1:]
-    return count + more if count else more
-
-
-def _kept(which, n):
-    """The kept text of ``which``, read once and covering order n.  A
-    narrower one is widened: only the columns it adds are taken from
-    ``matrix_cells``, which walks and checks them, and appended to each
-    row as text.  The cells are taken before any row changes, so a print
-    whose check raises keeps nothing.  A wider one without ``ends`` gets
-    them, counted from its rows.  A new value is published; one that
-    replaces a wider value another thread published meanwhile costs the
-    next wider print a widening, and no print a wrong text."""
-    kept = width, rows, ends = _KEPT_TEXT[which]
-    if width < n:
-        from .moment_matrix import matrix_cells
-
-        first = width + 1
-        added = [["0"] * (n - width) for _ in range(n)]
-        for i, j, num, den in matrix_cells(which, n, first=first):
-            added[i - 1][j - first] = str(num) if den == 1 else f"{num}/{den}"
-        # a new row is zero in columns 1..width, below the diagonal
-        heads = [row + " " for row in rows] + ["0 " * width] * (n - width)
-        rows = tuple(head + " ".join(texts) for head, texts in zip(heads, added))
-        if ends is not None:
-            zeros = _counted(["0"] * width)
-            ends = tuple(map(_counted, added, [*ends, *[zeros] * (n - width)]))
-        kept = _KEPT_TEXT[which] = (n, rows, ends)
-    elif width > n and ends is None:
-        ends = tuple(_counted(row.split(" ")) for row in rows)
-        kept = _KEPT_TEXT[which] = (width, rows, ends)
-    return kept
+# each matrix's text from its widest print so far: one pair (text, ends)
+# per row, so that the width is the number of rows.  text is row i's
+# cells, "0" for a zero, each followed by one space, and ends an array of
+# the running character count of its cells, the spaces left out, so that
+# row i's first n cells are text[:ends[n - 1] + n - 1].  Only a print that
+# widens the text writes a value, by one assignment, and every print reads
+# the value once: a widening that replaces a wider value another thread
+# published meanwhile costs the next wider print a widening, and no print
+# a wrong text.  Its measured consumer is a process that prints many
+# orders, where a print the text covers only cuts rows: the benchmark's
+# ``matrix`` client, 81% of whose prints are covered.  A covered print at
+# order 199 takes 0.1 ms for F and 0.2 ms for G, against 0.6 and 0.8 ms
+# with one str kept per cell, on a 2-CPU Xeon
+_KEPT_TEXT = {"F": (), "B": (), "G": ()}
 
 
 def cmd_matrix(args):
@@ -405,9 +379,31 @@ def cmd_matrix(args):
         texts = [str(num) if den == 1 else f"{num}/{den}" for *_, num, den in cells]
         rows = [" ".join(texts)]
     else:
-        width, rows, ends = _kept(args.which, n)
-        if width > n:
-            rows = [row[: count[n - 1] + n - 1] for row, count in zip(rows[:n], ends)]
+        keep = _KEPT_TEXT[args.which]
+        if len(keep) < n:
+            from array import array
+
+            from .moment_matrix import matrix_cells
+
+            # the text of each row's added cells, from column n down to
+            # column len(keep) + 1, or to the diagonal for a new row: column
+            # j is at index n - j, as a negative index would take CPython's
+            # list store off its fast path (0.5 ms more at F200).
+            # matrix_cells walks and checks only the added columns, before
+            # any row grows: a print whose check raises keeps nothing
+            added = [["0"] * min(n - len(keep), n - i) for i in range(n)]
+            for i, j, num, den in matrix_cells(args.which, n, first=len(keep) + 1):
+                added[i - 1][n - j] = str(num) if den == 1 else f"{num}/{den}"
+            # a new row starts as its zeros below the diagonal, counted 1, 2, ...
+            zeros = array("I", range(1, n))
+            heads = [*keep, *(("0 " * i, zeros[:i]) for i in range(len(keep), n))]
+            rows = []
+            # each row's added texts, back in column order
+            for (text, ends), new in zip(heads, (row[::-1] for row in added)):
+                more = accumulate(map(len, new), initial=ends[-1] if ends else 0)
+                rows.append((text + " ".join([*new, ""]), ends + array("I", more)[1:]))
+            keep = _KEPT_TEXT[args.which] = tuple(rows)
+        rows = [text[: ends[n - 1] + n - 1] for text, ends in keep[:n]]
     if args.format == "csv":
         # a rational prints as '-', digits and '/': no field needs quoting,
         # and no cell holds a space or a comma

@@ -226,6 +226,17 @@ BAD_INPUT = [
     bad("not-an-object", "solve {file}", [1], "problem file must be a JSON object"),
     bad("radius-and-r", "solve {file}", dict(ONE, r="2"),
         "give the radius once, as 'radius' or 'r'"),
+    # JSON reads a repeated key as its last value; a problem file may not
+    *(bad(f"repeated-{id}", f"{command} {{file}}", text,
+          f"error: key '{key}' is given more than once\n")
+      for id, command, key, text in (
+          ("key", "solve", "radius",
+           '{"radius": "1", "coeffs_b": ["1", "2"], "radius": "2"}'),
+          ("potential-key", "solve", "coeffs_b",
+           '{"radius": "1", "potential": {"coeffs_b": ["1"], "coeffs_b": ["2"]}}'),
+          ("profile-key", "profile", "samples",
+           '{"radius": "1", "coeffs_b": ["1"], "profile": {"samples": 5, "samples": 7}}'),
+      )),
     bad("no-radius", "solve {file}", {"coeffs_b": ["1"]}, "missing field 'radius'"),
     bad("radius-over-zero", "solve {file}", dict(ONE, radius="1/0"),
         "field 'radius': zero denominator in '1/0'"),

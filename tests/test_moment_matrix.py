@@ -356,7 +356,7 @@ def _run_threads(work, count):
 
 
 def _empty_kept():
-    return {which: (0, (), None) for which in "FBG"}
+    return {which: () for which in "FBG"}
 
 
 def _cells_from_an_empty_table(which, order):
@@ -557,17 +557,14 @@ def test_a_narrower_print_is_a_fresh_list_cut_from_the_kept_cells(
     _from_an_empty_table(monkeypatch)
     fresh = {order: _fresh_text(which, order, " ") for order in range(1, 41)}
     assert _printed(capsys, which, 40) == fresh[40]
-    width, rows, ends = cli._KEPT_TEXT[which]
-    # no print below takes cells or changes the kept rows; the first one
-    # the text covers counts their ends, and the others reuse them
-    monkeypatch.setattr(moment_matrix, "matrix_cells", None)
-    assert _printed(capsys, which, 39) == fresh[39]
     kept = cli._KEPT_TEXT[which]
-    assert (width, ends) == (40, None) and kept[:2] == (40, rows)
-    assert kept[1] is rows
-    for order in [*range(40, 0, -1), *range(1, 41)]:
+    assert len(kept) == 40
+    # no print below takes cells or writes the kept text, the first one the
+    # text covers included
+    monkeypatch.setattr(moment_matrix, "matrix_cells", None)
+    for order in [*range(39, 0, -1), *range(1, 41)]:
         assert _printed(capsys, which, order) == fresh[order], order
-    assert cli._KEPT_TEXT[which] is kept
+        assert cli._KEPT_TEXT[which] is kept, order
 
 
 def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch, capsys):
@@ -631,7 +628,7 @@ def test_threads_print_while_the_kept_cells_are_emptied(monkeypatch, which):
         if seed == 0:
             try:
                 for _ in range(60):
-                    cli._KEPT_TEXT[which] = (0, (), None)
+                    cli._KEPT_TEXT[which] = ()
                     moment_matrix._B_ROWS = ()
                     time.sleep(1e-4)
             finally:
@@ -833,9 +830,15 @@ def test_many_prints_in_one_process_print_what_fresh_walks_give(monkeypatch, cap
         fmt, sep = (("table", " "), ("csv", ","))[k % 2]
         if (which, order, sep) not in fresh:
             fresh[which, order, sep] = _fresh_text(which, order, sep)
+        kept = cli._KEPT_TEXT[which]
         out = _printed(capsys, which, order, fmt)
         assert out == fresh[which, order, sep], (which, order, fmt)
-    assert {cli._KEPT_TEXT[which][0] for which in "FGB"} == {200}
+        # only a print that widens the kept text writes it
+        if order <= len(kept):
+            assert cli._KEPT_TEXT[which] is kept, (which, order, fmt)
+        else:
+            assert len(cli._KEPT_TEXT[which]) == order, (which, order, fmt)
+    assert {len(cli._KEPT_TEXT[which]) for which in "FGB"} == {200}
 
 
 @pytest.mark.parametrize("which", ["B", "G"])
@@ -870,7 +873,9 @@ def test_a_failed_widening_keeps_no_text(monkeypatch, capsys, which):
 def test_a_print_uses_only_the_kept_text_it_read(monkeypatch, capsys, which):
     # another print publishes a wider text right after this one reads the
     # kept text, as a thread may: this print widens, or cuts, the text it
-    # read, and prints what a fresh walk formats
+    # read, and prints what a fresh walk formats.  A widening publishes the
+    # text it grew; a covered print publishes nothing, so the wider text
+    # survives it
     _from_an_empty_table(monkeypatch)
     fresh = {order: _fresh_text(which, order, " ") for order in (5, 12, 30)}
     racing = []
@@ -883,10 +888,11 @@ def test_a_print_uses_only_the_kept_text_it_read(monkeypatch, capsys, which):
             return value
 
     monkeypatch.setattr(cli, "_KEPT_TEXT", Kept(_empty_kept()))
-    for order in (12, 5):  # widening from width 0, then covered by 12
+    # widening from width 0, then covered by 12
+    for order, width in ((12, 12), (5, 30)):
         racing.append(30)
         assert _printed(capsys, which, order) == fresh[order], order
-        assert cli._KEPT_TEXT[which][0] == 12
+        assert len(cli._KEPT_TEXT[which]) == width
 
 
 def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
@@ -906,7 +912,7 @@ def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
             try:
                 for _ in range(200):
                     for which in "FBG":
-                        cli._KEPT_TEXT[which] = (0, (), None)
+                        cli._KEPT_TEXT[which] = ()
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
