@@ -117,12 +117,11 @@ def _parse_int(token):
 class ProblemInput:
     """Validated problem file: spec + report options."""
 
-    def __init__(self, spec, moments, profile, given, phi0_echo):
+    def __init__(self, spec, moments, profile, phi0_echo):
         self.spec = spec
         self.moments = moments
         self.profile = profile  # (samples, span) or None
-        self.given = given  # which coefficient key the file used
-        self.phi0_echo = phi0_echo  # original phi0 coefficients, if given
+        self.phi0_echo = phi0_echo  # original phi0 coefficients, or None
 
 
 def load_problem(path):
@@ -232,7 +231,7 @@ def load_problem(path):
         profile = (samples, span)
 
     phi0_echo = coeffs if kind == "phi0_coeffs" else None
-    return ProblemInput(spec, moments, profile, kind, phi0_echo)
+    return ProblemInput(spec, moments, profile, phi0_echo)
 
 
 def _profile_arrays(density, samples, span):
@@ -315,7 +314,7 @@ def cmd_solve(args):
     echo = {
         "radius": _text(spec.radius, "echoed input"),
         "epsilon0": spec.epsilon0,
-        "given": prob.given,
+        "given": "coeffs_b" if prob.phi0_echo is None else "phi0_coeffs",
         "coeffs_b": [_text(b, "echoed input") for b in spec.coeffs_b],
         "moments": prob.moments,
     }

@@ -519,7 +519,7 @@ def _product(u, v):
 # with no lcm.  The problem's exact values have up to size = (degree + max
 # order) x bits + 2 x coeff_bits bits: the force's closed sum and its
 # integral carry the coefficients' bits twice.  Each of its values, the
-# degree + 1 density coefficients and the requested moments, costs about
+# degree + 1 density coefficients and the evaluated moments, costs about
 # size x (degree + 1 + size / 2^10): a sum of up to degree + 1 terms of
 # that size, and a gcd whose cost grows as the square of the size.  A
 # problem whose values times that cost pass WORK_BOUND is refused before
@@ -544,14 +544,14 @@ def admit(spec, orders):
     ``build_report(spec, orders)`` and its ``check_exact`` would pass
     ``WORK_BOUND`` or ``PRODUCT_BOUND``, and return None otherwise.
 
-    ``orders`` is read once and checked by ``multipole_moments``' rule; a
-    repeated order is priced once, as ``build_report`` evaluates it once,
-    and an empty one is priced as [0, 1], the orders ``build_report``
-    always evaluates.  Only the radius, b and the degree of ``spec`` are
-    read, and none of b's integers is taken, so a problem is priced before
-    any of its work starts.  Nothing in the library calls it: a caller that
-    wants the cap asks for it, as the CLI does."""
-    orders = list(dict.fromkeys(_orders(orders))) or [0, 1]
+    ``orders`` is read once and checked by ``multipole_moments``' rule.
+    The orders priced are the evaluated ones, ``_evaluated(orders)``: the
+    requested orders, each once, and 0 and 1.  Only the radius, b and the
+    degree of ``spec`` are read, and none of b's integers is taken, so a
+    problem is priced before any of its work starts.  Nothing in the
+    library calls it: a caller that wants the cap asks for it, as the CLI
+    does."""
+    orders = _evaluated(orders)
     degree, radius = spec.degree, spec.radius
     bits = max(radius.numerator.bit_length(), radius.denominator.bit_length())
     dens = {b.denominator for b in spec.coeffs_b}
@@ -618,6 +618,13 @@ def _orders(orders):
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError("moment order must be a non-negative integer")
     return orders
+
+
+def _evaluated(orders):
+    """The orders a report evaluates: each order ``_orders`` accepts, once,
+    in the order requested, then 0 and 1, the charge and the dipole, if
+    not requested."""
+    return list(dict.fromkeys([*_orders(orders), 0, 1]))
 
 
 def axial_force(density):
@@ -749,17 +756,16 @@ def profile(density, samples, span):
 def build_report(spec, moments=(0, 1, 2, 3)):
     """Solve once; collect the density, charge, dipole, multipoles, force.
 
-    The charge and the dipole are the moments of orders 0 and 1, so each
-    order in {0, 1} and ``moments`` is evaluated once; ``multipoles`` keeps
-    the requested orders in their order.  ``moments`` is read once, so any
-    iterable of orders will do, and a bad order is refused before the
-    solve.  Every value is a closed form: the solve takes the numerators of
-    b, and the moments and the force read them as kept.  ``check_exact``
-    checks the report from c.
+    The orders ``_evaluated`` gives are evaluated once each;
+    ``multipoles`` keeps the requested orders in their order.  ``moments``
+    is read once, so any iterable of orders will do, and a bad order is
+    refused before the solve.  Every value is a closed form: the solve
+    takes the numerators of b, and the moments and the force read them as
+    kept.  ``check_exact`` checks the report from c.
     """
     moments = _orders(moments)
     density = solve_charge_density(spec)
-    values = multipole_moments(density, dict.fromkeys([*moments, 0, 1]))
+    values = multipole_moments(density, _evaluated(moments))
     multipoles = {m: values[m] for m in moments}
     force = axial_force(density)
     return BallReport(density, values[0], values[1], multipoles, force)
@@ -770,19 +776,17 @@ def check_exact(report):
     defines it, summed exactly from the numerators of c; return None.
 
     c's numerators are taken on each call, and nothing is kept on the
-    report or its density.  Each order of the report is integrated once,
-    in the order ``build_report`` evaluates them, as an unreduced integer
-    pair.  Each value the report holds is then compared with its integral
-    by ``_compare``: the multipoles in their order, the charge, the dipole,
-    and then the force, whose integral is taken last.  The first value that
-    differs raises ConsistencyError, whose ``integrated`` is the integral,
-    reduced to a Fraction, and ``closed`` the report's value.  A report of
-    ``build_report`` holds the closed forms in b, so a disagreement is a
-    bug, never bad input.
+    report or its density.  Each order ``_evaluated`` gives is integrated
+    once, as an unreduced integer pair.  Each value the report holds is
+    then compared with its integral by ``_compare``: the multipoles in
+    their order, the charge, the dipole, and then the force, whose integral
+    is taken last.  The first value that differs raises ConsistencyError,
+    whose ``integrated`` is the integral, reduced to a Fraction, and
+    ``closed`` the report's value.  A report of ``build_report`` holds the
+    closed forms in b, so a disagreement is a bug, never bad input.
     """
     r, (c, lcd) = report.density.radius, _numerators(report.density.coeffs_c)
-    orders = dict.fromkeys([*report.multipoles, 0, 1])
-    integrals = {m: _integral(c, r, m) for m in orders}
+    integrals = {m: _integral(c, r, m) for m in _evaluated(report.multipoles)}
     held = [*report.multipoles.items(), (0, report.charge_Q), (1, report.dipole_D)]
     for m, value in held:
         num, den = integrals[m]

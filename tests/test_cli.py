@@ -283,6 +283,12 @@ BAD_INPUT = [
     bad("coefficients-too-large-to-solve", "solve {file}", big_denominators(20),
         "error: too large to solve: the coefficients have 299881 bits, and "
         "degree 20\n"),
+    # priced with the orders 0 and 1 that every report evaluates, so one
+    # order is refused where [0, 1] is
+    bad("coefficients-too-large-for-one-order", "solve {file}",
+        {"radius": "7/3", "coeffs_b": [str(2**6873 - 1)] + ["1"] * 400, "moments": [0]},
+        "error: too large to solve: the coefficients have 6873 bits, and "
+        "degree 400\n"),
     bad("no-profile", "profile {file}", ONE, "problem file has no 'profile' section"),
     bad("profile-not-an-object", "solve {file}", dict(ONE, profile=5),
         "field 'profile': must be an object"),

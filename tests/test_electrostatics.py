@@ -1071,9 +1071,9 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
     # with every order 0..1000; 21 coefficients with 4300-digit
     # denominators are refused by their bits, with no lcm taken.  At degree
     # 400 with a first coefficient 2^k - 1, it lies between k = 6872 and
-    # 6873 for the orders [0, 1], the orders an empty orders is priced as,
-    # and a repeated order is priced once: [0, 1, 1] is [0, 1], and
-    # [0, 1, 5, 5, 5] is [0, 1, 5], past the bound by its order 5
+    # 6873 for the orders [0, 1], which every orders is priced with, and a
+    # repeated order is priced once: [], [0], [1] and [0, 1, 1] are [0, 1],
+    # and [0, 1, 5, 5, 5] is [0, 1, 5], past the bound by its order 5
     def untaken(values):
         raise AssertionError("took the integers of a spec while pricing it")
 
@@ -1083,7 +1083,6 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
     admitted = [
         (PotentialSpec("7/3", ["1"] * 401), range(1001)),
         (edge, [0, 1]), (edge, []), (edge, [0, 1, 1]), (edge, [1, 0, 1, 0, 1]),
-        (past, [0]), (past, [1]),
         (small, []), (small, iter([2])), (small, (m for m in (3, 2))),
     ]
     for spec, orders in admitted:
@@ -1099,6 +1098,8 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
         (edge, [0, 1, 5, 5, 5], f"{wide} 6872 bits, and degree 400"),
         (past, [0, 1], f"{wide} 6873 bits, and degree 400"),
         (past, [], f"{wide} 6873 bits, and degree 400"),
+        (past, [0], f"{wide} 6873 bits, and degree 400"),
+        (past, [1], f"{wide} 6873 bits, and degree 400"),
         # multipole_moments' rule and text, with the orders read once
         (small, [2.0], bad_order), (small, [True], bad_order), (small, [-5], bad_order),
         (small, ["1"], bad_order), (small, iter([1, -1]), bad_order),
@@ -1107,3 +1108,21 @@ def test_admit_prices_a_problem_without_taking_its_integers(monkeypatch):
         with pytest.raises(ValueError) as raised:
             es_mod.admit(spec, orders)
         assert str(raised.value) == text
+
+
+def test_admit_prices_the_orders_a_report_evaluates():
+    # build_report evaluates 0 and 1 whatever the orders, and check_exact
+    # integrates them, so admit's verdict on orders is its verdict on
+    # [*orders, 0, 1]: admitted on both, or refused on both with one text
+    def verdict(spec, orders):
+        try:
+            return es_mod.admit(spec, orders)
+        except ValueError as exc:
+            return str(exc)
+
+    edge, past = (PotentialSpec("7/3", [2**k - 1] + [1] * 400) for k in (6872, 6873))
+    small = PotentialSpec("7/3", ["1", "2", "3"])
+    for spec in (edge, past, small):
+        for orders in ([], [0], [1], [5], [0, 1, 1]):
+            assert verdict(spec, orders) == verdict(spec, [*orders, 0, 1])
+        assert verdict(spec, iter([2])) == verdict(spec, [2, 0, 1])
