@@ -22,16 +22,16 @@ samplers are ``electrostatics.profile``'s.  A quantity's float is
 overflows or a nonzero value underflows to 0.0.  ``matrix`` prints each
 cell of ``matrix_cells``, the integers num/den in lowest terms that the
 library's walks give, as ``"p"`` or ``"p/q"``, with no gcd and no
-Fraction; every cell of B and G is checked against its closed form, a
-column at a time, before the process first prints it.  It keeps, per
-matrix, the text of the widest print so far (``_KEPT_TEXT``): each row's
-cell text and the running character count of its cells.  Every print
-cuts each row at its order's count, and a csv print replaces each space
-by a comma; a print that text covers does only that, with no walk, no
-check and no int-to-text, and writes no keep.  A wider print, a first
-one included, asks ``matrix_cells`` for only the columns it adds,
-appends their text and counts to each row, and publishes the widened
-keep.  At order 200, the cap, the kept text and counts and the row
+Fraction, and compares no cell with a closed form: it prints orders
+1..200 only, and the tests hold every cell of that domain to its closed
+form.  It keeps, per matrix, the text of the widest print so far
+(``_KEPT_TEXT``): each row's cell text and the running character count
+of its cells.  Every print cuts each row at its order's count, and a csv
+print replaces each space by a comma; a print that text covers does only
+that, with no walk and no int-to-text, and writes no keep.  A wider
+print, a first one included, asks ``matrix_cells`` for only the columns
+it adds, appends their text and counts to each row, and publishes the
+widened keep.  At order 200, the cap, the kept text and counts and the row
 table it grows take 0.84 MiB for F and 2.08 MiB each for B and G
 (tracemalloc).  Every command writes its output
 through ``_emit``.  ``solve`` constructs the report,
@@ -388,8 +388,8 @@ def cmd_matrix(args):
             # column len(keep) + 1, or to the diagonal for a new row: column
             # j is at index n - j, as a negative index would take CPython's
             # list store off its fast path (0.5 ms more at F200).
-            # matrix_cells walks and checks only the added columns, before
-            # any row grows: a print whose check raises keeps nothing
+            # matrix_cells walks only the added columns, before any row
+            # grows: a print whose walk raises keeps nothing
             added = [["0"] * min(n - len(keep), n - i) for i in range(n)]
             for i, j, num, den in matrix_cells(args.which, n, first=len(keep) + 1):
                 added[i - 1][n - j] = str(num) if den == 1 else f"{num}/{den}"

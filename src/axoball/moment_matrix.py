@@ -41,12 +41,15 @@ Construction walks, verification evaluates entries:
     popcount(i-1) + popcount((j-i)/2), shifted out of num and den;
     ``solve_charge_density`` reads the table, and the closed multipole sum
     the column walk;
-  * verification: ``matrix_cells`` compares every integer of B and G that
-    it reads from the table with ``beta_numerator``, its binomial closed
-    form, in ints, a column at a time as one list comparison, before it
-    builds any cell of that column, and names the first cell of the first
-    column that disagrees.  The Rodrigues alternating sum
-    ``f_entry_closed_form`` is an independent path to every F entry.
+  * verification: ``beta_numerator``, the binomial closed form of B, and
+    the Rodrigues alternating sum ``f_entry_closed_form`` are paths to
+    every entry independent of the walks, and no command calls them.
+    ``axoball matrix`` prints orders 1..200 only, and the cells of order
+    200 hold those of every smaller order, so that domain is closed: the
+    tests compare every cell of F, B and G at order 200 with a closed form
+    (``tests/references.py``), and F, B and G follow one rule,
+    ``matrix_cells`` only walks.  The solve's inputs are open, so each
+    report is checked at run time, by ``electrostatics.check_exact``.
 
 The row recurrence, the diagonal and superdiagonal factorial formulas,
 the product formula of every F entry and F G = G F = I are proofs about
@@ -56,14 +59,13 @@ these entries, not construction steps; the tests check them
 Every entry and every walk is order-independent, and F, B and G share one
 triangle, so the cells of columns first..order are those of any wider
 print in those columns.  ``matrix_cells(which, order, first)`` keeps no
-cells: each call walks, and for B and G compares, the columns it asks
-for, so a caller that has the cells of columns 1..w asks for only the
-columns past w.  ``axoball matrix`` does (``cli``): it keeps the text of
-each matrix's widest print, and a wider print asks for, and turns into
-text, only the columns it adds.
+cells: each call walks the columns it asks for, so a caller that has the
+cells of columns 1..w asks for only the columns past w.  ``axoball
+matrix`` does (``cli``): it keeps the text of each matrix's widest print,
+and a wider print asks for, and turns into text, only the columns it
+adds.
 """
 
-from functools import lru_cache
 from math import comb, factorial, gcd, prod
 
 
@@ -110,16 +112,6 @@ def f_entry_closed_form(i, j):
     return total / Fraction(2) ** (i - 2)
 
 
-# 256 entries hold every m that a matrix of order up to 200 reads.  Its
-# measured consumer is one B or G print, which reads each m for up to
-# order / 2 cells: it took the check of an order-200 print from 35 to 8 ms
-# on a 2-CPU Xeon, so a one-shot ``axoball matrix`` gains it in full
-@lru_cache(maxsize=256)
-def _central_binomial(m):
-    """C(2m, m), kept for the most recent m."""
-    return comb(2 * m, m)
-
-
 def beta_numerator(k, i):
     """The integer 2**(i-1) beta_ki = (-1)**q C(2m, m) C(m, q), with
     q = (i-k)/2 and m = (i+k)/2 - 1, for k <= i with k + i even; zero
@@ -128,7 +120,7 @@ def beta_numerator(k, i):
         return 0
     q = (i - k) // 2
     m = (i + k) // 2 - 1
-    value = _central_binomial(m) * comb(m, q)
+    value = comb(2 * m, m) * comb(m, q)
     return -value if q % 2 else value
 
 
@@ -165,11 +157,8 @@ def _b_rows(n):
     401.  A grown table is published by one assignment and returned from a
     local, with no lock: two threads that widen it at once each build a
     table, and the narrower may be published last, but no caller ever
-    gets a table narrower than it asked for.
-
-    Reading the table does not compare it with ``beta_numerator``: the
-    solve reads it unchecked, and ``_b_cells`` compares each column it
-    reads, before it builds any cell of that column."""
+    gets a table narrower than it asked for.  No caller compares it with
+    ``beta_numerator``; the tests do."""
     global _B_ROWS
     table = _B_ROWS
     if len(table) < n:
@@ -226,30 +215,17 @@ def _b_cells(first, last, inverse):
     base 2: popcount(m) for C(2m, m), and popcount(q) + popcount(i-1) -
     popcount(m) for C(m, q), as m - q = i - 1.  So h, and (2j - 1) h, hold
     exactly k = popcount(i-1) + popcount(q) factors of two; k never
-    exceeds j - 1, so num and den lose 2**k whole.
-
-    Each column must equal ``beta_numerator`` at every cell, compared in
-    ints as one list before any cell of it is built; a column that does
-    not names its first bad cell, and a row too short to reach the column
-    disagrees there."""
+    exceeds j - 1, so num and den lose 2**k whole."""
     table = _b_rows(last)
     popcount = [m.bit_count() for m in range(last)]
     powers = [1 << e for e in range(last + 1)]
     for j in range(first, last + 1):
-        rows = range(2 - j % 2, j + 1, 2)
-        # row i holds column j at entry q = (j - i) / 2; a row too short to
-        # reach the column reads None, which is no int
-        qs = range(len(rows) - 1, -1, -1)
-        reads = zip(table[1 - j % 2 : j : 2], qs)
-        column = [row[q] if q < len(row) else None for row, q in reads]
-        closed = [beta_numerator(i, j) for i in rows]
-        if column != closed:
-            at = next((i, j) for i, h, c in zip(rows, column, closed) if h != c)
-            raise ArithmeticError(f"row walk disagrees with beta_numerator at {at}")
         odd, top = (2 * j - 1, j) if inverse else (1, j - 1)
-        for i, q, h in zip(rows, qs, column):
+        # row i holds column j at entry q = (j - i) / 2
+        for i, row in zip(range(2 - j % 2, j + 1, 2), table[1 - j % 2 : j : 2]):
+            q = (j - i) // 2
             k = popcount[i - 1] + popcount[q]
-            yield i, j, odd * h >> k, powers[top - k]
+            yield i, j, odd * row[q] >> k, powers[top - k]
 
 
 def matrix_cells(which, order, first=1):
@@ -257,7 +233,7 @@ def matrix_cells(which, order, first=1):
     or ``"D"``) of the given order in columns first..order, as tuples
     (i, j, num, den) with entry (i, j) = num/den in lowest terms, den > 0,
     column by column; every other cell is zero.  Each call walks those
-    columns afresh, and checks those of B and G as it walks them."""
+    columns afresh, and compares no cell with a closed form."""
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError("order must be an integer")
     if order < 1:
@@ -298,5 +274,5 @@ def build_f(order):
 def build_g(order):
     """The inverse matrix G = F^{-1} = B D^{-1}: entry (i, j) is
     (2j - 1) h / 2**j for the integer h = 2**(j-1) B_ij, row by row from
-    the table of ``_b_row``'s rows, checked."""
+    the table of ``_b_row``'s rows."""
     return _dense("G", order)

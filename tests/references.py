@@ -7,10 +7,13 @@ row recurrence for F, factorial formulas for its diagonal and second
 superdiagonal, and F G = G F = I.  These are checks of the entries
 ``axoball.moment_matrix`` builds from, not steps of any construction, so
 they live here with the exact matrix product and the alpha coefficients
-of the shifted first row.  ``check_f`` and
-``check_inverse`` run the checks on built rows and raise ArithmeticError
-on the first disagreement.  ``solve_by_entries`` solves for the density
-from one G entry at a time, the reference for the library's row walks.
+of the shifted first row.  ``closed_form`` gives every entry of F, B and
+G from its closed form, the cell-by-cell reference for all three walks.
+``check_f``, ``check_inverse``, ``check_closed_forms`` and
+``check_row_table`` run the checks on built rows, or on the row table,
+and raise ArithmeticError on the first disagreement.
+``solve_by_entries`` solves for the density from one G entry at a time,
+the reference for the library's row walks.
 Entry functions are 1-based, as in the library; entries of
 ``moment_matrix`` are looked up on the module, so a test can corrupt one.
 
@@ -156,6 +159,49 @@ def check_inverse(g):
     eye = [[int(i == j) for j in range(order)] for i in range(order)]
     if multiply(f, g) != eye or multiply(g, f) != eye:
         raise ArithmeticError("F G or G F is not the identity")
+
+
+def closed_form(which, i, j):
+    """Entry (i, j) of F, B or G from its closed form: ``f_entry`` for F,
+    ``beta_numerator(i, j) / 2**(j-1)`` for B and ``g_entry`` for G."""
+    if which == "F":
+        return f_entry(i, j)
+    if which == "G":
+        return moment_matrix.g_entry(i, j)
+    return Fraction(moment_matrix.beta_numerator(i, j), 2 ** (j - 1))
+
+
+def closed_form_cells(which, order):
+    """The cells that ``matrix_cells(which, order)`` must give, from
+    ``closed_form``: every triangle cell (i, j, num, den), column by
+    column."""
+    cells = []
+    for j in range(1, order + 1):
+        for i in range(2 - j % 2, j + 1, 2):
+            entry = closed_form(which, i, j)
+            cells.append((i, j, entry.numerator, entry.denominator))
+    return cells
+
+
+def check_closed_forms(which, rows):
+    """Compare every entry of built rows of B or G with ``closed_form``,
+    row by row."""
+    for i, row in enumerate(rows, 1):
+        for j, value in enumerate(row, 1):
+            if value != closed_form(which, i, j):
+                at = (i, j)
+                raise ArithmeticError(f"{which} disagrees with beta_numerator at {at}")
+
+
+def check_row_table(table):
+    """Compare every integer of a table of ``moment_matrix._b_rows``, entry
+    k of row i - 1 being 2**(j-1) B_ij at j = i + 2k, with
+    ``beta_numerator``, row by row."""
+    for i, row in enumerate(table, 1):
+        for k, h in enumerate(row):
+            at = (i, i + 2 * k)
+            if h != moment_matrix.beta_numerator(*at):
+                raise ArithmeticError(f"table disagrees with beta_numerator at {at}")
 
 
 def solve_by_entries(spec):

@@ -204,19 +204,17 @@ def test_walked_matrices_equal_the_entries_at_order_200():
 @pytest.mark.parametrize("order", [*range(1, 65), 200])
 def test_matrix_cells_are_the_entries_in_lowest_terms(order):
     triangle = [(i, j) for j in range(1, order + 1) for i in range(2 - j % 2, j + 1, 2)]
-    entries = {
-        "F": f_entry,
-        "G": g_entry,
-        "B": beta,
-        "D": lambda i, j: Fraction(2, 2 * i - 1),
-    }
-    for which, entry in entries.items():
+    for which in "FGBD":
         cells = moment_matrix.matrix_cells(which, order)
         expected = [(i, i) for i in range(1, order + 1)] if which == "D" else triangle
         assert sorted((i, j) for i, j, _, _ in cells) == sorted(expected)
         for i, j, num, den in cells:
             assert den > 0 and gcd(num, den) == 1, (which, i, j)
-            assert Fraction(num, den) == entry(i, j), (which, i, j)
+            if which == "D":
+                entry = Fraction(2, 2 * i - 1)
+            else:
+                entry = references.closed_form(which, i, j)
+            assert Fraction(num, den) == entry, (which, i, j)
 
 
 # every n in 1..200 takes about 4 s on a 2-CPU host; a stride of 3 takes
@@ -319,7 +317,7 @@ def test_threads_widening_the_row_table_each_get_their_width(monkeypatch):
 
     def widen(seed):
         # each step widens the table, or prints B or G from it, which
-        # widens and compares it
+        # widens it
         rng = random.Random(seed)
         for _ in range(60):
             n = rng.randint(1, 40)
@@ -392,85 +390,6 @@ def _count_closed_forms(monkeypatch):
     return calls
 
 
-def _cut(cells, order):
-    """The cells of ``cells``, column by column, in columns 1..order."""
-    return cells[: (order + 1) ** 2 // 4]
-
-
-def test_each_matrix_compares_each_cell_once(monkeypatch, capsys):
-    printed = {which: _cells_from_an_empty_table(which, 14) for which in "BG"}
-    fresh = {(w, n): _fresh_text(w, n, " ") for w in "BG" for n in (1, 4, 10, 12, 14)}
-    _from_an_empty_table(monkeypatch)
-    calls = _count_closed_forms(monkeypatch)
-    # the first print compares every cell of its order, once, column by
-    # column
-    assert _printed(capsys, "G", 10) == fresh["G", 10]
-    assert calls == [(i, j) for i, j, _, _ in _cut(printed["G"], 10)]
-    # a repeat or narrower print compares nothing
-    calls.clear()
-    for order in (10, 4, 1):
-        assert _printed(capsys, "G", order) == fresh["G", order]
-    assert calls == []
-    # B keeps and compares its own cells, after G as before it
-    assert _printed(capsys, "B", 10) == fresh["B", 10]
-    assert calls == [(i, j) for i, j, _, _ in _cut(printed["B"], 10)]
-    # a wider print compares only the cells of the columns it adds, then
-    # none again
-    for which in "BG":
-        calls.clear()
-        assert _printed(capsys, which, 14) == fresh[which, 14]
-        assert calls == [(i, j) for i, j, _, _ in printed[which] if j > 10]
-        calls.clear()
-        for order in (14, 12, 10):
-            assert _printed(capsys, which, order) == fresh[which, order]
-        assert calls == []
-
-
-# a solve may have widened the table past both prints: the wider print
-# reads the same table, compared only to the narrower width
-@pytest.mark.parametrize("solved", [0, 20])
-@pytest.mark.parametrize("which", ["B", "G"])
-def test_a_wider_print_compares_the_cells_it_adds(monkeypatch, solved, which):
-    printed = _cells_from_an_empty_table(which, 6)
-    _from_an_empty_table(monkeypatch)
-    moment_matrix._b_rows(solved)
-    moment_matrix.matrix_cells("G", 6)
-    right = moment_matrix.beta_numerator
-    wrong = lambda *args: right(*args) - (args == (2, 10))  # noqa: E731
-    monkeypatch.setattr(moment_matrix, "beta_numerator", wrong)
-    # (2, 10) lies past order 6: the cells of order 6 still print
-    assert moment_matrix.matrix_cells(which, 6) == printed
-    bad_cell = re.escape("beta_numerator at (2, 10)")
-    for _ in range(2):
-        with pytest.raises(ArithmeticError, match=bad_cell):
-            moment_matrix.matrix_cells(which, 12)
-
-
-def test_a_wrong_integer_past_the_kept_width_is_refused(monkeypatch, capsys):
-    fresh = {(w, n): _fresh_text(w, n, " ") for w in "BG" for n in (8, 9, 10)}
-    _from_an_empty_table(monkeypatch)
-    for which in "BG":
-        assert _printed(capsys, which, 8) == fresh[which, 8]
-    # the same integers in a new table, one of them wrong past the kept
-    # width: row 3 at j = 11
-    table = [list(row) for row in moment_matrix._b_rows(12)]
-    table[2][4] += 1
-    monkeypatch.setattr(moment_matrix, "_B_ROWS", tuple(map(tuple, table)))
-    bad_cell = re.escape("beta_numerator at (3, 11)")
-    for which in "BG":
-        # a print the kept text covers, or one that adds only right
-        # columns, is unaffected
-        assert _printed(capsys, which, 8) == fresh[which, 8]
-        assert _printed(capsys, which, 10) == fresh[which, 10]
-        # the first print that reads column 11 is refused, and so is every
-        # later one: a refused column is not kept
-        for order in (12, 11):
-            with pytest.raises(ArithmeticError, match=bad_cell):
-                main(["matrix", "--order", str(order), "--which", which])
-            assert capsys.readouterr().out == ""
-        assert _printed(capsys, which, 9) == fresh[which, 9]
-
-
 def test_a_solve_that_widens_the_table_leaves_the_kept_cells_serving(
     monkeypatch, capsys
 ):
@@ -478,16 +397,14 @@ def test_a_solve_that_widens_the_table_leaves_the_kept_cells_serving(
     _from_an_empty_table(monkeypatch)
     for which in "BG":
         assert _printed(capsys, which, 12) == fresh[which, 12]
-    calls = _count_closed_forms(monkeypatch)
     coeffs = [Fraction(k % 5 - 2, k + 1) for k in range(40)]
     solve_charge_density(PotentialSpec(Fraction(3, 2), coeffs, epsilon0=1.0))
     assert len(moment_matrix._B_ROWS) >= 40
-    # a covered print takes no cells, so it walks and compares nothing
+    # a covered print takes no cells, so it walks nothing
     monkeypatch.setattr(moment_matrix, "matrix_cells", None)
     for which in "BG":
         for order in (12, 7, 1):
             assert _printed(capsys, which, order) == fresh[which, order]
-    assert calls == []
 
 
 def test_the_solve_compares_nothing(monkeypatch):
@@ -501,25 +418,40 @@ def test_the_solve_compares_nothing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("which", ["B", "G"])
+def test_b_and_g_cells_are_walked_with_no_closed_form(monkeypatch, which):
+    # a print only walks: the tests, not the print, hold its cells to the
+    # closed forms, so a closed form that raises changes no cell
+    closed = references.closed_form_cells(which, 200)
+
+    def refused(i, j):
+        raise AssertionError(f"beta_numerator({i}, {j}) was called")
+
+    monkeypatch.setattr(moment_matrix, "beta_numerator", refused)
+    _from_an_empty_table(monkeypatch)
+    assert moment_matrix.matrix_cells(which, 200) == closed
+
+
 def test_concurrent_prints_return_only_compared_cells(monkeypatch):
     # while three threads print, a fourth keeps replacing the table, now by
-    # one with a wrong integer at (5, 11), as a monkeypatch of _B_ROWS
-    # would, now by an empty one: as every print reads the table, a print
-    # either raises, naming that cell, or returns the right cells.  The
-    # printers run until the fourth thread has replaced the table 60 times
-    printed = {which: _cells_from_an_empty_table(which, 30) for which in "BG"}
+    # an empty one, now by a right one narrower or wider than a print, as a
+    # solve in another thread would: every print returns the cells of the
+    # closed forms.  The printers run until the fourth thread has replaced
+    # the table 60 times
+    closed = {which: references.closed_form_cells(which, 30) for which in "BG"}
     _from_an_empty_table(monkeypatch)
-    rows = [list(row) for row in moment_matrix._b_rows(30)]
-    rows[4][3] += 1
-    corrupt = tuple(map(tuple, rows))
-    failures, raised, finished = [], [], []
+    tables = [
+        tuple(tuple(moment_matrix._b_row(i, n)) for i in range(1, n + 1))
+        for n in (0, 7, 18, 40)
+    ]
+    failures, printed, finished = [], [], []
 
     def work(seed):
         rng = random.Random(seed)
         if seed == 0:
             try:
                 for _ in range(60):
-                    moment_matrix._B_ROWS = rng.choice([corrupt, ()])
+                    moment_matrix._B_ROWS = rng.choice(tables)
                     time.sleep(1e-4)
             finally:
                 finished.append(seed)
@@ -528,17 +460,16 @@ def test_concurrent_prints_return_only_compared_cells(monkeypatch):
             which, n = rng.choice("BG"), rng.randint(1, 30)
             try:
                 cells = moment_matrix.matrix_cells(which, n)
-            except ArithmeticError as exc:
-                raised.append(n)
-                if n < 11 or "beta_numerator at (5, 11)" not in str(exc):
-                    failures.append((seed, which, n, str(exc)))
+            except Exception as exc:  # a print that raises fails, as a wrong one does
+                failures.append((seed, which, n, repr(exc)))
                 continue
-            if cells != [c for c in printed[which] if c[1] <= n]:
+            printed.append(n)
+            if cells != [c for c in closed[which] if c[1] <= n]:
                 failures.append((seed, which, n))
 
     _run_threads(work, 4)
     assert failures == []
-    assert raised, "no print read the wrong table"
+    assert printed, "no print ran while the table was replaced"
 
 
 def _fresh_walk(which, order):
@@ -588,28 +519,25 @@ def test_a_wider_f_print_walks_only_the_columns_it_adds(monkeypatch, capsys):
 def test_a_wider_b_or_g_print_compares_only_the_columns_it_adds(
     monkeypatch, capsys, which
 ):
+    # each widening walks only the columns it adds, and the cells it walks
+    # are those of the closed forms in exactly those columns
     orders = [10, 4, 10, 17, 1, 12, 30]
     fresh = {order: _fresh_text(which, order, " ") for order in orders}
+    closed = references.closed_form_cells(which, 30)
     _from_an_empty_table(monkeypatch)
-    full = _fresh_walk(which, 30)
     walked = []
     walk = moment_matrix._b_cells
 
     def cells(first, last, inverse):
-        walked.append((first, last))
-        return walk(first, last, inverse)
+        walked.append((first, last, list(walk(first, last, inverse))))
+        return walked[-1][2]
 
     monkeypatch.setattr(moment_matrix, "_b_cells", cells)
-    calls = _count_closed_forms(monkeypatch)
-    compared = 0
     for order in orders:
         assert _printed(capsys, which, order) == fresh[order], order
-        # the closed forms compared are the cells of the added columns
-        added = [(i, j) for i, j, _, _ in _cut(full, order)[compared:]]
-        assert calls == added, order
-        compared += len(added)
-        calls.clear()
-    assert walked == [(1, 10), (11, 17), (18, 30)]
+    assert [columns for *columns, _ in walked] == [[1, 10], [11, 17], [18, 30]]
+    for first, last, got in walked:
+        assert got == [c for c in closed if first <= c[1] <= last], (first, last)
 
 
 @pytest.mark.parametrize("which", ["F", "B", "G"])
@@ -753,7 +681,7 @@ WALKS = {
 }
 
 
-def _assert_catches_off_by_one(monkeypatch, builder, name, at):
+def _assert_catches_off_by_one(monkeypatch, builder, which, name, at):
     right = getattr(moment_matrix, name)
     if name == "_b_row":
         wrong = _off_by_one(right, at)
@@ -761,21 +689,27 @@ def _assert_catches_off_by_one(monkeypatch, builder, name, at):
         wrong = lambda *args: right(*args) - (args == at)  # noqa: E731
     monkeypatch.setattr(moment_matrix, name, wrong)
     # from an empty table and no kept text, so that the walk above builds
-    # the one the builder reads, and the builder compares every cell
+    # the table the builder reads, and the builder reads every cell of it
     _from_an_empty_table(monkeypatch)
+    rows = builder(6)
+    # the printed cells first; a B cell drops the low bits of its integer
+    # by Kummer's shift, so an off-by-one there may print right, and the
+    # table the cells were built from shows it
     with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
-        builder(6)
+        references.check_closed_forms(which, rows)
+        references.check_row_table(moment_matrix._B_ROWS)
 
 
-# B and G read one checked walk: an off-by-one on either side of the check,
-# at any triangle cell of order 6, must fail both builders
+# B and G read one walk, which the tests compare with the closed forms: an
+# off-by-one on either side, at any triangle cell of order 6, must fail
+# that comparison for both builders
 TRIANGLE_6 = [(i, j) for i in range(1, 7) for j in range(i, 7, 2)]
 
 
 @pytest.mark.parametrize("at", TRIANGLE_6)
 @pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
 def test_build_g_catches_any_off_by_one_numerator(monkeypatch, name, at):
-    _assert_catches_off_by_one(monkeypatch, build_g, name, at)
+    _assert_catches_off_by_one(monkeypatch, build_g, "G", name, at)
 
 
 @pytest.mark.parametrize("at", TRIANGLE_6)
@@ -784,18 +718,21 @@ def test_build_b_catches_any_off_by_one_numerator(monkeypatch, name, at):
     def build_b(order):
         return moment_matrix._dense("B", order)
 
-    _assert_catches_off_by_one(monkeypatch, build_b, name, at)
+    _assert_catches_off_by_one(monkeypatch, build_b, "B", name, at)
 
 
-# the CLI prints B and G from the same checked walk, without the builders
+# the CLI prints B and G from the same walk, without the builders
 @pytest.mark.parametrize("at", TRIANGLE_6)
 @pytest.mark.parametrize("name", ["_b_row", "beta_numerator"])
 @pytest.mark.parametrize("which", ["B", "G"])
-def test_matrix_command_catches_any_off_by_one_numerator(monkeypatch, which, name, at):
+def test_matrix_command_catches_any_off_by_one_numerator(
+    monkeypatch, capsys, which, name, at
+):
     def command(order):
-        return main(["matrix", "--order", str(order), "--which", which])
+        text = _printed(capsys, which, order)
+        return [[Fraction(cell) for cell in line.split()] for line in text.splitlines()]
 
-    _assert_catches_off_by_one(monkeypatch, command, name, at)
+    _assert_catches_off_by_one(monkeypatch, command, which, name, at)
 
 
 def _printed(capsys, which, order, fmt="table"):
@@ -841,19 +778,28 @@ def test_many_prints_in_one_process_print_what_fresh_walks_give(monkeypatch, cap
     assert {len(cli._KEPT_TEXT[which]) for which in "FGB"} == {200}
 
 
+class _WalkCut(Exception):
+    """Raised by a walk cut short on purpose."""
+
+
 @pytest.mark.parametrize("which", ["B", "G"])
 def test_a_failed_widening_keeps_no_text(monkeypatch, capsys, which):
     _from_an_empty_table(monkeypatch)
-    right = moment_matrix._b_row
+    right = moment_matrix._b_cells
     fresh = {order: _fresh_text(which, order, " ") for order in (7, 12, 20)}
     assert _printed(capsys, which, 12) == fresh[12]
     kept = dict(cli._KEPT_TEXT)
-    # a new table, wrong at (3, 15), past the kept width
-    monkeypatch.setattr(moment_matrix, "_b_row", _off_by_one(right, (3, 15)))
-    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+
+    def cut(first, last, inverse):
+        # the walk raises partway through, at (3, 15), past the kept width
+        for cell in right(first, last, inverse):
+            if cell[:2] == (3, 15):
+                raise _WalkCut(cell[:2])
+            yield cell
+
+    monkeypatch.setattr(moment_matrix, "_b_cells", cut)
     for order in (20, 15):
-        bad_cell = re.escape("beta_numerator at (3, 15)")
-        with pytest.raises(ArithmeticError, match=bad_cell):
+        with pytest.raises(_WalkCut):
             main(["matrix", "--order", str(order), "--which", which])
         assert capsys.readouterr().out == ""
         assert all(cli._KEPT_TEXT[w] is kept[w] for w in "FBG")
@@ -862,9 +808,8 @@ def test_a_failed_widening_keeps_no_text(monkeypatch, capsys, which):
         patch.setattr(moment_matrix, "matrix_cells", None)
         for order in (12, 7):
             assert _printed(capsys, which, order) == fresh[order]
-    # a print with a right walk widens the text, right
-    monkeypatch.setattr(moment_matrix, "_b_row", right)
-    monkeypatch.setattr(moment_matrix, "_B_ROWS", ())
+    # a print with a whole walk widens the text, right
+    monkeypatch.setattr(moment_matrix, "_b_cells", right)
     assert _printed(capsys, which, 20) == fresh[20]
     assert _printed(capsys, which, 12) == fresh[12]
 
@@ -931,30 +876,6 @@ def test_threads_print_while_the_kept_text_is_emptied(monkeypatch):
     assert failures == []
 
 
-def _short_row(walk, i):
-    """The row walk ``walk`` with row ``i`` one cell short."""
-    return lambda row, n, kept=(): list(walk(row, n, kept))[: -1 if row == i else None]
-
-
-@pytest.mark.parametrize(
-    "corrupt, at",
-    [
-        # two bad cells in one row: the error names the first
-        (lambda walk: _off_by_one(_off_by_one(walk, (2, 6)), (2, 4)), (2, 4)),
-        # a row that stops early: the error names the cell it left out
-        (lambda walk: _short_row(walk, 2), (2, 6)),
-        # two bad cells in one column: the error names the first
-        (lambda walk: _off_by_one(_off_by_one(walk, (4, 6)), (2, 6)), (2, 6)),
-    ],
-)
-def test_row_check_names_the_first_bad_cell(monkeypatch, corrupt, at):
-    monkeypatch.setattr(moment_matrix, "_b_row", corrupt(moment_matrix._b_row))
-    _from_an_empty_table(monkeypatch)
-    for which in ("B", "G"):
-        with pytest.raises(ArithmeticError, match=re.escape(f"beta_numerator at {at}")):
-            moment_matrix.matrix_cells(which, 6)
-
-
 @pytest.mark.parametrize(
     "name, at, builder, verify, message",
     [
@@ -971,9 +892,11 @@ def test_row_check_names_the_first_bad_cell(monkeypatch, corrupt, at):
 def test_checks_catch_a_corrupted_entry(
     monkeypatch, name, at, builder, verify, message
 ):
-    # one wrong entry on one side of a cross-check must make the build, or
-    # with verify the reference checks of the tests, fail; from an empty
-    # table, so that the build walks and compares every cell it reads
+    # one wrong entry on one side of a cross-check must make a reference
+    # check of the tests fail: with verify, that of F by its identities or
+    # of G by F G = I; without, the comparison of G's cells with their
+    # closed forms.  From an empty table, so that the build walks every
+    # cell it reads
     _from_an_empty_table(monkeypatch)
     if name in WALKS:
         # the builders read F and G from the walks: corrupt the walked value
@@ -986,9 +909,11 @@ def test_checks_catch_a_corrupted_entry(
         monkeypatch.setattr(module, name, lambda *args: right(*args) + (args == at))
     with pytest.raises(ArithmeticError, match=message):
         rows = builder(6)
-        if verify and builder is build_f:
+        if not verify:
+            references.check_closed_forms("G", rows)
+        elif builder is build_f:
             references.check_f(rows)
-        elif verify:
+        else:
             references.check_inverse(rows)
 
 
