@@ -43,18 +43,24 @@ written.  ``load_problem`` caps the degree, the orders and the profile's
 samples, and asks ``electrostatics.admit`` to price the rest: a problem
 too large to solve is refused before any of its integers is taken.
 
-``main(argv)`` may be called any number of times in one process.  The
-parser is built once per process, on the first call; each call only
-parses.  What the library keeps across calls, and what a later call
-reads from it, is told in ``moment_matrix``'s docstring; this module
-keeps the parser and the matrices' cell text.
+``main(argv)`` may be called any number of times in one process.  An
+argv in its canonical form, a command and then its options by their full
+names, each given once (``_read``), is read without argparse; every other
+argv goes to argparse, which alone writes help, usage and error text.
+The parser is built once per process, on the first non-canonical call;
+each later one only parses.  What the library keeps across calls, and
+what a later call reads from it, is told in ``moment_matrix``'s
+docstring; this module keeps the parser and the matrices' cell text.
 Commands dispatch by name at call time, through the module's ``cmd_*``
 globals, so rebinding one of them at module level (a tracer or a test
 does) changes what ``main`` runs.
 
 Each command imports the library layers it runs, when it runs them; at
 module level this module imports only the standard library, so that a
-one-shot command pays at start-up only for what it uses.  ``matrix``
+one-shot command pays at start-up only for what it uses.  ``argparse``,
+with the ``gettext`` it loads, takes about 2 ms to import and the parser
+about 2 ms to build, on a 2-CPU Xeon; both happen only when a
+non-canonical argv builds the parser.  ``matrix``
 loads ``moment_matrix`` alone, and with it no ``fractions`` (nor the
 ``decimal`` and ``numbers`` that ``fractions`` loads) and no ``json``,
 which only ``load_problem`` and ``cmd_solve`` import; only a ``matrix``
@@ -75,11 +81,11 @@ input (ProblemError, or the float stages' OutOfRangeError from
 ValueError reaches it.
 """
 
-import argparse
 import contextlib
 import functools
 import sys
 from itertools import accumulate
+from types import SimpleNamespace
 
 SCHEMA_VERSION = 1
 
@@ -426,11 +432,61 @@ def cmd_profile(args):
     return 0
 
 
+# each command's namespace before its options are read: a required name
+# holds ..., and an option the value argparse gives it when it is left out
+_COMMANDS = {
+    "solve": {"problem": ..., "verify": False, "out": None},
+    "matrix": {"order": ..., "which": ..., "format": "table"},
+    "profile": {"problem": ..., "out": None},
+}
+# the values that each option taking one reads without argparse, none of
+# which starts with "-".  --order's are ASCII digits, at most 640 of them,
+# the least digit limit int() may have; argparse reads " 5", "+5",
+# Arabic-Indic digits and every other --order
+_VALUES = {
+    "--order": lambda value: value.isascii() and value.isdigit() and len(value) <= 640,
+    "--which": ("B", "D", "F", "G").__contains__,
+    "--format": ("table", "csv").__contains__,
+    "--out": lambda value: not value.startswith("-"),
+}
+
+
+def _read(argv):
+    """The namespace ``_parser`` gives a canonical argv, read without
+    argparse, or None for any other argv.  A canonical argv is a command,
+    then its options, each given at most once, by its full name, with the
+    next token as its value (``--verify`` takes none), and solve's and
+    profile's one problem file; ``--order``'s value is at most 640 ASCII
+    digits, and no token but an option's name starts with "-".  Every
+    other argv (``-h``, a prefix such as ``--ord``, ``--which=G``, a
+    repeated option, "+5", a missing or extra token, ...) is argparse's,
+    which alone writes help, usage and error text."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens, args = argv[0], iter(argv[1:]), {}
+    for token in tokens:
+        name, value = token[2:], True
+        if not token.startswith("-"):
+            name, value = "problem", token
+        elif token != "--verify":
+            value = next(tokens, "-")
+            if token not in _VALUES or not _VALUES[token](value):
+                return None
+        if name in args or name not in _COMMANDS[command]:
+            return None
+        args[name] = int(value) if name == "order" else value
+    args = {"command": command, **_COMMANDS[command], **args}
+    return None if ... in args.values() else SimpleNamespace(**args)
+
+
 @functools.cache
 def _parser():
-    """The CLI's parser, built on the first call and kept for the process.
-    It holds no command function: ``main`` looks the command up by name at
-    call time, so a module-level rebinding of ``cmd_*`` takes effect."""
+    """The CLI's parser, built on the first call and kept for the process:
+    ``main`` asks for it only when ``_read`` returns None.  It holds no
+    command function: ``main`` looks the command up by name at call time,
+    so a module-level rebinding of ``cmd_*`` takes effect."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="axoball",
         description=(
@@ -459,8 +515,9 @@ def _parser():
 
 
 def main(argv=None):
+    args = _read(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = args or _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its usage or help: 2 for a bad argv, 0 for --help
         return exc.code

@@ -787,11 +787,116 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
-    first = run_cli(capsys, "matrix", "--order", "2", "--which", "F")
-    assert len(built) == 4  # the parser and its three subparsers
-    second = run_cli(capsys, "matrix", "--order", "2", "--which", "F")
+    # a canonical argv is read without argparse
+    canonical = run_cli(capsys, "matrix", "--order", "2", "--which", "F")
+    assert built == []
+    # the first one that is not builds the parser and its three subparsers
+    first = run_cli(capsys, "matrix", "--ord", "2", "--which", "F")
     assert len(built) == 4
-    assert first == second == (0, "2 0\n0 2/3\n", "")
+    second = run_cli(capsys, "matrix", "--ord", "2", "--which", "F")
+    assert len(built) == 4
+    assert canonical == first == second == (0, "2 0\n0 2/3\n", "")
+
+
+# file names that start with no "-", the empty one, spaces and non-ASCII
+# text among them
+FILE_NAMES = st.sampled_from(["", "a b.json", "pöé ٥.json"]) | st.text(max_size=6).filter(
+    lambda name: not name.startswith("-")
+)
+
+
+@st.composite
+def canonical_argvs(draw):
+    """A command and its groups in any order: an option and its value,
+    ``--verify`` alone, or the problem file alone."""
+    command = draw(st.sampled_from(["solve", "matrix", "profile"]))
+    if command == "matrix":
+        groups = [
+            ("--order", draw(st.text("0123456789", min_size=1, max_size=5))),
+            ("--which", draw(st.sampled_from("BDFG"))),
+        ]
+        if draw(st.booleans()):
+            groups.append(("--format", draw(st.sampled_from(["table", "csv"]))))
+    else:
+        groups = [(draw(FILE_NAMES),)]
+        if draw(st.booleans()):
+            groups.append(("--out", draw(FILE_NAMES)))
+        if command == "solve" and draw(st.booleans()):
+            groups.append(("--verify",))
+    return command, draw(st.permutations(groups))
+
+
+def flat(command, groups):
+    return [command, *(token for group in groups for token in group)]
+
+
+@given(canonical_argvs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_canonical_argv_reads_as_argparse_reads_it(case):
+    argv = flat(*case)
+    assert vars(cli._read(argv)) == vars(cli._parser().parse_args(argv))
+
+
+# option values that only argparse reads: an --order past 640 digits too,
+# which int() reads under the default digit limit
+BAD_VALUES = {
+    "--order": [" 5", "+5", "5 ", "٥", "", "5_0", "9" * 641],
+    "--which": ["H", "g", ""],
+    "--format": ["Table", "tsv"],
+}
+
+
+@given(canonical_argvs(), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_other_argv_is_left_to_argparse(case, data):
+    # one change makes a canonical argv one that only argparse reads; each
+    # change lists the groups it may change, or the places it may insert at
+    command, groups = case
+    indices = range(len(groups))
+    where = {
+        # --ord, --verif, ...
+        "prefix": [k for k in indices if groups[k][0].startswith("--")],
+        # --which=G
+        "equals": [k for k in indices if len(groups[k]) == 2],
+        "value": [k for k in indices if groups[k][0] in BAD_VALUES],
+        # a required option, or the problem file, left out
+        "drop": [k for k in indices if groups[k][0] in ("--order", "--which")]
+        or [k for k in indices if groups[k][0][:1] != "-"],
+        # an option, or the problem file, given twice
+        "repeat": indices,
+        # a value, or the problem file, that starts with "-"
+        "dash": [k for k in indices if groups[k] != ("--verify",)],
+        # an option with no value, last
+        "dangle": [len(groups)],
+        # -h, --help, "--" or one more token, anywhere
+        "insert": range(len(groups) + 1),
+    }
+    change = data.draw(st.sampled_from([name for name in where if where[name]]))
+    k = data.draw(st.sampled_from(where[change]))
+    changed = [groups]
+    if change == "prefix":
+        name, *value = groups[k]
+        groups[k] = (name[: data.draw(st.integers(3, len(name) - 1))], *value)
+    elif change == "equals":
+        groups[k] = ("=".join(groups[k]),)
+    elif change == "value":  # each value only argparse reads, in turn
+        name = groups[k][0]
+        changed = [
+            [*groups[:k], (name, bad), *groups[k + 1 :]] for bad in BAD_VALUES[name]
+        ]
+    elif change == "drop":
+        del groups[k]
+    elif change == "repeat":
+        groups.append(groups[k])
+    elif change == "dash":
+        groups[k] = (*groups[k][:-1], "-" + groups[k][-1])
+    elif change == "dangle":
+        groups.append(("--format" if command == "matrix" else "--out",))
+    else:
+        token = data.draw(st.sampled_from(["-h", "--help", "--", "extra"]))
+        groups.insert(k, (token,))
+    for groups in changed:
+        assert cli._read(flat(command, groups)) is None
 
 
 @pytest.mark.parametrize(
@@ -916,13 +1021,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["profile", tiny]),
         main(["solve", tiny + ".missing"]),
         main(["matrix", "--order", "2", "--which", "F"]),
-        main(["matrix", "--order", "x", "--which", "F"]),
     ]
+    parsed = added({"argparse", "gettext", "locale"})
+    codes.append(main(["matrix", "--order", "x", "--which", "F"]))
     unverified = added(
         {"numpy", "logging", "axoball.oracle", "dataclasses", "inspect"}
     )
     codes.append(main(["solve", "--verify", solve]))
-print(json.dumps([codes, unverified, added({"numpy", "dataclasses"})]))
+print(json.dumps([codes, parsed, unverified, added({"numpy", "dataclasses"})]))
 """
 
 
@@ -931,7 +1037,8 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
     # profile and matrix, bad input included, import neither the oracle nor
     # numpy, logging, dataclasses or inspect;
     # --verify loads numpy and logging (numpy itself loads inspect), but
-    # not dataclasses
+    # not dataclasses; the canonical argvs load no argparse, nor the gettext
+    # and locale it loads, and a later bad argv still gets argparse's usage
     tiny_span = {"samples": 3, "span": "1e-400"}
     argv = [
         write_problem(tmp_path, BASIC, "solve.json"),
@@ -948,10 +1055,12 @@ def test_only_verify_loads_numpy_and_logging(tmp_path):
     errors = proc.stderr.splitlines()
     assert errors[0] == "error: floats leave their range sampling the profile"
     assert errors[1].startswith("error: cannot read problem file")
+    assert errors[2].startswith("usage: axoball matrix")
     assert errors[-1].startswith("axoball matrix: error: argument --order")
     assert "Traceback" not in proc.stderr
-    codes, unverified, verified = json.loads(proc.stdout)
+    codes, parsed, unverified, verified = json.loads(proc.stdout)
     assert codes == [0, 0, 0, 2, 2, 0, 2, 0]
+    assert parsed == []
     assert unverified == []
     assert verified == ["numpy"]
 
