@@ -334,11 +334,11 @@ def cmd_solve(args):
             "prefactor": "2*eps0/r",
             "coeffs_c": [_text(c, "charge density") for c in report.density.coeffs_c],
         },
-        "charge": _quantity(report.charge_Q, "charge"),
-        "dipole": _quantity(report.dipole_D, "dipole"),
+        "charge": _quantity(report.moments[0], "charge"),
+        "dipole": _quantity(report.moments[1], "dipole"),
         "multipoles": {
-            str(m): _quantity(value, f"order-{m} multipole moment")
-            for m, value in report.multipoles.items()
+            str(m): _quantity(report.moments[m], f"order-{m} multipole moment")
+            for m in prob.moments
         },
         "force": _quantity(report.force_F, "force"),
     }

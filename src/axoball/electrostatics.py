@@ -35,7 +35,11 @@ every value into text, and only then verifies it, so an unprintable
 report is refused before its integrals run.
 
 The charge and the dipole are the multipole moments of orders 0 and 1;
-the order-m sum gives their closed forms above.
+the order-m sum gives their closed forms above.  A report states each
+value once: its ``moments`` maps every evaluated order, the requested
+ones and then 0 and 1, to its value, so the charge is ``moments[0]`` and
+the dipole ``moments[1]``.  A density keeps its spec and c, and reads
+the radius, the permittivity and b from the spec alone.
 
 Every exact path sums plain ints over one common denominator, by Horner's
 rule in p^2 for r = p/s; every path but the solve sums through
@@ -256,23 +260,13 @@ class PotentialSpec(_Value):
 class ChargeDensity(_Value):
     """A solved problem: the spec and the coefficients c of its induced
     density sigma(z) = (2 eps0 / r) sum_j c_j z^(j-1).  Built by
-    ``solve_charge_density``; radius, permittivity and b come from spec.
+    ``solve_charge_density``; the radius, the permittivity and b are read
+    from ``spec`` alone, as ``spec.radius``, ``spec.epsilon0`` and
+    ``spec.coeffs_b``.
     The constructor checks nothing, so ``ChargeDensity(spec, coeffs_c)``
     also builds a density that does not solve its spec."""
 
     __slots__ = ("spec", "coeffs_c", "_c_floats", "_m_floats")
-
-    @property
-    def radius(self):
-        return self.spec.radius
-
-    @property
-    def epsilon0(self):
-        return self.spec.epsilon0
-
-    @property
-    def coeffs_b(self):
-        return self.spec.coeffs_b
 
     @property
     def degree(self):
@@ -299,14 +293,20 @@ class ChargeDensity(_Value):
         """
         zs = _points(points)
         coeffs = self._c_view()
-        prefactor = 2.0 * self.epsilon0 / float(self.radius)
+        prefactor = 2.0 * self.spec.epsilon0 / float(self.spec.radius)
         return [_finite(prefactor * _horner(coeffs, z)) for z in zs]
 
 
 class BallReport(_Value):
-    """A solved density with its charge, dipole, multipoles and force."""
+    """A solved density, its multipole moments and its force.
 
-    __slots__ = ("density", "charge_Q", "dipole_D", "multipoles", "force_F")
+    ``moments`` is a dict from each order ``_evaluated`` gives to its
+    ExactPhysical: the requested orders in request order, then 0 and 1,
+    the charge and the dipole, if they were not requested.  The charge is
+    ``moments[0]`` and the dipole ``moments[1]``; each value is held
+    once."""
+
+    __slots__ = ("density", "moments", "force_F")
 
 
 def solve_charge_density(spec):
@@ -353,7 +353,7 @@ def reconstruct_potential(density):
     ``solve_charge_density`` bit for bit (up to trailing-zero
     normalization).
     """
-    r = density.radius
+    r = density.spec.radius
     c = density.coeffs_c
     n1 = len(c)
     coeffs = []
@@ -362,7 +362,7 @@ def reconstruct_potential(density):
         for j in range(k, n1 + 1, 2):
             acc += r ** (j - k) * f_entry_closed_form(k, j) * c[j - 1]
         coeffs.append(acc)
-    return PotentialSpec(r, tuple(coeffs), density.epsilon0)
+    return PotentialSpec(r, tuple(coeffs), density.spec.epsilon0)
 
 
 def charge_legendre_moments(density):
@@ -374,8 +374,8 @@ def charge_legendre_moments(density):
     oracle read them as the density's float view, ``_float_moments``,
     which takes them from b's integers and never calls this.
     """
-    r = density.radius
-    return [r**k * b for k, b in enumerate(density.coeffs_b)]
+    r = density.spec.radius
+    return [r**k * b for k, b in enumerate(density.spec.coeffs_b)]
 
 
 def _float_moments(density):
@@ -384,7 +384,7 @@ def _float_moments(density):
     p^(k-1) B_k / (s^(k-1) L_b), one int true division each, so each is
     ``float`` of ``charge_legendre_moments``' entry bit for bit and raises
     where it raises."""
-    p, s = density.radius.numerator, density.radius.denominator
+    p, s = density.spec.radius.numerator, density.spec.radius.denominator
     big_b, den = density.spec._integers()
     num, moments = 1, []
     for b in big_b:
@@ -605,8 +605,8 @@ def multipole_moments(density, orders):
     integer; they are read through ``_integers``, which takes them once
     per spec.  ``check_exact`` integrates the same moments from c.
     """
-    orders = _orders(orders)
-    r, b, eps = density.radius, density.spec._integers(), density.epsilon0
+    orders, spec = _orders(orders), density.spec
+    r, b, eps = spec.radius, spec._integers(), spec.epsilon0
     return {m: ExactPhysical(_closed_moment(*b, r, m), eps) for m in orders}
 
 
@@ -637,8 +637,8 @@ def axial_force(density):
     sum over b's numerators; ``check_exact`` integrates the same force
     from c.
     """
-    b = density.spec._integers()
-    return ExactPhysical(_closed_force(*b, density.radius), density.epsilon0)
+    spec = density.spec
+    return ExactPhysical(_closed_force(*spec._integers(), spec.radius), spec.epsilon0)
 
 
 def _horner(coeffs, x):
@@ -709,7 +709,7 @@ def induced_axis_potential(density, points):
     """
     xs = _points(points)
     moments = density._m_view()
-    r = float(density.radius)
+    r = float(density.spec.radius)
     values = []
     for sf in xs:
         xi = sf / r
@@ -747,28 +747,26 @@ def profile(density, samples, span):
     if span <= 0:
         raise ValueError("span must be positive")
     with OutOfRangeError.guard("sampling the profile"):
-        z = _grid(density.radius, samples)
-        s = _grid(density.radius * span, samples)
+        z = _grid(density.spec.radius, samples)
+        s = _grid(density.spec.radius * span, samples)
         sigma, u = density.sigma(z), induced_axis_potential(density, s)
         return {"z": z, "sigma": sigma, "s": s, "u": u}
 
 
 def build_report(spec, moments=(0, 1, 2, 3)):
-    """Solve once; collect the density, charge, dipole, multipoles, force.
+    """Solve once; collect the density, its moments and its force.
 
-    The orders ``_evaluated`` gives are evaluated once each;
-    ``multipoles`` keeps the requested orders in their order.  ``moments``
-    is read once, so any iterable of orders will do, and a bad order is
-    refused before the solve.  Every value is a closed form: the solve
-    takes the numerators of b, and the moments and the force read them as
-    kept.  ``check_exact`` checks the report from c.
+    The report's ``moments`` holds the orders ``_evaluated`` gives, each
+    evaluated once: the requested orders in their order, then 0 and 1 if
+    not requested.  ``moments`` is read once, so any iterable of orders
+    will do, and a bad order is refused before the solve.  Every value is
+    a closed form: the solve takes the numerators of b, and the moments
+    and the force read them as kept.  ``check_exact`` checks the report
+    from c.
     """
-    moments = _orders(moments)
+    orders = _evaluated(moments)
     density = solve_charge_density(spec)
-    values = multipole_moments(density, _evaluated(moments))
-    multipoles = {m: values[m] for m in moments}
-    force = axial_force(density)
-    return BallReport(density, values[0], values[1], multipoles, force)
+    return BallReport(density, multipole_moments(density, orders), axial_force(density))
 
 
 def check_exact(report):
@@ -776,20 +774,18 @@ def check_exact(report):
     defines it, summed exactly from the numerators of c; return None.
 
     c's numerators are taken on each call, and nothing is kept on the
-    report or its density.  Each order ``_evaluated`` gives is integrated
-    once, as an unreduced integer pair.  Each value the report holds is
-    then compared with its integral by ``_compare``: the multipoles in
-    their order, the charge, the dipole, and then the force, whose integral
-    is taken last.  The first value that differs raises ConsistencyError,
-    whose ``integrated`` is the integral, reduced to a Fraction, and
-    ``closed`` the report's value.  A report of ``build_report`` holds the
-    closed forms in b, so a disagreement is a bug, never bad input.
+    report or its density.  Each entry of ``report.moments`` is integrated
+    once, as an unreduced integer pair, and compared with the report's
+    value by ``_compare``, in the order the report holds them; then the
+    force is integrated and compared.  The first value that differs raises
+    ConsistencyError, whose ``integrated`` is the integral, reduced to a
+    Fraction, and ``closed`` the report's value.  A report of
+    ``build_report`` holds the closed forms in b, so a disagreement is a
+    bug, never bad input.
     """
-    r, (c, lcd) = report.density.radius, _numerators(report.density.coeffs_c)
-    integrals = {m: _integral(c, r, m) for m in _evaluated(report.multipoles)}
-    held = [*report.multipoles.items(), (0, report.charge_Q), (1, report.dipole_D)]
-    for m, value in held:
-        num, den = integrals[m]
+    r, (c, lcd) = report.density.spec.radius, _numerators(report.density.coeffs_c)
+    for m, value in report.moments.items():
+        num, den = _integral(c, r, m)
         _compare("moment", m, 4 * num, den * lcd, value.coeff)
     _compare("force", None, *_integrated_force(c, lcd, r), report.force_F.coeff)
 

@@ -336,7 +336,7 @@ def equation_residual(density, kernel):
     moments), at CHEBYSHEV_POINTS, whose ``kernel`` table has at least
     degree + 1 columns.  c and the moments are the density's float views.
     """
-    r = float(density.radius)
+    r = float(density.spec.radius)
     gammas = [c * r**j for j, c in enumerate(density._c_view())]
     moments = density._m_view()
     worst = 0.0
@@ -358,7 +358,7 @@ def brute_force_moment(density, m):
         raise OutOfRangeError(
             f"cannot check the order-{m} multipole moment: orders 0..40 only"
         )
-    r = float(density.radius)
+    r = float(density.spec.radius)
     rule = gauss_legendre(max((m + density.degree) // 2 + 2, 8))
     zs = [r * eta for eta in rule.nodes]
     total = rule.integrate([z**m * v for z, v in zip(zs, density.sigma(zs))])
@@ -366,7 +366,7 @@ def brute_force_moment(density, m):
         abs(c) * r ** (m + j) / (m + j)
         for j, c in enumerate(density._c_view(), start=1)
     )
-    return 2.0 * math.pi * r * r * total, math.pi * density.epsilon0 * magnitude
+    return 2.0 * math.pi * r * r * total, math.pi * density.spec.epsilon0 * magnitude
 
 
 def brute_force_force(density):
@@ -374,7 +374,7 @@ def brute_force_force(density):
     its gap is measured against: (pi / eps0) int |z| sigma^2 dz.  Both
     sum one sampling of sigma, on a rule exact for z sigma^2 of degree
     2 * degree + 1.  A pair of SI floats."""
-    r = float(density.radius)
+    r = float(density.spec.radius)
     rule = gauss_legendre(max(density.degree + 2, 8))
     zs = [r * eta for eta in rule.nodes]
     # v * v is rounded once, so it scales exactly with sigma; libm's
@@ -382,7 +382,7 @@ def brute_force_force(density):
     squares = [v * v for v in density.sigma(zs)]
     total = rule.integrate([z * q for z, q in zip(zs, squares)])
     magnitude = rule.integrate([abs(z) * q for z, q in zip(zs, squares)])
-    unit = math.pi / density.epsilon0 * r
+    unit = math.pi / density.spec.epsilon0 * r
     return unit * total, unit * magnitude
 
 
@@ -400,7 +400,7 @@ def _deviation_of(exact, brute_force, density, *args):
     side is float(coeff) * pi * eps in three roundings, not float(exact)'s
     one: the benchmark's verify references were recorded against these
     floats, and stay until they are re-recorded."""
-    expected = float(exact.coeff) * math.pi * density.epsilon0
+    expected = float(exact.coeff) * math.pi * density.spec.epsilon0
     brute, scale = brute_force(density, *args)
     return _deviation(abs(brute - expected), scale)
 
@@ -444,8 +444,10 @@ def check_report(report):
     Returns the JSON-ready verification block: ``passed``, the largest
     relative deviation, and one block per check (collocation, equation
     residual, multipole moments, force, continuity of the axis potential
-    across the surface).  Raises OutOfRangeError when a check cannot run
-    on this input.
+    across the surface).  The moments check takes every entry of
+    ``report.moments``, in its order: each order the report holds,
+    requested or not, so the charge and the dipole too.  Raises
+    OutOfRangeError when a check cannot run on this input.
 
     The whole run is under one numpy error state: numpy raises its
     overflows, divisions by zero and invalid values as FloatingPointError
@@ -457,7 +459,7 @@ def check_report(report):
         # the one kernel table of the run, at the fixed collocation points
         kernel = _chebyshev_kernel(density.degree + 1)
         with OutOfRangeError.guard("checking the charge density"):
-            r = float(density.radius)
+            r = float(density.spec.radius)
             checks["collocation"] = _collocation_check(density, kernel)
             checks["equation_residual"] = _check(
                 "value", equation_residual(density, kernel), 1e-9
@@ -466,7 +468,7 @@ def check_report(report):
         # each quadrature vs its exact value, relative to the integral's
         # cancellation-free magnitude (the roundoff scale of the quadrature)
         worst = 0.0
-        for m, exact in report.multipoles.items():
+        for m, exact in report.moments.items():
             with OutOfRangeError.guard(f"checking the order-{m} multipole moment"):
                 worst = max(worst, _deviation_of(exact, brute_force_moment, density, m))
         checks["moments"] = _check("max_relative_deviation", worst, 1e-10)

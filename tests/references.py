@@ -440,7 +440,7 @@ def brute_force_axis_potential(density, points):
     u(s) = sum_j c_j r^(j-1) K_j(s/r); valid inside and outside the ball
     (|s| = r excluded, where the kernel touches zero).
     """
-    r = float(density.radius)
+    r = float(density.spec.radius)
     xis = tuple(float(s) / r for s in points)
     if any(abs(abs(xi) - 1.0) < 1e-12 for xi in xis):
         raise ValueError("|s| = r sits on the surface; kernel is singular")

@@ -76,11 +76,11 @@ def test_solve_report_round_trips_exactly(tmp_path, capsys):
     assert tuple(map(Fraction, doc["input"]["coeffs_b"])) == spec.coeffs_b
     coeffs_c = doc["charge_density"]["coeffs_c"]
     assert tuple(map(Fraction, coeffs_c)) == density.coeffs_c
-    assert Fraction(doc["charge"]["coeff"]) == report.charge_Q.coeff
-    assert Fraction(doc["dipole"]["coeff"]) == report.dipole_D.coeff
+    assert Fraction(doc["charge"]["coeff"]) == report.moments[0].coeff
+    assert Fraction(doc["dipole"]["coeff"]) == report.moments[1].coeff
     assert Fraction(doc["force"]["coeff"]) == report.force_F.coeff
     multipoles = {int(m): Fraction(e["coeff"]) for m, e in doc["multipoles"].items()}
-    assert multipoles == {m: ep.coeff for m, ep in report.multipoles.items()}
+    assert multipoles == {m: ep.coeff for m, ep in report.moments.items()}
 
 
 def test_solve_writes_out_file(tmp_path, capsys):

@@ -470,8 +470,8 @@ def test_report_keeps_both_exact_symmetries(degree):
 
     def quantities(radius, coeffs_b):
         report = build_report(PotentialSpec(radius, coeffs_b), orders)
-        moments = {m: value.coeff for m, value in report.multipoles.items()}
-        return report.charge_Q.coeff, moments, report.force_F.coeff
+        moments = {m: value.coeff for m, value in report.moments.items()}
+        return report.moments[0].coeff, moments, report.force_F.coeff
 
     charge, moments, force = quantities(r, b)
     assert charge != 0 and (force != 0) == (degree > 0)
@@ -569,10 +569,10 @@ def test_samplers_refuse_text(sampler, text):
 
 def test_zero_potential_means_zero_everything():
     report = build_report(PotentialSpec(3, (0,)), moments=(0, 1, 2, 5))
-    assert report.charge_Q.coeff == 0
-    assert report.dipole_D.coeff == 0
+    assert report.moments[0].coeff == 0
+    assert report.moments[1].coeff == 0
     assert report.force_F.coeff == 0
-    assert all(ep.coeff == 0 for ep in report.multipoles.values())
+    assert all(ep.coeff == 0 for ep in report.moments.values())
     density = solve_charge_density(PotentialSpec(3, (0,)))
     assert induced_axis_potential(density, [7.0]) == [0.0]
 
@@ -580,12 +580,13 @@ def test_zero_potential_means_zero_everything():
 def test_build_report_collects_requested_orders(rng):
     spec = random_spec(rng, max_degree=6)
     report = build_report(spec, moments=(0, 2, 7))
-    assert sorted(report.multipoles) == [0, 2, 7]
-    assert report.charge_Q.coeff == report.multipoles[0].coeff
-    assert report.charge_Q.epsilon0 == spec.epsilon0
+    # the requested orders in their order, then the dipole, not requested
+    assert list(report.moments) == [0, 2, 7, 1]
+    assert report.moments[0] == total_charge(report.density)
+    assert report.moments[0].epsilon0 == spec.epsilon0
     # moments is read once: a one-shot iterable gives the orders a list gives
-    want = build_report(spec, [6, 4, 2]).multipoles
-    assert list(want) == [6, 4, 2]
+    want = build_report(spec, [6, 4, 2]).moments
+    assert list(want) == [6, 4, 2, 0, 1]
     for moments in (
         (6, 4, 2),
         range(6, 0, -2),
@@ -593,7 +594,7 @@ def test_build_report_collects_requested_orders(rng):
         (m for m in (6, 4, 2)),
         iter([6, 4, 2]),
     ):
-        assert build_report(spec, moments).multipoles == want
+        assert build_report(spec, moments).moments == want
 
 
 def test_build_report_refuses_a_bad_order_before_the_solve(monkeypatch):
@@ -756,7 +757,7 @@ def test_a_corrupted_column_walk_breaks_the_moment_check(monkeypatch):
 @settings(max_examples=25, deadline=None)
 def test_integrated_paths_equal_the_fraction_sums(spec):
     density = solve_charge_density(spec)
-    r, c = density.radius, density.coeffs_c
+    r, c = density.spec.radius, density.coeffs_c
     # the force from the plain Fraction square of the density polynomial
     q = [Fraction(0)] * (2 * len(c) - 1)
     for a, ca in enumerate(c):
@@ -770,7 +771,23 @@ def test_integrated_paths_equal_the_fraction_sums(spec):
     for m in range(5):
         odd = range(1 + m % 2, len(c) + 1, 2)
         moment = 8 * sum((c[j - 1] * r ** (m + j) / (m + j) for j in odd), Fraction(0))
-        assert report.multipoles[m].coeff == moment
+        assert report.moments[m].coeff == moment
+
+
+def test_check_exact_compares_each_value_once(monkeypatch):
+    # orders 0..3 and the force: the charge and the dipole, requested, are
+    # compared once each, not once more as the report's charge and dipole
+    compared = []
+    compare = es_mod._compare
+
+    def counted(quantity, order, *pair):
+        compared.append((quantity, order))
+        return compare(quantity, order, *pair)
+
+    monkeypatch.setattr(es_mod, "_compare", counted)
+    spec = PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0)
+    check_exact(build_report(spec, [0, 1, 2, 3]))
+    assert compared == [("moment", m) for m in range(4)] + [("force", None)]
 
 
 def test_multipole_moments_keep_the_requested_orders():
@@ -816,23 +833,36 @@ def test_consistency_error_is_raised_per_order(monkeypatch):
     error = _assert_disagrees(check(bad_c, [0, 2, 4]), "moment", 1)
     assert error.closed == right[1].coeff
     # b_2 is read by the closed sums of odd order only, and by the force
-    b = list(good.coeffs_b)
+    b = list(good.spec.coeffs_b)
     b[1] += 1
     bad_b = ChargeDensity(
-        PotentialSpec(good.radius, tuple(b), good.epsilon0), good.coeffs_c
+        PotentialSpec(good.spec.radius, tuple(b), good.spec.epsilon0), good.coeffs_c
     )
     error = _assert_disagrees(check(bad_b, [0, 2, 3, 1]), "moment", 3)
     assert error.integrated == right[3].coeff
     assert multipole_moments(bad_b, [4, 0]) == {m: right[m] for m in (4, 0)}
     # b_3 is read by the closed sums of even order 2 and up, and by the
     # force, so a report of orders 0 and 1 is refused by its force
-    b = list(good.coeffs_b)
+    b = list(good.spec.coeffs_b)
     b[2] += 1
     bad_b = ChargeDensity(
-        PotentialSpec(good.radius, tuple(b), good.epsilon0), good.coeffs_c
+        PotentialSpec(good.spec.radius, tuple(b), good.spec.epsilon0), good.coeffs_c
     )
     error = _assert_disagrees(check(bad_b, [0, 1]), "force", None)
     assert error.integrated == axial_force(good).coeff
+    # b_1 is read by the closed sums of even order only: a report requested
+    # with [3] holds the charge, moments[0], though not requested, and its
+    # check refuses it after order 3 agrees
+    b = list(good.spec.coeffs_b)
+    b[0] += 1
+    bad_b = ChargeDensity(
+        PotentialSpec(good.spec.radius, tuple(b), good.spec.epsilon0), good.coeffs_c
+    )
+    report = _report_over(monkeypatch, bad_b, [3])
+    assert list(report.moments) == [3, 0, 1]
+    error = _assert_disagrees(lambda: check_exact(report), "moment", 0)
+    assert error.closed == report.moments[0].coeff != right[0].coeff
+    assert error.integrated == right[0].coeff
 
 
 # radii whose numerator and denominator grow in every way: integers, p/q,
@@ -861,7 +891,7 @@ def path_densities(draw, max_degree):
 def _assert_paths_equal_references(density, orders):
     # the integrated paths are unreduced pairs: check_exact's moment of
     # order m is _integral's pair scaled by 4 and by c's denominator
-    r, b, c = density.radius, density.coeffs_b, density.coeffs_c
+    r, b, c = density.spec.radius, density.spec.coeffs_b, density.coeffs_c
     numerators_b = es_mod._numerators(b)
     numerators_c, lcd = es_mod._numerators(c)
     for m in orders:
@@ -955,7 +985,7 @@ VALUE_CLASSES = {
     ChargeDensity: (lambda: solve_charge_density(_spec()), ("spec", "coeffs_c")),
     es_mod.BallReport: (
         lambda: build_report(_spec(), moments=(2, 0)),
-        ("density", "charge_Q", "dipole_D", "multipoles", "force_F"),
+        ("density", "moments", "force_F"),
     ),
     QuadratureRule: (
         lambda: QuadratureRule((-0.5, 0.5), (1.0, 1.0)),
@@ -975,7 +1005,7 @@ def test_value_class_contract(cls):
     assert type(value) is cls and value is not twin
     assert value == twin and not value != twin
     if cls is es_mod.BallReport:
-        # its multipoles are a dict
+        # its moments are a dict
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -1041,7 +1071,7 @@ def test_the_numerators_a_value_keeps_are_no_field():
     served = report.density
     axial_force(served)
     check_exact(report)
-    assert served.spec._integers() == es_mod._numerators(served.coeffs_b)
+    assert served.spec._integers() == es_mod._numerators(served.spec.coeffs_b)
     assert not hasattr(served, "_ints") and not hasattr(fresh, "_ints")
     assert hasattr(fresh.spec, "_ints")
     for kept, unread in ((served, fresh), (served.spec, _spec())):

@@ -352,9 +352,29 @@ def test_check_report_samples_sigma_once_per_check(monkeypatch):
     report = build_report(PotentialSpec(2, tuple(range(1, 16))), moments=(0, 5, 9))
     block = check_report(report)
     assert block["passed"] is True
-    # orders 0, 5 and 9 at degree 14 take rules of 9, 11 and 13 nodes, and
-    # the force's rule takes degree + 2 = 16
-    assert sampled == [9, 11, 13, 16]
+    # orders 0, 5 and 9 at degree 14 take rules of 9, 11 and 13 nodes, the
+    # dipole, held though not requested, 9, and the force's rule takes
+    # degree + 2 = 16
+    assert sampled == [9, 11, 13, 9, 16]
+
+
+def test_check_report_checks_every_moment_the_report_holds(monkeypatch):
+    # a report requested with [2] holds the charge and the dipole too, and
+    # the oracle checks each of them, in the report's order
+    import axoball.oracle as oracle_mod
+
+    orders = []
+    brute = oracle_mod.brute_force_moment
+
+    def counted(density, m):
+        orders.append(m)
+        return brute(density, m)
+
+    monkeypatch.setattr(oracle_mod, "brute_force_moment", counted)
+    spec = PotentialSpec("7/3", ("1", "-2", "1/3", "5"))
+    block = check_report(build_report(spec, moments=[2]))
+    assert block["passed"] is True
+    assert orders == [2, 0, 1]
 
 
 def test_check_report_hashes_no_value(monkeypatch):

@@ -34,11 +34,11 @@ R, A = Fraction(7, 3), Fraction(5)
 
 def assert_image_report(r, a, n, moments):
     report = build_report(PotentialSpec(r, point_charge_field(a, n)), moments)
-    assert report.charge_Q.coeff == image_charge(r, a)
+    assert report.moments[0].coeff == image_charge(r, a)
     if n >= 1:
-        assert report.dipole_D.coeff == image_dipole(r, a)
+        assert report.moments[1].coeff == image_dipole(r, a)
     for m in moments:
-        assert report.multipoles[m].coeff == image_moment(r, a, m)
+        assert report.moments[m].coeff == image_moment(r, a, m)
     assert report.force_F.coeff == image_force(r, a, n)
 
 
