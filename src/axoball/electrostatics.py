@@ -52,18 +52,22 @@ b over their least common denominator are taken when the solve, a closed
 form or the moments' float view first reads them, never by the
 constructor, and kept in a private slot that is no field.  The closed sum
 of order m reads column m+1 of F as the integers
-``moment_matrix._f_column`` walks over one denominator.  ``check_exact``
-takes c's numerators on each call and keeps nothing; its integrated paths
-run through the private ``_integral``, which no closed form uses, and
-stay unreduced integer pairs (num, den), compared with the report's
-Fraction by cross-multiplication: a Fraction of the integral is built only
-to raise.  The force's closed sum is one integer over b's numerators; its
-integral squares c's numerator polynomial as one big-int product
-(Kronecker substitution, ``_product``), so CPython's Karatsuba multiplies
-the pairs: each coefficient, biased by half a field to an unsigned digit,
-is one fixed-width field of ``int.to_bytes``, and ``int.from_bytes``
-reads the packed factors and the product's fields in linear time.  The
-bias over k fields is one field's bytes repeated k times.
+``moment_matrix._f_column`` walks over one denominator.  The force's
+closed sum is one integer over b's numerators.
+
+``check_exact`` takes c's numerators on each call and keeps nothing.  It
+integrates every value modulo one prime P below 2^61 (``_residues``), so
+each term is a product of two word-size residues: each moment is one dot
+product of c's residues with a table of r^e / e modulo P, whose 1/e come
+from a linear-time recurrence, and the force is one more, after one
+product of two ints by Kronecker substitution multiplies the residue
+polynomials of c's even- and odd-index numerators.  A closed value
+num / den passes when the residue times den is num modulo P; no Fraction
+and no big product is built.  A value that fails is integrated exactly,
+by the private ``_integral``, which no closed form uses, or by
+``_integrated_force``, which squares c's numerator polynomial pair by
+pair: an unreduced integer pair (num, den), compared with the report's
+Fraction by cross-multiplication, and reduced to a Fraction only to raise.
 ``admit(spec, orders)`` prices those paths for a problem before any of its
 integers is taken, and refuses one too large to solve; nothing in the
 library calls it, so the library caps nothing unless a caller asks.
@@ -96,6 +100,8 @@ import contextlib
 import math
 from collections.abc import Mapping, Set
 from fractions import Fraction
+from itertools import accumulate, product, repeat
+from operator import mul
 
 from .moment_matrix import _b_rows, _f_column, f_entry_closed_form
 from .rational import parse_rational
@@ -329,11 +335,8 @@ def solve_charge_density(spec):
     n1 = len(big_b)
     # b_j's factor over the common denominator with G's (2j - 1), all but
     # the power of p
-    weight = [
-        (2 * j - 1) * (2 * s) ** (n1 - j) * big_b[j - 1] for j in range(1, n1 + 1)
-    ]
-    p2 = p * p
-    table = _b_rows(n1)
+    weight = [(2 * j - 1) * (2 * s) ** (n1 - j) * b for j, b in enumerate(big_b, 1)]
+    p2, table = p * p, _b_rows(n1)
     coeffs = []
     for i in range(1, n1 + 1):
         terms = [h * w for h, w in zip(table[i - 1], weight[i - 1 :: 2])]
@@ -353,8 +356,7 @@ def reconstruct_potential(density):
     ``solve_charge_density`` bit for bit (up to trailing-zero
     normalization).
     """
-    r = density.spec.radius
-    c = density.coeffs_c
+    r, c = density.spec.radius, density.coeffs_c
     n1 = len(c)
     coeffs = []
     for k in range(1, n1 + 1):
@@ -416,9 +418,10 @@ def _integral(a, r, m):
     unreduced numerator and positive denominator: the sum over d with d + m
     even of 2 a[d] r^e / e, e = d + m + 1.  With r = p/s it is one integer
     over s^top M (top the largest e, M the lcm of the e), summed by
-    ``_in_r2``.  ``check_exact`` compares the pair as it stands: order m's
-    multipole moment, in units of pi eps0, is 4 num / (den lcd) for the
-    numerators a of c over their denominator lcd."""
+    ``_in_r2``.  ``check_exact`` compares the pair as it stands, for a value
+    that fails its residue test: order m's multipole moment, in units of
+    pi eps0, is 4 num / (den lcd) for the numerators a of c over their
+    denominator lcd."""
     p, s = r.numerator, r.denominator
     degrees = range(m % 2, len(a), 2)
     if not degrees:
@@ -447,16 +450,19 @@ def _closed_moment(b, lcd, r, m):
 def _integrated_force(c, lcd, r):
     """(pi/eps0) int z sigma^2 dz over [-r, r], in units of pi eps0, from the
     numerators c of sigma's coefficients over their denominator lcd, as an
-    unreduced numerator and positive denominator.
+    unreduced pair scaled as ``_integral``'s for a moment: the force is
+    4 num / (den lcd).
 
     Only the odd coefficients of (sum c_j z^j)^2 survive the integral, and
     they are those of 2 z E(z^2) O(z^2), with E and O the polynomials of the
-    even- and the odd-index numerators; ``_product`` multiplies E and O."""
+    even- and the odd-index numerators, multiplied pair by pair: only a
+    value that fails its residue test, or a problem that every prime of
+    ``_PRIMES`` divides, takes this exact path."""
     q = [0] * (2 * len(c) - 1)
-    q[1::2] = _product(c[0::2], c[1::2])
+    for a, e in product(range(0, len(c), 2), range(1, len(c), 2)):
+        q[a + e] += c[a] * c[e]
     num, den = _integral(q, r, 1)
-    p, s = r.numerator, r.denominator
-    return 8 * num * s * s, den * p * p * lcd * lcd
+    return 2 * num * r.denominator**2, den * r.numerator**2 * lcd
 
 
 def _closed_force(b, lcd, r):
@@ -468,46 +474,6 @@ def _closed_force(b, lcd, r):
     p, s = r.numerator, r.denominator
     acc = _in_r2([i * b[i - 1] * b[i] for i in range(1, len(b))], p, s)
     return Fraction(4 * p * acc, s ** (2 * len(b) - 3) * lcd * lcd)
-
-
-def _field_width(u, v):
-    """Bits per field that hold every coefficient of the product of the
-    integer polynomials u and v as a signed value: each is a sum of at most
-    n = min(len(u), len(v)) products below 2^(2 maxbits) in magnitude."""
-    bits = max(abs(x).bit_length() for x in (*u, *v))
-    return 2 * bits + min(len(u), len(v)).bit_length() + 2
-
-
-def _product(u, v):
-    """The coefficients of (sum u_k x^k)(sum v_k x^k) for integers u_k, v_k,
-    by Kronecker substitution: u and v are evaluated at x = 2^(8 size), one
-    little-endian field of size = ``_field_width(u, v) // 8 + 1`` bytes per
-    coefficient, the two integers are multiplied once, and the product's
-    fields are read back.  Each field holds its coefficient plus the bias
-    half = 2^(8 size - 1), an unsigned digit; ``bias(k)`` is that bias over
-    k fields, one field's bytes repeated k times, which each factor
-    subtracts and the product adds back before it is read.
-    ``int.to_bytes`` and ``int.from_bytes`` take every field in linear
-    time."""
-    if not u or not v:
-        return []
-    size = _field_width(u, v) // 8 + 1
-    half = 1 << (8 * size - 1)
-    count = len(u) + len(v) - 1
-    field = half.to_bytes(size, "little")
-
-    def bias(k):
-        return int.from_bytes(field * k, "little")
-
-    def pack(values):
-        fields = b"".join((x + half).to_bytes(size, "little") for x in values)
-        return int.from_bytes(fields, "little") - bias(len(values))
-
-    data = (pack(u) * pack(v) + bias(count)).to_bytes(size * count, "little")
-    return [
-        int.from_bytes(data[k : k + size], "little") - half
-        for k in range(0, len(data), size)
-    ]
 
 
 # The work bounds of a problem, read from its parsed values before any of
@@ -523,17 +489,21 @@ def _product(u, v):
 # size x (degree + 1 + size / 2^10): a sum of up to degree + 1 terms of
 # that size, and a gcd whose cost grows as the square of the size.  A
 # problem whose values times that cost pass WORK_BOUND is refused before
-# it is solved.  So is one whose force integral multiplies two integers of
-# more than PRODUCT_BOUND bits, (degree + 1) x (degree x bits +
-# coeff_bits), whatever its orders: Karatsuba's time grows as that to the
-# power 1.58.  The slowest input the CLI accepts, degree 400 with every
-# order 0..1000 and the radius 7/3, exits 0 in 1.4-1.5 s cold (10 runs,
-# 2-core Xeon, CPython 3.11.7).  A report with more digits than Python
-# prints is refused once its closed forms are built, before check_exact
-# integrates: degree 400 with one order and a 31-bit radius exits 2 in
-# 0.34-0.38 s, "the force has too many digits to print", and degree 12
-# with coefficients 1/d for thirteen 4300-digit d in 0.9-1.1 s, "the
-# charge density has too many digits to print".
+# it is solved.  So is one whose c holds more than PRODUCT_BOUND bits of
+# numerators, (degree + 1) x (degree x bits + coeff_bits), whatever its
+# orders.  That bound was set for the force integral's big-int product of
+# those numerators, which check_exact no longer takes: it integrates
+# modulo a prime.  Both bounds, and every refusal, stay as they were.
+# Cold on a 2-core Xeon with CPython 3.11.7, degree 400 with every order
+# 0..1000 and the radius 7/3 exits 0 in 0.56-0.80 s (5 runs), and degree
+# 400 with one order and a 31-bit radius, with the digit limit off, in
+# 0.44-0.49 s (4 runs); they took 1.4-1.9 s and 1.6-1.9 s with the
+# product.  A report with more digits than Python prints is refused once
+# its closed forms are built, before check_exact runs: that 31-bit radius
+# exits 2 in 0.33-0.52 s (5 runs), "the force has too many digits to
+# print", and degree 12 with coefficients 1/d for thirteen 4300-digit d
+# in 0.9-1.1 s (10 runs), "the charge density has too many digits to
+# print".
 WORK_BOUND = 25 * 10**8
 PRODUCT_BOUND = 5 * 10**6
 
@@ -725,8 +695,7 @@ def _grid(half_width, samples):
     of an exact positive half-width: each is one correctly rounded int true
     division, so the endpoints land exactly on -+half_width.  Distinct
     points that float to one value raise FloatingPointError."""
-    p, q = half_width.numerator, half_width.denominator
-    m = samples - 1
+    p, q, m = half_width.numerator, half_width.denominator, samples - 1
     points = [p * (2 * k - m) / (q * m) for k in range(samples)]
     if len(set(points)) < samples:
         raise FloatingPointError("distinct sample points float to one value")
@@ -771,23 +740,76 @@ def build_report(spec, moments=(0, 1, 2, 3)):
 
 def check_exact(report):
     """Check every exact value of a report against the integral that
-    defines it, summed exactly from the numerators of c; return None.
+    defines it, taken from the numerators of c; return None.
 
     c's numerators are taken on each call, and nothing is kept on the
-    report or its density.  Each entry of ``report.moments`` is integrated
-    once, as an unreduced integer pair, and compared with the report's
-    value by ``_compare``, in the order the report holds them; then the
-    force is integrated and compared.  The first value that differs raises
-    ConsistencyError, whose ``integrated`` is the integral, reduced to a
-    Fraction, and ``closed`` the report's value.  A report of
+    report or its density.  The integrals run modulo the first prime of
+    ``_PRIMES`` that divides none of p, s and c's denominator, for r = p/s
+    (``_residues``): a closed value num / den passes when the integral's
+    residue times den is num modulo the prime.  A value that fails takes
+    its exact integral, ``_integral`` or ``_integrated_force``, to
+    ``_compare``, so the first value that differs, in the order the report
+    holds its moments and then the force, raises ConsistencyError with the
+    integral as a Fraction in ``integrated`` and the report's value in
+    ``closed``; an exact integral that equals the value is a bug of the
+    modular path and raises AssertionError.  A problem that every prime
+    divides is checked exactly, value by value.  A report of
     ``build_report`` holds the closed forms in b, so a disagreement is a
     bug, never bad input.
     """
     r, (c, lcd) = report.density.spec.radius, _numerators(report.density.coeffs_c)
-    for m, value in report.moments.items():
-        num, den = _integral(c, r, m)
-        _compare("moment", m, 4 * num, den * lcd, value.coeff)
-    _compare("force", None, *_integrated_force(c, lcd, r), report.force_F.coeff)
+    prime = next((q for q in _PRIMES if r.numerator * r.denominator * lcd % q), None)
+    values = {m: v.coeff for m, v in (*report.moments.items(), (None, report.force_F))}
+    # with no prime, every value fails its residue test and is compared exactly
+    residues = _residues(c, lcd, r, report.moments, prime) if prime else values
+    for (m, closed), residue in zip(values.items(), residues):
+        if prime and not (residue * closed.denominator - closed.numerator) % prime:
+            continue
+        num, den = _integral(c, r, m) if m is not None else _integrated_force(c, lcd, r)
+        _compare("moment" if m is not None else "force", m, 4 * num, den * lcd, closed)
+        if prime:
+            raise AssertionError(f"order {m}: the residue modulo {prime} is wrong")
+
+
+# The primes of ``check_exact``, each below 2^61, so that a product of two
+# residues stays below 2^122.  A prime that divides p or s, for r = p/s, or
+# c's denominator is skipped for the next.  One that divides a closed
+# value's denominator needs no skip: the integral's denominator divides a
+# product of s, c's denominator and the integers e = d + m + 1, each far
+# below 2^61, so such a value cannot equal it, and its residue test fails.
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+def _residues(c, lcd, r, orders, prime):
+    """The integrated moments of the given orders, then the integrated
+    force, modulo prime, from the numerators c of the density's
+    coefficients over lcd: the values ``check_exact`` compares, 4 num /
+    (den lcd) for the pairs of ``_integral`` and ``_integrated_force``.
+
+    With rho = r modulo prime, t[e] = 8 rho^e / (e lcd) takes 1/e from the
+    table inv[e] = -(prime // e) inv[prime % e], built in linear time.
+    The moment of order m is then the sum over d = m mod 2 of c_d t[d + m +
+    1], one dot product of c's residues with a slice of t.  The force is
+    2 / (rho^2 lcd) times the sum over k of (E O)_k t[2k + 3], for E and O
+    the polynomials of the residues of c's even- and odd-index numerators.
+    E O is one product of two ints, by Kronecker substitution: each
+    residue is an unsigned field of w bytes, at least 122 + bitlen(len O)
+    bits, which holds a sum of len(O) <= len(E) products below 2^122."""
+    rho, unit = r.numerator * pow(r.denominator, -1, prime) % prime, pow(lcd, -1, prime)
+    inv = [0, 1]
+    for e in range(2, max(len(c) + max(orders, default=0) + 1, 2 * len(c))):
+        inv.append(-(prime // e) * inv[prime % e] % prime)
+    powers = accumulate(repeat(rho), lambda x, y: x * y % prime, initial=8 * unit)
+    t = [x * y % prime for x, y in zip(inv, powers)]
+    halves = [x % prime for x in c[0::2]], [x % prime for x in c[1::2]]
+    residues = [sum(map(mul, halves[m % 2], t[m + 1 + m % 2 :: 2])) for m in orders]
+    w = (122 + len(halves[1]).bit_length() + 7) // 8
+    u, v = (b"".join(x.to_bytes(w, "big") for x in h) for h in halves)
+    uv = int.from_bytes(u, "big") * int.from_bytes(v, "big")
+    data = uv.to_bytes(w * max(len(c) - 1, 0), "big")
+    eo = (int.from_bytes(data[k : k + w], "big") for k in range(0, len(data), w))
+    force = 2 * unit * pow(rho, -2, prime) * sum(map(mul, eo, t[3::2]))
+    return [x % prime for x in (*residues, force)]
 
 
 def _compare(quantity, order, num, den, closed):

@@ -21,7 +21,8 @@ Each exact path of the moments and the force has its own reference here,
 summed term by term in Fractions: the closed multipole sum, the
 integrated moment, the closed force sum and the integrated force from the
 pair products of the density's numerators.  ``schoolbook_product`` is the
-pair loop that the library's Kronecker product must equal.
+pair loop whose force residue the library's Kronecker product of
+residues must equal.
 
 The grounded ball in the field of a point charge is a third path that
 shares no code with the library: no F, no G and no Legendre moment.  A

@@ -376,12 +376,11 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, content, text):
     import axoball.electrostatics as es_mod
 
     def unreachable(*args):
-        raise AssertionError("integrated a report that cannot print")
+        raise AssertionError("checked a report that cannot print")
 
     if "too many digits to print" in text:
-        # every value is text before check_exact integrates any of them
-        for name in ("_integral", "_integrated_force"):
-            monkeypatch.setattr(es_mod, name, unreachable)
+        # every value is text before check_exact runs on any of them
+        monkeypatch.setattr(es_mod, "check_exact", unreachable)
     assert_refused(tmp_path, capsys, argv, content, text)
 
 
@@ -428,9 +427,9 @@ def test_large_coefficients_are_refused_before_their_integers_are_taken(
 
 
 def test_the_force_product_bound_lies_between_a_31_and_a_32_bit_radius(tmp_path):
-    # degree 400 with one order: the force integral's Kronecker product,
-    # not the orders, sets the cost; 2^35 + 1 over 2^35 passes the work
-    # bound alone at about 2.40e9
+    # degree 400 with one order: PRODUCT_BOUND, not the orders, refuses a
+    # 32-bit radius; 2^35 + 1 over 2^35 passes the work bound alone at
+    # about 2.40e9
     body = {"radius": f"{2**30 + 1}/{2**30}", "coeffs_b": ["1"] * 401, "moments": [0]}
     assert load_problem(write_problem(tmp_path, body)).spec.degree == 400
     for radius in (f"{2**31 + 1}/{2**31}", "34359738369/34359738368"):
@@ -1402,14 +1401,14 @@ def test_a_consistency_error_writes_no_output(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("went on past a failed exact check")
 
-    force = es_mod._integrated_force
+    force = es_mod._closed_force
 
     def one_more(*args):
-        # the force's integral, plus 1, as its unreduced pair
-        num, den = force(*args)
-        return num + den, den
+        # the force's closed sum, plus 1: its residue test fails, and so
+        # does its exact comparison
+        return force(*args) + 1
 
-    monkeypatch.setattr(es_mod, "_integrated_force", one_more)
+    monkeypatch.setattr(es_mod, "_closed_force", one_more)
     monkeypatch.setattr(es_mod, "profile", unreachable)
     monkeypatch.setattr(cli, "run_verification", unreachable)
     path = write_problem(tmp_path, dict(BASIC, profile={"samples": 3}))

@@ -40,6 +40,8 @@ from references import brute_force_axis_potential, solve_by_entries
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 radii = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
+# the primes of check_exact's residue tests, in the order it tries them
+P, P2, P3 = es_mod._PRIMES
 
 
 def test_spec_normalizes_trailing_zeros():
@@ -777,16 +779,28 @@ def test_integrated_paths_equal_the_fraction_sums(spec):
 def test_check_exact_compares_each_value_once(monkeypatch):
     # orders 0..3 and the force: the charge and the dipole, requested, are
     # compared once each, not once more as the report's charge and dipole
-    compared = []
-    compare = es_mod._compare
+    compared, integrated = [], []
+    compare, residues = es_mod._compare, es_mod._residues
 
     def counted(quantity, order, *pair):
         compared.append((quantity, order))
         return compare(quantity, order, *pair)
 
+    def counted_residues(c, lcd, r, orders, prime):
+        integrated.append(list(orders))
+        return residues(c, lcd, r, orders, prime)
+
     monkeypatch.setattr(es_mod, "_compare", counted)
+    monkeypatch.setattr(es_mod, "_residues", counted_residues)
     spec = PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0)
     check_exact(build_report(spec, [0, 1, 2, 3]))
+    # modulo a prime: each moment's residue once, then the force's, and no
+    # value of a good report is compared exactly
+    assert (integrated, compared) == ([[0, 1, 2, 3]], [])
+    # a radius that every prime divides: each value is compared exactly once
+    spec = PotentialSpec(P * P2 * P3, (1, 2, 3, 4), epsilon0=1.0)
+    check_exact(build_report(spec, [0, 1, 2, 3]))
+    assert integrated == [[0, 1, 2, 3]]
     assert compared == [("moment", m) for m in range(4)] + [("force", None)]
 
 
@@ -888,20 +902,34 @@ def path_densities(draw, max_degree):
     return solve_charge_density(spec)
 
 
+def _residue(value, prime):
+    """A Fraction modulo prime, for a denominator that prime does not divide."""
+    return value.numerator * pow(value.denominator, -1, prime) % prime
+
+
 def _assert_paths_equal_references(density, orders):
     # the integrated paths are unreduced pairs: check_exact's moment of
-    # order m is _integral's pair scaled by 4 and by c's denominator
+    # order m is _integral's pair scaled by 4 and by c's denominator, and
+    # so is its force, _integrated_force's pair; the residues of both,
+    # modulo each prime the radius and c's denominator allow, are those of
+    # the references
     r, b, c = density.spec.radius, density.spec.coeffs_b, density.coeffs_c
     numerators_b = es_mod._numerators(b)
     numerators_c, lcd = es_mod._numerators(c)
-    for m in orders:
+    moments = [references.integrated_moment(c, r, m) for m in orders]
+    for m, moment in zip(orders, moments):
         closed = es_mod._closed_moment(*numerators_b, r, m)
         assert closed == references.closed_moment(b, r, m)
         num, den = es_mod._integral(numerators_c, r, m)
-        assert Fraction(4 * num, den * lcd) == references.integrated_moment(c, r, m)
+        assert Fraction(4 * num, den * lcd) == moment
     assert es_mod._closed_force(*numerators_b, r) == references.closed_force(b, r)
-    force = es_mod._integrated_force(numerators_c, lcd, r)
-    assert Fraction(*force) == references.integrated_force(c, r)
+    num, den = es_mod._integrated_force(numerators_c, lcd, r)
+    force = references.integrated_force(c, r)
+    assert Fraction(4 * num, den * lcd) == force
+    for prime in es_mod._PRIMES:
+        if r.numerator * r.denominator * lcd % prime:
+            residues = es_mod._residues(numerators_c, lcd, r, orders, prime)
+            assert residues == [_residue(x, prime) for x in (*moments, force)]
 
 
 @given(
@@ -922,8 +950,27 @@ def test_exact_paths_equal_their_references_at_high_degree(degree, orders):
     _assert_paths_equal_references(solve_charge_density(spec), orders)
 
 
+def _force_residue(c, r, prime):
+    """The integrated force of the numerators c over the denominator 1,
+    modulo prime, from ``references.schoolbook_product`` of their even-
+    and odd-index halves: 16 sum_k (E O)_k r^(2k+1) / (2k+3)."""
+    rho = _residue(r, prime)
+    terms = enumerate(references.schoolbook_product(c[0::2], c[1::2]))
+    return 16 * sum(
+        x * pow(rho, 2 * k + 1, prime) * pow(2 * k + 3, -1, prime) for k, x in terms
+    ) % prime
+
+
 def _assert_product(u, v):
-    assert es_mod._product(u, v) == references.schoolbook_product(u, v)
+    # the force's residue, from the one Kronecker product of the residues
+    # of E = u and O = v (the shorter padded with zeros), equals the one
+    # from the pair loop of E and O
+    n = max(len(u), len(v))
+    pairs = zip(u + [0] * (n - len(u)), v + [0] * (n - len(v)))
+    c = [x for pair in pairs for x in pair]
+    for prime in (P, P3):
+        *_, force = es_mod._residues(c, 1, Fraction(7, 3), [0], prime)
+        assert force == _force_residue(c, Fraction(7, 3), prime)
 
 
 @pytest.mark.parametrize(
@@ -949,9 +996,10 @@ def test_kronecker_product_equals_the_pair_loop(u, v):
 @pytest.mark.parametrize("k", [1, 2, 30, 31, 64, 300])
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_kronecker_product_at_the_edges_of_its_fields(k, n):
-    # the largest entries of k and k + 1 bits, in every sign pattern: the
-    # product's coefficients reach n (2^k)^2, next to the field's bound
-    for big in (2**k - 1, 2**k):
+    # integers of k and k + 1 bits in every sign pattern, and the largest
+    # residues, P - 1 and P3 - 1, whose products reach n (2^61)^2, next to
+    # the field's bound of 122 + bitlen(n) bits
+    for big in (2**k - 1, 2**k, P - 1, P3 - 1):
         for u, v in (
             ([big] * n, [big] * n),
             ([-big] * n, [-big] * n),
@@ -959,9 +1007,6 @@ def test_kronecker_product_at_the_edges_of_its_fields(k, n):
             ([big, -big] * n, [-big, big] * n),
             ([big, -big] * n, [big] * n),
         ):
-            width = es_mod._field_width(u, v)
-            bound = max(abs(x) for x in references.schoolbook_product(u, v))
-            assert bound < 2 ** (width - 2)
             _assert_product(u, v)
 
 
@@ -971,7 +1016,171 @@ def test_kronecker_product_at_the_edges_of_its_fields(k, n):
 )
 @settings(max_examples=100)
 def test_kronecker_product_equals_the_pair_loop_on_any_ints(u, v):
-    _assert_product(u, v)
+    if u or v:
+        _assert_product(u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 65, 128, 129, 401])
+def test_residue_fields_hold_the_largest_sums(n):
+    # every residue P - 1, the largest: coefficient k of E O sums up to
+    # len(O) products (P - 1)^2, next to its field's bound of
+    # 122 + bitlen(len O) bits; n = 401 is degree 400, whose 200 products
+    # pass 2^128
+    for prime in es_mod._PRIMES:
+        mixed = [-1, prime - 1] * (n // 2) + [-1] * (n % 2)
+        for c in ([-1] * n, [prime - 1] * n, mixed):
+            *_, force = es_mod._residues(c, 1, Fraction(5, 2), [0], prime)
+            assert force == _force_residue(c, Fraction(5, 2), prime)
+
+
+def test_a_degree_400_report_at_its_largest_residues_passes():
+    # c = -1 everywhere, each residue P - 1, with the closed values the
+    # references give: check_exact passes on its residues alone
+    spec = PotentialSpec(Fraction(7, 3), (1,) * 401, epsilon0=1.0)
+    density = ChargeDensity(spec, (Fraction(-1),) * 401)
+    r = spec.radius
+    moments = {
+        m: ExactPhysical(references.integrated_moment(density.coeffs_c, r, m), 1.0)
+        for m in (0, 1, 2, 3, 400)
+    }
+    force = ExactPhysical(references.integrated_force(density.coeffs_c, r), 1.0)
+    report = es_mod.BallReport(density, moments, force)
+    check_exact(report)
+    wrong = ExactPhysical(force.coeff + Fraction(1, 10**40), 1.0)
+    with pytest.raises(ConsistencyError, match="^force paths disagree"):
+        check_exact(es_mod.BallReport(density, moments, wrong))
+
+
+def _nudged(report, order, tiny):
+    """The report with the moment of the given order, or the force for the
+    order None, moved by tiny."""
+    moments, force = dict(report.moments), report.force_F
+    if order is None:
+        force = ExactPhysical(force.coeff + tiny, force.epsilon0)
+    else:
+        value = moments[order]
+        moments[order] = ExactPhysical(value.coeff + tiny, value.epsilon0)
+    return es_mod.BallReport(report.density, moments, force)
+
+
+@pytest.mark.parametrize(
+    "radius, coeffs_b, prime",
+    [
+        # the numerator, the denominator, and then both, of the radius
+        (Fraction(P, 3), ("1", "-2/5", "3", "0", "7"), P2),
+        (Fraction(3, P), ("1", "-2/5", "3", "0", "7"), P2),
+        (Fraction(P, P2), ("1", "-2/5", "3", "0", "7"), P3),
+        # c's denominator: b's carries into it
+        (Fraction(7, 3), ("1", f"-2/{P}", "3", "0", f"1/{P}"), P2),
+        # every prime: the exact check of each value
+        (P * P2 * P3, ("1", "-2/5", "3", "0", "7"), None),
+    ],
+    ids=["numerator", "denominator", "both", "denominator-of-c", "every-prime"],
+)
+def test_a_prime_that_divides_the_radius_or_c_is_skipped(
+    monkeypatch, radius, coeffs_b, prime
+):
+    used = []
+    residues = es_mod._residues
+
+    def recorded(c, lcd, r, orders, prime):
+        used.append(prime)
+        return residues(c, lcd, r, orders, prime)
+
+    monkeypatch.setattr(es_mod, "_residues", recorded)
+    spec = PotentialSpec(radius, coeffs_b, epsilon0=1.0)
+    report = build_report(spec, range(5))
+    check_exact(report)
+    assert used == ([] if prime is None else [prime])
+    # and still catches a change of 1e-40 in any one value
+    for order in (*range(5), None):
+        quantity = "force" if order is None else "moment"
+        _assert_disagrees(
+            lambda: check_exact(_nudged(report, order, Fraction(1, 10**40))),
+            quantity,
+            order,
+        )
+
+
+def test_a_density_with_no_coefficients_is_checked_as_zero():
+    # the constructor checks nothing, so c may be empty: every integral is
+    # 0, and only a report of zeros passes
+    density = ChargeDensity(PotentialSpec(2, (0,), epsilon0=1.0), ())
+    zero = ExactPhysical(Fraction(0), 1.0)
+    check_exact(es_mod.BallReport(density, {0: zero, 1: zero}, zero))
+    one = ExactPhysical(Fraction(1), 1.0)
+    for moments, force, order in (({0: zero, 1: one}, zero, 1), ({0: zero}, one, None)):
+        report = es_mod.BallReport(density, moments, force)
+        quantity = "force" if order is None else "moment"
+        _assert_disagrees(lambda: check_exact(report), quantity, order)
+
+
+def test_a_wrong_residue_never_passes(monkeypatch):
+    # a residue test that fails where the exact integral agrees is a bug of
+    # the modular path: it raises AssertionError, neither passing nor
+    # raising ConsistencyError, whose values would be equal
+    residues = es_mod._residues
+    report = build_report(PotentialSpec(2, (1, 2, 3, 4), epsilon0=1.0), range(4))
+    for k in range(5):
+
+        def off_by_one(*args):
+            values = residues(*args)
+            values[k] += 1
+            return values
+
+        monkeypatch.setattr(es_mod, "_residues", off_by_one)
+        with pytest.raises(AssertionError, match="the residue modulo"):
+            check_exact(report)
+
+
+tiny_rationals = st.builds(
+    lambda sign, q, k: Fraction(sign, q * 10**k),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=1, max_value=99),
+    st.integers(min_value=20, max_value=60),
+)
+
+
+@given(
+    density=path_densities(max_degree=40),
+    orders=st.lists(st.integers(min_value=0, max_value=50), max_size=4),
+    change=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["moment", "force", "c"]), st.integers(0, 100)),
+    ),
+    tiny=tiny_rationals,
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_check_exact_agrees_with_the_references(density, orders, change, tiny):
+    # check_exact passes a report exactly where every value equals its
+    # reference integral from c: a good report, or one whose one moment,
+    # force or c_j moved by a tiny rational
+    report = build_report(density.spec, orders)
+    if change is not None:
+        what, k = change
+        if what == "c":
+            c = list(report.density.coeffs_c)
+            c[k % len(c)] += tiny
+            report = es_mod.BallReport(
+                ChargeDensity(density.spec, tuple(c)), report.moments, report.force_F
+            )
+        else:
+            held = list(report.moments)
+            order = None if what == "force" else held[k % len(held)]
+            report = _nudged(report, order, tiny)
+    r, c = report.density.spec.radius, report.density.coeffs_c
+    wrong = [
+        m
+        for m, value in report.moments.items()
+        if value.coeff != references.integrated_moment(c, r, m)
+    ]
+    if report.force_F.coeff != references.integrated_force(c, r):
+        wrong.append(None)
+    if not wrong:
+        check_exact(report)
+    else:
+        quantity = "force" if wrong[0] is None else "moment"
+        _assert_disagrees(lambda: check_exact(report), quantity, wrong[0])
 
 
 def _spec():
